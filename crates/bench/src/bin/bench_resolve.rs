@@ -13,7 +13,7 @@
 //! correctness smoke test in seconds.
 //!
 //! The run also measures the cost of the self-telemetry layer on the
-//! acceptance scenario (resolve both paths with and without an
+//! acceptance scenario (the engine's resolve with and without an
 //! attached registry) and asserts it stays under 3% — always-on
 //! telemetry is a design contract, not a hope.
 
@@ -23,8 +23,9 @@ use sim_cpu::HwEvent;
 use sim_os::Kernel;
 use std::time::Instant;
 use viprof::codemap::{map_path, render_map, CodeMapEntry};
+use viprof::report::{self as oracle, viprof_report};
 use viprof::resolve::ResolveOptions;
-use viprof::{viprof_report, ReportSpec, ResolutionEngine, ViprofResolver};
+use viprof::{ReportSpec, ResolutionEngine, ViprofResolver};
 use viprof_bench::{quiet, write_artifact};
 use viprof_telemetry::impl_to_json;
 use viprof_telemetry::Telemetry;
@@ -233,13 +234,10 @@ impl_to_json!(BenchGates {
 });
 
 /// Cost of the always-on telemetry layer on the acceptance scenario:
-/// each resolve path timed with and without an attached registry.
+/// the engine's resolve timed with and without an attached registry.
 struct TelemetryOverhead {
     scenario: String,
     runs: u32,
-    legacy_plain_ms: f64,
-    legacy_telemetry_ms: f64,
-    legacy_overhead_pct: f64,
     flat_plain_ms: f64,
     flat_telemetry_ms: f64,
     flat_overhead_pct: f64,
@@ -248,9 +246,6 @@ struct TelemetryOverhead {
 impl_to_json!(TelemetryOverhead {
     scenario,
     runs,
-    legacy_plain_ms,
-    legacy_telemetry_ms,
-    legacy_overhead_pct,
     flat_plain_ms,
     flat_telemetry_ms,
     flat_overhead_pct,
@@ -276,57 +271,45 @@ fn overhead_ok(plain_ms: f64, telemetry_ms: f64) -> bool {
     delta < 0.5 || delta / plain_ms * 100.0 < 3.0
 }
 
+/// Time the two sides of a comparison, `runs` trials each: `run(false)`
+/// is the baseline, `run(true)` the variant; min-of-N per side. The
+/// side that runs second in a pair reuses the caches the first one
+/// warmed, so the order flips on every trial.
+fn min_of_alternating(runs: u32, mut run: impl FnMut(bool)) -> (f64, f64) {
+    let mut ms = [f64::INFINITY; 2];
+    for trial in 0..runs {
+        let first = trial % 2 == 1;
+        for variant in [first, !first] {
+            let t = Instant::now();
+            run(variant);
+            ms[variant as usize] = ms[variant as usize].min(ms_since(t));
+        }
+    }
+    (ms[0], ms[1])
+}
+
 /// Measure telemetry overhead on the report path of one scenario: the
-/// legacy resolver with/without a mirrored registry, and the flat
-/// engine with/without its counter bundle. Min over `runs` trials each,
-/// interleaved so cache warmth favors neither side.
+/// flat engine with and without its counter bundle.
 fn measure_telemetry_overhead(s: &Scenario, runs: u32) -> TelemetryOverhead {
     let (kernel, db) = build_session(s);
-    let options = ReportOptions::default();
-
-    let (resolver_plain, _) =
+    let (resolver, _) =
         ViprofResolver::load_with(&kernel, ResolveOptions::default()).expect("load maps");
-    let (mut resolver_tel, _) =
-        ViprofResolver::load_with(&kernel, ResolveOptions::default()).expect("load maps");
-    let legacy_registry = Telemetry::new();
-    resolver_tel.set_telemetry(&legacy_registry);
+    let mut engine_plain = ResolutionEngine::build(&resolver);
+    let mut engine_tel = ResolutionEngine::build(&resolver);
+    engine_tel.set_telemetry(&Telemetry::new());
+    let spec = ReportSpec::default().threads(1);
 
-    let mut engine_plain = ResolutionEngine::build(&resolver_plain);
-    let mut engine_tel = ResolutionEngine::build(&resolver_tel);
-    let flat_registry = Telemetry::new();
-    engine_tel.set_telemetry(&flat_registry);
-    let spec = ReportSpec::default().with_options(options.clone()).threads(1);
-
-    let mut legacy_plain_ms = f64::INFINITY;
-    let mut legacy_telemetry_ms = f64::INFINITY;
-    let mut flat_plain_ms = f64::INFINITY;
-    let mut flat_telemetry_ms = f64::INFINITY;
-    for _ in 0..runs {
-        let t = Instant::now();
-        let _ = viprof_report(&db, &kernel, &resolver_plain, &options);
-        let _ = resolver_plain.quality(&db);
-        legacy_plain_ms = legacy_plain_ms.min(ms_since(t));
-
-        let t = Instant::now();
-        let _ = viprof_report(&db, &kernel, &resolver_tel, &options);
-        let _ = resolver_tel.quality(&db);
-        legacy_telemetry_ms = legacy_telemetry_ms.min(ms_since(t));
-
-        let t = Instant::now();
-        let _ = engine_plain.resolve(&db, &kernel, &spec);
-        flat_plain_ms = flat_plain_ms.min(ms_since(t));
-
-        let t = Instant::now();
-        let _ = engine_tel.resolve(&db, &kernel, &spec);
-        flat_telemetry_ms = flat_telemetry_ms.min(ms_since(t));
-    }
-
+    let (flat_plain_ms, flat_telemetry_ms) = min_of_alternating(runs, |telemetry| {
+        let engine = if telemetry {
+            &mut engine_tel
+        } else {
+            &mut engine_plain
+        };
+        let _ = engine.resolve(&db, &kernel, &spec);
+    });
     TelemetryOverhead {
         scenario: s.name.to_string(),
         runs,
-        legacy_plain_ms,
-        legacy_telemetry_ms,
-        legacy_overhead_pct: (legacy_telemetry_ms - legacy_plain_ms) / legacy_plain_ms * 100.0,
         flat_plain_ms,
         flat_telemetry_ms,
         flat_overhead_pct: (flat_telemetry_ms - flat_plain_ms) / flat_plain_ms * 100.0,
@@ -334,8 +317,8 @@ fn measure_telemetry_overhead(s: &Scenario, runs: u32) -> TelemetryOverhead {
 }
 
 /// Measure the lineage/trace construction overhead on the flat engine:
-/// `with_trace(false)` vs the tracing default, min over `runs` trials,
-/// interleaved like the telemetry measurement.
+/// `with_trace(false)` vs the tracing default, alternated like the
+/// telemetry measurement.
 fn measure_trace_overhead(s: &Scenario, runs: u32) -> TraceOverhead {
     let (kernel, db) = build_session(s);
     let (resolver, _) =
@@ -344,17 +327,10 @@ fn measure_trace_overhead(s: &Scenario, runs: u32) -> TraceOverhead {
     let spec_plain = ReportSpec::default().threads(1).with_trace(false);
     let spec_traced = ReportSpec::default().threads(1);
 
-    let mut plain_ms = f64::INFINITY;
-    let mut traced_ms = f64::INFINITY;
-    for _ in 0..runs {
-        let t = Instant::now();
-        let _ = engine.resolve(&db, &kernel, &spec_plain);
-        plain_ms = plain_ms.min(ms_since(t));
-
-        let t = Instant::now();
-        let _ = engine.resolve(&db, &kernel, &spec_traced);
-        traced_ms = traced_ms.min(ms_since(t));
-    }
+    let (plain_ms, traced_ms) = min_of_alternating(runs, |traced| {
+        let spec = if traced { &spec_traced } else { &spec_plain };
+        let _ = engine.resolve(&db, &kernel, spec);
+    });
     TraceOverhead {
         scenario: s.name.to_string(),
         runs,
@@ -380,7 +356,7 @@ fn run_scenario(s: &Scenario, trials: u32, thread_counts: &[usize]) -> ScenarioR
         let setup = ms_since(t0);
         let t1 = Instant::now();
         let report = viprof_report(&db, &kernel, &resolver, &options);
-        let quality = resolver.quality(&db);
+        let quality = oracle::quality(&resolver, &db);
         legacy_report_ms = legacy_report_ms.min(ms_since(t1));
         legacy_setup = legacy_setup.min(setup);
         walk = Some((report, quality));
@@ -487,24 +463,15 @@ fn main() {
     }
     let overhead = measure_telemetry_overhead(&accept, trials.max(5));
     println!(
-        "telemetry overhead ({}): legacy {:+.2}% ({:.1} -> {:.1} ms) | flat {:+.2}% ({:.1} -> {:.1} ms)",
+        "telemetry overhead ({}): flat {:+.2}% ({:.1} -> {:.1} ms)",
         overhead.scenario,
-        overhead.legacy_overhead_pct,
-        overhead.legacy_plain_ms,
-        overhead.legacy_telemetry_ms,
         overhead.flat_overhead_pct,
         overhead.flat_plain_ms,
         overhead.flat_telemetry_ms,
     );
-    let telemetry_gate = overhead_ok(overhead.legacy_plain_ms, overhead.legacy_telemetry_ms)
-        && overhead_ok(overhead.flat_plain_ms, overhead.flat_telemetry_ms);
+    let telemetry_gate = overhead_ok(overhead.flat_plain_ms, overhead.flat_telemetry_ms);
     assert!(
-        overhead_ok(overhead.legacy_plain_ms, overhead.legacy_telemetry_ms),
-        "legacy-path telemetry overhead exceeds 3%: {:.2}%",
-        overhead.legacy_overhead_pct
-    );
-    assert!(
-        overhead_ok(overhead.flat_plain_ms, overhead.flat_telemetry_ms),
+        telemetry_gate,
         "flat-path telemetry overhead exceeds 3%: {:.2}%",
         overhead.flat_overhead_pct
     );

@@ -26,7 +26,7 @@ use sim_os::{Machine, MachineConfig};
 use std::sync::PoisonError;
 use viprof::resolve::{ResolveOptions, ViprofResolver};
 use viprof::xen::{domain_breakdown, domain_jit_profile, DomainTable, Hypervisor, XenScheduler};
-use viprof::{ReportSpec, Viprof};
+use viprof::{ReportSpec, ResolutionEngine, Viprof};
 use viprof_bench::{write_artifact, HarnessOpts};
 use viprof_telemetry::impl_to_json;
 use viprof_telemetry::json::{Json, ToJson};
@@ -156,8 +156,11 @@ fn main() {
     let resolver = ViprofResolver::load_with(&machine.kernel, ResolveOptions::default())
         .expect("resolver")
         .0;
-    let dom1_top = domain_jit_profile(&db, &machine.kernel, &resolver, &domains, dom1, HwEvent::Cycles);
-    let dom2_top = domain_jit_profile(&db, &machine.kernel, &resolver, &domains, dom2, HwEvent::Cycles);
+    let engine = ResolutionEngine::build(&resolver);
+    let kernel = &machine.kernel;
+    let profile = |dom| domain_jit_profile(&db, kernel, &engine, &domains, dom, HwEvent::Cycles);
+    let dom1_top = profile(dom1);
+    let dom2_top = profile(dom2);
     println!("\nTop methods in domU-ps:");
     for (sym, n) in dom1_top.iter().take(4) {
         println!("  {:<70}{:>8}", sym, n);

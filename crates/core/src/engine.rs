@@ -1,12 +1,12 @@
-//! The parallel resolution engine: flattened epoch indexes + interned
-//! symbols + sharded multi-threaded aggregation.
+//! The resolution engine: flattened epoch indexes + interned symbols +
+//! sharded multi-threaded aggregation. This is the only production
+//! resolver.
 //!
-//! [`crate::resolve::ViprofResolver`] is the *reference*
-//! implementation: per-bucket backward epoch walks and `String`
-//! labels. [`ResolutionEngine`] is the production path built on top of
-//! it:
+//! [`ViprofResolver`] loads the on-disk artifacts (epoch code maps,
+//! `RVM.map`); [`ResolutionEngine::build`] turns what it loaded into
+//! the state every query runs against:
 //!
-//! 1. every pid's epoch chain is collapsed into a
+//! 1. every incarnation's epoch chain is collapsed into a
 //!    [`FlatIndex`] (one binary search per
 //!    lookup instead of one per epoch), and the boot-image map is
 //!    flattened the same way;
@@ -16,12 +16,14 @@
 //!    are resolved concurrently via [`std::thread::scope`] against the
 //!    shared immutable index; per-shard
 //!    [`ResolutionQuality`] tallies and row aggregates merge with plain
-//!    commutative sums.
+//!    commutative sums. One runner does the sharding, the per-shard
+//!    panic isolation, the single-threaded retry and the quarantine for
+//!    both the report and the quality-only pass.
 //!
 //! The engine produces **bit-identical** reports and quality totals
-//! regardless of thread count, and identical to the legacy walk —
-//! enforced by `tests/prop_resolve_flat.rs` and the fault-matrix
-//! suite.
+//! regardless of thread count, and identical to the per-bucket epoch
+//! walk in [`crate::report`] — the test oracle, enforced by
+//! `tests/prop_resolve_flat.rs` and the fault-matrix suite.
 
 use crate::bootmap::BootMap;
 use crate::flatindex::FlatIndex;
@@ -385,7 +387,8 @@ impl ResolutionEngine {
     }
 
     /// Classification only — no label allocation. Must stay in
-    /// lockstep with [`ViprofResolver::quality`]'s per-bucket match.
+    /// lockstep with the oracle's per-bucket match
+    /// ([`crate::report::quality`]).
     pub(crate) fn classify_bucket(&self, bucket: &SampleBucket) -> Class {
         match bucket.origin {
             SampleOrigin::JitApp { pid, gen } => {
@@ -405,9 +408,9 @@ impl ResolutionEngine {
     }
 
     /// Label one bucket as interned `(image, symbol)` columns —
-    /// content-identical to [`ViprofResolver::label`], without the
-    /// per-bucket `String` allocations on the hot (JIT / boot-image)
-    /// paths.
+    /// content-identical to the oracle's [`crate::report::label`],
+    /// without the per-bucket `String` allocations on the hot (JIT /
+    /// boot-image) paths.
     pub fn label(&self, bucket: &SampleBucket, kernel: &Kernel) -> (Arc<str>, Arc<str>) {
         match bucket.origin {
             SampleOrigin::Image(id) if Some(id) == self.boot_image => {
@@ -462,15 +465,16 @@ impl ResolutionEngine {
         }
     }
 
-    /// Resolve one shard: row aggregation keyed by interned labels,
-    /// plus the shard's quality tally. Aggregation only covers buckets
-    /// whose event is a report column (like [`oprofile::report::aggregate`]);
-    /// the tally covers every bucket (like [`ViprofResolver::quality`]).
+    /// Resolve one shard: the shard's quality tally over every bucket
+    /// and, when `labels` carries the kernel and report columns, row
+    /// aggregation keyed by interned labels. Aggregation only covers
+    /// buckets whose event is a report column (like
+    /// [`oprofile::report::aggregate`]); without `labels` no label work
+    /// is done at all.
     fn resolve_shard(
         &self,
         shard: &[(&SampleBucket, u64)],
-        kernel: &Kernel,
-        events: &[HwEvent],
+        labels: Option<(&Kernel, &[HwEvent])>,
         parallel_worker: bool,
     ) -> (RowCounts, ShardTally) {
         let mut agg: RowCounts = HashMap::new();
@@ -483,26 +487,14 @@ impl ResolutionEngine {
                 Class::Unresolved => tally.unresolved += count,
                 Class::Blocked => tally.blocked += count,
             }
-            if let Some(col) = events.iter().position(|e| *e == bucket.event) {
-                let key = self.label(bucket, kernel);
-                agg.entry(key).or_insert_with(|| vec![0; events.len()])[col] += count;
+            if let Some((kernel, events)) = labels {
+                if let Some(col) = events.iter().position(|e| *e == bucket.event) {
+                    let key = self.label(bucket, kernel);
+                    agg.entry(key).or_insert_with(|| vec![0; events.len()])[col] += count;
+                }
             }
         }
         (agg, tally)
-    }
-
-    fn classify_shard(&self, shard: &[(&SampleBucket, u64)], parallel_worker: bool) -> ShardTally {
-        let mut tally = ShardTally::default();
-        for &(bucket, count) in shard {
-            self.trip_poison(bucket, parallel_worker);
-            match self.classify_bucket(bucket) {
-                Class::Resolved => tally.resolved += count,
-                Class::Stale => tally.stale_epoch += count,
-                Class::Unresolved => tally.unresolved += count,
-                Class::Blocked => tally.blocked += count,
-            }
-        }
-        tally
     }
 
     /// Quarantine tally for a shard whose worker *and* fallback died:
@@ -734,8 +726,8 @@ impl ResolutionEngine {
     /// Per-incarnation breakdown of `db`'s JIT samples, sorted by
     /// `(pid, gen)`. Classification goes through [`Self::classify_bucket`],
     /// so the rows partition the JIT share of the quality report
-    /// exactly like [`ViprofResolver::incarnations`] does. Poison never
-    /// trips here — the reference breakdown has no panic seam either.
+    /// exactly. Poison never trips here: a quarantined shard hides its
+    /// samples from the quality report, never from this breakdown.
     fn incarnations(&self, db: &SampleDb) -> Vec<IncarnationSummary> {
         let mut rows: BTreeMap<(u32, u32), IncarnationSummary> = BTreeMap::new();
         for (bucket, count) in db.iter() {
@@ -762,21 +754,6 @@ impl ResolutionEngine {
         rows.into_values().collect()
     }
 
-    /// One-release alias for the pre-0.3 signature.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `ResolutionEngine::resolve(db, kernel, &ReportSpec)`"
-    )]
-    pub fn report_with_quality(
-        &self,
-        db: &SampleDb,
-        kernel: &Kernel,
-        options: &ReportOptions,
-        threads: usize,
-    ) -> (Report, ResolutionQuality) {
-        self.resolve_rows(db, kernel, options, threads)
-    }
-
     /// The merged report plus quality accounting in one pass over the
     /// database, resolved across `threads` shards (`0`/`1` =
     /// single-threaded). Results are bit-identical for every thread
@@ -790,34 +767,55 @@ impl ResolutionEngine {
         threads: usize,
     ) -> (Report, ResolutionQuality) {
         let (events, totals) = report_events(db, options);
+        let (merged, quality) = self.run_shards(db, threads, Some((kernel, events.as_slice())));
+        // One `String` materialization per distinct row — not per
+        // bucket — to hand off to the shared row shaping.
+        let rows: HashMap<(String, String), Vec<u64>> = merged
+            .into_iter()
+            .map(|((img, sym), counts)| ((img.to_string(), sym.to_string()), counts))
+            .collect();
+        (finish_report(events, totals, rows, options), quality)
+    }
+
+    /// Quality accounting alone (no label work), sharded the same way.
+    pub fn quality(&self, db: &SampleDb, threads: usize) -> ResolutionQuality {
+        self.run_shards(db, threads, None).1
+    }
+
+    /// The one sharded runner behind [`Self::resolve_rows`] and
+    /// [`Self::quality`]: shard `db`, resolve every shard (with label
+    /// work only when `labels` is set), and merge rows and tallies.
+    ///
+    /// A panicking shard must not take the session report with it:
+    /// every worker is isolated, and a dead shard is retried once
+    /// single-threaded before its samples fall back to quarantine
+    /// accounting.
+    fn run_shards(
+        &self,
+        db: &SampleDb,
+        threads: usize,
+        labels: Option<(&Kernel, &[HwEvent])>,
+    ) -> (RowCounts, ResolutionQuality) {
         let shards = self.shard(db, threads);
-        let events_ref: &[HwEvent] = &events;
-        // A panicking shard must not take the session report with it:
-        // every worker is isolated, and a dead shard is retried once on
-        // the legacy single-threaded walk before its samples fall back
-        // to quarantine accounting.
-        let attempts: Vec<Option<(RowCounts, ShardTally)>> =
-            if shards.len() <= 1 {
-                shards
-                    .iter()
-                    .map(|s| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.resolve_shard(s, kernel, events_ref, true)
-                        }))
-                        .ok()
-                    })
-                    .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .iter()
-                        .map(|shard| {
-                            scope.spawn(move || self.resolve_shard(shard, kernel, events_ref, true))
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().ok()).collect()
+        let attempts: Vec<Option<(RowCounts, ShardTally)>> = if shards.len() <= 1 {
+            shards
+                .iter()
+                .map(|s| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        self.resolve_shard(s, labels, true)
+                    }))
+                    .ok()
                 })
-            };
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .iter()
+                    .map(|shard| scope.spawn(move || self.resolve_shard(shard, labels, true)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().ok()).collect()
+            })
+        };
         let parts: Vec<(RowCounts, ShardTally)> = attempts
             .into_iter()
             .enumerate()
@@ -825,16 +823,14 @@ impl ResolutionEngine {
                 Some(part) => part,
                 None => {
                     let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.resolve_shard(&shards[i], kernel, events_ref, false)
+                        self.resolve_shard(&shards[i], labels, false)
                     }));
                     let recovered = retried.is_ok();
                     if let Some(t) = &self.telemetry {
                         let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
                         t.note_shard_panic(i as u64, samples, recovered);
                     }
-                    retried.unwrap_or_else(|_| {
-                        (HashMap::new(), Self::quarantine_tally(&shards[i]))
-                    })
+                    retried.unwrap_or_else(|_| (HashMap::new(), Self::quarantine_tally(&shards[i])))
                 }
             })
             .collect();
@@ -874,79 +870,7 @@ impl ResolutionEngine {
         if let (Some(t), Some(before)) = (&self.telemetry, before) {
             t.finish(before, &quality, &shard_sizes);
         }
-        // One `String` materialization per distinct row — not per
-        // bucket — to hand off to the shared row shaping.
-        let rows: HashMap<(String, String), Vec<u64>> = merged
-            .into_iter()
-            .map(|((img, sym), counts)| ((img.to_string(), sym.to_string()), counts))
-            .collect();
-        (finish_report(events, totals, rows, options), quality)
-    }
-
-    /// Quality accounting alone (no label work), sharded the same way.
-    /// Identical to [`ViprofResolver::quality`] on the same load.
-    pub fn quality(&self, db: &SampleDb, threads: usize) -> ResolutionQuality {
-        let shards = self.shard(db, threads);
-        let attempts: Vec<Option<ShardTally>> = if shards.len() <= 1 {
-            shards
-                .iter()
-                .map(|s| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.classify_shard(s, true)
-                    }))
-                    .ok()
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || self.classify_shard(shard, true)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            })
-        };
-        let tallies: Vec<ShardTally> = attempts
-            .into_iter()
-            .enumerate()
-            .map(|(i, attempt)| match attempt {
-                Some(tally) => tally,
-                None => {
-                    let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.classify_shard(&shards[i], false)
-                    }));
-                    let recovered = retried.is_ok();
-                    if let Some(t) = &self.telemetry {
-                        let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
-                        t.note_shard_panic(i as u64, samples, recovered);
-                    }
-                    retried.unwrap_or_else(|_| Self::quarantine_tally(&shards[i]))
-                }
-            })
-            .collect();
-        let before = self.telemetry.as_ref().map(|t| t.quality_counts());
-        let shard_sizes: Vec<u64> = shards
-            .iter()
-            .map(|s| s.iter().map(|(_, c)| *c).sum())
-            .collect();
-        let mut quality = self.base_quality(db);
-        if let Some(t) = &self.telemetry {
-            t.add_base(&quality);
-        }
-        for tally in tallies {
-            quality.resolved += tally.resolved;
-            quality.stale_epoch += tally.stale_epoch;
-            quality.unresolved += tally.unresolved;
-            quality.quarantined += tally.quarantined;
-            quality.cross_incarnation_blocked += tally.blocked;
-            if let Some(t) = &self.telemetry {
-                t.add_tally(&tally);
-            }
-        }
-        if let (Some(t), Some(before)) = (&self.telemetry, before) {
-            t.finish(before, &quality, &shard_sizes);
-        }
-        quality
+        (merged, quality)
     }
 }
 
@@ -954,7 +878,7 @@ impl ResolutionEngine {
 mod tests {
     use super::*;
     use crate::codemap::{map_path, render_map, CodeMapEntry};
-    use crate::report::viprof_report;
+    use crate::report::{self as oracle, viprof_report};
     use crate::resolve::ResolveOptions;
     use sim_jvm::BootImage;
 
@@ -1020,7 +944,7 @@ mod tests {
             let (img, sym) = engine.label(b, &k);
             assert_eq!(
                 (img.to_string(), sym.to_string()),
-                resolver.label(b, &k),
+                oracle::label(&resolver, b, &k),
                 "label diverged on {b:?}"
             );
         }
@@ -1032,7 +956,7 @@ mod tests {
         let db = mixed_db(&k, pid);
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
         let engine = ResolutionEngine::build(&resolver);
-        let want = resolver.quality(&db);
+        let want = oracle::quality(&resolver, &db);
         assert_eq!(engine.quality(&db, 1), want);
         assert_eq!(engine.quality(&db, 4), want);
         assert_eq!(want.accounted(), db.total_samples());
@@ -1046,7 +970,7 @@ mod tests {
         let engine = ResolutionEngine::build(&resolver);
         let options = ReportOptions::default();
         let legacy = viprof_report(&db, &k, &resolver, &options);
-        let legacy_q = resolver.quality(&db);
+        let legacy_q = oracle::quality(&resolver, &db);
         for threads in [0, 1, 2, 3, 8] {
             let (report, q) = engine.resolve_rows(&db, &k, &options, threads);
             assert_eq!(report, legacy, "threads={threads}");
@@ -1125,6 +1049,10 @@ mod tests {
         assert_eq!(report, clean_report, "fallback must reproduce the clean report");
         assert_eq!(q, clean_q);
         assert_eq!(q.quarantined, 0);
+        // The quality-only pass takes the same fallback path.
+        let quality_only = poisoned.quality(&db, 4);
+        assert_eq!(quality_only, clean_q, "quality-only fallback");
+        assert_eq!(quality_only.quarantined, 0);
         let snap = t.snapshot();
         assert!(snap.counter(names::RESOLVE_SHARD_PANICS) >= 1);
         let events = snap.events_of(names::EVENT_RESOLVE_SHARD_QUARANTINE);
@@ -1168,7 +1096,7 @@ mod tests {
         let db = mixed_db(&k, pid);
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
         let engine = ResolutionEngine::build(&resolver);
-        let want = resolver.quality(&db);
+        let want = oracle::quality(&resolver, &db);
         assert_eq!(want.cross_incarnation_blocked, 2);
         for threads in [1, 4] {
             let q = engine.quality(&db, threads);
@@ -1191,7 +1119,7 @@ mod tests {
         let engine = ResolutionEngine::build(&resolver);
         let q = engine.quality(&db, 2);
         assert_eq!(q.evicted, 9);
-        assert_eq!(q, resolver.quality(&db), "legacy walk agrees");
+        assert_eq!(q, oracle::quality(&resolver, &db), "legacy walk agrees");
         // Evicted samples sit outside accounted(): they never reached
         // the database, like drops.
         assert_eq!(q.accounted(), db.total_samples());
@@ -1210,7 +1138,7 @@ mod tests {
         let db = SampleDb::new();
         let (report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), 4);
         assert!(report.rows.is_empty());
-        assert_eq!(q, resolver.quality(&db));
+        assert_eq!(q, oracle::quality(&resolver, &db));
         assert_eq!(q.quarantined_lines, 1);
     }
 

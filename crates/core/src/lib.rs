@@ -22,11 +22,12 @@
 //!   that address is found; boot-image samples are resolved through the
 //!   VM build's `RVM.map` (§3.2).
 //!
-//! The production resolution path flattens each pid's epoch chain into
-//! a [`flatindex::FlatIndex`] (one binary search per sample instead of
-//! a per-epoch walk) and resolves the sample database across hash
-//! shards on scoped threads ([`engine::ResolutionEngine`]) — with
-//! results bit-identical to the reference walk in [`resolve`].
+//! [`resolve`] only loads the maps. The one production resolution path
+//! flattens each pid's epoch chain into a [`flatindex::FlatIndex`] (one
+//! binary search per sample instead of a per-epoch walk) and resolves
+//! the sample database across hash shards on scoped threads
+//! ([`engine::ResolutionEngine`]) — with results bit-identical to the
+//! per-bucket walk that [`report`] keeps as the test oracle.
 //!
 //! [`session::Viprof`] wires everything together; [`callgraph`] adds the
 //! cross-layer call-sequence profiles §4.2 mentions; [`xen`] implements

@@ -1,13 +1,16 @@
-//! The vertically integrated sample resolver.
+//! Loading the post-processing inputs, and the types resolution
+//! reports in.
 //!
-//! Combines three sources to label every sample bucket:
+//! [`ViprofResolver`] loads the three sources the paper's
+//! post-processing combines (§3.1–3.2): every incarnation's epoch code
+//! maps, the boot-image map (`RVM.map`), and the boot image's id for
+//! stock OProfile labels. It resolves nothing itself:
+//! [`crate::engine::ResolutionEngine::build`] flattens what it loaded,
+//! and the engine is the only production resolver. The per-bucket
+//! epoch walk over a loaded resolver is kept as the test oracle in
+//! [`crate::report`].
 //!
-//! 1. epoch code maps (JIT.App samples → Java methods, §3.1–3.2);
-//! 2. the boot-image map (`RVM.map` → VM-internal methods, §3.2);
-//! 3. stock OProfile resolution for everything else (kernel, native
-//!    libraries, binaries, residual anon).
-//!
-//! Resolution is *lossy by design* under damage: a pid whose maps are
+//! Loading is *lossy by design* under damage: a pid whose maps are
 //! unusable is skipped, bad map lines are quarantined, lost epochs are
 //! salvaged from later maps — and every degradation is counted in a
 //! [`ResolutionQuality`] report so the profile's trustworthiness is
@@ -17,13 +20,10 @@ use crate::bootmap::BootMap;
 use crate::codemap::{CodeMapSet, JIT_MAP_DIR};
 use crate::error::ViprofError;
 use crate::recover::{recover_codemaps, RecoveryReport};
-use oprofile::report::bucket_label;
-use oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use sim_cpu::{Pid, ProcKey};
-use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
+use sim_jvm::bootimage::BOOT_IMAGE_NAME;
 use sim_os::{ImageId, Kernel};
 use std::collections::HashMap;
-use viprof_telemetry::{names, Telemetry};
 
 /// Per-run accounting of how well resolution went. Every sample in the
 /// database lands in exactly one of `resolved` / `stale_epoch` /
@@ -105,37 +105,6 @@ viprof_telemetry::impl_to_json!(IncarnationSummary {
     blocked,
 });
 
-/// Mirror one finished quality report into the registry's `resolve.*`
-/// counters. Offline stages record deterministic work units (samples
-/// accounted) in place of virtual cycles — post-processing runs outside
-/// the simulated clock.
-pub(crate) fn record_quality(registry: &Telemetry, q: &ResolutionQuality) {
-    registry.counter(names::RESOLVE_SAMPLES_RESOLVED).add(q.resolved);
-    registry
-        .counter(names::RESOLVE_SAMPLES_STALE_EPOCH)
-        .add(q.stale_epoch);
-    registry
-        .counter(names::RESOLVE_SAMPLES_UNRESOLVED)
-        .add(q.unresolved);
-    registry
-        .counter(names::RESOLVE_SAMPLES_QUARANTINED)
-        .add(q.quarantined);
-    registry
-        .counter(names::RESOLVE_SAMPLES_CROSS_INCARNATION_BLOCKED)
-        .add(q.cross_incarnation_blocked);
-    registry.counter(names::RESOLVE_SAMPLES_DROPPED).add(q.dropped);
-    registry.counter(names::RESOLVE_SAMPLES_EVICTED).add(q.evicted);
-    registry
-        .counter(names::RESOLVE_QUARANTINED_LINES)
-        .add(q.quarantined_lines);
-    registry
-        .counter(names::RESOLVE_SKIPPED_MAP_FILES)
-        .add(q.skipped_map_files);
-    registry.counter(names::RESOLVE_FAILED_PIDS).add(q.failed_pids);
-    registry.counter(names::RESOLVE_MISSING_EPOCHS).add(q.missing_epochs);
-    registry.stage(names::STAGE_RESOLVE_REPORT).record(q.accounted());
-}
-
 /// Discover incarnations with map directories: paths look like
 /// `/var/lib/oprofile/jit/<pid>/<gen>/map.<epoch>` (or
 /// `…/<pid>/<gen>/journal`).
@@ -182,7 +151,9 @@ impl ResolveOptions {
     }
 }
 
-/// Loaded post-processing state.
+/// The loaded post-processing inputs: every incarnation's code maps,
+/// `RVM.map` and the boot image's id. Flatten it with
+/// [`crate::engine::ResolutionEngine::build`] to resolve samples.
 #[derive(Debug, Default)]
 pub struct ViprofResolver {
     bootmap: BootMap,
@@ -190,10 +161,6 @@ pub struct ViprofResolver {
     boot_image: Option<ImageId>,
     /// Incarnations whose map sets failed to load (skipped, not fatal).
     failed_keys: Vec<ProcKey>,
-    /// Mirror quality reports into this registry's `resolve.*` counters.
-    /// Used by the legacy (non-engine) resolve path only — the engine
-    /// carries its own handles so the two never double count.
-    telemetry: Option<Telemetry>,
 }
 
 impl ViprofResolver {
@@ -236,16 +203,9 @@ impl ViprofResolver {
                 codemaps,
                 boot_image,
                 failed_keys,
-                telemetry: None,
             },
             report,
         ))
-    }
-
-    /// Mirror every subsequent [`ViprofResolver::quality`] report into
-    /// `registry`'s `resolve.*` counters.
-    pub fn set_telemetry(&mut self, registry: &Telemetry) {
-        self.telemetry = Some(registry.clone());
     }
 
     pub fn codemaps(&self, key: impl Into<ProcKey>) -> Option<&CodeMapSet> {
@@ -255,12 +215,6 @@ impl ViprofResolver {
     /// Every loaded incarnation's map set, for index flattening.
     pub(crate) fn sets(&self) -> impl Iterator<Item = (&ProcKey, &CodeMapSet)> {
         self.codemaps.iter()
-    }
-
-    /// Pids that have at least one incarnation with loaded maps — the
-    /// lookup behind cross-incarnation blocking.
-    pub(crate) fn pids_with_maps(&self) -> std::collections::HashSet<u32> {
-        self.codemaps.keys().map(|k| k.pid.0).collect()
     }
 
     /// The image id the boot image registered under, if installed.
@@ -276,132 +230,15 @@ impl ViprofResolver {
     pub fn failed_pids(&self) -> &[ProcKey] {
         &self.failed_keys
     }
-
-    /// Label one bucket: (image column, symbol column).
-    pub fn label(&self, bucket: &SampleBucket, kernel: &Kernel) -> (String, String) {
-        match bucket.origin {
-            // VM boot image: resolve through RVM.map; the paper prints
-            // these rows under image name `RVM.map`.
-            SampleOrigin::Image(id) if Some(id) == self.boot_image => {
-                match self.bootmap.resolve(bucket.addr) {
-                    Some(m) => (RVM_MAP_IMAGE_LABEL.to_string(), m.name.clone()),
-                    None => (BOOT_IMAGE_NAME.to_string(), "(no symbols)".to_string()),
-                }
-            }
-            // Registered-heap samples: epoch-chained code-map search
-            // against the *stamped incarnation's* maps only, with the
-            // forward-salvage fallback for damaged chains. A sample
-            // whose generation has no maps stays unresolved even if a
-            // different incarnation of the pid has maps — attribution
-            // never crosses an incarnation boundary.
-            SampleOrigin::JitApp { pid, gen } => {
-                let resolved = self
-                    .codemaps
-                    .get(&ProcKey::new(pid, gen))
-                    .and_then(|set| set.resolve_salvage(bucket.addr, bucket.epoch));
-                match resolved {
-                    Some((e, _)) => ("JIT.App".to_string(), e.signature.clone()),
-                    None => ("JIT.App".to_string(), "(unresolved jit)".to_string()),
-                }
-            }
-            _ => bucket_label(bucket, kernel),
-        }
-    }
-
-    /// Classify every sample in `db` into the quality report. The same
-    /// lookups `label` performs, aggregated: resolved / stale-epoch
-    /// fallback / unresolved, plus the load-time damage counters.
-    pub fn quality(&self, db: &SampleDb) -> ResolutionQuality {
-        let mut q = ResolutionQuality {
-            dropped: db.dropped,
-            evicted: db.evicted,
-            failed_pids: self.failed_keys.len() as u64,
-            ..ResolutionQuality::default()
-        };
-        for set in self.codemaps.values() {
-            q.quarantined_lines += set.quarantined_lines;
-            q.skipped_map_files += set.skipped_files;
-            q.missing_epochs += set.missing_epochs();
-        }
-        let pids_with_maps = self.pids_with_maps();
-        for (bucket, count) in db.iter() {
-            match bucket.origin {
-                SampleOrigin::JitApp { pid, gen } => {
-                    let key = ProcKey::new(pid, gen);
-                    match self.codemaps.get(&key) {
-                        Some(set) => match set.resolve_salvage(bucket.addr, bucket.epoch) {
-                            Some((_, false)) => q.resolved += count,
-                            Some((_, true)) => q.stale_epoch += count,
-                            None => q.unresolved += count,
-                        },
-                        // No maps for this incarnation. If another
-                        // incarnation of the pid has maps, the only
-                        // reason these samples are unattributed is the
-                        // isolation invariant — count them as blocked,
-                        // not merely unresolved.
-                        None if pids_with_maps.contains(&pid.0) => {
-                            q.cross_incarnation_blocked += count
-                        }
-                        None => q.unresolved += count,
-                    }
-                }
-                // Image-backed samples always attribute to at least the
-                // image, boot-image ones through RVM.map.
-                SampleOrigin::Image(_) => q.resolved += count,
-                // Anon ranges and unknown PCs carry no symbol
-                // information by definition.
-                SampleOrigin::Anon { .. } | SampleOrigin::Unknown => q.unresolved += count,
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            record_quality(t, &q);
-        }
-        q
-    }
-
-    /// Per-incarnation breakdown of `db`'s JIT samples, sorted by
-    /// `(pid, gen)` — deterministic across runs and thread counts. The
-    /// rows partition the JIT-origin subset of [`ViprofResolver::quality`]:
-    /// summing any column over all rows reproduces the corresponding
-    /// JIT share of the whole-run quality report.
-    pub fn incarnations(&self, db: &SampleDb) -> Vec<IncarnationSummary> {
-        let pids_with_maps = self.pids_with_maps();
-        let mut rows: std::collections::BTreeMap<(u32, u32), IncarnationSummary> =
-            Default::default();
-        for (bucket, count) in db.iter() {
-            let SampleOrigin::JitApp { pid, gen } = bucket.origin else {
-                continue;
-            };
-            let row = rows
-                .entry((pid.0, gen))
-                .or_insert_with(|| IncarnationSummary {
-                    pid: pid.0,
-                    gen,
-                    samples: 0,
-                    resolved: 0,
-                    stale_epoch: 0,
-                    unresolved: 0,
-                    blocked: 0,
-                });
-            row.samples += count;
-            match self.codemaps.get(&ProcKey::new(pid, gen)) {
-                Some(set) => match set.resolve_salvage(bucket.addr, bucket.epoch) {
-                    Some((_, false)) => row.resolved += count,
-                    Some((_, true)) => row.stale_epoch += count,
-                    None => row.unresolved += count,
-                },
-                None if pids_with_maps.contains(&pid.0) => row.blocked += count,
-                None => row.unresolved += count,
-            }
-        }
-        rows.into_values().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codemap::{map_path, render_map, CodeMapEntry};
+    use crate::engine::ResolutionEngine;
+    use crate::session::ReportSpec;
+    use oprofile::{SampleBucket, SampleDb, SampleOrigin};
     use sim_cpu::HwEvent;
     use sim_jvm::BootImage;
 
@@ -432,45 +269,73 @@ mod tests {
         (k, pid)
     }
 
+    /// Load `k`'s maps and flatten them: the engine every test queries.
+    fn engine(k: &Kernel, options: ResolveOptions) -> ResolutionEngine {
+        ResolutionEngine::build(&ViprofResolver::load_with(k, options).unwrap().0)
+    }
+
+    /// The engine's `(image, symbol)` label as plain strings.
+    fn label(engine: &ResolutionEngine, b: SampleBucket, k: &Kernel) -> (String, String) {
+        let (img, sym) = engine.label(&b, k);
+        (img.to_string(), sym.to_string())
+    }
+
     #[test]
     fn boot_image_samples_resolve_to_rvm_map_rows() {
         let (k, _) = setup();
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
+        let e = engine(&k, ResolveOptions::default());
         let boot_id = k.images.find_by_name(BOOT_IMAGE_NAME).unwrap();
-        let (img, sym) = r.label(&bucket(SampleOrigin::Image(boot_id), 0x10, 0), &k);
+        let (img, sym) = label(&e, bucket(SampleOrigin::Image(boot_id), 0x10, 0), &k);
         assert_eq!(img, "RVM.map");
         assert_eq!(sym, sim_jvm::bootimage::well_known::INTERPRET);
         // Offset past the image → degrades, not panics.
-        let (img, sym) = r.label(&bucket(SampleOrigin::Image(boot_id), 0xffff_ff00, 0), &k);
-        assert_eq!((img.as_str(), sym.as_str()), ("RVM.code.image", "(no symbols)"));
+        let (img, sym) = label(&e, bucket(SampleOrigin::Image(boot_id), 0xffff_ff00, 0), &k);
+        assert_eq!(
+            (img.as_str(), sym.as_str()),
+            ("RVM.code.image", "(no symbols)")
+        );
     }
 
     #[test]
     fn jit_samples_resolve_through_code_maps() {
         let (k, pid) = setup();
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let (img, sym) = r.label(&bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0), &k);
+        let e = engine(&k, ResolveOptions::default());
+        let (img, sym) = label(
+            &e,
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0),
+            &k,
+        );
         assert_eq!(img, "JIT.App");
         assert_eq!(sym, "app.Scanner.parseLine");
         // Later epochs chain backwards to the same entry.
-        let (_, sym) = r.label(&bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 5), &k);
+        let (_, sym) = label(
+            &e,
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 5),
+            &k,
+        );
         assert_eq!(sym, "app.Scanner.parseLine");
         // Unknown address stays visibly unresolved.
-        let (_, sym) = r.label(&bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x7000_0000, 0), &k);
+        let (_, sym) = label(
+            &e,
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x7000_0000, 0),
+            &k,
+        );
         assert_eq!(sym, "(unresolved jit)");
     }
 
     #[test]
     fn other_buckets_fall_back_to_oprofile_labels() {
         let (k, pid) = setup();
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let (img, sym) = r.label(
-            &bucket(SampleOrigin::Image(k.kernel_image), 0x3000, 0),
+        let e = engine(&k, ResolveOptions::default());
+        let (img, sym) = label(
+            &e,
+            bucket(SampleOrigin::Image(k.kernel_image), 0x3000, 0),
             &k,
         );
         assert_eq!((img.as_str(), sym.as_str()), ("vmlinux", "schedule"));
-        let (img, _) = r.label(
-            &bucket(
+        let (img, _) = label(
+            &e,
+            bucket(
                 SampleOrigin::Anon {
                     pid,
                     start: 0x1000,
@@ -488,10 +353,27 @@ mod tests {
     fn missing_artifacts_degrade_gracefully() {
         // Fresh kernel, no RVM.map, no code maps.
         let k = Kernel::new();
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
+        let r = ViprofResolver::load_with(&k, ResolveOptions::default())
+            .unwrap()
+            .0;
         assert!(r.bootmap().is_empty());
-        let (img, sym) = r.label(&bucket(SampleOrigin::JitApp { pid: Pid(1), gen: 0 }, 0x10, 0), &k);
-        assert_eq!((img.as_str(), sym.as_str()), ("JIT.App", "(unresolved jit)"));
+        let e = ResolutionEngine::build(&r);
+        let (img, sym) = label(
+            &e,
+            bucket(
+                SampleOrigin::JitApp {
+                    pid: Pid(1),
+                    gen: 0,
+                },
+                0x10,
+                0,
+            ),
+            &k,
+        );
+        assert_eq!(
+            (img.as_str(), sym.as_str()),
+            ("JIT.App", "(unresolved jit)")
+        );
     }
 
     #[test]
@@ -500,12 +382,21 @@ mod tests {
         // A second VM whose only map file is binary garbage.
         let bad = k.spawn("jikesrvm2");
         k.vfs.write(map_path(bad, 0), vec![0xff, 0xfe, 0x80]);
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
+        let r = ViprofResolver::load_with(&k, ResolveOptions::default())
+            .unwrap()
+            .0;
         assert_eq!(r.failed_pids(), &[ProcKey::new(bad, 0)]);
         assert!(r.codemaps(good).is_some(), "good pid still loaded");
-        // The bad pid's samples degrade instead of erroring out.
-        let (_, sym) = r.label(&bucket(SampleOrigin::JitApp { pid: bad, gen: 0 }, 0x10, 0), &k);
+        // The bad pid's samples degrade instead of erroring out, and the
+        // failed load is counted.
+        let e = ResolutionEngine::build(&r);
+        let (_, sym) = label(
+            &e,
+            bucket(SampleOrigin::JitApp { pid: bad, gen: 0 }, 0x10, 0),
+            &k,
+        );
         assert_eq!(sym, "(unresolved jit)");
+        assert_eq!(e.quality(&SampleDb::new(), 1).failed_pids, 1);
     }
 
     #[test]
@@ -514,22 +405,42 @@ mod tests {
         // generation 1 (the pid-reusing successor — or a predecessor's
         // ghost) must not borrow them.
         let (k, pid) = setup();
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let (_, sym) = r.label(&bucket(SampleOrigin::JitApp { pid, gen: 1 }, 0x6400_0080, 0), &k);
+        let mut e = engine(&k, ResolveOptions::default());
+        let (_, sym) = label(
+            &e,
+            bucket(SampleOrigin::JitApp { pid, gen: 1 }, 0x6400_0080, 0),
+            &k,
+        );
         assert_eq!(sym, "(unresolved jit)");
         let mut db = SampleDb::new();
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0), 10);
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 1 }, 0x6400_0080, 0), 4);
+        db.add(
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0),
+            10,
+        );
+        db.add(
+            bucket(SampleOrigin::JitApp { pid, gen: 1 }, 0x6400_0080, 0),
+            4,
+        );
         // A pid with no maps under ANY generation stays plain unresolved.
-        db.add(bucket(SampleOrigin::JitApp { pid: Pid(99), gen: 3 }, 0x10, 0), 2);
-        let q = r.quality(&db);
+        db.add(
+            bucket(
+                SampleOrigin::JitApp {
+                    pid: Pid(99),
+                    gen: 3,
+                },
+                0x10,
+                0,
+            ),
+            2,
+        );
+        let q = e.quality(&db, 1);
         assert_eq!(q.resolved, 10);
         assert_eq!(q.cross_incarnation_blocked, 4);
         assert_eq!(q.unresolved, 2);
         assert_eq!(q.accounted(), db.total_samples());
         // The per-incarnation breakdown partitions the same samples,
         // in deterministic (pid, gen) order.
-        let inc = r.incarnations(&db);
+        let inc = e.resolve(&db, &k, &ReportSpec::default()).incarnations;
         assert_eq!(inc.len(), 3);
         assert_eq!((inc[0].pid, inc[0].gen, inc[0].resolved), (pid.0, 0, 10));
         assert_eq!((inc[1].pid, inc[1].gen, inc[1].blocked), (pid.0, 1, 4));
@@ -556,10 +467,14 @@ mod tests {
             }])
             .into_bytes(),
         );
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
+        let e = engine(&k, ResolveOptions::default());
         // A sample tagged epoch 1 on that address: backward chain
         // misses, forward salvage attributes it (stale).
-        let (_, sym) = r.label(&bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6500_0010, 1), &k);
+        let (_, sym) = label(
+            &e,
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6500_0010, 1),
+            &k,
+        );
         assert_eq!(sym, "app.Late.comer");
     }
 
@@ -568,13 +483,18 @@ mod tests {
         let (k, pid) = setup();
         let boot_id = k.images.find_by_name(BOOT_IMAGE_NAME).unwrap();
         let mut db = SampleDb::new();
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0), 10);
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x7000_0000, 0), 3);
+        db.add(
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0),
+            10,
+        );
+        db.add(
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x7000_0000, 0),
+            3,
+        );
         db.add(bucket(SampleOrigin::Image(boot_id), 0x10, 0), 5);
         db.add(bucket(SampleOrigin::Unknown, 0x0, 0), 2);
         db.dropped = 7;
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let q = r.quality(&db);
+        let q = engine(&k, ResolveOptions::default()).quality(&db, 1);
         assert_eq!(q.resolved, 15);
         assert_eq!(q.unresolved, 5);
         assert_eq!(q.stale_epoch, 0);
@@ -601,35 +521,17 @@ mod tests {
         payload.extend_from_slice(&pristine);
         let mut w = JournalWriter::create(&mut k.vfs, journal_path(pid));
         w.append(&mut k.vfs, KIND_CODE_MAP, &payload);
-        let degraded = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let (_, sym) = degraded.label(&bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0), &k);
+        let jit = bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0);
+        let degraded = engine(&k, ResolveOptions::default());
+        let (_, sym) = label(&degraded, jit, &k);
         assert_eq!(sym, "(unresolved jit)");
-        let (recovered, report) = ViprofResolver::load_with(&k, ResolveOptions::recovered()).unwrap();
+        let (recovered, report) =
+            ViprofResolver::load_with(&k, ResolveOptions::recovered()).unwrap();
         assert_eq!(report.journals_scanned, 1);
         assert_eq!(report.records_replayed, 1);
         assert_eq!(report.epochs_recovered, 1);
-        let (_, sym) = recovered.label(&bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0), &k);
+        let (_, sym) = label(&ResolutionEngine::build(&recovered), jit, &k);
         assert_eq!(sym, "app.Scanner.parseLine");
-    }
-
-    #[test]
-    fn quality_mirrors_into_attached_telemetry() {
-        let (k, pid) = setup();
-        let mut db = SampleDb::new();
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 0), 10);
-        db.add(bucket(SampleOrigin::Unknown, 0x0, 0), 2);
-        db.dropped = 3;
-        let mut r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let t = Telemetry::default();
-        r.set_telemetry(&t);
-        let q = r.quality(&db);
-        let snap = t.snapshot();
-        assert_eq!(snap.counter(names::RESOLVE_SAMPLES_RESOLVED), q.resolved);
-        assert_eq!(snap.counter(names::RESOLVE_SAMPLES_UNRESOLVED), q.unresolved);
-        assert_eq!(snap.counter(names::RESOLVE_SAMPLES_DROPPED), 3);
-        let stage = snap.stage(names::STAGE_RESOLVE_REPORT).expect("stage recorded");
-        assert_eq!(stage.entries, 1);
-        assert_eq!(stage.cycles, q.accounted());
     }
 
     #[test]
@@ -647,11 +549,16 @@ mod tests {
         );
         let mut db = SampleDb::new();
         // Backward hit.
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 2), 4);
+        db.add(
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 2),
+            4,
+        );
         // Forward salvage.
-        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6500_0010, 1), 6);
-        let r = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap().0;
-        let q = r.quality(&db);
+        db.add(
+            bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6500_0010, 1),
+            6,
+        );
+        let q = engine(&k, ResolveOptions::default()).quality(&db, 1);
         assert_eq!(q.resolved, 4);
         assert_eq!(q.stale_epoch, 6);
         assert_eq!(q.accounted(), db.total_samples());

@@ -402,8 +402,7 @@ impl Viprof {
     ) -> Result<SessionReport, ViprofError> {
         // Each pass gets a fresh registry: report telemetry describes
         // *this* resolve, and stays byte-identical across same-seed
-        // runs. Only the engine is attached — the reference resolver's
-        // mirror would double count the same registry.
+        // runs.
         let telemetry = Telemetry::new();
         let (resolver, mut rec) =
             ViprofResolver::load_with(kernel, ResolveOptions { recover: spec.recover })?;

@@ -12,7 +12,7 @@
 //! domain — on top of which the normal VIProf resolution still applies
 //! inside each guest, giving method-level attribution per stack.
 
-use crate::resolve::ViprofResolver;
+use crate::engine::ResolutionEngine;
 use oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use sim_cpu::{Addr, BlockExec, CpuMode, HwEvent, MemActivity, Pid};
 use sim_os::loader::BIN_HINT;
@@ -219,12 +219,12 @@ fn bucket_pid(bucket: &SampleBucket) -> Option<Pid> {
 pub fn domain_jit_profile(
     db: &SampleDb,
     kernel: &Kernel,
-    resolver: &ViprofResolver,
+    engine: &ResolutionEngine,
     table: &DomainTable,
     domain: DomainId,
     event: HwEvent,
 ) -> Vec<(String, u64)> {
-    let mut counts: std::collections::HashMap<String, u64> = Default::default();
+    let mut counts: std::collections::HashMap<std::sync::Arc<str>, u64> = Default::default();
     for (bucket, count) in db.iter() {
         if bucket.event != event {
             continue;
@@ -235,10 +235,13 @@ pub fn domain_jit_profile(
         if table.domain_of(pid) != domain {
             continue;
         }
-        let (_, symbol) = resolver.label(bucket, kernel);
+        let (_, symbol) = engine.label(bucket, kernel);
         *counts.entry(symbol).or_insert(0) += count;
     }
-    let mut rows: Vec<(String, u64)> = counts.into_iter().collect();
+    let mut rows: Vec<(String, u64)> = counts
+        .into_iter()
+        .map(|(symbol, n)| (symbol.to_string(), n))
+        .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     rows
 }
@@ -317,5 +320,56 @@ mod tests {
         }
         // 10 quanta crossed → ~10 switches × 9000 cycles.
         assert!(m.cpu.clock.cycles() >= 10_000_000 + 9 * 9_000);
+    }
+
+    #[test]
+    fn jit_profile_keeps_each_domain_to_its_own_methods() {
+        use crate::codemap::{map_path, render_map, CodeMapEntry};
+        use crate::resolve::{ResolveOptions, ViprofResolver};
+        let mut k = Kernel::new();
+        let vm_a = k.spawn("jikesrvm-a");
+        let vm_b = k.spawn("jikesrvm-b");
+        for (pid, sig) in [(vm_a, "a.Parser.run"), (vm_b, "b.Store.put")] {
+            k.vfs.write(
+                map_path(pid, 0),
+                render_map(&[CodeMapEntry {
+                    addr: 0x100,
+                    size: 0x100,
+                    level: "O1".into(),
+                    signature: sig.into(),
+                }])
+                .into_bytes(),
+            );
+        }
+        let mut t = DomainTable::new();
+        let dom_a = t.register("guest-a");
+        let dom_b = t.register("guest-b");
+        t.assign(vm_a, dom_a);
+        t.assign(vm_b, dom_b);
+        let mut db = SampleDb::new();
+        db.add(bucket(vm_a.0, 0x180), 40);
+        db.add(bucket(vm_a.0, 0x900), 3);
+        db.add(bucket(vm_b.0, 0x180), 25);
+        // Another event in guest-a's own method: not a Cycles row.
+        db.add(
+            SampleBucket {
+                event: HwEvent::L2Miss,
+                ..bucket(vm_a.0, 0x180)
+            },
+            7,
+        );
+        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+        let engine = ResolutionEngine::build(&resolver);
+        let profile = |dom| domain_jit_profile(&db, &k, &engine, &t, dom, HwEvent::Cycles);
+        assert_eq!(
+            profile(dom_a),
+            vec![
+                ("a.Parser.run".to_string(), 40),
+                ("(unresolved jit)".to_string(), 3)
+            ]
+        );
+        assert_eq!(profile(dom_b), vec![("b.Store.put".to_string(), 25)]);
+        // dom0 runs no JIT'd code here.
+        assert!(profile(DomainId(0)).is_empty());
     }
 }

@@ -25,10 +25,25 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     # No internal caller may use a deprecated entrypoint: everything in
     # the workspace must compile with deprecation warnings promoted to
-    # errors. The shim-equivalence tests opt back in with an explicit
-    # #[allow(deprecated)], which overrides the command-line -D.
+    # errors.
     echo "==> deprecation gate"
     env RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets --quiet
+
+    # The benchmark (perfbench/, its own Cargo workspace) calls the
+    # library's resolve API, so it must keep compiling against the
+    # workspace. Cargo rewrites perfbench's Cargo.lock during the build;
+    # restore it so the step leaves perfbench/ byte-identical.
+    echo "==> perfbench build"
+    PERFBENCH_LOCK="$(mktemp)"
+    cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
+    perfbench_status=0
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+    cp "$PERFBENCH_LOCK" perfbench/Cargo.lock
+    rm -f "$PERFBENCH_LOCK"
+    if [[ $perfbench_status -ne 0 ]]; then
+        echo "==> perfbench no longer builds against the workspace"
+        exit 1
+    fi
 
     # Resolution-engine bench, smoke-sized: asserts the flattened
     # sharded path is bit-identical to the legacy walk, gates the

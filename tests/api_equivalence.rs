@@ -6,10 +6,11 @@
 //! the streaming `LiveEngine`.
 //!
 //! This file compiles with `-D deprecated` in `scripts/verify.sh`: it
-//! is the proof that the supported surface needs no removed v0.2 shim.
+//! is the proof that the supported surface needs no removed shim.
 
 use viprof_repro::oprofile::{OpConfig, ReportOptions, SampleDb, SupervisorConfig};
 use viprof_repro::sim_os::{Machine, MachineConfig};
+use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
     viprof_report, FaultPlan, LiveSpec, ReportSpec, ResolutionEngine, Viprof, ViprofResolver,
@@ -166,7 +167,7 @@ fn recovered_spec_equals_recovered_load() {
     aligned.samples_salvaged = unified_rec.samples_salvaged;
     assert_eq!(aligned, unified_rec);
     assert_eq!(viprof_report(&db, kernel, &resolver, &options), unified.lines);
-    assert_eq!(resolver.quality(&db), unified.quality);
+    assert_eq!(oracle::quality(&resolver, &db), unified.quality);
     // And the engine built from the recovered resolver agrees.
     assert_eq!(
         ResolutionEngine::build(&resolver).quality(&db, 4),

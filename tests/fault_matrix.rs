@@ -18,6 +18,7 @@ use viprof_repro::oprofile::session::TIMELINE_PATH;
 use viprof_repro::oprofile::{GovernorConfig, OpConfig, ReportOptions, SampleOrigin};
 use viprof_repro::telemetry::{names, HealthReport, Timeline};
 use viprof_repro::viprof::codemap::JIT_MAP_DIR;
+use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
     recover_sample_db, viprof_report, FaultPlan, RecoveryReport, ReportSpec, ResolutionEngine,
@@ -57,7 +58,7 @@ fn quality_of(out: &RunOutcome) -> ResolutionQuality {
     let (resolver, _) = ViprofResolver::load_with(kernel, ResolveOptions::default())
         .expect("degraded sessions still report");
     let walk_report = viprof_report(db, kernel, &resolver, &options);
-    let walk_q = resolver.quality(db);
+    let walk_q = oracle::quality(&resolver, db);
     // Production: flattened index, single-threaded and sharded.
     let single = Viprof::make_report(db, kernel, &ReportSpec::default())
         .expect("degraded sessions still report");
@@ -111,7 +112,7 @@ fn recovery_of(out: &RunOutcome) -> (ResolutionQuality, RecoveryReport) {
     let (resolver, _) = ViprofResolver::load_with(kernel, ResolveOptions::recovered())
         .expect("recovery still reports");
     let walk_report = viprof_report(db, kernel, &resolver, &options);
-    let walk_q = resolver.quality(db);
+    let walk_q = oracle::quality(&resolver, db);
     let single =
         Viprof::make_report(db, kernel, &ReportSpec::recovered()).expect("recovery still reports");
     let sharded = Viprof::make_report(db, kernel, &ReportSpec::recovered().threads(SHARDS))

@@ -8,11 +8,12 @@
 //!
 //! 2. Cross-incarnation isolation: a sample stamped `(pid, gen)` only
 //!    ever resolves against maps written by that exact incarnation.
-//!    Across 256 random multi-incarnation layouts the resolver, the
-//!    sharded engine at every thread count, and the per-incarnation
-//!    breakdown all agree with a per-key oracle, samples of a map-less
-//!    generation are blocked (never borrowed from a sibling), and
-//!    `quality.accounted()` still covers 100 % of the database.
+//!    Across 256 random multi-incarnation layouts the per-bucket walk,
+//!    the sharded engine at every thread count, and the engine's
+//!    per-incarnation breakdown all agree with a per-key oracle,
+//!    samples of a map-less generation are blocked (never borrowed
+//!    from a sibling), and `quality.accounted()` still covers 100 % of
+//!    the database.
 
 mod support;
 
@@ -21,8 +22,9 @@ use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::{HwEvent, Pid, ProcKey};
 use viprof_repro::sim_os::Kernel;
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry};
+use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
-use viprof_repro::viprof::{ResolutionEngine, ViprofResolver};
+use viprof_repro::viprof::{ReportSpec, ResolutionEngine, ViprofResolver};
 
 // ---------- LIFO pid allocator: determinism + stack oracle ----------
 
@@ -182,7 +184,7 @@ fn samples_only_resolve_against_their_own_incarnation() {
                     unreachable!()
                 };
                 let own = resolver.codemaps(ProcKey::new(pid, gen));
-                let (_, sym) = resolver.label(bucket, &k);
+                let (_, sym) = oracle::label(&resolver, bucket, &k);
                 match own {
                     Some(set) => match set.resolve_salvage(bucket.addr, bucket.epoch) {
                         Some((e, stale)) => {
@@ -213,7 +215,7 @@ fn samples_only_resolve_against_their_own_incarnation() {
             }
 
             // Whole-run quality matches the oracle and accounts for 100 %.
-            let q = resolver.quality(&db);
+            let q = oracle::quality(&resolver, &db);
             assert_eq!(q.resolved, want_resolved);
             assert_eq!(q.stale_epoch, want_stale);
             assert_eq!(q.unresolved, want_unresolved);
@@ -221,13 +223,14 @@ fn samples_only_resolve_against_their_own_incarnation() {
             assert_eq!(q.accounted(), db.total_samples());
 
             // The sharded engine agrees at every thread count.
-            let engine = ResolutionEngine::build(&resolver);
+            let mut engine = ResolutionEngine::build(&resolver);
             for threads in [1usize, 4] {
                 assert_eq!(engine.quality(&db, threads), q, "threads={}", threads);
             }
 
-            // The per-incarnation breakdown partitions the same totals.
-            let rows = resolver.incarnations(&db);
+            // The per-incarnation breakdown the report ships partitions
+            // the same totals.
+            let rows = engine.resolve(&db, &k, &ReportSpec::default()).incarnations;
             for w in rows.windows(2) {
                 assert!((w[0].pid, w[0].gen) < (w[1].pid, w[1].gen), "sorted rows");
             }

@@ -15,6 +15,7 @@ use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::HwEvent;
 use viprof_repro::sim_os::Kernel;
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet, EpochMap};
+use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
     viprof_report, FlatIndex, ReportSpec, ResolutionEngine, ViprofResolver,
@@ -141,7 +142,7 @@ fn engine_matches_the_reference_resolver_on_random_sessions() {
                 let (img, sym) = engine.label(bucket, &k);
                 assert_eq!(
                     (img.to_string(), sym.to_string()),
-                    resolver.label(bucket, &k),
+                    oracle::label(&resolver, bucket, &k),
                     "label diverged on {:?}",
                     bucket
                 );
@@ -149,7 +150,7 @@ fn engine_matches_the_reference_resolver_on_random_sessions() {
             // Whole-session parity, across shard counts.
             let options = Default::default();
             let walk_report = viprof_report(&db, &k, &resolver, &options);
-            let walk_q = resolver.quality(&db);
+            let walk_q = oracle::quality(&resolver, &db);
             assert_eq!(walk_q.accounted(), db.total_samples());
             for threads in [1usize, 3, 7] {
                 let spec = ReportSpec::default().threads(threads);
