@@ -571,8 +571,8 @@ impl ResolutionEngine {
     /// thread count, and batch vs sealed-live agree exactly.
     ///
     /// Reconciliation is by construction: dropped/evicted samples are
-    /// attributed per traced journal batch (deduplicated by sequence
-    /// number) only when the journaled sums do not exceed the
+    /// attributed per traced journal batch (read from its header words
+    /// alone) only when the journaled sums do not exceed the
     /// authoritative quality counts; any remainder — or, on
     /// disagreement, the whole count — lands on the ingest span as an
     /// `untraced` row. Per bucket, the lineage total therefore always
@@ -591,10 +591,10 @@ impl ResolutionEngine {
         let mut lineage = LineageTable::default();
 
         // Traced journal batches: `(seq, runtime span ctx, dropped,
-        // evicted)`, deduplicated by sequence number (a supervisor
-        // replay appends the same seq twice).
+        // evicted)`. A scan yields each seq once, in order (supervisor
+        // replays re-deliver batches to the live sink, they never
+        // re-append a seq), so no dedup is needed here.
         let mut batches: Vec<(u64, TraceCtx, u64, u64)> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
         if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
             for rec in &scan.records {
                 if rec.kind != KIND_SAMPLE_BATCH_TRACED {
@@ -603,11 +603,8 @@ impl ResolutionEngine {
                 let Some((ctx, body)) = split_traced_payload(&rec.payload) else {
                     continue;
                 };
-                if !seen.insert(rec.seq) {
-                    continue;
-                }
-                if let Ok(batch) = SampleDb::from_bytes(body) {
-                    batches.push((rec.seq, ctx, batch.dropped, batch.evicted));
+                if let Ok((dropped, evicted)) = SampleDb::header_from_bytes(body) {
+                    batches.push((rec.seq, ctx, dropped, evicted));
                 }
             }
         }

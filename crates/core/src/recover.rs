@@ -200,11 +200,8 @@ pub fn recover_sample_db(vfs: &Vfs) -> Option<RecoveredDb> {
             }
             continue;
         };
-        match SampleDb::from_bytes(body) {
-            Ok(batch) => {
-                out.db.merge(&batch);
-                out.batches += 1;
-            }
+        match out.db.merge_from_bytes(body) {
+            Ok(()) => out.batches += 1,
             Err(_) => out.bad_batches += 1,
         }
     }

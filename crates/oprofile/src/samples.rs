@@ -98,16 +98,20 @@ impl SampleDb {
         self.cap
     }
 
+    /// Count `n` samples in `bucket`. Counts saturate at `u64::MAX`, so
+    /// a hostile sample file can neither wrap them nor panic a reader.
     pub fn add(&mut self, bucket: SampleBucket, n: u64) {
         let bucket = bucket.quantize();
         if let Some(cap) = self.cap {
             if self.counts.len() >= cap && !self.counts.contains_key(&bucket) {
-                self.evicted += n;
+                self.evicted = self.evicted.saturating_add(n);
                 return;
             }
         }
-        *self.counts.entry(bucket).or_insert(0) += n;
-        *self.totals.entry(bucket.event).or_insert(0) += n;
+        let count = self.counts.entry(bucket).or_insert(0);
+        *count = count.saturating_add(n);
+        let total = self.totals.entry(bucket.event).or_insert(0);
+        *total = total.saturating_add(n);
     }
 
     pub fn total(&self, event: HwEvent) -> u64 {
@@ -115,7 +119,7 @@ impl SampleDb {
     }
 
     pub fn total_samples(&self) -> u64 {
-        self.totals.values().sum()
+        self.totals.values().fold(0, |sum, n| sum.saturating_add(*n))
     }
 
     pub fn len(&self) -> usize {
@@ -142,8 +146,8 @@ impl SampleDb {
         for (b, c) in other.iter() {
             self.add(*b, *c);
         }
-        self.dropped += other.dropped;
-        self.evicted += other.evicted;
+        self.dropped = self.dropped.saturating_add(other.dropped);
+        self.evicted = self.evicted.saturating_add(other.evicted);
     }
 
     // --- binary serialization (the "sample files" on the VFS) ---
@@ -192,6 +196,59 @@ impl SampleDb {
 
     /// Parse a serialized sample file.
     pub fn from_bytes(data: &[u8]) -> Result<SampleDb, String> {
+        let file = CheckedFile::check(data)?;
+        let mut db = SampleDb {
+            dropped: file.dropped,
+            evicted: file.evicted,
+            ..SampleDb::default()
+        };
+        for (bucket, count) in file.records() {
+            db.add(bucket, count);
+        }
+        Ok(db)
+    }
+
+    /// The `(dropped, evicted)` header words of a serialized sample
+    /// file, after the same checks [`from_bytes`](Self::from_bytes)
+    /// makes: `Ok` exactly when it is, without building a database.
+    pub fn header_from_bytes(data: &[u8]) -> Result<(u64, u64), String> {
+        CheckedFile::check(data).map(|file| (file.dropped, file.evicted))
+    }
+
+    /// Merge a serialized sample file into `self`, all or nothing: the
+    /// whole file is checked first, so on `Err` `self` is unchanged.
+    /// On an uncapped database the result equals
+    /// `self.merge(&SampleDb::from_bytes(data)?)`; under an admission
+    /// cap, records are admitted in file order.
+    pub fn merge_from_bytes(&mut self, data: &[u8]) -> Result<(), String> {
+        let file = CheckedFile::check(data)?;
+        for (bucket, count) in file.records() {
+            self.add(bucket, count);
+        }
+        self.dropped = self.dropped.saturating_add(file.dropped);
+        self.evicted = self.evicted.saturating_add(file.evicted);
+        Ok(())
+    }
+}
+
+/// Bytes of one serialized bucket: tag, a, pad, x, y, event, addr,
+/// epoch, count.
+const RECORD_LEN: usize = 1 + 4 + 4 + 8 + 8 + 1 + 8 + 8 + 8;
+
+/// A serialized sample file that passed every check: magic, version,
+/// header length, and each record's length, origin tag and event code.
+/// Decoding its records can no longer fail.
+struct CheckedFile<'a> {
+    dropped: u64,
+    evicted: u64,
+    /// Exactly the file's records; trailing bytes are not included.
+    records: &'a [u8],
+}
+
+impl<'a> CheckedFile<'a> {
+    /// The one checking pass every reader goes through. Errors come in
+    /// file order: the first failing check wins.
+    fn check(data: &'a [u8]) -> Result<CheckedFile<'a>, String> {
         if data.len() < 24 || &data[..4] != b"OPDB" {
             return Err("bad magic".into());
         }
@@ -210,20 +267,34 @@ impl SampleDb {
             0
         };
         let n = data.u64();
-        let mut db = SampleDb {
+        let body = data.0;
+        let mut rest = body;
+        for _ in 0..n {
+            let Some((record, tail)) = rest.split_first_chunk::<RECORD_LEN>() else {
+                return Err("truncated sample record".into());
+            };
+            if record[0] > 3 {
+                return Err(format!("bad origin tag {}", record[0]));
+            }
+            SampleDb::event_from(record[25])?;
+            rest = tail;
+        }
+        Ok(CheckedFile {
             dropped,
             evicted,
-            ..SampleDb::default()
-        };
-        for _ in 0..n {
-            if data.0.len() < 25 + 25 {
-                return Err("truncated sample record".into());
-            }
-            let tag = data.u8();
-            let a = data.u32();
-            let pad = data.u32();
-            let x = data.u64();
-            let y = data.u64();
+            records: &body[..body.len() - rest.len()],
+        })
+    }
+
+    /// Decode the checked records in file order.
+    fn records(&self) -> impl Iterator<Item = (SampleBucket, u64)> + 'a {
+        self.records.chunks_exact(RECORD_LEN).map(|record| {
+            let mut r = LeReader(record);
+            let tag = r.u8();
+            let a = r.u32();
+            let pad = r.u32();
+            let x = r.u64();
+            let y = r.u64();
             let origin = match tag {
                 0 => SampleOrigin::Image(ImageId(a)),
                 1 => SampleOrigin::Anon {
@@ -237,24 +308,17 @@ impl SampleDb {
                     pid: Pid(a),
                     gen: pad,
                 },
-                3 => SampleOrigin::Unknown,
-                t => return Err(format!("bad origin tag {t}")),
+                _ => SampleOrigin::Unknown,
             };
-            let event = Self::event_from(data.u8())?;
-            let addr = data.u64();
-            let epoch = data.u64();
-            let count = data.u64();
-            db.add(
-                SampleBucket {
-                    origin,
-                    event,
-                    addr,
-                    epoch,
-                },
-                count,
-            );
-        }
-        Ok(db)
+            let event = HwEvent::ALL[r.u8() as usize];
+            let bucket = SampleBucket {
+                origin,
+                event,
+                addr: r.u64(),
+                epoch: r.u64(),
+            };
+            (bucket, r.u64())
+        })
     }
 }
 
@@ -402,6 +466,28 @@ mod tests {
         db.add(img_bucket(0, HwEvent::Cycles), 1);
         let bytes = db.to_bytes();
         assert!(SampleDb::from_bytes(&bytes[..bytes.len() - 4]).is_err());
+    }
+
+    #[test]
+    fn counts_past_u64_max_saturate_instead_of_panicking() {
+        // Minimized from the reader differential test: two records of
+        // one bucket whose counts sum past `u64::MAX`.
+        let mut db = SampleDb::new();
+        db.add(img_bucket(0, HwEvent::Cycles), u64::MAX);
+        db.add(img_bucket(0x10, HwEvent::Cycles), 1);
+        db.dropped = u64::MAX;
+        let mut bytes = db.to_bytes();
+        let second = bytes.len() - 50;
+        bytes[second + 26..second + 34].copy_from_slice(&0u64.to_le_bytes());
+        let back = SampleDb::from_bytes(&bytes).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.total(HwEvent::Cycles), u64::MAX);
+        let mut sink = back.clone();
+        sink.merge_from_bytes(&bytes).unwrap();
+        sink.merge(&back);
+        assert_eq!(sink.sorted()[0].1, u64::MAX);
+        assert_eq!(sink.dropped, u64::MAX);
+        assert_eq!(sink.total_samples(), u64::MAX);
     }
 
     #[test]

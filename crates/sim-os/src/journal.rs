@@ -96,8 +96,11 @@ const RECORD_OVERHEAD: usize = HEADER_LEN + 4 + 1;
 
 // --- CRC32 (IEEE 802.3, the zlib polynomial) -------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table; `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -106,13 +109,23 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Incremental CRC32 hasher (no external crates in the simulator).
 #[derive(Debug, Clone)]
@@ -131,10 +144,36 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
+    /// Fold `bytes` into the CRC, eight bytes per step (slicing-by-8),
+    /// the tail byte at a time. Same values as the byte-wise loop.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
+    }
+
+    /// Byte-at-a-time reference that `update` is tested against.
+    #[cfg(test)]
+    fn update_bytewise(&mut self, bytes: &[u8]) {
         for &b in bytes {
             let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = CRC_TABLE[idx] ^ (self.state >> 8);
+            self.state = CRC_TABLES[0][idx] ^ (self.state >> 8);
         }
     }
 
@@ -464,6 +503,7 @@ impl JournalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -479,6 +519,63 @@ mod tests {
         h.update(b"1234");
         h.update(b"56789");
         assert_eq!(h.finalize(), crc32(b"123456789"));
+    }
+
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let mut h = Crc32::new();
+        h.update_bytewise(bytes);
+        h.finalize()
+    }
+
+    fn random_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_oracle() {
+        let mut rng = SplitMix64::new(0x5EED_C3C3);
+        // Every length across the 8-byte stride and its tail.
+        for len in 0..=64 {
+            let buf = random_bytes(&mut rng, len);
+            assert_eq!(crc32(&buf), bytewise(&buf), "len {len}");
+        }
+        for _ in 0..200 {
+            let len = rng.range_u64(0, 4097) as usize;
+            let buf = random_bytes(&mut rng, len);
+            let want = bytewise(&buf);
+            assert_eq!(crc32(&buf), want, "len {len}");
+            // Unaligned starts: the stride must not depend on where the
+            // slice begins in memory.
+            for off in 1..8.min(len + 1) {
+                assert_eq!(crc32(&buf[off..]), bytewise(&buf[off..]), "len {len} offset {off}");
+            }
+            // Two incremental updates at a random split point.
+            let cut = rng.range_u64(0, len as u64 + 1) as usize;
+            let mut h = Crc32::new();
+            h.update(&buf[..cut]);
+            h.update(&buf[cut..]);
+            assert_eq!(h.finalize(), want, "len {len} split {cut}");
+        }
+    }
+
+    #[test]
+    fn slicing_by_8_is_incremental_at_every_split_point() {
+        let mut rng = SplitMix64::new(0x5EED_5917);
+        let buf = random_bytes(&mut rng, 100);
+        let want = bytewise(&buf);
+        for cut in 0..=buf.len() {
+            let mut h = Crc32::new();
+            h.update(&buf[..cut]);
+            h.update(&buf[cut..]);
+            assert_eq!(h.finalize(), want, "split {cut}");
+            // Three pieces, the middle one shorter than a stride.
+            let mid = (cut + 5).min(buf.len());
+            let mut h = Crc32::new();
+            h.update(&buf[..cut]);
+            h.update(&buf[cut..mid]);
+            h.update(&buf[mid..]);
+            assert_eq!(h.finalize(), want, "splits {cut}/{mid}");
+        }
     }
 
     #[test]
@@ -505,6 +602,9 @@ mod tests {
             ]
         );
         assert_eq!(s.next_seq(), 3);
+        // A scan yields consecutive seqs only, so readers need no dedup.
+        let seqs: Vec<u64> = s.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (0..3).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! There is no shrinking: on failure the runner prints the property
 //! name, the case index and the generated input, then re-raises the
 //! panic.
+//!
+//! [`Gen::mutate`] is a seeded byte mutator for adversarial-input
+//! properties: it damages a valid encoding the way media rot, torn
+//! writes and hostile files do.
 
 #![allow(dead_code)]
 
@@ -69,6 +73,54 @@ impl Gen {
     /// `Some` or `None` with equal odds.
     pub fn option<T>(&mut self, item: impl FnOnce(&mut Gen) -> T) -> Option<T> {
         self.bool().then(|| item(self))
+    }
+
+    /// A copy of `input` with one to four random mutations: bit flips,
+    /// bytes and little-endian words set to boundary values, random
+    /// bytes, truncation, deleted, inserted and duplicated ranges. Half
+    /// of the positions fall in the first 64 bytes, where headers live.
+    pub fn mutate(&mut self, input: &[u8]) -> Vec<u8> {
+        const BYTES: [u8; 8] = [0, 1, 2, 3, 4, 5, 0x7F, 0xFF];
+        const WORDS: [u64; 6] = [0, 1, 2, 4, u32::MAX as u64, u64::MAX];
+        let mut out = input.to_vec();
+        for _ in 0..self.range(1u32..5) {
+            let pos = self.position(out.len());
+            match self.range(0u32..8) {
+                0 if pos < out.len() => out[pos] ^= 1 << self.range(0u32..8),
+                1 if pos < out.len() => out[pos] = BYTES[self.range(0..BYTES.len())],
+                2 if pos < out.len() => out[pos] = self.u64() as u8,
+                3 => {
+                    let word = WORDS[self.range(0..WORDS.len())].to_le_bytes();
+                    let width = if self.bool() { 4 } else { 8 };
+                    let end = (pos + width).min(out.len());
+                    out[pos..end].copy_from_slice(&word[..end - pos]);
+                }
+                4 => out.truncate(pos),
+                5 => {
+                    let end = (pos + self.range(1usize..64)).min(out.len());
+                    out.drain(pos..end);
+                }
+                6 => {
+                    let n = self.range(1usize..64);
+                    let junk: Vec<u8> = (0..n).map(|_| self.u64() as u8).collect();
+                    out.splice(pos..pos, junk);
+                }
+                7 => {
+                    let end = (pos + self.range(1usize..128)).min(out.len());
+                    let copy = out[pos..end].to_vec();
+                    let at = self.position(out.len());
+                    out.splice(at..at, copy);
+                }
+                _ => out.push(self.u64() as u8),
+            }
+        }
+        out
+    }
+
+    /// A position in `0..=len`, biased toward the first 64 bytes.
+    fn position(&mut self, len: usize) -> usize {
+        let hi = if self.bool() { len.min(64) } else { len };
+        self.range(0..hi + 1)
     }
 }
 
