@@ -260,7 +260,7 @@ pub fn harness_telemetry() -> &'static Telemetry {
 
 /// Persist a `BENCH_*.json` artifact in the canonical envelope every
 /// bench bin shares: `{name, seed, config, metrics, gates}`.
-/// `viprof-diff` detects this shape and diffs the `metrics`/`gates`
+/// `viprof diff` detects this shape and diffs the `metrics`/`gates`
 /// subtrees, so two fixed-seed runs of the same bin can be gated
 /// against each other (or against a committed artifact) uniformly.
 pub fn write_artifact(

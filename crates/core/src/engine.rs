@@ -33,7 +33,7 @@ use oprofile::report::{bucket_label, finish_report, report_events, Report, Repor
 use oprofile::{SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH, TIMELINE_PATH};
 use sim_cpu::{HwEvent, Pid, ProcKey};
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
-use sim_os::journal::{self, split_traced_payload, KIND_SAMPLE_BATCH_TRACED};
+use sim_os::journal;
 use sim_os::{ImageId, Kernel};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -597,10 +597,7 @@ impl ResolutionEngine {
         let mut batches: Vec<(u64, TraceCtx, u64, u64)> = Vec::new();
         if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
             for rec in &scan.records {
-                if rec.kind != KIND_SAMPLE_BATCH_TRACED {
-                    continue;
-                }
-                let Some((ctx, body)) = split_traced_payload(&rec.payload) else {
+                let Some(Ok((Some(ctx), body))) = rec.sample_batch() else {
                     continue;
                 };
                 if let Ok((dropped, evicted)) = SampleDb::header_from_bytes(body) {
@@ -878,6 +875,7 @@ mod tests {
     use crate::report::{self as oracle, viprof_report};
     use crate::resolve::ResolveOptions;
     use sim_jvm::BootImage;
+    use sim_os::journal::KIND_SAMPLE_BATCH_TRACED;
 
     fn bucket(origin: SampleOrigin, addr: u64, epoch: u64) -> SampleBucket {
         SampleBucket {

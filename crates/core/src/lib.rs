@@ -32,7 +32,7 @@
 //! [`session::Viprof`] wires everything together; [`callgraph`] adds the
 //! cross-layer call-sequence profiles §4.2 mentions; [`xen`] implements
 //! the §5 future work (hypervisor layer + multiple concurrent stacks,
-//! XenoProf-style). The `viprof-report` binary post-processes exported
+//! XenoProf-style). The `viprof` binary post-processes exported
 //! sessions offline, like `opreport` after `opcontrol --stop`.
 
 pub mod agent;

@@ -44,7 +44,7 @@ use oprofile::daemon::DrainSink;
 use oprofile::{SampleDb, SampleOrigin, SinkHandle, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_PATH};
-use sim_os::journal::{self, split_traced_payload, KIND_SAMPLE_BATCH, KIND_SAMPLE_BATCH_TRACED};
+use sim_os::journal;
 use sim_os::{ImageId, Kernel};
 use viprof_telemetry::{names, Counter, Stage, Telemetry, TraceCtx, TraceLayer};
 
@@ -292,12 +292,9 @@ impl LiveEngine {
             .and_then(|t| t.registry.trace_root());
         if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
             for rec in &scan.records {
-                let body = match rec.kind {
-                    KIND_SAMPLE_BATCH => Some(&rec.payload[..]),
-                    KIND_SAMPLE_BATCH_TRACED => split_traced_payload(&rec.payload).map(|(_, b)| b),
-                    _ => None,
+                let Some(Ok((_, body))) = rec.sample_batch() else {
+                    continue;
                 };
-                let Some(body) = body else { continue };
                 if !self.applied.insert(rec.seq) {
                     continue;
                 }
@@ -641,6 +638,7 @@ mod tests {
     use crate::resolve::{ResolveOptions, ViprofResolver};
     use oprofile::SampleBucket;
     use sim_cpu::HwEvent;
+    use sim_os::journal::KIND_SAMPLE_BATCH;
 
     fn entry(addr: u64, size: u64, sig: &str) -> CodeMapEntry {
         CodeMapEntry {

@@ -33,9 +33,7 @@
 use crate::codemap::{journal_path, parse_map, CodeMapSet, EpochMap, ParsedMap, JIT_MAP_DIR};
 use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
-use sim_os::journal::{
-    self, split_traced_payload, KIND_CODE_MAP, KIND_SAMPLE_BATCH, KIND_SAMPLE_BATCH_TRACED,
-};
+use sim_os::journal::{self, KIND_CODE_MAP};
 use sim_os::Vfs;
 use std::collections::BTreeMap;
 
@@ -186,19 +184,13 @@ pub fn recover_sample_db(vfs: &Vfs) -> Option<RecoveredDb> {
         ..RecoveredDb::default()
     };
     for r in &scan.records {
-        // Both the untagged v1 record and the traced v3 record carry a
-        // SampleDb body; the trace header (when present) is 16 bytes of
-        // span identity in front of it.
-        let body = match r.kind {
-            KIND_SAMPLE_BATCH => Some(&r.payload[..]),
-            KIND_SAMPLE_BATCH_TRACED => split_traced_payload(&r.payload).map(|(_, b)| b),
-            _ => None,
-        };
-        let Some(body) = body else {
-            if r.kind == KIND_SAMPLE_BATCH_TRACED {
+        let body = match r.sample_batch() {
+            None => continue,
+            Some(Ok((_, body))) => body,
+            Some(Err(_)) => {
                 out.bad_batches += 1;
+                continue;
             }
-            continue;
         };
         match out.db.merge_from_bytes(body) {
             Ok(()) => out.batches += 1,
@@ -214,6 +206,7 @@ mod tests {
     use crate::codemap::{map_path, render_map, CodeMapEntry};
     use oprofile::{SampleBucket, SampleOrigin};
     use sim_cpu::{HwEvent, Pid};
+    use sim_os::journal::{KIND_SAMPLE_BATCH, KIND_SAMPLE_BATCH_TRACED};
     use sim_os::JournalWriter;
 
     fn entry(addr: u64, sig: &str) -> CodeMapEntry {
@@ -372,9 +365,13 @@ mod tests {
             KIND_SAMPLE_BATCH_TRACED,
             &encode_traced_payload(ctx, &batch2.to_bytes()),
         );
+        // A traced record too short for its header is a bad batch; a
+        // record of another kind is no batch at all.
+        w.append(&mut vfs, KIND_SAMPLE_BATCH_TRACED, &[0; 7]);
+        w.append(&mut vfs, KIND_CODE_MAP, &map_payload(0, &[]));
         let got = recover_sample_db(&vfs).unwrap();
         assert_eq!(got.batches, 2);
-        assert_eq!(got.bad_batches, 0);
+        assert_eq!(got.bad_batches, 1);
         let mut want = SampleDb::new();
         want.merge(&batch1);
         want.merge(&batch2);

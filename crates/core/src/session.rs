@@ -435,7 +435,7 @@ impl Viprof {
 
     /// Export a complete, self-contained session to a real directory:
     /// the machine's VFS (sample db, epoch code maps, `RVM.map`) plus
-    /// image/process metadata, so `viprof-report` (or any external
+    /// image/process metadata, so `viprof report` (or any external
     /// tool) can post-process offline — the `opreport`-after-
     /// `opcontrol --stop` workflow.
     pub fn export_session(

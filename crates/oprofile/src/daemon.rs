@@ -899,7 +899,7 @@ mod tests {
 
     #[test]
     fn drains_emit_causal_spans_and_traced_journal_records() {
-        use sim_os::journal::{scan, split_traced_payload};
+        use sim_os::journal::scan;
         use viprof_telemetry::Telemetry;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
@@ -936,7 +936,8 @@ mod tests {
         let s = scan(&m.kernel.vfs, "/j").unwrap();
         assert_eq!(s.records.len(), 1);
         assert_eq!(s.records[0].kind, KIND_SAMPLE_BATCH_TRACED);
-        let (rec_ctx, body) = split_traced_payload(&s.records[0].payload).unwrap();
+        let (rec_ctx, body) = s.records[0].sample_batch().unwrap().unwrap();
+        let rec_ctx = rec_ctx.unwrap();
         assert_eq!(rec_ctx.span, jspan.id);
         assert_eq!(rec_ctx.trace, jspan.trace);
         assert_eq!(SampleDb::from_bytes(body).unwrap().total_samples(), 1);

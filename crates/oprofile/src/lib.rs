@@ -19,7 +19,6 @@
 //! up as `RVM.code.image (no symbols)` (Figure 1, lower half). VIProf
 //! plugs in through the [`anon::AnonExtension`] seam.
 
-pub mod annotate;
 pub mod anon;
 pub mod buffer;
 pub mod config;
@@ -32,7 +31,6 @@ pub mod samples;
 pub mod session;
 pub mod supervisor;
 
-pub use annotate::{opannotate, Annotation, AnnotateRow};
 pub use anon::{AnonExtension, AnonTable, JitClaim, NoExtension};
 pub use buffer::RingBuffer;
 pub use config::OpConfig;

@@ -57,7 +57,7 @@ pub struct Report {
 
 impl_to_json!(ReportRow { image, symbol, counts, percents });
 
-/// `viprof-report --json`: events by variant name, then totals and
+/// `viprof report --json`: events by variant name, then totals and
 /// rows.
 impl ToJson for Report {
     fn to_json(&self) -> Json {

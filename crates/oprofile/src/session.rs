@@ -22,16 +22,16 @@ pub const SAMPLES_PATH: &str = "/var/lib/oprofile/samples/current.db";
 pub const SAMPLE_JOURNAL_PATH: &str = "/var/lib/oprofile/samples/journal";
 
 /// VFS path where `stop` persists the session's telemetry snapshot
-/// (deterministic JSON; `viprof-stat` reads it back).
+/// (deterministic JSON; `viprof stat` reads it back).
 pub const TELEMETRY_PATH: &str = "/var/log/viprof/telemetry.json";
 
 /// VFS path where `stop` persists the session's causal trace as Chrome
-/// trace-event JSON (`viprof-trace` reads it back).
+/// trace-event JSON (`viprof trace` reads it back).
 pub const TRACE_PATH: &str = "/var/log/viprof/trace.json";
 
 /// VFS path where `stop` persists the session's sampled timeline
 /// (per-drain-window telemetry deltas; the resolver evaluates health
-/// rules over it and `viprof-diff` compares two of them).
+/// rules over it and `viprof diff` compares two of them).
 pub const TIMELINE_PATH: &str = "/var/log/viprof/timeline.json";
 
 /// A running profiling session.
@@ -455,8 +455,8 @@ mod tests {
             // Telemetry is always on for sessions, so every batch record
             // carries a trace header.
             assert_eq!(rec.kind, sim_os::journal::KIND_SAMPLE_BATCH_TRACED);
-            let (ctx, body) = sim_os::journal::split_traced_payload(&rec.payload).unwrap();
-            assert_ne!(ctx.span, 0, "journal span identity persisted");
+            let (ctx, body) = rec.sample_batch().unwrap().unwrap();
+            assert_ne!(ctx.unwrap().span, 0, "journal span identity persisted");
             replayed.merge(&SampleDb::from_bytes(body).unwrap());
         }
         assert_eq!(replayed, db);

@@ -78,17 +78,6 @@ pub fn encode_traced_payload(ctx: TraceCtx, body: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Split a [`KIND_SAMPLE_BATCH_TRACED`] payload back into its trace
-/// context and batch body. `None` when the payload cannot carry a
-/// header (such a record is damage the CRC did not see — callers treat
-/// it like an undecodable batch).
-pub fn split_traced_payload(payload: &[u8]) -> Option<(TraceCtx, &[u8])> {
-    let header = payload.get(..TRACE_HEADER_LEN)?;
-    let trace = u64::from_le_bytes(header[..8].try_into().ok()?);
-    let span = u64::from_le_bytes(header[8..].try_into().ok()?);
-    Some((TraceCtx { trace, span }, &payload[TRACE_HEADER_LEN..]))
-}
-
 /// marker + seq + kind + len.
 const HEADER_LEN: usize = 1 + 8 + 1 + 4;
 /// Header + crc + commit byte.
@@ -197,6 +186,38 @@ pub struct JournalRecord {
     pub seq: u64,
     pub kind: u8,
     pub payload: Vec<u8>,
+}
+
+/// A decoded sample-batch record: the trace context of a traced
+/// record, and the `SampleDb` body.
+pub type SampleBatch<'a> = (Option<TraceCtx>, &'a [u8]);
+
+impl JournalRecord {
+    /// Decode a sample-batch record into its trace context and
+    /// `SampleDb` body: `None` for a record of another kind, no context
+    /// for an untagged [`KIND_SAMPLE_BATCH`]. A
+    /// [`KIND_SAMPLE_BATCH_TRACED`] payload too short to carry its
+    /// trace header is an `Err`: damage the CRC did not see, which
+    /// each reader handles like an undecodable batch.
+    pub fn sample_batch(&self) -> Option<Result<SampleBatch<'_>, String>> {
+        match self.kind {
+            KIND_SAMPLE_BATCH => Some(Ok((None, &self.payload))),
+            KIND_SAMPLE_BATCH_TRACED => Some(match self.payload.split_at_checked(TRACE_HEADER_LEN) {
+                Some((header, body)) => {
+                    let (trace, span) = header.split_at(8);
+                    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte half"));
+                    let ctx = TraceCtx { trace: word(trace), span: word(span) };
+                    Ok((Some(ctx), body))
+                }
+                None => Err(format!(
+                    "torn trace header in record seq {}: {} of {TRACE_HEADER_LEN} bytes",
+                    self.seq,
+                    self.payload.len()
+                )),
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// Result of scanning a journal: the longest valid record prefix plus
@@ -751,17 +772,23 @@ mod tests {
 
     #[test]
     fn traced_payload_round_trips_and_rejects_short_headers() {
+        let record = |kind, payload: &[u8]| JournalRecord { seq: 7, kind, payload: payload.to_vec() };
         let ctx = TraceCtx { trace: 0xDEAD_BEEF_0BAD_F00D, span: 42 };
         let payload = encode_traced_payload(ctx, b"batch-bytes");
         assert_eq!(payload.len(), TRACE_HEADER_LEN + 11);
-        let (back, body) = split_traced_payload(&payload).unwrap();
-        assert_eq!(back, ctx);
-        assert_eq!(body, b"batch-bytes");
+        let traced = record(KIND_SAMPLE_BATCH_TRACED, &payload);
+        assert_eq!(traced.sample_batch(), Some(Ok((Some(ctx), &b"batch-bytes"[..]))));
         // An empty body is legal (an empty batch was journaled).
         let empty = encode_traced_payload(ctx, b"");
-        assert_eq!(split_traced_payload(&empty).unwrap().1, b"");
+        let traced = record(KIND_SAMPLE_BATCH_TRACED, &empty);
+        assert_eq!(traced.sample_batch(), Some(Ok((Some(ctx), &b""[..]))));
         // Anything shorter than the header cannot be traced.
-        assert!(split_traced_payload(&empty[..TRACE_HEADER_LEN - 1]).is_none());
+        let torn = record(KIND_SAMPLE_BATCH_TRACED, &empty[..TRACE_HEADER_LEN - 1]);
+        assert!(matches!(torn.sample_batch(), Some(Err(_))));
+        // An untagged batch has no context; other kinds are no batch.
+        let plain = record(KIND_SAMPLE_BATCH, b"body");
+        assert_eq!(plain.sample_batch(), Some(Ok((None, &b"body"[..]))));
+        assert_eq!(record(KIND_CODE_MAP, &payload).sample_batch(), None);
 
         // Traced records ride the normal commit protocol.
         let mut vfs = Vfs::new();
@@ -769,7 +796,7 @@ mod tests {
         w.append(&mut vfs, KIND_SAMPLE_BATCH_TRACED, &payload);
         let s = scan(&vfs, "/j").unwrap();
         assert_eq!(s.records[0].kind, KIND_SAMPLE_BATCH_TRACED);
-        assert_eq!(split_traced_payload(&s.records[0].payload).unwrap().0, ctx);
+        assert_eq!(s.records[0].sample_batch().unwrap().unwrap().0, Some(ctx));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! object keys come from sorted registry iteration and every value is
 //! an integer — so two runs with the same seed produce byte-identical
 //! bytes. [`TelemetrySnapshot::from_json`] reads snapshots back
-//! (`viprof-stat` consumes exported sessions offline).
+//! (`viprof stat` consumes exported sessions offline).
 
 use crate::json::{get, parse_json, JsonWriter};
 use crate::recorder::Event;
@@ -194,65 +194,6 @@ impl TelemetrySnapshot {
         snap.events_dropped = get(top, "events_dropped")?.as_num("events_dropped")?;
         Ok(snap)
     }
-
-    /// Aligned human rendering (the `viprof-stat` default view).
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                out.push_str(&format!("  {name:<34} {v:>14}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                out.push_str(&format!("  {name:<34} {v:>14}\n"));
-            }
-        }
-        if !self.stages.is_empty() {
-            out.push_str("stages (virtual cycles):\n");
-            for s in &self.stages {
-                out.push_str(&format!(
-                    "  {:<34} {:>14} cycles over {} entries\n",
-                    s.name, s.cycles, s.entries
-                ));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for h in &self.histograms {
-                let mean = h.sum.checked_div(h.count).unwrap_or(0);
-                out.push_str(&format!(
-                    "  {:<34} n={} sum={} mean={}\n",
-                    h.name, h.count, h.sum, mean
-                ));
-                for row in log2_rows(&h.buckets) {
-                    out.push_str("    ");
-                    out.push_str(&row);
-                    out.push('\n');
-                }
-            }
-        }
-        out.push_str(&format!(
-            "flight recorder: {} event(s), {} evicted\n",
-            self.events.len(),
-            self.events_dropped
-        ));
-        for e in &self.events {
-            let fields: Vec<String> =
-                e.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            out.push_str(&format!(
-                "  #{:<5} @{:<14} {:<24} {} {}\n",
-                e.seq,
-                e.cycles,
-                e.kind,
-                fields.join(" "),
-                e.detail
-            ));
-        }
-        out
-    }
 }
 
 fn lookup(list: &[(String, u64)], name: &str) -> u64 {
@@ -266,7 +207,7 @@ fn lookup(list: &[(String, u64)], name: &str) -> u64 {
 /// shape [`crate::metrics::Histogram::nonzero_buckets`] and
 /// [`crate::trace::TraceSnapshot::duration_buckets`] produce) as
 /// aligned `[lo..hi] count` rows — the one formatter shared by
-/// `viprof-stat --histograms` and `viprof-trace --top`.
+/// `viprof stat --histograms` and `viprof trace --top`.
 pub fn log2_rows(buckets: &[(usize, u64)]) -> Vec<String> {
     buckets
         .iter()
@@ -345,7 +286,6 @@ mod tests {
         assert_eq!(snap.stage("stage.x").unwrap().cycles, 9000);
         assert_eq!(snap.histogram("h.sizes").unwrap().count, 4);
         assert_eq!(snap.events_of("k.e").len(), 1);
-        assert!(snap.render_text().contains("flight recorder: 1 event(s), 1 evicted"));
     }
 
     #[test]

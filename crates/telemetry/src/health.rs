@@ -5,8 +5,8 @@
 //! findings — "sustained ring overflow", "governor escalated", "the
 //! journal needed repairs" — each with a severity, the evidence window
 //! range, and the burst shape (peak window, longest sustained run).
-//! `SessionReport.health`, the `viprof-report` HEALTH footer and
-//! `viprof-stat --health` all surface the same [`HealthReport`].
+//! `SessionReport.health`, the `viprof report` HEALTH footer and
+//! `viprof stat --health` all surface the same [`HealthReport`].
 //!
 //! Rule semantics, chosen so a clean run can never false-positive:
 //! a [`HealthRule`] watches one timeline counter series and fires only
@@ -18,7 +18,7 @@
 //! worse than a drop).
 //!
 //! Evaluation is a pure function of the timeline, so batch reports,
-//! sealed live snapshots and offline `viprof-stat --health` over the
+//! sealed live snapshots and offline `viprof stat --health` over the
 //! same exported `timeline.json` agree exactly.
 
 use crate::json::{get, parse_json, JsonWriter};
@@ -192,7 +192,7 @@ pub struct HealthFinding {
 }
 
 impl HealthFinding {
-    /// One human line, the `viprof-report` HEALTH footer format.
+    /// One human line, the `viprof report` HEALTH footer format.
     pub fn render_line(&self) -> String {
         format!(
             "[{}] {}: {} over {} window(s) (peak {}, run {}, cycles {}..{})",

@@ -2,7 +2,7 @@
 //!
 //! Instrumentation sites must take names from here — the catalog is
 //! the telemetry schema, and `scripts/verify.sh` diffs it (via
-//! `viprof-stat --schema`) against the reviewed golden list in
+//! `viprof stat --schema`) against the reviewed golden list in
 //! `scripts/telemetry-schema.txt`, so additions and removals fail CI
 //! until the golden file is updated alongside them.
 
@@ -146,7 +146,7 @@ pub const STAGE_RESOLVE_LOAD: &str = "stage.resolve_load";
 pub const STAGE_RESOLVE_REPORT: &str = "stage.resolve_report";
 pub const STAGE_REPORT_FINISH: &str = "stage.report_finish";
 
-// ---- trace spans (the causal tree `viprof-trace` renders) ----
+// ---- trace spans (the causal tree `viprof trace` renders) ----
 pub const SPAN_AGENT_MAP_WRITE: &str = "span.agent_map_write";
 pub const SPAN_DAEMON_DRAIN: &str = "span.daemon_drain";
 pub const SPAN_JOURNAL_BATCH: &str = "span.journal_batch";

@@ -2,13 +2,13 @@
 //! through a real registry, so fixed-seed telemetry/timeline artifacts
 //! exist without running the full simulator.
 //!
-//! `viprof-diff --selftest` and `--emit-baseline` build their
+//! `viprof diff --emit-baseline` and the differ's tests build their
 //! artifacts here, and the committed `results/baseline_telemetry.json`
 //! / `results/baseline_timeline.json` are this generator's output at
 //! [`BASELINE_SEED`] — so `scripts/verify.sh` can regenerate a fresh
 //! export and gate it against the reviewed baseline byte for byte. A
-//! different seed perturbs every series, which is what the selftest's
-//! "nonzero deltas exit nonzero" leg relies on.
+//! different seed perturbs every series, which is what the differ's
+//! "nonzero deltas exit nonzero" test relies on.
 
 use crate::{names, Telemetry, TelemetrySnapshot, Timeline};
 

@@ -26,7 +26,7 @@
 //!   window deltas equals the final cumulative value;
 //! * the JSON export is canonical (`from_json(to_json(t))` is exact
 //!   and re-serialization is a byte-level fixed point), the contract
-//!   `viprof-diff` and the committed `results/` baselines rely on.
+//!   `viprof diff` and the committed `results/` baselines rely on.
 
 use crate::json::{get, parse_json, JsonWriter};
 
@@ -340,7 +340,7 @@ impl Timeline {
         Ok(t)
     }
 
-    /// Aligned human rendering (the `viprof-stat --health` context
+    /// Aligned human rendering (the `viprof stat --health` context
     /// view): one line per window, top movers as a footer.
     pub fn render_text(&self) -> String {
         let mut out = format!(

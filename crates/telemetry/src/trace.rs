@@ -497,8 +497,7 @@ impl LineageTable {
         self.entries.is_empty()
     }
 
-    /// Aligned human rendering (the `viprof-report --lineage` footer
-    /// and `viprof-trace --lineage` body).
+    /// Aligned human rendering (the `viprof report --lineage` footer).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for bucket in LINEAGE_BUCKETS {

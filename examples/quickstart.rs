@@ -1,8 +1,9 @@
 //! Quickstart: profile a small Java-like program with VIProf and print
-//! the vertically integrated report.
+//! the vertically integrated report. Given a directory, it also exports
+//! the session there, sample journal included, for the `viprof` CLI.
 //!
 //! ```text
-//! cargo run --release --example quickstart
+//! cargo run --release --example quickstart [-- <session-dir>]
 //! ```
 
 use viprof_repro::oprofile::{OpConfig, ReportOptions};
@@ -16,9 +17,11 @@ fn main() {
     // 1. A machine: 3.4 GHz CPU + Linux-like kernel, as in the paper.
     let mut machine = Machine::new(MachineConfig::default());
 
-    // 2. Start VIProf: cycle samples every 90K cycles plus L2 misses.
+    // 2. Start VIProf: cycle samples every 90K cycles plus L2 misses,
+    //    with every drained batch journaled (what `viprof top` replays).
     let viprof = Viprof::builder()
         .config(OpConfig::figure1(90_000, 2_000))
+        .journal(true)
         .start(&mut machine);
 
     // 3. A little program: a hot loop, some allocation, and a memset.
@@ -84,4 +87,10 @@ fn main() {
         vm.epoch() + 1
     );
     print!("{}", report.render_text());
+
+    if let Some(dir) = std::env::args().nth(1) {
+        let files = Viprof::export_session(&mut machine, std::path::Path::new(&dir))
+            .expect("export session");
+        eprintln!("exported {files} session files to {dir}");
+    }
 }

@@ -65,18 +65,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> bench_live --smoke"
     cargo run --release -p viprof-bench --bin bench_live -- --smoke
 
-    # Telemetry self-check: a mini end-to-end session whose persisted
-    # snapshot must parse, round-trip canonically, and reconcile.
-    echo "==> viprof-stat --selftest"
-    cargo run --release -p viprof --bin viprof-stat -- --selftest
-
-    # Trace-determinism self-check: two fixed-seed sessions must export
-    # byte-identical Chrome trace JSON, the resolve-pass trace must be
-    # bit-identical across thread counts {1,4}, and every lineage
-    # bucket must reconcile exactly with the resolution quality.
-    echo "==> viprof-trace --selftest"
-    cargo run --release -p viprof --bin viprof-trace -- --selftest
-
     # Trace/lineage smoke: the engine tests that assert lineage totals
     # reconcile with quality, attribute losses to journaled batches,
     # and stay thread-invariant — plus the span-tree/round-trip
@@ -98,23 +86,17 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> churn isolation property tests"
     cargo test -q --test prop_churn
 
-    # Differ self-check: the deterministic synthetic session must diff
-    # to zero against itself, a perturbed seed must not, kind mixing
-    # must be rejected, and the emitted baselines must match in-memory.
-    echo "==> viprof-diff --selftest"
-    cargo run --release -p viprof --bin viprof-diff -- --selftest
-
     # Baseline gate: regenerating the committed fixed-seed baselines
     # must produce artifacts that diff to zero against results/ — any
     # timeline/telemetry determinism drift, schema drift, or synthetic-
     # session change fails here until the baselines are regenerated in
-    # the same change (viprof-diff --emit-baseline results/).
+    # the same change (viprof diff --emit-baseline results/).
     echo "==> baseline drift check"
     BASELINE_TMP="$(mktemp -d)"
-    cargo run --release -p viprof --bin viprof-diff -- --emit-baseline "$BASELINE_TMP"
+    cargo run --release -p viprof --bin viprof -- diff --emit-baseline "$BASELINE_TMP"
     for b in baseline_telemetry.json baseline_timeline.json; do
-        cargo run --release -p viprof --bin viprof-diff -- "results/$b" "$BASELINE_TMP/$b" \
-            || { echo "==> $b drifted from results/ (regenerate with viprof-diff --emit-baseline results/)"; exit 1; }
+        cargo run --release -p viprof --bin viprof -- diff "results/$b" "$BASELINE_TMP/$b" \
+            || { echo "==> $b drifted from results/ (regenerate with viprof diff --emit-baseline results/)"; exit 1; }
     done
     rm -rf "$BASELINE_TMP"
 
@@ -131,7 +113,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     # reviewed golden list, so additions/removals fail until the golden
     # file is updated in the same change.
     echo "==> telemetry schema drift check"
-    cargo run --release -p viprof --bin viprof-stat -- --schema \
+    cargo run --release -p viprof --bin viprof -- stat --schema \
         | diff -u scripts/telemetry-schema.txt - \
         || { echo "==> telemetry schema drifted from scripts/telemetry-schema.txt"; exit 1; }
 

@@ -185,7 +185,7 @@ fn opreport_of_viprof_db_degrades_not_crashes() {
 fn exported_session_reports_identically_offline() {
     // Export a finished session to disk, re-import it cold (no machine,
     // no simulation state) and check the merged report is identical —
-    // the `viprof-report` CLI path.
+    // the `viprof report` CLI path.
     let (built, plan) = small_workload("ps");
     let mut out = run_benchmark(
         &built,

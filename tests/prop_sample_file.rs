@@ -16,9 +16,7 @@ use std::sync::OnceLock;
 use support::{check, Gen};
 use viprof_repro::oprofile::{OpConfig, SampleDb, SAMPLE_JOURNAL_PATH};
 use viprof_repro::sim_cpu::HwEvent;
-use viprof_repro::sim_os::journal::{
-    scan, split_traced_payload, KIND_SAMPLE_BATCH, KIND_SAMPLE_BATCH_TRACED,
-};
+use viprof_repro::sim_os::journal::scan;
 use viprof_repro::viprof::FaultPlan;
 use viprof_repro::workloads::{calibrate, find_benchmark, programs, run_benchmark, ProfilerKind};
 
@@ -57,11 +55,8 @@ fn bodies() -> &'static [Vec<u8>] {
         let journal = scan(&out.machine.kernel.vfs, SAMPLE_JOURNAL_PATH).expect("journaling on");
         let mut bodies = Vec::new();
         for rec in &journal.records {
-            let body = match rec.kind {
-                KIND_SAMPLE_BATCH => &rec.payload[..],
-                KIND_SAMPLE_BATCH_TRACED => split_traced_payload(&rec.payload).expect("traced").1,
-                _ => continue,
-            };
+            let Some(batch) = rec.sample_batch() else { continue };
+            let (_, body) = batch.expect("traced header intact");
             for version in 1..=3 {
                 bodies.push(as_version(body, version));
             }

@@ -13,7 +13,7 @@
 //!    recovers the exact snapshot (names with quotes, backslashes,
 //!    newlines, control characters and multi-byte UTF-8 included) and
 //!    re-serialization is byte-identical — the determinism contract
-//!    `viprof-trace --selftest` relies on.
+//!    `viprof trace --chrome` relies on.
 
 mod support;
 
