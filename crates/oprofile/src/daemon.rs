@@ -7,21 +7,27 @@
 //! executes a block of its own cycles — in its own process, at its own
 //! symbols, so the daemon itself shows up in profiles exactly like the
 //! real `oprofiled` does.
+//!
+//! Every drain — a timer wakeup, the supervisor's catch-up after a
+//! restart, and the final flush at `opcontrol --stop` — is one call of
+//! the same routine (`Drain::run`) on the drain state the daemon and the
+//! session share.
 
 use crate::driver::Driver;
 use crate::faults::{DaemonFaultStats, DaemonFaults};
 use crate::governor::{DeadlineVerdict, Governor, GovernorDecision};
 use crate::samples::{SampleDb, SampleOrigin};
-use sim_cpu::{Addr, BlockExec, CostModel, CpuMode, HwEvent, MemActivity, Pid};
-use sim_os::journal::{encode_traced_payload, JournalWriter, KIND_SAMPLE_BATCH, KIND_SAMPLE_BATCH_TRACED};
+use sim_cpu::{Addr, BlockExec, CostModel, Cpu, CpuMode, HwEvent, MemActivity, Pid};
+use sim_os::journal::{encode_traced_payload, JournalWriter, KIND_SAMPLE_BATCH_TRACED};
 use sim_os::loader::BIN_HINT;
 use sim_os::{Image, Kernel, Loader, MachineCtx, MachineService, Symbol, Vfs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use viprof_telemetry::{names, Counter, Gauge, Histogram, Stage, Telemetry, TraceCtx, TraceLayer};
 
-/// Telemetry handles for the drain path, resolved once at attach.
-struct DaemonTelemetry {
+/// Telemetry handles for the daemon and its drain path, resolved once
+/// when the drain state is built.
+pub(crate) struct DaemonTelemetry {
     registry: Telemetry,
     wakeups: Counter,
     drains: Counter,
@@ -36,8 +42,6 @@ struct DaemonTelemetry {
     db_evicted: Counter,
     governor_period: Gauge,
     batch_samples: Histogram,
-    occupancy_at_drain: Histogram,
-    drain_cycles: Histogram,
     drain_stage: Stage,
 }
 
@@ -58,8 +62,6 @@ impl DaemonTelemetry {
             db_evicted: registry.counter(names::DB_EVICTED_SAMPLES),
             governor_period: registry.gauge(names::GOVERNOR_PERIOD),
             batch_samples: registry.histogram(names::DAEMON_BATCH_SAMPLES),
-            occupancy_at_drain: registry.histogram(names::BUFFER_OCCUPANCY_AT_DRAIN),
-            drain_cycles: registry.histogram(names::DAEMON_DRAIN_CYCLES),
             drain_stage: registry.stage(names::STAGE_DAEMON_DRAIN),
         }
     }
@@ -70,13 +72,11 @@ impl DaemonTelemetry {
     /// portion of `batch.dropped` refused at admission because its
     /// incarnation was reaped (not a ring overflow), reported under its
     /// own counter/event.
-    fn note_drain(&self, occupancy: u64, batch: &SampleDb, cycles: u64, journaled: bool, dead: u64) {
+    fn note_drain(&self, batch: &SampleDb, cycles: u64, journaled: bool, dead: u64) {
         self.drains.inc();
-        self.occupancy_at_drain.record(occupancy);
         self.batch_samples.record(batch.total_samples());
-        self.drain_cycles.record(cycles);
         self.drain_stage.record(cycles);
-        if journaled && (batch.total_samples() > 0 || batch.dropped > 0 || batch.evicted > 0) {
+        if journaled && !is_trivial(batch) {
             self.batches_journaled.inc();
         }
         let ring_dropped = batch.dropped - dead;
@@ -152,6 +152,12 @@ impl DaemonTelemetry {
     }
 }
 
+/// A batch with no samples and no loss accounting: neither journaled
+/// nor handed to the sink.
+fn is_trivial(batch: &SampleDb) -> bool {
+    batch.total_samples() == 0 && batch.dropped == 0 && batch.evicted == 0
+}
+
 /// OS image name of the daemon binary.
 pub const DAEMON_IMAGE: &str = "oprofiled";
 
@@ -162,7 +168,7 @@ pub const DAEMON_IMAGE: &str = "oprofiled";
 /// same rule the journal applies). `seq` is the journal sequence number
 /// of the batch's record, `None` when the session runs unjournaled.
 /// `ctx` is the drain span that delivered the batch — the causal parent
-/// for any spans the sink opens — `None` when the session is untraced.
+/// for any spans the sink opens.
 pub trait DrainSink: Send {
     fn on_batch(
         &mut self,
@@ -201,12 +207,227 @@ impl std::fmt::Debug for SinkHandle {
     }
 }
 
-/// The daemon service.
-pub struct Daemon {
+/// What one [`Drain::run`] moved and what it cost.
+pub(crate) struct Drained {
+    /// The drained window, already merged into the shared database.
+    pub batch: SampleDb,
+    /// Daemon cycles the drain cost; the caller charges them.
+    pub cycles: u64,
+    /// Samples refused because their incarnation was reaped (part of
+    /// `batch.dropped`).
+    pub dead: u64,
+    /// Ring occupancy when the drain began.
+    pub occupancy: u64,
+    /// Ring capacity.
+    pub capacity: usize,
+}
+
+/// Everything a drain touches, shared by the daemon (timer drains and
+/// the supervisor's catch-up) and the session (the final flush at
+/// `stop`), so all three run the same [`Drain::run`].
+pub(crate) struct Drain {
     driver: Arc<Mutex<Driver>>,
     db: Arc<Mutex<SampleDb>>,
-    active: Arc<AtomicBool>,
     cost: CostModel,
+    /// Write-ahead journal for drained batches: every non-trivial batch
+    /// is appended as one committed record, so a crashed or corrupted
+    /// `current.db` can be rebuilt by replay.
+    journal: Option<JournalWriter>,
+    /// Observer fed every non-trivial drained batch (live resolution).
+    sink: Option<SinkHandle>,
+    t: DaemonTelemetry,
+    /// Virtual time the previous drain landed — the begin of the NMI
+    /// sampling window the next drain's span closes retroactively.
+    last_drain_end: u64,
+}
+
+impl Drain {
+    pub(crate) fn new(
+        driver: Arc<Mutex<Driver>>,
+        db: Arc<Mutex<SampleDb>>,
+        cost: CostModel,
+        registry: &Telemetry,
+        journal: Option<JournalWriter>,
+        sink: Option<SinkHandle>,
+    ) -> Drain {
+        Drain {
+            driver,
+            db,
+            cost,
+            journal,
+            sink,
+            t: DaemonTelemetry::attach(registry),
+            last_drain_end: 0,
+        }
+    }
+
+    /// The one drain routine, shared by a daemon wakeup, the
+    /// supervisor's catch-up (`redrain`) and the final flush at `stop`.
+    /// In order: reap dead incarnations, open the NMI-window and drain
+    /// spans, move the ring into the database, journal the batch,
+    /// notify the sink, account the drain and close its span, then
+    /// close the timeline window at the drain's end. `govern` runs just
+    /// before the window closes, so a period the daemon's governor
+    /// reprograms lands in the window that caused it. The caller
+    /// charges the returned cycles.
+    pub(crate) fn run(
+        &mut self,
+        kernel: &mut Kernel,
+        now: u64,
+        redrain: bool,
+        govern: impl FnOnce(&Drained, &DaemonTelemetry),
+    ) -> Drained {
+        self.t.registry.set_now(now);
+        // Reap before draining: a registration whose process died in
+        // this window must not admit the dead incarnation's samples.
+        self.reap_dead(kernel);
+        let (occupancy, capacity) = {
+            let d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
+            (d.buffer.len() as u64, d.buffer.capacity())
+        };
+        let span = self.t.begin_drain_spans(self.last_drain_end, now, occupancy, redrain);
+        let (batch, cycles, dead) = self.drain_batch();
+        self.last_drain_end = now;
+        let seq = self.journal_batch(&mut kernel.vfs, &batch, span);
+        self.notify_sink(kernel, seq, &batch, span);
+        self.t.note_drain(&batch, cycles, self.journal.is_some(), dead);
+        self.t.end_drain_span(span, now + cycles, &batch, dead);
+        let drained = Drained { batch, cycles, dead, occupancy, capacity };
+        govern(&drained, &self.t);
+        self.t.registry.sample_timeline_at(now + cycles);
+        drained
+    }
+
+    /// Drop the extension's registrations for processes that died
+    /// since the last window, so subsequent drains refuse their late
+    /// samples instead of resolving them against whatever owns the pid
+    /// now.
+    fn reap_dead(&self, kernel: &Kernel) {
+        let reaped = self
+            .driver
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .reap(&mut |pid, gen| kernel.process(pid).is_some_and(|p| p.gen == gen));
+        if reaped > 0 {
+            self.t.registry_reaps.add(reaped);
+            self.t.registry.event(
+                names::EVENT_REGISTRY_REAP,
+                "registrations of dead incarnations reaped",
+                &[("reaped", reaped)],
+            );
+        }
+    }
+
+    /// Move buffered samples into the database, returning the drained
+    /// window as its own [`SampleDb`] (already merged into `db`) and
+    /// the cycles the daemon consumed doing so. The batch is what gets
+    /// journaled: replaying every batch record in order rebuilds the
+    /// full database, because [`SampleDb::merge`] is the same operation
+    /// the drain itself performs.
+    /// The drained vector is recycled back into the ring before the
+    /// driver lock drops, so steady-state drains allocate nothing. The
+    /// returned batch's `evicted` counts samples the shared database's
+    /// admission cap refused *from this batch* — mirroring how
+    /// `dropped` carries this window's overflow losses — so journal
+    /// replay rebuilds eviction accounting too.
+    /// The third return value is the count of samples refused because
+    /// their `(pid, gen)` registration was reaped (the incarnation died
+    /// unclean). Those are folded into `batch.dropped` — alongside ring
+    /// overflow losses — so both the shared database and journal replay
+    /// account them as dropped, never as resolvable samples.
+    pub(crate) fn drain_batch(&self) -> (SampleDb, u64, u64) {
+        let (mut batch, n, probe, dead) = {
+            let mut d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
+            let (samples, dropped) = d.drain();
+            let n = samples.len() as u64;
+            let mut batch = SampleDb::new();
+            let mut dead = 0u64;
+            for s in &samples {
+                if let SampleOrigin::JitApp { pid, gen } = s.origin {
+                    if !d.admit(pid, gen) {
+                        dead += 1;
+                        continue;
+                    }
+                }
+                batch.add(*s, 1);
+            }
+            batch.dropped = dropped + dead;
+            d.recycle(samples);
+            let probe = d.daemon_probe_cost();
+            (batch, n, probe, dead)
+        };
+        batch.evicted = {
+            let mut db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
+            let before = db.evicted;
+            db.merge(&batch);
+            db.evicted - before
+        };
+        (batch, self.cost.daemon_drain(n) + probe, dead)
+    }
+
+    /// Append one drained batch to the journal (if one is attached and
+    /// the batch carries anything worth replaying). Journal appends are
+    /// part of the drain's existing I/O budget — no extra cycles — so
+    /// journaled and unjournaled runs stay cycle-identical. Returns the
+    /// sequence number of the appended record, `None` when nothing was
+    /// journaled (no journal, or a trivial batch).
+    ///
+    /// The append is wrapped in a `span.journal_batch` child of
+    /// `parent`, the record is written as [`KIND_SAMPLE_BATCH_TRACED`],
+    /// and that journal span's identity rides in the record header — so
+    /// an offline resolver can point at the exact batch where a sample
+    /// was dropped or evicted.
+    pub(crate) fn journal_batch(
+        &mut self,
+        vfs: &mut Vfs,
+        batch: &SampleDb,
+        parent: TraceCtx,
+    ) -> Option<u64> {
+        let journal = self.journal.as_mut()?;
+        if is_trivial(batch) {
+            return None;
+        }
+        let t = &self.t.registry;
+        let span = t.trace_begin(TraceLayer::Journal, names::SPAN_JOURNAL_BATCH, Some(parent));
+        let payload = encode_traced_payload(span, &batch.to_bytes());
+        let seq = journal.append(vfs, KIND_SAMPLE_BATCH_TRACED, &payload);
+        t.trace_end(
+            span,
+            &[
+                ("seq", seq),
+                ("samples", batch.total_samples()),
+                ("dropped", batch.dropped),
+                ("evicted", batch.evicted),
+            ],
+        );
+        Some(seq)
+    }
+
+    /// Hand a non-trivial drained batch to the sink. Uses the same
+    /// triviality rule as [`Drain::journal_batch`], so a journaled
+    /// session's sink sees exactly the journaled record stream (with
+    /// matching sequence numbers) and an unjournaled one sees the same
+    /// batches with `seq: None`. `ctx` is the drain span handed through
+    /// to the sink as causal parent.
+    pub(crate) fn notify_sink(
+        &self,
+        kernel: &Kernel,
+        seq: Option<u64>,
+        batch: &SampleDb,
+        ctx: TraceCtx,
+    ) {
+        if let Some(sink) = &self.sink {
+            if !is_trivial(batch) {
+                sink.on_batch(kernel, seq, batch, Some(ctx));
+            }
+        }
+    }
+}
+
+/// The daemon service.
+pub struct Daemon {
+    drain: Arc<Mutex<Drain>>,
+    active: Arc<AtomicBool>,
     period_cycles: u64,
     next_wakeup: u64,
     pid: Pid,
@@ -219,34 +440,24 @@ pub struct Daemon {
     pub drains: u64,
     /// Optional fault schedule (stalls, crash-and-restart).
     faults: Option<DaemonFaults>,
-    /// Optional write-ahead journal for drained batches (shared with
-    /// the session so the final synchronous flush journals too).
-    journal: Option<Arc<Mutex<JournalWriter>>>,
     /// Closed-loop overload governor: observes occupancy and drop
     /// pressure each drain window, rescales the NMI period in response,
     /// and polices the per-drain deadline budget.
     governor: Option<Governor>,
     /// The event whose counter the governor reprograms.
     governed_event: HwEvent,
-    /// Observer fed every non-trivial drained batch (live resolution).
-    sink: Option<SinkHandle>,
     /// Set when consecutive deadline misses cross the escalation
     /// threshold; the supervisor consumes it as a missed heartbeat.
     deadline_escalated: bool,
-    /// Virtual time the previous drain landed — the begin of the NMI
-    /// sampling window the next drain's span closes retroactively.
-    last_drain_end: u64,
-    telemetry: Option<DaemonTelemetry>,
 }
 
 impl Daemon {
-    /// Spawn the `oprofiled` process and build the service.
-    pub fn spawn(
+    /// Spawn the `oprofiled` process and build the service around the
+    /// drain state it shares with the session.
+    pub(crate) fn spawn(
         kernel: &mut Kernel,
-        driver: Arc<Mutex<Driver>>,
-        db: Arc<Mutex<SampleDb>>,
+        drain: Arc<Mutex<Drain>>,
         active: Arc<AtomicBool>,
-        cost: CostModel,
         period_cycles: u64,
     ) -> Daemon {
         let image = match kernel.images.find_by_name(DAEMON_IMAGE) {
@@ -262,10 +473,8 @@ impl Daemon {
         let pid = kernel.spawn(DAEMON_IMAGE);
         let base = Loader::load_image(kernel, pid, image, BIN_HINT);
         Daemon {
-            driver,
-            db,
+            drain,
             active,
-            cost,
             period_cycles,
             next_wakeup: period_cycles,
             pid,
@@ -273,21 +482,10 @@ impl Daemon {
             wakeups: 0,
             drains: 0,
             faults: None,
-            journal: None,
             governor: None,
             governed_event: HwEvent::Cycles,
-            sink: None,
             deadline_escalated: false,
-            last_drain_end: 0,
-            telemetry: None,
         }
-    }
-
-    /// Mirror wakeups, drains, stalls, and batch shapes into `registry`
-    /// and record stall/overflow events on its flight recorder.
-    pub fn with_telemetry(mut self, registry: &Telemetry) -> Daemon {
-        self.telemetry = Some(DaemonTelemetry::attach(registry));
-        self
     }
 
     /// Attach a fault schedule (chaos/robustness testing).
@@ -309,25 +507,10 @@ impl Daemon {
         self.governor.as_ref()
     }
 
-    /// Attach a drain sink: every non-trivial drained batch is handed
-    /// to it after the merge + journal append.
-    pub fn with_sink(mut self, sink: SinkHandle) -> Daemon {
-        self.sink = Some(sink);
-        self
-    }
-
     /// Consume a pending deadline escalation (supervisor side). The
     /// flag re-arms on the next threshold crossing.
     pub fn take_deadline_escalation(&mut self) -> bool {
         std::mem::take(&mut self.deadline_escalated)
-    }
-
-    /// Attach a sample-batch journal. Every drained batch is appended
-    /// as one committed record before the daemon moves on, so a crashed
-    /// or corrupted `current.db` can be rebuilt by replay.
-    pub fn with_journal(mut self, journal: Arc<Mutex<JournalWriter>>) -> Daemon {
-        self.journal = Some(journal);
-        self
     }
 
     /// Restart a crashed daemon process: clears any remaining injected
@@ -337,127 +520,18 @@ impl Daemon {
     }
 
     /// Immediate out-of-schedule drain (the supervisor's catch-up after
-    /// a restart). Charges daemon cycles and journals the batch like a
-    /// timer drain. Returns the samples recovered from the ring buffer.
-    pub fn force_drain(&mut self, ctx: &mut MachineCtx<'_>) -> u64 {
+    /// a restart): [`Drain::run`] as a redrain, charged like a timer
+    /// drain. Returns the samples recovered from the ring buffer.
+    pub(crate) fn force_drain(&mut self, ctx: &mut MachineCtx<'_>) -> u64 {
         let now = ctx.cpu.clock.cycles();
-        self.reap_dead(ctx.kernel, now);
-        let occupancy = self
-            .driver
+        let drained = self
+            .drain
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .buffer
-            .len() as u64;
-        let drain_span = self.telemetry.as_ref().map(|t| {
-            t.registry.set_now(now);
-            t.begin_drain_spans(self.last_drain_end, now, occupancy, true)
-        });
-        let (batch, cycles, dead) = Daemon::drain_batch(&self.driver, &self.db, &self.cost);
-        let n = batch.total_samples();
+            .run(ctx.kernel, now, true, |_, _| {});
         self.drains += 1;
-        self.last_drain_end = now;
-        let seq = Daemon::journal_batch(
-            &self.journal,
-            &mut ctx.kernel.vfs,
-            &batch,
-            drain_span,
-            self.telemetry.as_ref().map(|t| &t.registry),
-        );
-        Daemon::notify_sink(&self.sink, ctx.kernel, seq, &batch, drain_span);
-        if let Some(t) = &self.telemetry {
-            t.note_drain(occupancy, &batch, cycles, self.journal.is_some(), dead);
-            if let Some(span) = drain_span {
-                t.end_drain_span(span, now + cycles, &batch, dead);
-            }
-            // A catch-up drain closes its own timeline window so restart
-            // recovery is visible as a distinct sample on the timeline.
-            t.registry.sample_timeline_at(now + cycles);
-        }
-        if cycles > 0 {
-            ctx.exec(&BlockExec {
-                pid: self.pid,
-                mode: CpuMode::User,
-                pc_range: self.pc_range,
-                cycles,
-                instructions: cycles,
-                branches: cycles / 32,
-                mem: MemActivity::None,
-            });
-        }
-        n
-    }
-
-    /// Append one drained batch to the journal (if one is attached and
-    /// the batch carries anything worth replaying). Journal appends are
-    /// part of the drain's existing I/O budget — no extra cycles — so
-    /// journaled and unjournaled runs stay cycle-identical. Returns the
-    /// sequence number of the appended record, `None` when nothing was
-    /// journaled (no journal, or a trivial batch).
-    ///
-    /// When a registry is supplied the append is wrapped in a
-    /// `span.journal_batch` child of `parent`, the record is written as
-    /// [`KIND_SAMPLE_BATCH_TRACED`], and that journal span's identity
-    /// rides in the record header — so an offline resolver can point at
-    /// the exact batch where a sample was dropped or evicted. Without a
-    /// registry the untagged v1 record format is written, byte-for-byte
-    /// what pre-tracing builds produced.
-    pub fn journal_batch(
-        journal: &Option<Arc<Mutex<JournalWriter>>>,
-        vfs: &mut Vfs,
-        batch: &SampleDb,
-        parent: Option<TraceCtx>,
-        registry: Option<&Telemetry>,
-    ) -> Option<u64> {
-        let journal = journal.as_ref()?;
-        if batch.total_samples() == 0 && batch.dropped == 0 && batch.evicted == 0 {
-            return None;
-        }
-        let body = batch.to_bytes();
-        let seq = match registry {
-            Some(t) => {
-                let span = t.trace_begin(TraceLayer::Journal, names::SPAN_JOURNAL_BATCH, parent);
-                let payload = encode_traced_payload(span, &body);
-                let seq = journal
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .append(vfs, KIND_SAMPLE_BATCH_TRACED, &payload);
-                t.trace_end(
-                    span,
-                    &[
-                        ("seq", seq),
-                        ("samples", batch.total_samples()),
-                        ("dropped", batch.dropped),
-                        ("evicted", batch.evicted),
-                    ],
-                );
-                seq
-            }
-            None => journal
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .append(vfs, KIND_SAMPLE_BATCH, &body),
-        };
-        Some(seq)
-    }
-
-    /// Hand a non-trivial drained batch to `sink`. Uses the same
-    /// triviality rule as [`Daemon::journal_batch`], so a journaled
-    /// session's sink sees exactly the journaled record stream (with
-    /// matching sequence numbers) and an unjournaled one sees the same
-    /// batches with `seq: None`. `ctx` is the drain span handed through
-    /// to the sink as causal parent.
-    pub fn notify_sink(
-        sink: &Option<SinkHandle>,
-        kernel: &Kernel,
-        seq: Option<u64>,
-        batch: &SampleDb,
-        ctx: Option<TraceCtx>,
-    ) {
-        if let Some(sink) = sink {
-            if batch.total_samples() > 0 || batch.dropped > 0 || batch.evicted > 0 {
-                sink.on_batch(kernel, seq, batch, ctx);
-            }
-        }
+        self.charge(ctx, drained.cycles);
+        drained.batch.total_samples()
     }
 
     /// Injected-fault counters, if a schedule is installed.
@@ -469,90 +543,88 @@ impl Daemon {
         self.pid
     }
 
-    /// One drain: move buffered samples into the DB, return the cycles
-    /// the daemon consumed doing so. Shared by the timer path and the
-    /// final synchronous flush at `stop`.
-    pub fn drain_once(
-        driver: &Mutex<Driver>,
-        db: &Mutex<SampleDb>,
-        cost: &CostModel,
-    ) -> (u64, u64) {
-        let (batch, cycles, _) = Daemon::drain_batch(driver, db, cost);
-        (batch.total_samples(), cycles)
+    /// Run the drain's cycles as a block of the daemon's own process.
+    fn charge(&self, ctx: &mut MachineCtx<'_>, cycles: u64) {
+        if cycles > 0 {
+            ctx.exec(&BlockExec {
+                pid: self.pid,
+                mode: CpuMode::User,
+                pc_range: self.pc_range,
+                cycles,
+                instructions: cycles,
+                branches: cycles / 32,
+                mem: MemActivity::None,
+            });
+        }
     }
 
-    /// Drop the extension's registrations for processes that died
-    /// since the last window, so subsequent drains refuse their late
-    /// samples instead of resolving them against whatever owns the pid
-    /// now. Returns how many registrations were reaped.
-    pub fn reap_dead(&mut self, kernel: &Kernel, now: u64) -> u64 {
-        let reaped = self
-            .driver
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .reap(&mut |pid, gen| kernel.process(pid).is_some_and(|p| p.gen == gen));
-        if reaped > 0 {
-            if let Some(t) = &self.telemetry {
-                t.registry.set_now(now);
-                t.registry_reaps.add(reaped);
+    /// Close the overload loop: one observation per drain window,
+    /// actuated by reprogramming the live counter. Every input
+    /// (occupancy, drop count, drain cycles) is seed-deterministic and
+    /// produced online, so the period trajectory cannot depend on
+    /// offline post-processing choices like thread counts.
+    fn govern(&mut self, cpu: &mut Cpu, t: &DaemonTelemetry, d: &Drained, now: u64) {
+        let Some(gov) = &mut self.governor else {
+            return;
+        };
+        // Dead-generation drops are admission refusals, not ring
+        // pressure — the governor only sees real overflow losses.
+        let ring_dropped = d.batch.dropped - d.dead;
+        match gov.observe(d.occupancy as usize, d.capacity, ring_dropped) {
+            GovernorDecision::Hold => {}
+            GovernorDecision::Backoff { from, to } => {
+                cpu.reprogram_period(self.governed_event, to);
+                t.governor_backoffs.inc();
+                t.governor_period.set(to);
                 t.registry.event(
-                    names::EVENT_REGISTRY_REAP,
-                    "registrations of dead incarnations reaped",
-                    &[("reaped", reaped)],
+                    names::EVENT_GOVERNOR_RATE_CHANGE,
+                    "overload pressure: sample period backed off",
+                    &[
+                        ("from", from),
+                        ("to", to),
+                        ("occupancy", d.occupancy),
+                        ("dropped", ring_dropped),
+                    ],
+                );
+            }
+            GovernorDecision::Recover { from, to } => {
+                cpu.reprogram_period(self.governed_event, to);
+                t.governor_recoveries.inc();
+                t.governor_period.set(to);
+                t.registry.event(
+                    names::EVENT_GOVERNOR_RATE_CHANGE,
+                    "pressure subsided: sample period recovering",
+                    &[("from", from), ("to", to), ("occupancy", d.occupancy)],
                 );
             }
         }
-        reaped
-    }
-
-    /// [`Daemon::drain_once`], returning the drained window as its own
-    /// [`SampleDb`] (already merged into `db`). The batch is what gets
-    /// journaled: replaying every batch record in order rebuilds the
-    /// full database, because [`SampleDb::merge`] is the same operation
-    /// the drain itself performs.
-    /// The drained vector is recycled back into the ring before the
-    /// driver lock drops, so steady-state drains allocate nothing. The
-    /// returned batch's `evicted` counts samples the shared database's
-    /// admission cap refused *from this batch* — mirroring how
-    /// `dropped` carries this window's overflow losses — so journal
-    /// replay rebuilds eviction accounting too.
-    /// The third return value is the count of samples refused because
-    /// their `(pid, gen)` registration was reaped (the incarnation died
-    /// unclean). Those are folded into `batch.dropped` — alongside ring
-    /// overflow losses — so both the shared database and journal replay
-    /// account them as dropped, never as resolvable samples.
-    pub fn drain_batch(
-        driver: &Mutex<Driver>,
-        db: &Mutex<SampleDb>,
-        cost: &CostModel,
-    ) -> (SampleDb, u64, u64) {
-        let (mut batch, n, probe, dead) = {
-            let mut d = driver.lock().unwrap_or_else(PoisonError::into_inner);
-            let (samples, dropped) = d.drain();
-            let n = samples.len() as u64;
-            let mut batch = SampleDb::new();
-            let mut dead = 0u64;
-            for s in &samples {
-                if let SampleOrigin::JitApp { pid, gen } = s.origin {
-                    if !d.admit(pid, gen) {
-                        dead += 1;
-                        continue;
-                    }
+        match gov.note_drain_cycles(d.cycles) {
+            DeadlineVerdict::Met => {}
+            DeadlineVerdict::Missed { escalate } => {
+                // Retry at half the usual period instead of waiting out
+                // a full window behind an oversized backlog.
+                self.next_wakeup = now + (self.period_cycles / 2).max(1);
+                t.deadline_misses.inc();
+                t.registry.event(
+                    names::EVENT_GOVERNOR_DEADLINE_MISS,
+                    "drain exceeded its cycle budget",
+                    &[
+                        ("cycles", d.cycles),
+                        ("budget", gov.deadline_cycles()),
+                        ("wakeup", self.wakeups),
+                    ],
+                );
+                if escalate {
+                    self.deadline_escalated = true;
+                    t.governor_escalations.inc();
+                    t.registry.event(
+                        names::EVENT_GOVERNOR_ESCALATION,
+                        "repeated deadline misses escalated to the supervisor",
+                        &[("misses", gov.deadline_misses)],
+                    );
                 }
-                batch.add(*s, 1);
             }
-            batch.dropped = dropped + dead;
-            d.recycle(samples);
-            let probe = d.daemon_probe_cost();
-            (batch, n, probe, dead)
-        };
-        batch.evicted = {
-            let mut db = db.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = db.evicted;
-            db.merge(&batch);
-            db.evicted - before
-        };
-        (batch, cost.daemon_drain(n) + probe, dead)
+        }
     }
 }
 
@@ -571,158 +643,41 @@ impl MachineService for Daemon {
             self.next_wakeup += self.period_cycles;
         }
         self.wakeups += 1;
-        if let Some(t) = &self.telemetry {
-            t.registry.set_now(now);
-            t.wakeups.inc();
-        }
+        let shared = Arc::clone(&self.drain);
+        let mut drain = shared.lock().unwrap_or_else(PoisonError::into_inner);
+        drain.t.registry.set_now(now);
+        drain.t.wakeups.inc();
         if let Some(faults) = &mut self.faults {
             if !faults.wakeup_allowed(self.wakeups) {
                 // Stalled or crashed: the drain window is missed and the
                 // ring buffer keeps filling. No daemon cycles are burned
                 // either — a dead process costs nothing.
-                if let Some(t) = &self.telemetry {
-                    t.stalls.inc();
-                    t.registry.event(
-                        names::EVENT_DAEMON_STALL,
-                        "drain window missed (stalled or crashed daemon)",
-                        &[("wakeup", self.wakeups)],
-                    );
-                }
+                drain.t.stalls.inc();
+                drain.t.registry.event(
+                    names::EVENT_DAEMON_STALL,
+                    "drain window missed (stalled or crashed daemon)",
+                    &[("wakeup", self.wakeups)],
+                );
                 return;
             }
         }
-        // Reap before draining: a registration whose process died in
-        // this window must not admit the dead incarnation's samples.
-        self.reap_dead(ctx.kernel, now);
-        let (occupancy, capacity) = {
-            let d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
-            (d.buffer.len() as u64, d.buffer.capacity())
-        };
-        let drain_span = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.begin_drain_spans(self.last_drain_end, now, occupancy, false));
-        let (batch, cycles, dead) = Daemon::drain_batch(&self.driver, &self.db, &self.cost);
+        let cycles = drain
+            .run(ctx.kernel, now, false, |d, t| self.govern(ctx.cpu, t, d, now))
+            .cycles;
+        drop(drain);
         self.drains += 1;
-        self.last_drain_end = now;
-        let seq = Daemon::journal_batch(
-            &self.journal,
-            &mut ctx.kernel.vfs,
-            &batch,
-            drain_span,
-            self.telemetry.as_ref().map(|t| &t.registry),
-        );
-        Daemon::notify_sink(&self.sink, ctx.kernel, seq, &batch, drain_span);
-        if let Some(t) = &self.telemetry {
-            t.note_drain(occupancy, &batch, cycles, self.journal.is_some(), dead);
-            if let Some(span) = drain_span {
-                t.end_drain_span(span, now + cycles, &batch, dead);
-            }
-        }
-
-        // Close the overload loop: one observation per drain window,
-        // actuated by reprogramming the live counter. Every input
-        // (occupancy, drop count, drain cycles) is seed-deterministic
-        // and produced online, so the period trajectory cannot depend
-        // on offline post-processing choices like thread counts.
-        if let Some(gov) = &mut self.governor {
-            // Dead-generation drops are admission refusals, not ring
-            // pressure — the governor only sees real overflow losses.
-            let ring_dropped = batch.dropped - dead;
-            match gov.observe(occupancy as usize, capacity, ring_dropped) {
-                GovernorDecision::Hold => {}
-                GovernorDecision::Backoff { from, to } => {
-                    ctx.cpu.reprogram_period(self.governed_event, to);
-                    if let Some(t) = &self.telemetry {
-                        t.governor_backoffs.inc();
-                        t.governor_period.set(to);
-                        t.registry.event(
-                            names::EVENT_GOVERNOR_RATE_CHANGE,
-                            "overload pressure: sample period backed off",
-                            &[
-                                ("from", from),
-                                ("to", to),
-                                ("occupancy", occupancy),
-                                ("dropped", ring_dropped),
-                            ],
-                        );
-                    }
-                }
-                GovernorDecision::Recover { from, to } => {
-                    ctx.cpu.reprogram_period(self.governed_event, to);
-                    if let Some(t) = &self.telemetry {
-                        t.governor_recoveries.inc();
-                        t.governor_period.set(to);
-                        t.registry.event(
-                            names::EVENT_GOVERNOR_RATE_CHANGE,
-                            "pressure subsided: sample period recovering",
-                            &[("from", from), ("to", to), ("occupancy", occupancy)],
-                        );
-                    }
-                }
-            }
-            match gov.note_drain_cycles(cycles) {
-                DeadlineVerdict::Met => {}
-                DeadlineVerdict::Missed { escalate } => {
-                    // Retry at half the usual period instead of waiting
-                    // out a full window behind an oversized backlog.
-                    self.next_wakeup = now + (self.period_cycles / 2).max(1);
-                    if let Some(t) = &self.telemetry {
-                        t.deadline_misses.inc();
-                        t.registry.event(
-                            names::EVENT_GOVERNOR_DEADLINE_MISS,
-                            "drain exceeded its cycle budget",
-                            &[
-                                ("cycles", cycles),
-                                ("budget", gov.deadline_cycles()),
-                                ("wakeup", self.wakeups),
-                            ],
-                        );
-                    }
-                    if escalate {
-                        self.deadline_escalated = true;
-                        if let Some(t) = &self.telemetry {
-                            t.governor_escalations.inc();
-                            t.registry.event(
-                                names::EVENT_GOVERNOR_ESCALATION,
-                                "repeated deadline misses escalated to the supervisor",
-                                &[("misses", gov.deadline_misses)],
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
-        // One timeline window per drain, stamped at the drain's end and
-        // taken *after* the governor acted so a reprogrammed period
-        // lands in the window that caused it.
-        if let Some(t) = &self.telemetry {
-            t.registry.sample_timeline_at(now + cycles);
-        }
-
-        if cycles > 0 {
-            ctx.exec(&BlockExec {
-                pid: self.pid,
-                mode: CpuMode::User,
-                pc_range: self.pc_range,
-                cycles,
-                instructions: cycles,
-                branches: cycles / 32,
-                mem: MemActivity::None,
-            });
-        }
+        self.charge(ctx, cycles);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::samples::{SampleBucket, SampleOrigin};
     use sim_cpu::HwEvent;
     use sim_os::{Machine, MachineConfig};
 
-    fn bucket(addr: u64) -> SampleBucket {
+    pub(crate) fn bucket(addr: u64) -> SampleBucket {
         SampleBucket {
             origin: SampleOrigin::Unknown,
             event: HwEvent::Cycles,
@@ -731,21 +686,35 @@ mod tests {
         }
     }
 
+    /// A daemon with handles to its driver, database and activity flag.
+    pub(crate) type DaemonParts =
+        (Daemon, Arc<Mutex<Driver>>, Arc<Mutex<SampleDb>>, Arc<AtomicBool>);
+
+    /// A daemon on `m` over a fresh `capacity`-slot driver and database,
+    /// reporting to `t` and journaling to `journal` if given. The caller
+    /// adds builders and registers it (bare or supervised).
+    pub(crate) fn spawn_daemon(
+        m: &mut Machine,
+        t: &Telemetry,
+        capacity: usize,
+        cost: CostModel,
+        period: u64,
+        journal: Option<JournalWriter>,
+    ) -> DaemonParts {
+        let driver = Arc::new(Mutex::new(Driver::new(cost, capacity)));
+        let db = Arc::new(Mutex::new(SampleDb::new()));
+        let active = Arc::new(AtomicBool::new(true));
+        let drain = Drain::new(driver.clone(), db.clone(), cost, t, journal, None);
+        let d = Daemon::spawn(&mut m.kernel, Arc::new(Mutex::new(drain)), active.clone(), period);
+        (d, driver, db, active)
+    }
+
     type Rig = (Machine, Arc<Mutex<Driver>>, Arc<Mutex<SampleDb>>, Arc<AtomicBool>);
 
     fn setup_with_cost(period: u64, cost: CostModel) -> Rig {
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(cost, 1024)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active.clone(),
-            cost,
-            period,
-        );
+        let (d, driver, db, active) =
+            spawn_daemon(&mut m, &Telemetry::new(), 1024, cost, period, None);
         m.add_service(Box::new(d));
         (m, driver, db, active)
     }
@@ -810,19 +779,9 @@ mod tests {
         // windows: pushes during the outage overflow, and the loss is
         // counted — never silent.
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 2)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_faults(DaemonFaults::new(1).with_crash(1, 2));
-        m.add_service(Box::new(d));
+        let (d, driver, db, _) =
+            spawn_daemon(&mut m, &Telemetry::new(), 2, CostModel::free(), 100, None);
+        m.add_service(Box::new(d.with_faults(DaemonFaults::new(1).with_crash(1, 2))));
         for round in 0..4u64 {
             driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(round * 16));
             driver
@@ -853,24 +812,12 @@ mod tests {
 
     #[test]
     fn telemetry_records_drains_stalls_and_overflow_events() {
-        use viprof_telemetry::{names, Telemetry};
+        use viprof_telemetry::names;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 2)));
+        let (d, driver, _, _) = spawn_daemon(&mut m, &t, 2, CostModel::free(), 100, None);
         driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.attach_telemetry(&t);
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_faults(DaemonFaults::new(1).with_crash(1, 1))
-        .with_telemetry(&t);
-        m.add_service(Box::new(d));
+        m.add_service(Box::new(d.with_faults(DaemonFaults::new(1).with_crash(1, 1))));
         for round in 0..3u64 {
             {
                 let mut d = driver.lock().unwrap_or_else(PoisonError::into_inner);
@@ -900,23 +847,11 @@ mod tests {
     #[test]
     fn drains_emit_causal_spans_and_traced_journal_records() {
         use sim_os::journal::scan;
-        use viprof_telemetry::Telemetry;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 64)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let journal = Arc::new(Mutex::new(JournalWriter::create(&mut m.kernel.vfs, "/j")));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db,
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_journal(journal)
-        .with_telemetry(&t);
+        let journal = JournalWriter::create(&mut m.kernel.vfs, "/j");
+        let (d, driver, _, _) =
+            spawn_daemon(&mut m, &t, 64, CostModel::free(), 100, Some(journal));
         m.add_service(Box::new(d));
         driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x10));
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
@@ -944,43 +879,14 @@ mod tests {
     }
 
     #[test]
-    fn untraced_daemon_journals_plain_v1_records() {
-        use sim_os::journal::scan;
-        let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 64)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let journal = Arc::new(Mutex::new(JournalWriter::create(&mut m.kernel.vfs, "/j")));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db,
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_journal(journal);
-        m.add_service(Box::new(d));
-        driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x10));
-        m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
-        let s = scan(&m.kernel.vfs, "/j").unwrap();
-        assert_eq!(s.records.len(), 1);
-        assert_eq!(s.records[0].kind, KIND_SAMPLE_BATCH, "no telemetry → v1 record");
-        assert!(SampleDb::from_bytes(&s.records[0].payload).is_ok());
-    }
-
-    #[test]
     fn governor_backs_off_the_live_counter_under_pressure() {
         use crate::governor::{Governor, GovernorConfig};
-        use viprof_telemetry::{names, Telemetry};
+        use viprof_telemetry::names;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
         // A live counter the governor will reprogram; period far above
         // the test's block sizes so it never actually overflows here.
         m.cpu.program_counter(sim_cpu::CounterSpec::new(HwEvent::Cycles, 1_000_000));
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 8)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
         let gov = Governor::new(
             1_000_000,
             GovernorConfig {
@@ -992,17 +898,8 @@ mod tests {
                 ..GovernorConfig::default()
             },
         );
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_governor(gov, HwEvent::Cycles)
-        .with_telemetry(&t);
-        m.add_service(Box::new(d));
+        let (d, driver, _, _) = spawn_daemon(&mut m, &t, 8, CostModel::free(), 100, None);
+        m.add_service(Box::new(d.with_governor(gov, HwEvent::Cycles)));
         for round in 0..6u64 {
             // 6 of 8 slots = 75% occupancy: above the high watermark.
             for i in 0..6 {
@@ -1026,14 +923,11 @@ mod tests {
     #[test]
     fn deadline_misses_surface_and_escalate() {
         use crate::governor::{Governor, GovernorConfig};
-        use viprof_telemetry::{names, Telemetry};
+        use viprof_telemetry::names;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
         // Default cost model: every drain costs well over 1 cycle, so a
         // 1-cycle budget misses each window.
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::default(), 64)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
         let gov = Governor::new(
             90_000,
             GovernorConfig {
@@ -1042,17 +936,8 @@ mod tests {
                 ..GovernorConfig::default()
             },
         );
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db,
-            active,
-            CostModel::default(),
-            100,
-        )
-        .with_governor(gov, HwEvent::Cycles)
-        .with_telemetry(&t);
-        m.add_service(Box::new(d));
+        let (d, driver, _, _) = spawn_daemon(&mut m, &t, 64, CostModel::default(), 100, None);
+        m.add_service(Box::new(d.with_governor(gov, HwEvent::Cycles)));
         for round in 0..4u64 {
             driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(round * 16));
             m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
@@ -1066,22 +951,11 @@ mod tests {
 
     #[test]
     fn capped_db_counts_evictions_through_the_drain_path() {
-        use viprof_telemetry::{names, Telemetry};
+        use viprof_telemetry::names;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 64)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
+        let (d, driver, db, _) = spawn_daemon(&mut m, &t, 64, CostModel::free(), 100, None);
         db.lock().unwrap_or_else(PoisonError::into_inner).set_admission_cap(Some(2));
-        let active = Arc::new(AtomicBool::new(true));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_telemetry(&t);
         m.add_service(Box::new(d));
         for i in 0..5 {
             let mut d = driver.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1103,17 +977,8 @@ mod tests {
     #[test]
     fn dropped_samples_propagate_to_db() {
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::default(), 2)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::default(),
-            100,
-        );
+        let (d, driver, db, _) =
+            spawn_daemon(&mut m, &Telemetry::new(), 2, CostModel::default(), 100, None);
         m.add_service(Box::new(d));
         for i in 0..5 {
             driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(i * 16));

@@ -2,7 +2,7 @@
 
 use crate::anon::AnonExtension;
 use crate::config::OpConfig;
-use crate::daemon::Daemon;
+use crate::daemon::{Daemon, Drain};
 use crate::driver::{Driver, DriverStats};
 use crate::faults::{DaemonFaultStats, DaemonFaults, DriverFaultStats};
 use crate::samples::SampleDb;
@@ -43,9 +43,9 @@ pub struct Oprofile {
     daemon_pid: Pid,
     /// Shared-stats handle to the daemon's fault schedule, if any.
     daemon_faults: Option<DaemonFaults>,
-    /// Shared sample-batch journal (the daemon appends timer drains,
-    /// `stop` appends the final flush).
-    sample_journal: Option<Arc<Mutex<JournalWriter>>>,
+    /// Drain state shared with the daemon: `stop`'s final flush is one
+    /// more run of the daemon's drain routine.
+    drain: Arc<Mutex<Drain>>,
     /// Shared-counters handle to the supervisor, if one wraps the daemon.
     supervisor_stats: Option<SupervisorCounters>,
     /// The session's telemetry registry (always on; shared with every
@@ -99,12 +99,23 @@ impl Oprofile {
         let db = Arc::new(Mutex::new(SampleDb::new()));
         db.lock().unwrap_or_else(PoisonError::into_inner).set_admission_cap(config.db_bucket_cap);
         let active = Arc::new(AtomicBool::new(true));
-        let mut daemon = Daemon::spawn(
-            &mut machine.kernel,
+        let journal = config.journal.then(|| {
+            let mut writer = JournalWriter::create(&mut machine.kernel.vfs, SAMPLE_JOURNAL_PATH);
+            writer.set_telemetry(&telemetry);
+            writer
+        });
+        let drain = Arc::new(Mutex::new(Drain::new(
             driver.clone(),
             db.clone(),
-            active.clone(),
             config.cost,
+            &telemetry,
+            journal,
+            config.drain_sink.clone(),
+        )));
+        let mut daemon = Daemon::spawn(
+            &mut machine.kernel,
+            drain.clone(),
+            active.clone(),
             config.daemon_period_cycles,
         );
         // Clones share the stats handle: the daemon mutates, the
@@ -113,28 +124,15 @@ impl Oprofile {
         if let Some(faults) = daemon_faults.clone() {
             daemon = daemon.with_faults(faults);
         }
-        daemon = daemon.with_telemetry(&telemetry);
         if let Some(gov_config) = config.governor {
             let governor = crate::governor::Governor::new(config.primary_period(), gov_config);
             telemetry.gauge(names::GOVERNOR_PERIOD).set(governor.period());
             daemon = daemon.with_governor(governor, config.primary_event());
         }
-        let sample_journal = if config.journal {
-            let mut writer = JournalWriter::create(&mut machine.kernel.vfs, SAMPLE_JOURNAL_PATH);
-            writer.set_telemetry(&telemetry);
-            let shared = Arc::new(Mutex::new(writer));
-            daemon = daemon.with_journal(shared.clone());
-            Some(shared)
-        } else {
-            None
-        };
-        if let Some(sink) = config.drain_sink.clone() {
-            daemon = daemon.with_sink(sink);
-        }
         let daemon_pid = daemon.pid();
         let supervisor_stats = match &config.supervisor {
             Some(sup_config) => {
-                let supervisor = Supervisor::new(daemon, *sup_config).with_telemetry(&telemetry);
+                let supervisor = Supervisor::new(daemon, *sup_config, &telemetry);
                 let stats = supervisor.stats_handle();
                 machine.add_service(Box::new(supervisor));
                 Some(stats)
@@ -164,7 +162,7 @@ impl Oprofile {
             config,
             daemon_pid,
             daemon_faults,
-            sample_journal,
+            drain,
             supervisor_stats,
             telemetry,
         }
@@ -212,38 +210,17 @@ impl Oprofile {
     /// deprogram counters, uninstall the handler, persist the sample
     /// database to the VFS, and return it.
     pub fn stop(&self, machine: &mut Machine) -> SampleDb {
-        // Reap registrations of processes that died since the last
-        // timer drain: their late samples must be accounted as dropped,
-        // never resolved against a pid's current owner.
-        let reaped = self
-            .driver
+        // The final flush is the daemon's drain routine run one last
+        // time — reaped, traced, journaled, fed to the sink and
+        // accounted like every timer drain, so replay and telemetry
+        // cover the whole run.
+        let now = machine.cpu.clock.cycles();
+        let cycles = self
+            .drain
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .reap(&mut |pid, gen| machine.kernel.process(pid).is_some_and(|p| p.gen == gen));
-        // Final synchronous drain, charged like a daemon wakeup — and
-        // journaled like one, so replay covers the whole run.
-        self.telemetry.set_now(machine.cpu.clock.cycles());
-        let flush_span = self.telemetry.trace_begin(
-            TraceLayer::Drain,
-            names::SPAN_DAEMON_DRAIN,
-            self.telemetry.trace_root(),
-        );
-        let (batch, cycles, dead) =
-            Daemon::drain_batch(&self.driver, &self.db, &self.config.cost);
-        let seq = Daemon::journal_batch(
-            &self.sample_journal,
-            &mut machine.kernel.vfs,
-            &batch,
-            Some(flush_span),
-            Some(&self.telemetry),
-        );
-        Daemon::notify_sink(
-            &self.config.drain_sink,
-            &machine.kernel,
-            seq,
-            &batch,
-            Some(flush_span),
-        );
+            .run(&mut machine.kernel, now, false, |_, _| {})
+            .cycles;
         self.active.store(false, Ordering::Relaxed);
         machine.cpu.clear_counters();
         machine.clear_handler();
@@ -260,54 +237,9 @@ impl Oprofile {
         }
         let db = self.db.lock().unwrap_or_else(PoisonError::into_inner).clone();
         machine.kernel.vfs.write(SAMPLES_PATH, db.to_bytes());
-        // Telemetry epilogue: stamp the final clock, account the flush,
-        // and persist the snapshot next to the sample database.
+        // Telemetry epilogue: stamp the final clock, close the session,
+        // and persist the artifacts next to the sample database.
         self.telemetry.set_now(machine.cpu.clock.cycles());
-        self.telemetry.trace_end(
-            flush_span,
-            &[
-                ("samples", batch.total_samples()),
-                ("dropped", batch.dropped),
-                ("evicted", batch.evicted),
-            ],
-        );
-        self.telemetry.stage(names::STAGE_SESSION_FLUSH).record(cycles);
-        if reaped > 0 {
-            self.telemetry.counter(names::REGISTRY_REAPS).add(reaped);
-            self.telemetry.event(
-                names::EVENT_REGISTRY_REAP,
-                "registrations of dead incarnations reaped at stop",
-                &[("reaped", reaped)],
-            );
-        }
-        if batch.dropped - dead > 0 {
-            self.telemetry.event(
-                names::EVENT_BUFFER_OVERFLOW,
-                "ring buffer overflowed before the final flush",
-                &[
-                    ("dropped", batch.dropped - dead),
-                    ("drained", batch.total_samples()),
-                ],
-            );
-        }
-        if dead > 0 {
-            self.telemetry
-                .counter(names::DAEMON_DEAD_GEN_DROPPED)
-                .add(dead);
-            self.telemetry.event(
-                names::EVENT_DAEMON_DEAD_GEN_DROP,
-                "late samples for reaped incarnations dropped at the final flush",
-                &[("dropped", dead), ("drained", batch.total_samples())],
-            );
-        }
-        if batch.evicted > 0 {
-            self.telemetry.counter(names::DB_EVICTED_SAMPLES).add(batch.evicted);
-            self.telemetry.event(
-                names::EVENT_DB_EVICTION,
-                "admission cap refused new buckets in the final flush",
-                &[("evicted", batch.evicted), ("drained", batch.total_samples())],
-            );
-        }
         self.telemetry.counter(names::SESSION_STOPS).inc();
         self.telemetry.event(
             names::EVENT_SESSION_STOP,
@@ -320,9 +252,6 @@ impl Oprofile {
                 &[("samples", db.total_samples()), ("dropped", db.dropped)],
             );
         }
-        // Close the final timeline window (the stop flush) before the
-        // timeline is frozen to the VFS next to the other artifacts.
-        self.telemetry.sample_timeline();
         machine
             .kernel
             .vfs
@@ -463,6 +392,38 @@ mod tests {
     }
 
     #[test]
+    fn final_flush_is_a_drain() {
+        // Samples taken after the last timer drain (at 1M cycles) reach
+        // the database only through the final flush, which must be
+        // accounted, journaled and traced exactly like a timer drain.
+        let mut m = machine();
+        let pid = m.kernel.spawn("app");
+        let config = OpConfig {
+            daemon_period_cycles: 200_000,
+            ..OpConfig::time_at(10_000)
+        }
+        .with_journal();
+        let op = Oprofile::start(&mut m, config);
+        m.exec(&BlockExec::compute(pid, CpuMode::User, (0x1000, 0x2000), 1_050_000));
+        let db = op.stop(&mut m);
+        let snap = op.telemetry().snapshot();
+        let records = sim_os::journal::scan(&m.kernel.vfs, SAMPLE_JOURNAL_PATH).unwrap().records;
+        assert_eq!(snap.counter(names::DAEMON_DRAINS), records.len() as u64);
+        assert_eq!(
+            snap.histogram(names::DAEMON_BATCH_SAMPLES).unwrap().sum,
+            db.total_samples()
+        );
+        let trace = op.telemetry().trace_snapshot();
+        let name_of = |id: u64| trace.spans.iter().find(|s| s.id == id).map(|s| s.name.as_str());
+        let drains: Vec<_> =
+            trace.spans.iter().filter(|s| s.name == names::SPAN_DAEMON_DRAIN).collect();
+        assert_eq!(drains.len(), 2, "one timer drain and the final flush");
+        for drain in drains {
+            assert_eq!(name_of(drain.parent), Some(names::SPAN_NMI_WINDOW), "drain at {}", drain.begin);
+        }
+    }
+
+    #[test]
     fn journal_costs_no_cycles() {
         // Journaled and unjournaled runs of the same workload burn the
         // same simulated time — the journal rides the drain's existing
@@ -511,7 +472,7 @@ mod tests {
         assert_eq!(snap.counter(names::CPU_SAMPLES_DELIVERED), 100);
         assert_eq!(snap.counter(names::BUFFER_PUSHED), 100);
         assert_eq!(snap.events_of(names::EVENT_SESSION_STOP).len(), 1);
-        assert!(snap.stage(names::STAGE_SESSION_FLUSH).is_some());
+        assert!(snap.stage(names::STAGE_DAEMON_DRAIN).is_some(), "the final flush is a drain");
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   drawn from the supervisor's own [`SplitMix64`], so a fault plan's
 //!   master seed replays the whole schedule bit for bit.
 //! * **Catch-up drain.** A restart is not just a revived process: the
-//!   supervisor immediately forces a drain ([`Daemon::force_drain`]) to
-//!   empty whatever the ring buffer accumulated while the daemon was
-//!   down — the step that turns "restarted eventually" into "lost
-//!   strictly fewer samples".
+//!   supervisor immediately forces a drain (the daemon's one drain
+//!   routine, run out of schedule) to empty whatever the ring buffer
+//!   accumulated while the daemon was down — the step that turns
+//!   "restarted eventually" into "lost strictly fewer samples".
 //!
 //! The supervisor *wraps* the daemon (it is the [`MachineService`]
 //! registered with the machine) rather than running beside it, so its
@@ -76,15 +76,12 @@ pub struct SupervisorStats {
     pub last_backoff: u64,
 }
 
-/// Live supervisor activity as lock-free atomic counters (the
-/// supervisor is boxed into the machine; the session keeps a clone of
-/// this handle). Standalone by default, or backed by the telemetry
-/// registry's `supervisor.*` metrics via [`from_telemetry`] — in which
-/// case the session snapshot and [`SupervisorStats`] read the same
-/// atomics and can never drift.
-///
-/// [`from_telemetry`]: SupervisorCounters::from_telemetry
-#[derive(Debug, Clone, Default)]
+/// Live supervisor activity as lock-free atomic counters backed by the
+/// telemetry registry's `supervisor.*` metrics (the supervisor is boxed
+/// into the machine; the session keeps a clone of this handle), so the
+/// session snapshot and [`SupervisorStats`] read the same atomics and
+/// can never drift.
+#[derive(Debug, Clone)]
 pub struct SupervisorCounters {
     restarts: Counter,
     missed_observed: Counter,
@@ -129,30 +126,24 @@ pub struct Supervisor {
     restart_at: Option<u64>,
     stats: SupervisorCounters,
     /// Registry for watchdog events (`supervisor.missed_window`,
-    /// `supervisor.restart`); counters alone work without one.
-    telemetry: Option<Telemetry>,
+    /// `supervisor.restart`).
+    telemetry: Telemetry,
 }
 
 impl Supervisor {
-    pub fn new(daemon: Daemon, config: SupervisorConfig) -> Supervisor {
+    /// Wrap `daemon`, reporting activity counters and watchdog events
+    /// to `registry`.
+    pub fn new(daemon: Daemon, config: SupervisorConfig, registry: &Telemetry) -> Supervisor {
         Supervisor {
             daemon,
             rng: SplitMix64::new(config.seed),
             missed: 0,
             backoff: config.backoff_initial.max(1),
             restart_at: None,
-            stats: SupervisorCounters::default(),
-            telemetry: None,
+            stats: SupervisorCounters::from_telemetry(registry),
+            telemetry: registry.clone(),
             config,
         }
-    }
-
-    /// Back the activity counters by the registry's `supervisor.*`
-    /// metrics and record watchdog events on its flight recorder.
-    pub fn with_telemetry(mut self, registry: &Telemetry) -> Supervisor {
-        self.stats = SupervisorCounters::from_telemetry(registry);
-        self.telemetry = Some(registry.clone());
-        self
     }
 
     /// Shared handle to the live atomic counters.
@@ -200,17 +191,15 @@ impl MachineService for Supervisor {
         }
         self.missed += 1;
         self.stats.missed_observed.inc();
-        if let Some(t) = &self.telemetry {
-            t.event(
-                names::EVENT_SUPERVISOR_MISSED,
-                if escalated {
-                    "governor escalated repeated drain-deadline misses"
-                } else {
-                    "watchdog observed a missed drain window"
-                },
-                &[("wakeup", self.daemon.wakeups), ("consecutive", self.missed)],
-            );
-        }
+        self.telemetry.event(
+            names::EVENT_SUPERVISOR_MISSED,
+            if escalated {
+                "governor escalated repeated drain-deadline misses"
+            } else {
+                "watchdog observed a missed drain window"
+            },
+            &[("wakeup", self.daemon.wakeups), ("consecutive", self.missed)],
+        );
         match self.restart_at {
             Some(at) if self.daemon.wakeups >= at => {
                 // Restart: revive the process and immediately drain the
@@ -220,13 +209,11 @@ impl MachineService for Supervisor {
                 self.stats.restarts.inc();
                 self.stats.redrained_samples.add(recovered);
                 self.stats.last_backoff.set(self.backoff);
-                if let Some(t) = &self.telemetry {
-                    t.event(
-                        names::EVENT_SUPERVISOR_RESTART,
-                        "daemon restarted after sustained silence",
-                        &[("backoff", self.backoff), ("redrained", recovered)],
-                    );
-                }
+                self.telemetry.event(
+                    names::EVENT_SUPERVISOR_RESTART,
+                    "daemon restarted after sustained silence",
+                    &[("backoff", self.backoff), ("redrained", recovered)],
+                );
                 self.backoff = (self.backoff * 2).min(self.config.backoff_cap.max(1));
                 self.restart_at = None;
                 self.missed = 0;
@@ -244,23 +231,13 @@ impl MachineService for Supervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::tests::{bucket, spawn_daemon};
     use crate::driver::Driver;
     use crate::faults::DaemonFaults;
-    use crate::samples::{SampleBucket, SampleDb, SampleOrigin};
-    use std::sync::{Mutex, PoisonError};
+    use crate::samples::SampleDb;
     use sim_cpu::{BlockExec, CostModel, CpuMode, HwEvent, Pid};
     use sim_os::{Machine, MachineConfig};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    fn bucket(addr: u64) -> SampleBucket {
-        SampleBucket {
-            origin: SampleOrigin::Unknown,
-            event: HwEvent::Cycles,
-            addr,
-            epoch: 0,
-        }
-    }
+    use std::sync::{Arc, Mutex, PoisonError};
 
     struct Rig {
         m: Machine,
@@ -270,35 +247,22 @@ mod tests {
     }
 
     /// Capacity-2 ring + 100-cycle daemon timer + supplied faults,
-    /// wrapped in a supervisor with the given config.
+    /// wrapped in a supervisor with the given config, reporting to `t`.
     fn rig(faults: Option<DaemonFaults>, config: SupervisorConfig) -> Rig {
-        rig_with_telemetry(faults, config, None)
+        rig_with_telemetry(faults, config, &Telemetry::new())
     }
 
     fn rig_with_telemetry(
         faults: Option<DaemonFaults>,
         config: SupervisorConfig,
-        telemetry: Option<&Telemetry>,
+        t: &Telemetry,
     ) -> Rig {
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 2)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let mut d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::free(),
-            100,
-        );
+        let (mut d, driver, db, _) = spawn_daemon(&mut m, t, 2, CostModel::free(), 100, None);
         if let Some(f) = faults {
             d = d.with_faults(f);
         }
-        let mut sup = Supervisor::new(d, config);
-        if let Some(t) = telemetry {
-            sup = sup.with_telemetry(t);
-        }
+        let sup = Supervisor::new(d, config, t);
         let stats = sup.stats_handle();
         m.add_service(Box::new(sup));
         Rig { m, driver, db, stats }
@@ -368,19 +332,9 @@ mod tests {
         let faults = || DaemonFaults::new(1).with_crash(1, 6);
         // Unsupervised baseline.
         let mut m = Machine::new(MachineConfig::default());
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::free(), 2)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db.clone(),
-            active,
-            CostModel::free(),
-            100,
-        )
-        .with_faults(faults());
-        m.add_service(Box::new(d));
+        let (d, driver, db, _) =
+            spawn_daemon(&mut m, &Telemetry::new(), 2, CostModel::free(), 100, None);
+        m.add_service(Box::new(d.with_faults(faults())));
         for round in 0..8u64 {
             driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(round * 16));
             driver
@@ -445,7 +399,7 @@ mod tests {
             seed: 7,
             ..SupervisorConfig::default()
         };
-        let mut r = rig_with_telemetry(Some(DaemonFaults::new(1).with_crash(1, 6)), cfg, Some(&t));
+        let mut r = rig_with_telemetry(Some(DaemonFaults::new(1).with_crash(1, 6)), cfg, &t);
         run_windows(&mut r, 8);
         let s = r.stats.snapshot();
         assert_eq!(s.restarts, 1);
@@ -470,10 +424,6 @@ mod tests {
         use crate::governor::{Governor, GovernorConfig};
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
-        // Default cost model: every drain blows the 1-cycle budget.
-        let driver = Arc::new(Mutex::new(Driver::new(CostModel::default(), 64)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        let active = Arc::new(AtomicBool::new(true));
         let gov = Governor::new(
             90_000,
             GovernorConfig {
@@ -482,22 +432,14 @@ mod tests {
                 ..GovernorConfig::default()
             },
         );
-        let d = Daemon::spawn(
-            &mut m.kernel,
-            driver.clone(),
-            db,
-            active,
-            CostModel::default(),
-            100,
-        )
-        .with_governor(gov, HwEvent::Cycles)
-        .with_telemetry(&t);
+        // Default cost model: every drain blows the 1-cycle budget.
+        let (d, driver, _, _) = spawn_daemon(&mut m, &t, 64, CostModel::default(), 100, None);
         let cfg = SupervisorConfig {
             jitter: 0,
             seed: 1,
             ..SupervisorConfig::default()
         };
-        let sup = Supervisor::new(d, cfg).with_telemetry(&t);
+        let sup = Supervisor::new(d.with_governor(gov, HwEvent::Cycles), cfg, &t);
         let stats = sup.stats_handle();
         m.add_service(Box::new(sup));
         for round in 0..8u64 {

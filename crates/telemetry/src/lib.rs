@@ -456,11 +456,11 @@ mod tests {
     fn spans_use_published_virtual_time() {
         let t = Telemetry::new();
         t.set_now(1_000);
-        let span = t.span(names::STAGE_SESSION_FLUSH);
+        let span = t.span(names::STAGE_DAEMON_DRAIN);
         t.set_now(1_450);
         span.finish(t.now());
         let s = t.snapshot();
-        let st = s.stage(names::STAGE_SESSION_FLUSH).unwrap();
+        let st = s.stage(names::STAGE_DAEMON_DRAIN).unwrap();
         assert_eq!((st.entries, st.cycles), (1, 450));
     }
 }

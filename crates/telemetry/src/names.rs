@@ -131,8 +131,6 @@ pub const TIMELINE_GAUGES: &[&str] = &[
 
 // ---- histograms ----
 pub const DAEMON_BATCH_SAMPLES: &str = "daemon.batch_samples";
-pub const DAEMON_DRAIN_CYCLES: &str = "daemon.drain_cycles";
-pub const BUFFER_OCCUPANCY_AT_DRAIN: &str = "buffer.occupancy_at_drain";
 pub const RESOLVE_SHARD_SAMPLES: &str = "resolve.shard_samples";
 pub const VM_GC_PAUSE_CYCLES: &str = "vm.gc_pause_cycles";
 
@@ -141,7 +139,6 @@ pub const STAGE_NMI_HANDLER: &str = "stage.nmi_handler";
 pub const STAGE_DAEMON_DRAIN: &str = "stage.daemon_drain";
 pub const STAGE_LIVE_SNAPSHOT: &str = "stage.live_snapshot";
 pub const STAGE_AGENT_MAP_WRITE: &str = "stage.agent_map_write";
-pub const STAGE_SESSION_FLUSH: &str = "stage.session_flush";
 pub const STAGE_RESOLVE_LOAD: &str = "stage.resolve_load";
 pub const STAGE_RESOLVE_REPORT: &str = "stage.resolve_report";
 pub const STAGE_REPORT_FINISH: &str = "stage.report_finish";
@@ -263,9 +260,7 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("gauge", GOVERNOR_PERIOD),
     ("gauge", RESOLVE_SHARDS),
     ("gauge", SUPERVISOR_LAST_BACKOFF),
-    ("histogram", BUFFER_OCCUPANCY_AT_DRAIN),
     ("histogram", DAEMON_BATCH_SAMPLES),
-    ("histogram", DAEMON_DRAIN_CYCLES),
     ("histogram", RESOLVE_SHARD_SAMPLES),
     ("histogram", VM_GC_PAUSE_CYCLES),
     ("stage", STAGE_AGENT_MAP_WRITE),
@@ -275,7 +270,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("stage", STAGE_REPORT_FINISH),
     ("stage", STAGE_RESOLVE_LOAD),
     ("stage", STAGE_RESOLVE_REPORT),
-    ("stage", STAGE_SESSION_FLUSH),
     ("span", SPAN_AGENT_MAP_WRITE),
     ("span", SPAN_DAEMON_DRAIN),
     ("span", SPAN_JOURNAL_BATCH),

@@ -45,6 +45,14 @@ if [[ "${1:-}" != "--fast" ]]; then
         exit 1
     fi
 
+    # Drain accounting smoke: every drain (timer, supervisor catch-up,
+    # the final flush at stop) runs the daemon's one drain routine, so
+    # drain counters, journal records and NMI-window spans agree with
+    # the sample database. Runs before the bench smokes so it is
+    # checked even while a bench gate fails.
+    echo "==> drain accounting smoke"
+    cargo test -q -p oprofile drain
+
     # Resolution-engine bench, smoke-sized: asserts the flattened
     # sharded path is bit-identical to the legacy walk, gates the
     # telemetry overhead under 3%, and writes results/BENCH_resolve.json.
