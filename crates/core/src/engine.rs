@@ -1,6 +1,5 @@
-//! The resolution engine: flattened epoch indexes + interned symbols +
-//! sharded multi-threaded aggregation. This is the only production
-//! resolver.
+//! The resolution engine: flattened epoch indexes + sharded
+//! multi-threaded aggregation. This is the only production resolver.
 //!
 //! [`ViprofResolver`] loads the on-disk artifacts (epoch code maps,
 //! `RVM.map`); [`ResolutionEngine::build`] turns what it loaded into
@@ -8,14 +7,17 @@
 //!
 //! 1. every incarnation's epoch chain is collapsed into a
 //!    [`FlatIndex`] (one binary search per
-//!    lookup instead of one per epoch), and the boot-image map is
-//!    flattened the same way;
-//! 2. labels resolve to interned [`Arc<str>`] pairs once per code-map
-//!    entry instead of allocating per bucket;
-//! 3. the sample database is partitioned by bucket hash and the shards
-//!    are resolved concurrently via [`std::thread::scope`] against the
-//!    shared immutable index; per-shard
-//!    [`ResolutionQuality`] tallies and row aggregates merge with plain
+//!    lookup instead of one per epoch), one incarnation per job on
+//!    scoped threads, and the boot-image map is flattened the same way;
+//! 2. the sample database is partitioned into shards by a cheap mix of
+//!    each bucket's content, and the shards are resolved concurrently
+//!    via [`std::thread::scope`] against the shared immutable index.
+//!    Each bucket costs one index lookup, which yields its class and
+//!    its label together; rows are keyed by the *address* of borrowed
+//!    label text, so the hot loop neither allocates nor touches shared
+//!    reference counts, and strings are built once per distinct row at
+//!    merge time. Per-shard [`ResolutionQuality`] tallies, row
+//!    aggregates and per-incarnation breakdowns merge with plain
 //!    commutative sums. One runner does the sharding, the per-shard
 //!    panic isolation, the single-threaded retry and the quarantine for
 //!    both the report and the quality-only pass.
@@ -35,19 +37,26 @@ use sim_cpu::{HwEvent, Pid, ProcKey};
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
 use sim_os::journal;
 use sim_os::{ImageId, Kernel};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use viprof_telemetry::{
     names, Counter, Gauge, HealthReport, Histogram, LineageTable, SpanStore, Stage, Telemetry,
     Timeline, TraceCtx, TraceLayer, TraceSnapshot, DEFAULT_SPAN_CAPACITY,
 };
 
+/// Image column of every JIT row.
+const JIT_APP: &str = "JIT.App";
+/// Symbol column of a JIT sample no map covers.
+const UNRESOLVED_JIT: &str = "(unresolved jit)";
+/// Symbol column of an image sample no symbol covers.
+const NO_SYMBOLS: &str = "(no symbols)";
+
 /// How a bucket classified, mirroring the [`ResolutionQuality`]
 /// buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
+enum Class {
     Resolved,
     Stale,
     Unresolved,
@@ -56,11 +65,103 @@ pub(crate) enum Class {
     Blocked,
 }
 
-/// Counts per event for each `(image, symbol)` row.
-type RowCounts = HashMap<(Arc<str>, Arc<str>), Vec<u64>>;
+/// The FxHash step (rotate, xor, multiply per word) for the engine's
+/// hot maps and its shard choice. Their keys are a few integers or
+/// addresses that the engine itself derives, so SipHash's flooding
+/// resistance buys nothing, and unlike `RandomState` the result is a
+/// pure function of the key.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mix(u64);
+
+type MixState = BuildHasherDefault<Mix>;
+
+impl Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    /// The multiply leaves its best-mixed bits at the top; rotate them
+    /// down to where `HashMap` picks its slot.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Label text borrowed from the engine or the kernel, hashed and
+/// compared by address and length. Equal keys are the same bytes, so a
+/// key never stands for two texts; equal texts at two addresses (one
+/// signature interned by two incarnations) merge when the rows become
+/// strings.
+#[derive(Debug, Clone, Copy)]
+struct TextId<'a>(&'a str);
+
+impl PartialEq for TextId<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for TextId<'_> {}
+
+impl Hash for TextId<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.as_ptr() as usize);
+        state.write_usize(self.0.len());
+    }
+}
+
+/// A report row's identity while shards aggregate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RowKey<'a> {
+    /// `(image, symbol)` text borrowed from the engine or the kernel.
+    Text(TextId<'a>, TextId<'a>),
+    /// Anon ranges and unknown PCs, whose stock labels are formatted
+    /// from the origin alone: one key per origin, formatted once per
+    /// row at merge time.
+    Formatted(SampleOrigin),
+}
+
+impl<'a> RowKey<'a> {
+    fn text(image: &'a str, symbol: &'a str) -> RowKey<'a> {
+        RowKey::Text(TextId(image), TextId(symbol))
+    }
+
+    /// The row's `(image, symbol)` columns as owned strings.
+    fn to_strings(self, kernel: &Kernel) -> (String, String) {
+        match self {
+            RowKey::Text(image, symbol) => (image.0.to_string(), symbol.0.to_string()),
+            RowKey::Formatted(origin) => bucket_label(
+                &SampleBucket {
+                    origin,
+                    event: HwEvent::Cycles,
+                    addr: 0,
+                    epoch: 0,
+                },
+                kernel,
+            ),
+        }
+    }
+}
+
+/// Counts per event for each row, keyed by borrowed identity.
+type RowCounts<'a> = HashMap<RowKey<'a>, Vec<u64>, MixState>;
 
 /// Per-shard partial sums; merged by addition, so the totals are
-/// independent of the partition.
+/// independent of the partition. Also one incarnation's breakdown.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardTally {
     resolved: u64,
@@ -71,6 +172,72 @@ struct ShardTally {
     quarantined: u64,
     /// Samples refused by the cross-incarnation isolation invariant.
     blocked: u64,
+}
+
+impl ShardTally {
+    fn add(&mut self, class: Class, count: u64) {
+        match class {
+            Class::Resolved => self.resolved += count,
+            Class::Stale => self.stale_epoch += count,
+            Class::Unresolved => self.unresolved += count,
+            Class::Blocked => self.blocked += count,
+        }
+    }
+
+    fn absorb(&mut self, other: &ShardTally) {
+        self.resolved += other.resolved;
+        self.stale_epoch += other.stale_epoch;
+        self.unresolved += other.unresolved;
+        self.quarantined += other.quarantined;
+        self.blocked += other.blocked;
+    }
+}
+
+/// One incarnation as a shard sees it: its index, looked up once per
+/// shard rather than once per bucket, and its breakdown so far.
+struct ShardIncarnation<'a> {
+    index: Option<&'a FlatIndex>,
+    /// No index of its own while another incarnation of the pid has
+    /// one.
+    blocked: bool,
+    tally: ShardTally,
+}
+
+impl<'a> ShardIncarnation<'a> {
+    /// Class and JIT symbol of one of this incarnation's buckets, from
+    /// a single index lookup. Must stay in lockstep with the oracle's
+    /// per-bucket match ([`crate::report::quality`]).
+    fn classify(&self, bucket: &SampleBucket) -> (Class, Option<&'a str>) {
+        match self.index {
+            Some(f) => match f.resolve_salvage(bucket.addr, bucket.epoch) {
+                Some((sym, false)) => (Class::Resolved, Some(&**sym)),
+                Some((sym, true)) => (Class::Stale, Some(&**sym)),
+                None => (Class::Unresolved, None),
+            },
+            None if self.blocked => (Class::Blocked, None),
+            None => (Class::Unresolved, None),
+        }
+    }
+}
+
+/// What one pass over a shard produced.
+struct ShardPart<'a> {
+    rows: RowCounts<'a>,
+    tally: ShardTally,
+    incarnations: HashMap<ProcKey, ShardIncarnation<'a>, MixState>,
+}
+
+/// Which pass over a shard is running; decides whether the poison knob
+/// trips.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attempt {
+    /// The first try, on a shard worker.
+    Worker,
+    /// The single-threaded retry of a shard whose worker panicked.
+    Retry,
+    /// The classify-only walk that recovers a quarantined shard's
+    /// per-incarnation breakdown; never poisoned.
+    Breakdown,
 }
 
 /// Deterministic shard-poison knob (fault-matrix and unit tests): any
@@ -224,6 +391,55 @@ impl EngineTelemetry {
     }
 }
 
+/// How many threads the host can run at once: the worker count of the
+/// public [`ResolutionEngine::build`].
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Run `job` once per incarnation and return the results in `items`
+/// order, exactly what a serial loop would return. The calling thread
+/// and `min(items, workers) - 1` scoped helpers claim items one at a
+/// time, so one large incarnation does not hold up the rest; with one
+/// worker the loop runs inline. A panicking job panics the caller, as
+/// in the serial loop.
+fn per_incarnation<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    job: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(job).collect();
+    }
+    // Only hands out indices; results travel back through `join`, which
+    // orders them, so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, job(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut done = claim();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Immutable resolution state shared by every shard. Built once from a
 /// loaded [`ViprofResolver`]; safe to query from any number of scoped
 /// threads.
@@ -235,21 +451,16 @@ pub struct ResolutionEngine {
     /// behind cross-incarnation blocking.
     pids_with_maps: HashSet<u32>,
     /// Flattened boot-image map: disjoint `[start, end)` offset ranges
-    /// with interned method names, reproducing `BootMap::resolve`'s
+    /// with method names, reproducing `BootMap::resolve`'s
     /// candidate/shadowing behaviour exactly.
     boot_starts: Vec<u64>,
     boot_ends: Vec<u64>,
-    boot_names: Vec<Arc<str>>,
+    boot_names: Vec<String>,
     boot_image: Option<ImageId>,
     /// Load-time damage counters (quarantined lines, skipped files,
     /// failed pids, missing epochs) — the static part of every quality
     /// report.
     damage: ResolutionQuality,
-    jit_app: Arc<str>,
-    unresolved_jit: Arc<str>,
-    rvm_map: Arc<str>,
-    boot_image_name: Arc<str>,
-    no_symbols: Arc<str>,
     /// Resolved handles into an attached registry; `None` keeps the
     /// engine metrics-free (handles never charge simulated cycles
     /// either way).
@@ -259,35 +470,28 @@ pub struct ResolutionEngine {
 }
 
 impl ResolutionEngine {
-    /// An engine with nothing loaded: no indexes, no boot map, zero
-    /// damage. The interned constant labels are still real (a derived
-    /// `Default` would leave them empty strings) — this is the starting
-    /// state [`crate::live::LiveEngine`] grows incrementally.
-    pub(crate) fn empty() -> ResolutionEngine {
-        ResolutionEngine {
-            jit_app: Arc::from("JIT.App"),
-            unresolved_jit: Arc::from("(unresolved jit)"),
-            rvm_map: Arc::from(RVM_MAP_IMAGE_LABEL),
-            boot_image_name: Arc::from(BOOT_IMAGE_NAME),
-            no_symbols: Arc::from("(no symbols)"),
-            ..ResolutionEngine::default()
-        }
+    /// Flatten everything the resolver loaded, one incarnation per job
+    /// on scoped threads.
+    pub fn build(resolver: &ViprofResolver) -> ResolutionEngine {
+        ResolutionEngine::build_on(resolver, host_parallelism())
     }
 
-    /// Flatten and intern everything the resolver loaded.
-    pub fn build(resolver: &ViprofResolver) -> ResolutionEngine {
-        let mut engine = ResolutionEngine::empty();
-        let mut damage = ResolutionQuality {
-            failed_pids: resolver.failed_pids().len() as u64,
-            ..ResolutionQuality::default()
-        };
-        for (key, set) in resolver.sets() {
-            damage.quarantined_lines += set.quarantined_lines;
-            damage.skipped_map_files += set.skipped_files;
-            damage.missing_epochs += set.missing_epochs();
-            engine.insert_index(*key, FlatIndex::build(set));
+    /// [`Self::build`] on at most `workers` threads, the calling one
+    /// included. Only flattening fans out; [`ViprofResolver::load_with`]
+    /// stays serial because a helper thread's allocations land in its
+    /// own malloc arena, which the calling thread cannot reuse, and the
+    /// loaded maps are the bulk of a report's memory.
+    pub(crate) fn build_on(resolver: &ViprofResolver, workers: usize) -> ResolutionEngine {
+        let sets: Vec<_> = resolver.sets().collect();
+        let indexes = per_incarnation(&sets, workers, |(_, set)| FlatIndex::build(set));
+        let mut engine = ResolutionEngine::default();
+        engine.damage.failed_pids = resolver.failed_pids().len() as u64;
+        for ((key, set), index) in sets.into_iter().zip(indexes) {
+            engine.damage.quarantined_lines += set.quarantined_lines;
+            engine.damage.skipped_map_files += set.skipped_files;
+            engine.damage.missing_epochs += set.missing_epochs();
+            engine.insert_index(*key, index);
         }
-        engine.damage = damage;
         engine.set_boot(resolver.bootmap(), resolver.boot_image_id());
         engine
     }
@@ -318,7 +522,7 @@ impl ResolutionEngine {
             if end > offset {
                 self.boot_starts.push(offset);
                 self.boot_ends.push(end);
-                self.boot_names.push(Arc::from(cand.name.as_str()));
+                self.boot_names.push(cand.name.clone());
             }
             i = j;
         }
@@ -355,13 +559,19 @@ impl ResolutionEngine {
         self.poison = poison;
     }
 
-    /// Panic if `bucket` is poisoned in this context — the seam the
-    /// quarantine tests drive. A non-fatal poison only trips inside
-    /// parallel shard workers, leaving the fallback path clean.
-    fn trip_poison(&self, bucket: &SampleBucket, parallel_worker: bool) {
+    /// Panic if `bucket` is poisoned on this attempt — the seam the
+    /// quarantine tests drive. A non-fatal poison only trips on the
+    /// first attempt, leaving the retry clean; the breakdown walk never
+    /// trips.
+    fn trip_poison(&self, bucket: &SampleBucket, attempt: Attempt) {
         if let Some(p) = self.poison {
             if let SampleOrigin::JitApp { pid, .. } = bucket.origin {
-                if pid == p.pid && (p.fatal || parallel_worker) {
+                let armed = match attempt {
+                    Attempt::Worker => true,
+                    Attempt::Retry => p.fatal,
+                    Attempt::Breakdown => false,
+                };
+                if pid == p.pid && armed {
                     panic!("poisoned resolution shard (pid {})", pid.0);
                 }
             }
@@ -381,78 +591,76 @@ impl ResolutionEngine {
         self.flat.get(&key.into())
     }
 
-    fn boot_resolve(&self, offset: u64) -> Option<&Arc<str>> {
-        let pos = self.boot_starts.partition_point(|s| *s <= offset).checked_sub(1)?;
-        (offset < self.boot_ends[pos]).then(|| &self.boot_names[pos])
-    }
-
-    /// Classification only — no label allocation. Must stay in
-    /// lockstep with the oracle's per-bucket match
-    /// ([`crate::report::quality`]).
-    pub(crate) fn classify_bucket(&self, bucket: &SampleBucket) -> Class {
-        match bucket.origin {
-            SampleOrigin::JitApp { pid, gen } => {
-                match self.flat.get(&ProcKey::new(pid, gen)) {
-                    Some(f) => match f.resolve_salvage(bucket.addr, bucket.epoch) {
-                        Some((_, false)) => Class::Resolved,
-                        Some((_, true)) => Class::Stale,
-                        None => Class::Unresolved,
-                    },
-                    None if self.pids_with_maps.contains(&pid.0) => Class::Blocked,
-                    None => Class::Unresolved,
-                }
-            }
-            SampleOrigin::Image(_) => Class::Resolved,
-            SampleOrigin::Anon { .. } | SampleOrigin::Unknown => Class::Unresolved,
+    /// One incarnation's index and blocking state, as a shard caches
+    /// it.
+    fn incarnation(&self, key: ProcKey) -> ShardIncarnation<'_> {
+        let index = self.flat.get(&key);
+        ShardIncarnation {
+            index,
+            blocked: index.is_none() && self.pids_with_maps.contains(&key.pid.0),
+            tally: ShardTally::default(),
         }
     }
 
-    /// Label one bucket as interned `(image, symbol)` columns —
-    /// content-identical to the oracle's [`crate::report::label`],
-    /// without the per-bucket `String` allocations on the hot (JIT /
-    /// boot-image) paths.
-    pub fn label(&self, bucket: &SampleBucket, kernel: &Kernel) -> (Arc<str>, Arc<str>) {
+    /// The row of a JIT bucket whose lookup gave `symbol`.
+    fn jit_row(symbol: Option<&str>) -> RowKey<'_> {
+        RowKey::text(JIT_APP, symbol.unwrap_or(UNRESOLVED_JIT))
+    }
+
+    /// The row a bucket is filed under: the boot image through the
+    /// flattened `RVM.map`, stock images through the kernel's symbol
+    /// tables, JIT code through its incarnation's index, all borrowed;
+    /// anon ranges and unknown PCs by origin. The sharded pass only
+    /// calls this for non-JIT buckets, whose class needs no lookup.
+    fn row_of<'a>(&'a self, bucket: &SampleBucket, kernel: &'a Kernel) -> RowKey<'a> {
         match bucket.origin {
             SampleOrigin::Image(id) if Some(id) == self.boot_image => {
                 match self.boot_resolve(bucket.addr) {
-                    Some(name) => (self.rvm_map.clone(), name.clone()),
-                    None => (self.boot_image_name.clone(), self.no_symbols.clone()),
+                    Some(name) => RowKey::text(RVM_MAP_IMAGE_LABEL, name),
+                    None => RowKey::text(BOOT_IMAGE_NAME, NO_SYMBOLS),
                 }
+            }
+            SampleOrigin::Image(id) => {
+                let img = kernel.images.get(id);
+                let symbol = img.resolve(bucket.addr).map_or(NO_SYMBOLS, |s| &s.name);
+                RowKey::text(&img.name, symbol)
             }
             SampleOrigin::JitApp { pid, gen } => {
-                match self
-                    .flat
-                    .get(&ProcKey::new(pid, gen))
-                    .and_then(|f| f.resolve_salvage(bucket.addr, bucket.epoch))
-                {
-                    Some((sym, _)) => (self.jit_app.clone(), sym.clone()),
-                    None => (self.jit_app.clone(), self.unresolved_jit.clone()),
-                }
+                let (_, symbol) = self.incarnation(ProcKey::new(pid, gen)).classify(bucket);
+                Self::jit_row(symbol)
             }
-            _ => {
-                let (img, sym) = bucket_label(bucket, kernel);
-                (Arc::from(img), Arc::from(sym))
-            }
+            origin => RowKey::Formatted(origin),
         }
     }
 
-    /// Partition the database's buckets into `threads` shards by
-    /// bucket hash (one shard — every bucket — when `threads <= 1`).
-    fn shard<'db>(
-        &self,
-        db: &'db SampleDb,
-        threads: usize,
-    ) -> Vec<Vec<(&'db SampleBucket, u64)>> {
+    fn boot_resolve(&self, offset: u64) -> Option<&str> {
+        let pos = self.boot_starts.partition_point(|s| *s <= offset).checked_sub(1)?;
+        (offset < self.boot_ends[pos]).then(|| self.boot_names[pos].as_str())
+    }
+
+    /// Label one bucket as `(image, symbol)` columns — content-identical
+    /// to the oracle's [`crate::report::label`], and to the row the
+    /// sharded pass files the bucket under.
+    pub fn label(&self, bucket: &SampleBucket, kernel: &Kernel) -> (String, String) {
+        self.row_of(bucket, kernel).to_strings(kernel)
+    }
+
+    /// Partition the database's buckets into `threads` shards by a
+    /// mix of each bucket's content (one shard — every bucket — when
+    /// `threads <= 1`). Shard sizes depend on the database alone,
+    /// never on its hash map's iteration order.
+    fn shard(db: &SampleDb, threads: usize) -> Vec<Vec<(&SampleBucket, u64)>> {
         let n = threads.max(1);
-        let mut shards: Vec<Vec<(&SampleBucket, u64)>> = vec![Vec::new(); n];
         if n == 1 {
-            shards[0] = db.iter().map(|(b, c)| (b, *c)).collect();
-            return shards;
+            return vec![db.iter().map(|(b, c)| (b, *c)).collect()];
         }
+        let mut shards: Vec<Vec<(&SampleBucket, u64)>> = vec![Vec::new(); n];
         for (b, c) in db.iter() {
-            let mut h = DefaultHasher::new();
-            b.hash(&mut h);
-            shards[(h.finish() % n as u64) as usize].push((b, *c));
+            let mut mix = Mix::default();
+            b.hash(&mut mix);
+            // The high half of `hash · n` is uniform over `0..n`.
+            let shard = ((u128::from(mix.finish()) * n as u128) >> 64) as usize;
+            shards[shard].push((b, *c));
         }
         shards
     }
@@ -465,36 +673,50 @@ impl ResolutionEngine {
         }
     }
 
-    /// Resolve one shard: the shard's quality tally over every bucket
-    /// and, when `labels` carries the kernel and report columns, row
-    /// aggregation keyed by interned labels. Aggregation only covers
-    /// buckets whose event is a report column (like
-    /// [`oprofile::report::aggregate`]); without `labels` no label work
-    /// is done at all.
-    fn resolve_shard(
-        &self,
+    /// Resolve one shard in one pass: each bucket's class from a single
+    /// index lookup, tallied for the shard and for its incarnation, and
+    /// — when `labels` carries the kernel and report columns — its row.
+    /// Aggregation only covers buckets whose event is a report column
+    /// (like [`oprofile::report::aggregate`]); without `labels` no
+    /// label work is done at all.
+    fn resolve_shard<'a>(
+        &'a self,
         shard: &[(&SampleBucket, u64)],
-        labels: Option<(&Kernel, &[HwEvent])>,
-        parallel_worker: bool,
-    ) -> (RowCounts, ShardTally) {
-        let mut agg: RowCounts = HashMap::new();
-        let mut tally = ShardTally::default();
+        labels: Option<(&'a Kernel, &[HwEvent])>,
+        attempt: Attempt,
+    ) -> ShardPart<'a> {
+        let mut part = ShardPart {
+            rows: RowCounts::default(),
+            tally: ShardTally::default(),
+            incarnations: HashMap::default(),
+        };
         for &(bucket, count) in shard {
-            self.trip_poison(bucket, parallel_worker);
-            match self.classify_bucket(bucket) {
-                Class::Resolved => tally.resolved += count,
-                Class::Stale => tally.stale_epoch += count,
-                Class::Unresolved => tally.unresolved += count,
-                Class::Blocked => tally.blocked += count,
-            }
+            self.trip_poison(bucket, attempt);
+            let (class, row) = match bucket.origin {
+                SampleOrigin::JitApp { pid, gen } => {
+                    let key = ProcKey::new(pid, gen);
+                    let inc = part
+                        .incarnations
+                        .entry(key)
+                        .or_insert_with(|| self.incarnation(key));
+                    let (class, symbol) = inc.classify(bucket);
+                    inc.tally.add(class, count);
+                    (class, Some(Self::jit_row(symbol)))
+                }
+                SampleOrigin::Image(_) => (Class::Resolved, None),
+                SampleOrigin::Anon { .. } | SampleOrigin::Unknown => (Class::Unresolved, None),
+            };
+            part.tally.add(class, count);
             if let Some((kernel, events)) = labels {
                 if let Some(col) = events.iter().position(|e| *e == bucket.event) {
-                    let key = self.label(bucket, kernel);
-                    agg.entry(key).or_insert_with(|| vec![0; events.len()])[col] += count;
+                    let row = row.unwrap_or_else(|| self.row_of(bucket, kernel));
+                    part.rows
+                        .entry(row)
+                        .or_insert_with(|| vec![0; events.len()])[col] += count;
                 }
             }
         }
-        (agg, tally)
+        part
     }
 
     /// Quarantine tally for a shard whose worker *and* fallback died:
@@ -514,8 +736,8 @@ impl ResolutionEngine {
     /// is a load-time concern, not the engine's).
     pub fn resolve(&mut self, db: &SampleDb, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
         self.poison = spec.poison;
-        let (lines, quality) = self.resolve_rows(db, kernel, &spec.options, spec.threads);
-        let incarnations = self.incarnations(db);
+        let (lines, quality, incarnations) =
+            self.resolve_rows(db, kernel, &spec.options, spec.threads);
         if let Some(t) = &self.telemetry {
             t.registry
                 .counter(names::REPORT_ROWS)
@@ -717,58 +939,51 @@ impl ResolutionEngine {
         (lineage, store.snapshot())
     }
 
-    /// Per-incarnation breakdown of `db`'s JIT samples, sorted by
-    /// `(pid, gen)`. Classification goes through [`Self::classify_bucket`],
-    /// so the rows partition the JIT share of the quality report
-    /// exactly. Poison never trips here: a quarantined shard hides its
-    /// samples from the quality report, never from this breakdown.
-    fn incarnations(&self, db: &SampleDb) -> Vec<IncarnationSummary> {
-        let mut rows: BTreeMap<(u32, u32), IncarnationSummary> = BTreeMap::new();
-        for (bucket, count) in db.iter() {
-            let SampleOrigin::JitApp { pid, gen } = bucket.origin else {
-                continue;
-            };
-            let row = rows.entry((pid.0, gen)).or_insert_with(|| IncarnationSummary {
-                pid: pid.0,
-                gen,
-                samples: 0,
-                resolved: 0,
-                stale_epoch: 0,
-                unresolved: 0,
-                blocked: 0,
-            });
-            row.samples += count;
-            match self.classify_bucket(bucket) {
-                Class::Resolved => row.resolved += count,
-                Class::Stale => row.stale_epoch += count,
-                Class::Unresolved => row.unresolved += count,
-                Class::Blocked => row.blocked += count,
-            }
-        }
-        rows.into_values().collect()
-    }
-
-    /// The merged report plus quality accounting in one pass over the
-    /// database, resolved across `threads` shards (`0`/`1` =
-    /// single-threaded). Results are bit-identical for every thread
-    /// count: shard sums are commutative and the final row shaping is
-    /// [`finish_report`], the same code `aggregate` runs.
+    /// The merged report, quality accounting and per-incarnation
+    /// breakdown in one pass over the database, resolved across
+    /// `threads` shards (`0`/`1` = single-threaded). Results are
+    /// bit-identical for every thread count: shard sums are commutative
+    /// and the final row shaping is [`finish_report`], the same code
+    /// `aggregate` runs.
+    ///
+    /// The breakdown has one row per JIT incarnation in the database,
+    /// sorted by `(pid, gen)`, partitioning the JIT share of the quality
+    /// report exactly. Poison never hides samples from it: a
+    /// quarantined shard's rows come from a classify-only walk.
     pub(crate) fn resolve_rows(
         &self,
         db: &SampleDb,
         kernel: &Kernel,
         options: &ReportOptions,
         threads: usize,
-    ) -> (Report, ResolutionQuality) {
+    ) -> (Report, ResolutionQuality, Vec<IncarnationSummary>) {
         let (events, totals) = report_events(db, options);
-        let (merged, quality) = self.run_shards(db, threads, Some((kernel, events.as_slice())));
+        let (merged, quality, incarnations) =
+            self.run_shards(db, threads, Some((kernel, events.as_slice())));
         // One `String` materialization per distinct row — not per
-        // bucket — to hand off to the shared row shaping.
-        let rows: HashMap<(String, String), Vec<u64>> = merged
+        // bucket — to hand off to the shared row shaping. Rows whose
+        // text matches at different addresses merge here.
+        let mut rows: HashMap<(String, String), Vec<u64>> = HashMap::with_capacity(merged.len());
+        for (key, counts) in merged {
+            add_counts(rows.entry(key.to_strings(kernel)), counts);
+        }
+        let incarnations = incarnations
             .into_iter()
-            .map(|((img, sym), counts)| ((img.to_string(), sym.to_string()), counts))
+            .map(|(key, t)| IncarnationSummary {
+                pid: key.pid.0,
+                gen: key.gen,
+                samples: t.resolved + t.stale_epoch + t.unresolved + t.blocked,
+                resolved: t.resolved,
+                stale_epoch: t.stale_epoch,
+                unresolved: t.unresolved,
+                blocked: t.blocked,
+            })
             .collect();
-        (finish_report(events, totals, rows, options), quality)
+        (
+            finish_report(events, totals, rows, options),
+            quality,
+            incarnations,
+        )
     }
 
     /// Quality accounting alone (no label work), sharded the same way.
@@ -778,53 +993,59 @@ impl ResolutionEngine {
 
     /// The one sharded runner behind [`Self::resolve_rows`] and
     /// [`Self::quality`]: shard `db`, resolve every shard (with label
-    /// work only when `labels` is set), and merge rows and tallies.
+    /// work only when `labels` is set), and merge rows, tallies and
+    /// per-incarnation breakdowns.
     ///
     /// A panicking shard must not take the session report with it:
     /// every worker is isolated, and a dead shard is retried once
     /// single-threaded before its samples fall back to quarantine
     /// accounting.
-    fn run_shards(
-        &self,
-        db: &SampleDb,
+    fn run_shards<'a>(
+        &'a self,
+        db: &'a SampleDb,
         threads: usize,
-        labels: Option<(&Kernel, &[HwEvent])>,
-    ) -> (RowCounts, ResolutionQuality) {
-        let shards = self.shard(db, threads);
-        let attempts: Vec<Option<(RowCounts, ShardTally)>> = if shards.len() <= 1 {
-            shards
+        labels: Option<(&'a Kernel, &[HwEvent])>,
+    ) -> (
+        RowCounts<'a>,
+        ResolutionQuality,
+        BTreeMap<ProcKey, ShardTally>,
+    ) {
+        let shards = Self::shard(db, threads);
+        // The calling thread resolves the first shard itself, so a
+        // single shard spawns nothing and `n` shards spawn `n - 1`
+        // helpers.
+        let attempts: Vec<Option<ShardPart<'a>>> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = shards[1..]
                 .iter()
-                .map(|s| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.resolve_shard(s, labels, true)
-                    }))
-                    .ok()
+                .map(|shard| {
+                    scope.spawn(move || self.resolve_shard(shard, labels, Attempt::Worker))
                 })
+                .collect();
+            let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.resolve_shard(&shards[0], labels, Attempt::Worker)
+            }));
+            std::iter::once(first.ok())
+                .chain(helpers.into_iter().map(|h| h.join().ok()))
                 .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || self.resolve_shard(shard, labels, true)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            })
-        };
-        let parts: Vec<(RowCounts, ShardTally)> = attempts
+        });
+        let parts: Vec<ShardPart<'a>> = attempts
             .into_iter()
             .enumerate()
             .map(|(i, attempt)| match attempt {
                 Some(part) => part,
                 None => {
                     let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.resolve_shard(&shards[i], labels, false)
+                        self.resolve_shard(&shards[i], labels, Attempt::Retry)
                     }));
                     let recovered = retried.is_ok();
                     if let Some(t) = &self.telemetry {
                         let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
                         t.note_shard_panic(i as u64, samples, recovered);
                     }
-                    retried.unwrap_or_else(|_| (HashMap::new(), Self::quarantine_tally(&shards[i])))
+                    retried.unwrap_or_else(|_| ShardPart {
+                        tally: Self::quarantine_tally(&shards[i]),
+                        ..self.resolve_shard(&shards[i], None, Attempt::Breakdown)
+                    })
                 }
             })
             .collect();
@@ -838,8 +1059,10 @@ impl ResolutionEngine {
         if let Some(t) = &self.telemetry {
             t.add_base(&quality);
         }
-        let mut merged: RowCounts = HashMap::new();
-        for (agg, tally) in parts {
+        let mut merged = RowCounts::default();
+        let mut incarnations: BTreeMap<ProcKey, ShardTally> = BTreeMap::new();
+        for part in parts {
+            let tally = part.tally;
             quality.resolved += tally.resolved;
             quality.stale_epoch += tally.stale_epoch;
             quality.unresolved += tally.unresolved;
@@ -848,23 +1071,31 @@ impl ResolutionEngine {
             if let Some(t) = &self.telemetry {
                 t.add_tally(&tally);
             }
-            for (key, counts) in agg {
-                match merged.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        for (a, b) in e.get_mut().iter_mut().zip(&counts) {
-                            *a += b;
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert(counts);
-                    }
-                }
+            for (key, counts) in part.rows {
+                add_counts(merged.entry(key), counts);
+            }
+            for (key, inc) in part.incarnations {
+                incarnations.entry(key).or_default().absorb(&inc.tally);
             }
         }
         if let (Some(t), Some(before)) = (&self.telemetry, before) {
             t.finish(before, &quality, &shard_sizes);
         }
-        (merged, quality)
+        (merged, quality, incarnations)
+    }
+}
+
+/// Add one row's per-event counts into a merge map's entry.
+fn add_counts<K>(entry: Entry<'_, K, Vec<u64>>, counts: Vec<u64>) {
+    match entry {
+        Entry::Occupied(mut e) => {
+            for (a, b) in e.get_mut().iter_mut().zip(&counts) {
+                *a += b;
+            }
+        }
+        Entry::Vacant(v) => {
+            v.insert(counts);
+        }
     }
 }
 
@@ -936,9 +1167,8 @@ mod tests {
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
         let engine = ResolutionEngine::build(&resolver);
         for (b, _) in mixed_db(&k, pid).iter() {
-            let (img, sym) = engine.label(b, &k);
             assert_eq!(
-                (img.to_string(), sym.to_string()),
+                engine.label(b, &k),
                 oracle::label(&resolver, b, &k),
                 "label diverged on {b:?}"
             );
@@ -967,7 +1197,7 @@ mod tests {
         let legacy = viprof_report(&db, &k, &resolver, &options);
         let legacy_q = oracle::quality(&resolver, &db);
         for threads in [0, 1, 2, 3, 8] {
-            let (report, q) = engine.resolve_rows(&db, &k, &options, threads);
+            let (report, q, _) = engine.resolve_rows(&db, &k, &options, threads);
             assert_eq!(report, legacy, "threads={threads}");
             assert_eq!(q, legacy_q, "threads={threads}");
         }
@@ -985,7 +1215,7 @@ mod tests {
             ..ReportOptions::default()
         };
         let legacy = viprof_report(&db, &k, &resolver, &options);
-        let (report, _) = engine.resolve_rows(&db, &k, &options, 4);
+        let (report, _, _) = engine.resolve_rows(&db, &k, &options, 4);
         assert_eq!(report, legacy);
         assert!(report.rows.len() <= 2);
     }
@@ -999,7 +1229,7 @@ mod tests {
             let mut engine = ResolutionEngine::build(&resolver);
             let t = Telemetry::default();
             engine.set_telemetry(&t);
-            let (report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
+            let (report, q, _) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
             assert!(!report.rows.is_empty());
             let snap = t.snapshot();
             assert_eq!(snap.counter(names::RESOLVE_SAMPLES_RESOLVED), q.resolved);
@@ -1035,12 +1265,12 @@ mod tests {
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
         let clean = ResolutionEngine::build(&resolver);
         let options = ReportOptions::default();
-        let (clean_report, clean_q) = clean.resolve_rows(&db, &k, &options, 4);
+        let (clean_report, clean_q, _) = clean.resolve_rows(&db, &k, &options, 4);
         let mut poisoned = ResolutionEngine::build(&resolver);
         let t = Telemetry::default();
         poisoned.set_telemetry(&t);
         poisoned.set_poison(Some(ShardPoison { pid, fatal: false }));
-        let (report, q) = poisoned.resolve_rows(&db, &k, &options, 4);
+        let (report, q, _) = poisoned.resolve_rows(&db, &k, &options, 4);
         assert_eq!(report, clean_report, "fallback must reproduce the clean report");
         assert_eq!(q, clean_q);
         assert_eq!(q.quarantined, 0);
@@ -1067,7 +1297,7 @@ mod tests {
             let t = Telemetry::default();
             engine.set_telemetry(&t);
             engine.set_poison(Some(ShardPoison { pid, fatal: true }));
-            let (_report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
+            let (_report, q, _) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
             assert!(q.quarantined > 0, "threads={threads}");
             assert_eq!(
                 q.accounted(),
@@ -1082,6 +1312,16 @@ mod tests {
                 .events_of(names::EVENT_RESOLVE_SHARD_QUARANTINE)
                 .iter()
                 .any(|e| e.fields.iter().any(|(k, v)| k == "recovered" && *v == 0)));
+            // The per-incarnation breakdown hides nothing: a quarantined
+            // shard's rows come from the classify-only walk.
+            let spec = ReportSpec::default().threads(threads);
+            let clean = ResolutionEngine::build(&resolver).resolve(&db, &k, &spec);
+            let poisoned = engine.resolve(&db, &k, &spec.poison(ShardPoison { pid, fatal: true }));
+            assert!(poisoned.quality.quarantined > 0, "threads={threads}");
+            assert_eq!(
+                poisoned.incarnations, clean.incarnations,
+                "threads={threads}"
+            );
         }
     }
 
@@ -1102,7 +1342,10 @@ mod tests {
         // incarnation's symbols.
         let blocked = bucket(SampleOrigin::JitApp { pid, gen: 7 }, 0x6400_0080, 2);
         let (img, sym) = engine.label(&blocked, &k);
-        assert_eq!((&*img, &*sym), ("JIT.App", "(unresolved jit)"));
+        assert_eq!(
+            (img.as_str(), sym.as_str()),
+            ("JIT.App", "(unresolved jit)")
+        );
     }
 
     #[test]
@@ -1121,6 +1364,26 @@ mod tests {
     }
 
     #[test]
+    fn per_incarnation_keeps_order_and_its_worker_cap() {
+        let items: Vec<u32> = (0..9).collect();
+        let want: Vec<u32> = items.iter().map(|i| i * 3).collect();
+        // Each job sleeps, so helpers, when spawned, claim items and the
+        // gather sees the workers' results out of order.
+        let slow = |&i: &u32| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            (i * 3, std::thread::current().id())
+        };
+        let here = std::thread::current().id();
+        for workers in [0, 1, 4] {
+            let ran = per_incarnation(&items, workers, slow);
+            assert_eq!(ran.iter().map(|r| r.0).collect::<Vec<_>>(), want, "workers={workers}");
+            if workers <= 1 {
+                assert!(ran.iter().all(|r| r.1 == here), "workers={workers} left the caller");
+            }
+        }
+    }
+
+    #[test]
     fn empty_db_reports_empty_with_damage_counters_intact() {
         let (mut k, pid) = setup();
         // One garbled line so the damage counters are non-zero.
@@ -1131,7 +1394,7 @@ mod tests {
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
         let engine = ResolutionEngine::build(&resolver);
         let db = SampleDb::new();
-        let (report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), 4);
+        let (report, q, _) = engine.resolve_rows(&db, &k, &ReportOptions::default(), 4);
         assert!(report.rows.is_empty());
         assert_eq!(q, oracle::quality(&resolver, &db));
         assert_eq!(q.quarantined_lines, 1);

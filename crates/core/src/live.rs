@@ -166,7 +166,7 @@ impl LiveEngine {
     pub fn new(spec: LiveSpec) -> LiveEngine {
         LiveEngine {
             spec,
-            engine: ResolutionEngine::empty(),
+            engine: ResolutionEngine::default(),
             db: SampleDb::new(),
             keys: HashMap::new(),
             applied: HashSet::new(),

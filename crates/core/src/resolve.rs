@@ -274,10 +274,9 @@ mod tests {
         ResolutionEngine::build(&ViprofResolver::load_with(k, options).unwrap().0)
     }
 
-    /// The engine's `(image, symbol)` label as plain strings.
+    /// The engine's `(image, symbol)` label.
     fn label(engine: &ResolutionEngine, b: SampleBucket, k: &Kernel) -> (String, String) {
-        let (img, sym) = engine.label(&b, k);
-        (img.to_string(), sym.to_string())
+        engine.label(&b, k)
     }
 
     #[test]
@@ -532,6 +531,84 @@ mod tests {
         assert_eq!(report.epochs_recovered, 1);
         let (_, sym) = label(&ResolutionEngine::build(&recovered), jit, &k);
         assert_eq!(sym, "app.Scanner.parseLine");
+    }
+
+    #[test]
+    fn multi_incarnation_reports_match_at_every_thread_count() {
+        use crate::codemap::journal_path;
+        use crate::Viprof;
+        use sim_os::journal::KIND_CODE_MAP;
+        use sim_os::JournalWriter;
+        let (mut k, pid) = setup();
+        let map = |addr: u64, sig: &str| {
+            render_map(&[CodeMapEntry {
+                addr,
+                size: 0x40,
+                level: "base".into(),
+                signature: sig.into(),
+            }])
+        };
+        // A restarted incarnation of the same pid, two incarnations whose
+        // map files are all garbage, and one whose torn map only its
+        // journal can restore.
+        let restarted = ProcKey::new(pid, 1);
+        k.vfs
+            .write(map_path(restarted, 0), map(0x6400_0040, "app.Again.run"));
+        k.vfs
+            .write(map_path(restarted, 2), map(0x6500_0000, "app.Again.late"));
+        let garbage = [
+            ProcKey::new(k.spawn("bad1"), 0),
+            ProcKey::new(k.spawn("bad2"), 3),
+        ];
+        for key in garbage {
+            k.vfs.write(map_path(key, 0), vec![0xff, 0xfe, 0x80]);
+            k.vfs.write(map_path(key, 1), vec![0xc0]);
+        }
+        let journaled = ProcKey::new(k.spawn("journaled"), 0);
+        let pristine = map(0x6600_0000, "app.Saved.byJournal");
+        k.vfs
+            .write(map_path(journaled, 0), pristine.as_bytes()[..10].to_vec());
+        let mut payload = 0u64.to_le_bytes().to_vec();
+        payload.extend_from_slice(pristine.as_bytes());
+        let mut w = JournalWriter::create(&mut k.vfs, journal_path(journaled));
+        w.append(&mut k.vfs, KIND_CODE_MAP, &payload);
+
+        for options in [ResolveOptions::default(), ResolveOptions::recovered()] {
+            let (r, rec) = ViprofResolver::load_with(&k, options).unwrap();
+            assert_eq!(r.failed_pids(), garbage.as_slice(), "{options:?}");
+            assert_eq!(rec.journals_scanned, options.recover as u64);
+            assert_eq!(r.sets().count(), 3);
+        }
+
+        let mut db = SampleDb::new();
+        for (key, addr) in [
+            (ProcKey::new(pid, 0), 0x6400_0080),
+            (restarted, 0x6400_0050),
+            (restarted, 0x6500_0010),
+            (garbage[0], 0x10),
+            (journaled, 0x6600_0010),
+        ] {
+            let origin = SampleOrigin::JitApp {
+                pid: key.pid,
+                gen: key.gen,
+            };
+            db.add(bucket(origin, addr, 1), 3 + addr % 7);
+        }
+        for spec in [ReportSpec::default(), ReportSpec::recovered()] {
+            let (r, _) =
+                ViprofResolver::load_with(&k, ResolveOptions::default().with_recover(spec.recover))
+                    .unwrap();
+            let two_step = ResolutionEngine::build(&r).resolve(&db, &k, &spec);
+            for threads in [1, 2, 4] {
+                let made = Viprof::make_report(&db, &k, &spec.clone().threads(threads)).unwrap();
+                let at = format!("recover={} threads={threads}", spec.recover);
+                assert_eq!(made.lines, two_step.lines, "{at}");
+                assert_eq!(made.quality, two_step.quality, "{at}");
+                assert_eq!(made.incarnations, two_step.incarnations, "{at}");
+                assert_eq!(made.lineage, two_step.lineage, "{at}");
+            }
+            assert_eq!(two_step.quality.failed_pids, 2);
+        }
     }
 
     #[test]

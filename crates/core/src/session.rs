@@ -141,8 +141,10 @@ pub struct ReportSpec {
     /// Run the journal-replay recovery pass before resolving, and
     /// report what it salvaged.
     pub recover: bool,
-    /// Resolution shards; `0` or `1` = single-threaded. The report is
-    /// bit-identical for every value.
+    /// Threads for the report: the resolution shards, and the cap on
+    /// the index flattening workers (one incarnation per job); `0` or
+    /// `1` = single-threaded. The report is bit-identical for every
+    /// value.
     pub threads: usize,
     /// Deterministic shard-poison injection (fault-matrix tests): the
     /// named pid's buckets panic mid-resolution, exercising the
@@ -413,7 +415,8 @@ impl Viprof {
         telemetry
             .stage(names::STAGE_RESOLVE_LOAD)
             .record(loaded_entries);
-        let mut engine = ResolutionEngine::build(&resolver);
+        let mut engine = ResolutionEngine::build_on(&resolver, spec.threads.max(1));
+        drop(resolver);
         engine.set_telemetry(&telemetry);
         let mut report = engine.resolve(db, kernel, spec);
         if spec.recover {
@@ -422,7 +425,8 @@ impl Viprof {
             // baseline engine stays un-attached: its pass is scaffolding,
             // not part of this report's accounting.
             let (degraded, _) = ViprofResolver::load_with(kernel, ResolveOptions::default())?;
-            let baseline = ResolutionEngine::build(&degraded).quality(db, spec.threads);
+            let baseline =
+                ResolutionEngine::build_on(&degraded, spec.threads.max(1)).quality(db, spec.threads);
             rec.samples_salvaged = report.quality.resolved.saturating_sub(baseline.resolved);
             report.recovery = Some(rec);
         }

@@ -224,7 +224,7 @@ pub fn domain_jit_profile(
     domain: DomainId,
     event: HwEvent,
 ) -> Vec<(String, u64)> {
-    let mut counts: std::collections::HashMap<std::sync::Arc<str>, u64> = Default::default();
+    let mut counts: std::collections::HashMap<String, u64> = Default::default();
     for (bucket, count) in db.iter() {
         if bucket.event != event {
             continue;
@@ -238,10 +238,7 @@ pub fn domain_jit_profile(
         let (_, symbol) = engine.label(bucket, kernel);
         *counts.entry(symbol).or_insert(0) += count;
     }
-    let mut rows: Vec<(String, u64)> = counts
-        .into_iter()
-        .map(|(symbol, n)| (symbol.to_string(), n))
-        .collect();
+    let mut rows: Vec<(String, u64)> = counts.into_iter().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     rows
 }

@@ -202,6 +202,9 @@ impl SampleDb {
             evicted: file.evicted,
             ..SampleDb::default()
         };
+        // Sized from the checked records, never the header's count, so
+        // a lying header cannot inflate the allocation.
+        db.counts.reserve(file.records.len() / RECORD_LEN);
         for (bucket, count) in file.records() {
             db.add(bucket, count);
         }

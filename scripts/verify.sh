@@ -53,6 +53,17 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> drain accounting smoke"
     cargo test -q -p oprofile drain
 
+    # Resolve equivalence smoke: the flattened, sharded engine must
+    # match the per-bucket epoch walk on random sessions, keep its
+    # shard sizes a function of bucket content, and keep the
+    # per-incarnation breakdown whole when a poisoned shard is
+    # quarantined. Runs before the bench smokes so it is checked even
+    # while a bench gate fails.
+    echo "==> resolve equivalence smoke"
+    cargo test -q --test prop_resolve_flat
+    cargo test -q --test telemetry resolve
+    cargo test -q -p viprof poison
+
     # Resolution-engine bench, smoke-sized: asserts the flattened
     # sharded path is bit-identical to the legacy walk, gates the
     # telemetry overhead under 3%, and writes results/BENCH_resolve.json.

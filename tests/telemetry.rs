@@ -12,11 +12,11 @@
 //!   review here and in `scripts/verify.sh`.
 
 use viprof_repro::oprofile::session::TELEMETRY_PATH;
-use viprof_repro::oprofile::OpConfig;
+use viprof_repro::oprofile::{OpConfig, SampleDb, SampleOrigin};
 use viprof_repro::telemetry::{
     bucket_hi, bucket_lo, bucket_of, names, Telemetry, TelemetrySnapshot, BUCKETS,
 };
-use viprof_repro::viprof::{ReportSpec, Viprof};
+use viprof_repro::viprof::{ReportSpec, ShardPoison, Viprof};
 use viprof_repro::workloads::{
     calibrate, find_benchmark, programs, run_benchmark, BuiltWorkload, ProfilerKind, WorkPlan,
 };
@@ -84,6 +84,50 @@ fn resolve_telemetry_is_deterministic_per_thread_count() {
     assert_eq!(h.count, 4, "one record per shard");
     assert_eq!(h.sum, db.total_samples(), "shards partition the samples");
     assert!(t1.counter(names::REPORT_ROWS) > 0);
+}
+
+#[test]
+fn resolve_shards_are_a_function_of_bucket_content() {
+    let (built, plan) = small_workload();
+    let out = run_benchmark(&built, &plan, ProfilerKind::viprof_at(60_000), 7, false);
+    let db = out.db.as_ref().expect("profiled run");
+    let kernel = &out.machine.kernel;
+    let pid = db
+        .iter()
+        .find_map(|(b, _)| match b.origin {
+            SampleOrigin::JitApp { pid, .. } => Some(pid),
+            _ => None,
+        })
+        .expect("workload produced JIT samples");
+    // Two decodes of the same bytes: equal content, but each map has
+    // its own `RandomState`, so their iteration orders differ.
+    let bytes = db.to_bytes();
+    let a = SampleDb::from_bytes(&bytes).unwrap();
+    let b = SampleDb::from_bytes(&bytes).unwrap();
+    let telemetry = |copy: &SampleDb, spec: &ReportSpec| {
+        Viprof::make_report(copy, kernel, &spec.clone().threads(4))
+            .expect("report succeeds")
+            .telemetry
+    };
+    let clean = ReportSpec::default();
+    let shards = telemetry(&a, &clean);
+    let sizes = shards
+        .histogram(names::RESOLVE_SHARD_SAMPLES)
+        .expect("shard sizes recorded");
+    assert_eq!((sizes.count, sizes.sum), (4, db.total_samples()));
+    assert_eq!(
+        shards.to_json(),
+        telemetry(&b, &clean).to_json(),
+        "shard sizes must not follow iteration order"
+    );
+    // The log2 histogram can hide a small shift between shards; the
+    // quarantine event of each poisoned shard records its exact size.
+    let poisoned = ReportSpec::default().poison(ShardPoison { pid, fatal: true });
+    let a = telemetry(&a, &poisoned);
+    assert!(!a
+        .events_of(names::EVENT_RESOLVE_SHARD_QUARANTINE)
+        .is_empty());
+    assert_eq!(a.to_json(), telemetry(&b, &poisoned).to_json());
 }
 
 #[test]
