@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{mpsc, OnceLock};
 use viprof_telemetry::json::{Json, ToJson};
-use viprof_telemetry::{impl_to_json, names, Telemetry};
+use viprof_telemetry::impl_to_json;
 use viprof_workloads::{
     calibrate, catalog, programs, run_benchmark, BenchParams, ProfilerKind, Suite, WorkPlan,
 };
@@ -242,20 +242,12 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// `VIPROF_QUIET=1` silences the harness's progress chatter on stderr
-/// (the artifacts themselves are unaffected). Telemetry still records
-/// everything — `harness_telemetry()` is the quiet channel.
+/// (the artifacts themselves are unaffected).
 pub fn quiet() -> bool {
     static QUIET: OnceLock<bool> = OnceLock::new();
     *QUIET.get_or_init(|| {
         std::env::var("VIPROF_QUIET").is_ok_and(|v| !v.is_empty() && v != "0")
     })
-}
-
-/// The harness-process telemetry registry: one per process, shared by
-/// every artifact write so a run's activity can be dumped at exit.
-pub fn harness_telemetry() -> &'static Telemetry {
-    static REGISTRY: OnceLock<Telemetry> = OnceLock::new();
-    REGISTRY.get_or_init(Telemetry::new)
 }
 
 /// Persist a `BENCH_*.json` artifact in the canonical envelope every
@@ -285,13 +277,6 @@ pub fn write_json(name: &str, value: &impl ToJson) {
     let path = results_dir().join(name);
     let data = value.to_json().to_pretty();
     std::fs::write(&path, &data).expect("write results");
-    let t = harness_telemetry();
-    t.counter(names::BENCH_ARTIFACTS_WRITTEN).inc();
-    t.event(
-        names::EVENT_BENCH_ARTIFACT,
-        &path.display().to_string(),
-        &[("bytes", data.len() as u64)],
-    );
     if !quiet() {
         eprintln!("wrote {}", path.display());
     }
@@ -311,19 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn write_json_records_an_artifact_event() {
+    fn write_json_writes_the_artifact_into_the_results_dir() {
         let dir = std::env::temp_dir().join(format!("viprof-bench-results-{}", std::process::id()));
         std::env::set_var("VIPROF_RESULTS", &dir);
-        let before = harness_telemetry()
-            .counter(names::BENCH_ARTIFACTS_WRITTEN)
-            .get();
-        write_json("telemetry-probe.json", &BTreeMap::from([("ok", 1u64)]));
-        let snap = harness_telemetry().snapshot();
-        assert_eq!(snap.counter(names::BENCH_ARTIFACTS_WRITTEN), before + 1);
-        assert!(snap
-            .events_of(names::EVENT_BENCH_ARTIFACT)
-            .iter()
-            .any(|e| e.detail.contains("telemetry-probe.json")));
+        let value = BTreeMap::from([("ok", 1u64)]);
+        write_json("probe.json", &value);
+        let written = std::fs::read_to_string(dir.join("probe.json")).expect("artifact written");
+        assert_eq!(written, value.to_json().to_pretty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

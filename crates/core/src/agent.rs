@@ -216,12 +216,14 @@ pub struct VmAgent {
     /// Record every Nth call edge (sampling keeps the inline hook cheap).
     call_sample_interval: u64,
     call_counter: u64,
-    telemetry: Option<AgentTelemetry>,
+    telemetry: AgentTelemetry,
     pub stats: Arc<Mutex<AgentStats>>,
 }
 
 impl VmAgent {
-    pub fn new(registry: SharedRegistry, cost: CostModel) -> VmAgent {
+    /// An agent whose map writes, GC epochs and registrations are
+    /// recorded into the session's `telemetry` registry.
+    pub fn new(registry: SharedRegistry, cost: CostModel, telemetry: &Telemetry) -> VmAgent {
         VmAgent {
             registry,
             cost,
@@ -237,16 +239,9 @@ impl VmAgent {
             callgraph: None,
             call_sample_interval: 16,
             call_counter: 0,
-            telemetry: None,
+            telemetry: AgentTelemetry::attach(telemetry),
             stats: Arc::new(Mutex::new(AgentStats::default())),
         }
-    }
-
-    /// Mirror map writes and GC epochs into the session's telemetry
-    /// registry (a session-built agent gets this automatically).
-    pub fn with_telemetry(mut self, registry: &Telemetry) -> VmAgent {
-        self.telemetry = Some(AgentTelemetry::attach(registry));
-        self
     }
 
     /// Attach a call-graph collector (records every `interval`-th edge).
@@ -329,31 +324,25 @@ impl VmAgent {
         // Journal appends ride the map write's existing I/O budget, so
         // the charged cost is the same with or without journaling.
         let cost = self.cost.map_write(entries.len() as u64);
-        if let Some(t) = &self.telemetry {
-            t.maps_written.inc();
-            t.map_entries.add(entries.len() as u64);
-            t.map_write_stage.record(cost);
-            t.registry.event(
-                names::EVENT_AGENT_MAP_WRITE,
-                &map_path(key, epoch),
-                &[("epoch", epoch), ("entries", entries.len() as u64)],
-            );
-            // Causal span: map writes are roots of the epoch's later
-            // resolution story, parented under the session span.
-            let span = t.registry.trace_begin(
-                TraceLayer::Agent,
-                names::SPAN_AGENT_MAP_WRITE,
-                t.registry.trace_root(),
-            );
-            t.registry.trace_end(
-                span,
-                &[
-                    ("epoch", epoch),
-                    ("entries", entries.len() as u64),
-                    ("cost", cost),
-                ],
-            );
-        }
+        let t = &self.telemetry;
+        t.maps_written.inc();
+        t.map_entries.add(entries.len() as u64);
+        t.map_write_stage.record(cost);
+        // Causal span: map writes are roots of the epoch's later
+        // resolution story, parented under the session span.
+        let span = t.registry.trace_begin(
+            TraceLayer::Agent,
+            names::SPAN_AGENT_MAP_WRITE,
+            t.registry.trace_root(),
+        );
+        t.registry.trace_end(
+            span,
+            &[
+                ("epoch", epoch),
+                ("entries", entries.len() as u64),
+                ("cost", cost),
+            ],
+        );
         cost
     }
 
@@ -382,9 +371,7 @@ impl VmAgent {
         let Some(damaged) = damaged else { return };
         if self.journal.is_none() {
             let mut writer = JournalWriter::create(vfs, journal_path(key));
-            if let Some(t) = &self.telemetry {
-                writer.set_telemetry(&t.registry);
-            }
+            writer.set_telemetry(&self.telemetry.registry);
             self.journal = Some(writer);
         }
         let journal = self.journal.as_mut().expect("just created");
@@ -425,21 +412,9 @@ impl VmProfilerHooks for VmAgent {
             .register(pid, gen, heap_range);
         match registered {
             Ok(outcome) => {
-                if let Some(t) = &self.telemetry {
-                    t.registrations.inc();
-                    if gen > 0 || matches!(outcome, RegisterOutcome::Supplanted { .. }) {
-                        t.generation_bumps.inc();
-                    }
-                    t.registry.event(
-                        names::EVENT_REGISTRY_REGISTER,
-                        &key.to_string(),
-                        &[
-                            ("pid", pid.0 as u64),
-                            ("gen", gen as u64),
-                            ("heap_lo", heap_range.0),
-                            ("heap_hi", heap_range.1),
-                        ],
-                    );
+                self.telemetry.registrations.inc();
+                if gen > 0 || matches!(outcome, RegisterOutcome::Supplanted { .. }) {
+                    self.telemetry.generation_bumps.inc();
                 }
             }
             Err(_) => {
@@ -494,14 +469,7 @@ impl VmProfilerHooks for VmAgent {
                 .unwrap_or_else(PoisonError::into_inner)
                 .set_epoch(key.pid, new_epoch);
         }
-        if let Some(t) = &self.telemetry {
-            t.gc_epochs.inc();
-            t.registry.event(
-                names::EVENT_AGENT_GC_EPOCH,
-                "registry advanced to a new code epoch",
-                &[("epoch", new_epoch)],
-            );
-        }
+        self.telemetry.gc_epochs.inc();
         0
     }
 
@@ -559,7 +527,7 @@ mod tests {
 
     fn agent() -> (VmAgent, SharedRegistry) {
         let reg = JitRegistry::shared();
-        (VmAgent::new(reg.clone(), CostModel::default()), reg)
+        (VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()), reg)
     }
 
     fn compile_info(m: u32, addr: Addr, epoch: u64) -> CompiledBodyInfo {
@@ -675,7 +643,7 @@ mod tests {
     fn call_edges_sampled_at_interval() {
         let cg = Arc::new(Mutex::new(CallGraph::new()));
         let reg = JitRegistry::shared();
-        let mut a = VmAgent::new(reg, CostModel::default()).with_callgraph(cg.clone(), 4);
+        let mut a = VmAgent::new(reg, CostModel::default(), &Telemetry::new()).with_callgraph(cg.clone(), 4);
         let mut charged = 0;
         for _ in 0..16 {
             charged += a.on_call(Some("caller"), "callee");
@@ -859,9 +827,8 @@ mod tests {
 
     #[test]
     fn telemetry_mirrors_map_writes_and_gc_epochs() {
-        let (mut a, _) = agent();
         let t = Telemetry::new();
-        a = a.with_telemetry(&t);
+        let mut a = VmAgent::new(JitRegistry::shared(), CostModel::default(), &t);
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
         a.on_compile(&compile_info(0, 0x1000, 0));
@@ -873,15 +840,10 @@ mod tests {
         assert_eq!(snap.counter(names::AGENT_MAPS_WRITTEN), 2);
         assert_eq!(snap.counter(names::AGENT_MAP_ENTRIES), 2);
         assert_eq!(snap.counter(names::AGENT_GC_EPOCHS), 1);
-        let writes = snap.events_of(names::EVENT_AGENT_MAP_WRITE);
-        assert_eq!(writes.len(), 2);
-        assert_eq!(writes[0].detail, map_path(Pid(7), 0));
-        assert_eq!(snap.events_of(names::EVENT_AGENT_GC_EPOCH).len(), 1);
         let stage = snap.stage(names::STAGE_AGENT_MAP_WRITE).unwrap();
         assert_eq!(stage.entries, 2);
         assert!(stage.cycles > 0);
-        // The same run without telemetry is otherwise identical: the
-        // stats handle sees the same counts.
+        // The stats handle sees the same counts.
         assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).maps_written, 2);
     }
 
@@ -890,7 +852,7 @@ mod tests {
         let reg = JitRegistry::shared();
         let mut vfs = Vfs::new();
         // Incarnation 0 lives and dies gracefully.
-        let mut a0 = VmAgent::new(reg.clone(), CostModel::default()).with_journal(true);
+        let mut a0 = VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()).with_journal(true);
         a0.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
         a0.on_compile(&compile_info(0, 0x1000, 0));
         a0.on_vm_exit(0, &mut vfs);
@@ -901,7 +863,7 @@ mod tests {
             "retired at exit"
         );
         // Incarnation 1 reuses the pid: epoch counter restarts at 0.
-        let mut a1 = VmAgent::new(reg.clone(), CostModel::default()).with_journal(true);
+        let mut a1 = VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()).with_journal(true);
         a1.on_vm_start(Pid(7), 1, (0x3000, 0x4000));
         assert_eq!(
             reg.read()
@@ -937,7 +899,7 @@ mod tests {
         reg.write().unwrap_or_else(PoisonError::into_inner).reap(&mut |_, _| false);
         // A zombie agent for the dead incarnation comes back: the
         // conflict is swallowed, nothing is registered.
-        let mut a = VmAgent::new(reg.clone(), CostModel::default());
+        let mut a = VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new());
         let cost = a.on_vm_start(Pid(4), 2, (0x1000, 0x2000));
         assert_eq!(cost, CostModel::default().vm_probe_cycles);
         assert!(!reg.read().unwrap_or_else(PoisonError::into_inner).is_registered(Pid(4)));

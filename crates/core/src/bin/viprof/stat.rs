@@ -28,7 +28,7 @@
 use crate::{json, open_session, read_artifact, report_spec, Args};
 use oprofile::{SampleDb, SAMPLES_PATH, TELEMETRY_PATH, TIMELINE_PATH};
 use std::path::Path;
-use viprof::Viprof;
+use viprof::{SessionReport, Viprof};
 use viprof_telemetry::{
     bucket_hi, bucket_lo, log2_rows, names, HealthReport, TelemetrySnapshot, Timeline,
 };
@@ -79,7 +79,7 @@ pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<(), String> {
     print_flow(&runtime);
     print_pipeline(&runtime);
     if let Some(report) = &resolve {
-        print_resolution(&report.telemetry);
+        print_resolution(report);
     }
     print_stages(&runtime, resolve.as_ref().map(|r| &r.telemetry));
     if args.has("--histograms") {
@@ -193,11 +193,17 @@ fn print_pipeline(t: &TelemetrySnapshot) {
     }
 }
 
-fn print_resolution(t: &TelemetrySnapshot) {
-    let resolved = t.counter(names::RESOLVE_SAMPLES_RESOLVED);
-    let stale = t.counter(names::RESOLVE_SAMPLES_STALE_EPOCH);
-    let unresolved = t.counter(names::RESOLVE_SAMPLES_UNRESOLVED);
-    let blocked = t.counter(names::RESOLVE_SAMPLES_CROSS_INCARNATION_BLOCKED);
+/// The resolution section: sample accounting from the report's
+/// quality, shard shape and panics from its telemetry.
+fn print_resolution(report: &SessionReport) {
+    let q = &report.quality;
+    let t = &report.telemetry;
+    let (resolved, stale, unresolved, blocked) = (
+        q.resolved,
+        q.stale_epoch,
+        q.unresolved,
+        q.cross_incarnation_blocked,
+    );
     let total = resolved + stale + unresolved + blocked;
     println!("-- resolution --");
     println!(
@@ -218,22 +224,17 @@ fn print_resolution(t: &TelemetrySnapshot) {
     }
     println!(
         "  damage: {} quarantined lines, {} skipped map files, {} failed pids, {} missing epochs",
-        t.counter(names::RESOLVE_QUARANTINED_LINES),
-        t.counter(names::RESOLVE_SKIPPED_MAP_FILES),
-        t.counter(names::RESOLVE_FAILED_PIDS),
-        t.counter(names::RESOLVE_MISSING_EPOCHS)
+        q.quarantined_lines, q.skipped_map_files, q.failed_pids, q.missing_epochs
     );
     let panics = t.counter(names::RESOLVE_SHARD_PANICS);
     if panics > 0 {
         println!(
             "  shard panics {} — {} sample(s) quarantined",
-            panics,
-            t.counter(names::RESOLVE_SAMPLES_QUARANTINED)
+            panics, q.quarantined
         );
     }
-    let evicted = t.counter(names::RESOLVE_SAMPLES_EVICTED);
-    if evicted > 0 {
-        println!("  admission-cap evictions {evicted}");
+    if q.evicted > 0 {
+        println!("  admission-cap evictions {}", q.evicted);
     }
     if let Some(h) = t.histogram(names::RESOLVE_SHARD_SAMPLES) {
         let spread: Vec<String> = h
@@ -247,7 +248,7 @@ fn print_resolution(t: &TelemetrySnapshot) {
             spread.join(" ")
         );
     }
-    println!("  report rows {}", t.counter(names::REPORT_ROWS));
+    println!("  report rows {}", report.lines.rows.len());
 }
 
 fn print_stages(runtime: &TelemetrySnapshot, resolve: Option<&TelemetrySnapshot>) {

@@ -39,8 +39,44 @@ impl CodeMapEntry {
 /// against) its predecessor's chain. A bare `Pid` coerces to
 /// generation 0.
 pub fn map_path(key: impl Into<ProcKey>, epoch: u64) -> String {
-    let key = key.into();
-    format!("{JIT_MAP_DIR}/{}/{}/map.{epoch:010}", key.pid.0, key.gen)
+    format!("{}{epoch:010}", map_prefix(key.into()))
+}
+
+/// The path prefix every map file of one incarnation starts with; the
+/// rest of the path is the file's epoch.
+pub(crate) fn map_prefix(key: ProcKey) -> String {
+    format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen)
+}
+
+/// Read one listed map file under the loader's per-file rules, adding
+/// its damage to the caller's tallies. The file is unusable — `None`,
+/// counted in `skipped_files` — when the path after `prefix` is not a
+/// numeric epoch, when it does not read back, or when its content is
+/// not UTF-8. Bad lines inside a usable file are counted in
+/// `quarantined_lines` (see [`parse_map`]).
+pub(crate) fn read_map_file(
+    vfs: &Vfs,
+    prefix: &str,
+    path: &str,
+    quarantined_lines: &mut u64,
+    skipped_files: &mut u64,
+) -> Option<EpochMap> {
+    let usable = path[prefix.len()..].parse::<u64>().ok().and_then(|epoch| {
+        // A listed path should always read back; treat a miss like any
+        // other unusable file rather than panicking mid-report.
+        let text = std::str::from_utf8(vfs.read(path)?).ok()?;
+        Some((epoch, parse_map(text)))
+    });
+    match usable {
+        Some((epoch, parsed)) => {
+            *quarantined_lines += parsed.quarantined;
+            Some(EpochMap::new(epoch, parsed.entries))
+        }
+        None => {
+            *skipped_files += 1;
+            None
+        }
+    }
 }
 
 /// Path of the agent's code-map write-ahead journal for one
@@ -167,39 +203,23 @@ impl CodeMapSet {
     /// the incarnation but *none* could be used at all.
     pub fn load(vfs: &Vfs, key: impl Into<ProcKey>) -> Result<CodeMapSet, ViprofError> {
         let key = key.into();
-        let pid = key.pid;
-        let prefix = format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen);
-        let mut maps = Vec::new();
-        let mut quarantined = 0;
-        let mut skipped = 0;
+        let prefix = map_prefix(key);
         let paths = vfs.list(&prefix);
-        let total_files = paths.len();
-        for path in paths {
-            let Ok(epoch) = path[prefix.len()..].parse::<u64>() else {
-                skipped += 1;
-                continue;
-            };
-            // A listed path should always read back; treat a miss like
-            // any other unusable file rather than panicking mid-report.
-            let Some(raw) = vfs.read(path) else {
-                skipped += 1;
-                continue;
-            };
-            let Ok(text) = std::str::from_utf8(raw) else {
-                skipped += 1;
-                continue;
-            };
-            let parsed = parse_map(text);
-            quarantined += parsed.quarantined;
-            maps.push(EpochMap::new(epoch, parsed.entries));
+        let (mut quarantined_lines, mut skipped_files) = (0, 0);
+        let maps: Vec<EpochMap> = paths
+            .iter()
+            .filter_map(|path| {
+                read_map_file(vfs, &prefix, path, &mut quarantined_lines, &mut skipped_files)
+            })
+            .collect();
+        if !paths.is_empty() && maps.is_empty() {
+            return Err(ViprofError::NoUsableMaps { pid: key.pid });
         }
-        if total_files > 0 && maps.is_empty() {
-            return Err(ViprofError::NoUsableMaps { pid });
-        }
-        let mut set = CodeMapSet::new(maps);
-        set.quarantined_lines = quarantined;
-        set.skipped_files = skipped;
-        Ok(set)
+        Ok(CodeMapSet {
+            quarantined_lines,
+            skipped_files,
+            ..CodeMapSet::new(maps)
+        })
     }
 
     pub fn maps(&self) -> &[EpochMap] {

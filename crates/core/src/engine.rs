@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use viprof_telemetry::{
-    names, Counter, Gauge, HealthReport, Histogram, LineageTable, SpanStore, Stage, Telemetry,
+    names, Counter, Gauge, HealthReport, Histogram, LineageTable, SpanStore, Telemetry,
     Timeline, TraceCtx, TraceLayer, TraceSnapshot, DEFAULT_SPAN_CAPACITY,
 };
 
@@ -253,92 +253,25 @@ pub struct ShardPoison {
     pub fatal: bool,
 }
 
-/// The engine's resolved telemetry handles. The quality counters are a
-/// *second sink* for the same [`ShardTally`] values the merged
-/// [`ResolutionQuality`] struct sums — deliberately redundant so
-/// [`EngineTelemetry::finish`] can assert the two accountings agree
-/// (the struct and the registry can never drift apart silently).
+/// The engine's resolved telemetry handles: the shape of each resolve
+/// pass (shard count and sizes) and its shard panics. Sample
+/// accounting lives in [`ResolutionQuality`] alone.
 #[derive(Debug, Clone)]
 struct EngineTelemetry {
     registry: Telemetry,
-    resolved: Counter,
-    stale_epoch: Counter,
-    unresolved: Counter,
-    quarantined: Counter,
-    cross_incarnation_blocked: Counter,
-    dropped: Counter,
-    evicted: Counter,
-    quarantined_lines: Counter,
-    skipped_map_files: Counter,
-    failed_pids: Counter,
-    missing_epochs: Counter,
     shard_panics: Counter,
     shards: Gauge,
     shard_samples: Histogram,
-    report_stage: Stage,
 }
 
 impl EngineTelemetry {
     fn attach(registry: &Telemetry) -> EngineTelemetry {
         EngineTelemetry {
             registry: registry.clone(),
-            resolved: registry.counter(names::RESOLVE_SAMPLES_RESOLVED),
-            stale_epoch: registry.counter(names::RESOLVE_SAMPLES_STALE_EPOCH),
-            unresolved: registry.counter(names::RESOLVE_SAMPLES_UNRESOLVED),
-            quarantined: registry.counter(names::RESOLVE_SAMPLES_QUARANTINED),
-            cross_incarnation_blocked: registry
-                .counter(names::RESOLVE_SAMPLES_CROSS_INCARNATION_BLOCKED),
-            dropped: registry.counter(names::RESOLVE_SAMPLES_DROPPED),
-            evicted: registry.counter(names::RESOLVE_SAMPLES_EVICTED),
-            quarantined_lines: registry.counter(names::RESOLVE_QUARANTINED_LINES),
-            skipped_map_files: registry.counter(names::RESOLVE_SKIPPED_MAP_FILES),
-            failed_pids: registry.counter(names::RESOLVE_FAILED_PIDS),
-            missing_epochs: registry.counter(names::RESOLVE_MISSING_EPOCHS),
             shard_panics: registry.counter(names::RESOLVE_SHARD_PANICS),
             shards: registry.gauge(names::RESOLVE_SHARDS),
             shard_samples: registry.histogram(names::RESOLVE_SHARD_SAMPLES),
-            report_stage: registry.stage(names::STAGE_RESOLVE_REPORT),
         }
-    }
-
-    /// Current values of the eleven quality counters, in
-    /// [`ResolutionQuality`] field order. Taken before a resolve pass
-    /// so `finish` can compare deltas (registries may be shared and
-    /// pre-used, so absolute values prove nothing).
-    fn quality_counts(&self) -> [u64; 11] {
-        [
-            self.resolved.get(),
-            self.stale_epoch.get(),
-            self.unresolved.get(),
-            self.quarantined.get(),
-            self.cross_incarnation_blocked.get(),
-            self.dropped.get(),
-            self.evicted.get(),
-            self.quarantined_lines.get(),
-            self.skipped_map_files.get(),
-            self.failed_pids.get(),
-            self.missing_epochs.get(),
-        ]
-    }
-
-    /// Second-sink accumulation of one shard tally.
-    fn add_tally(&self, t: &ShardTally) {
-        self.resolved.add(t.resolved);
-        self.stale_epoch.add(t.stale_epoch);
-        self.unresolved.add(t.unresolved);
-        self.quarantined.add(t.quarantined);
-        self.cross_incarnation_blocked.add(t.blocked);
-    }
-
-    /// Second-sink accumulation of the static base quality (load-time
-    /// damage plus ring-buffer drops and admission-cap evictions).
-    fn add_base(&self, base: &ResolutionQuality) {
-        self.dropped.add(base.dropped);
-        self.evicted.add(base.evicted);
-        self.quarantined_lines.add(base.quarantined_lines);
-        self.skipped_map_files.add(base.skipped_map_files);
-        self.failed_pids.add(base.failed_pids);
-        self.missing_epochs.add(base.missing_epochs);
     }
 
     /// One shard worker died. Counts the panic and records whether the
@@ -361,33 +294,12 @@ impl EngineTelemetry {
         );
     }
 
-    /// Close out one resolve pass: shard-shape metrics, the offline
-    /// work-unit stage, and the counter-vs-struct equivalence check.
-    fn finish(&self, before: [u64; 11], quality: &ResolutionQuality, shard_sizes: &[u64]) {
+    /// Record the shape of one resolve pass.
+    fn note_shards(&self, shard_sizes: impl ExactSizeIterator<Item = u64>) {
         self.shards.set(shard_sizes.len() as u64);
-        for &size in shard_sizes {
+        for size in shard_sizes {
             self.shard_samples.record(size);
         }
-        self.report_stage.record(quality.accounted());
-        let after = self.quality_counts();
-        let deltas: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(
-            deltas,
-            vec![
-                quality.resolved,
-                quality.stale_epoch,
-                quality.unresolved,
-                quality.quarantined,
-                quality.cross_incarnation_blocked,
-                quality.dropped,
-                quality.evicted,
-                quality.quarantined_lines,
-                quality.skipped_map_files,
-                quality.failed_pids,
-                quality.missing_epochs,
-            ],
-            "engine telemetry counters diverged from the merged quality struct"
-        );
     }
 }
 
@@ -578,9 +490,10 @@ impl ResolutionEngine {
         }
     }
 
-    /// Mirror every subsequent resolve pass into `registry`'s
-    /// `resolve.*` metrics. Handles are resolved once here; the sharded
-    /// hot path never locks the registry.
+    /// Record the shape of every subsequent resolve pass (shard count,
+    /// shard sizes, shard panics) into `registry`'s `resolve.*` metrics.
+    /// Handles are resolved once here; the sharded hot path never locks
+    /// the registry.
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
         self.telemetry = Some(EngineTelemetry::attach(registry));
     }
@@ -738,14 +651,6 @@ impl ResolutionEngine {
         self.poison = spec.poison;
         let (lines, quality, incarnations) =
             self.resolve_rows(db, kernel, &spec.options, spec.threads);
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .counter(names::REPORT_ROWS)
-                .add(lines.rows.len() as u64);
-            t.registry
-                .stage(names::STAGE_REPORT_FINISH)
-                .record(lines.rows.len() as u64);
-        }
         let telemetry = self
             .telemetry
             .as_ref()
@@ -1050,15 +955,10 @@ impl ResolutionEngine {
             })
             .collect();
 
-        let before = self.telemetry.as_ref().map(|t| t.quality_counts());
-        let shard_sizes: Vec<u64> = shards
-            .iter()
-            .map(|s| s.iter().map(|(_, c)| *c).sum())
-            .collect();
-        let mut quality = self.base_quality(db);
         if let Some(t) = &self.telemetry {
-            t.add_base(&quality);
+            t.note_shards(shards.iter().map(|s| s.iter().map(|(_, c)| *c).sum()));
         }
+        let mut quality = self.base_quality(db);
         let mut merged = RowCounts::default();
         let mut incarnations: BTreeMap<ProcKey, ShardTally> = BTreeMap::new();
         for part in parts {
@@ -1068,18 +968,12 @@ impl ResolutionEngine {
             quality.unresolved += tally.unresolved;
             quality.quarantined += tally.quarantined;
             quality.cross_incarnation_blocked += tally.blocked;
-            if let Some(t) = &self.telemetry {
-                t.add_tally(&tally);
-            }
             for (key, counts) in part.rows {
                 add_counts(merged.entry(key), counts);
             }
             for (key, inc) in part.incarnations {
                 incarnations.entry(key).or_default().absorb(&inc.tally);
             }
-        }
-        if let (Some(t), Some(before)) = (&self.telemetry, before) {
-            t.finish(before, &quality, &shard_sizes);
         }
         (merged, quality, incarnations)
     }
@@ -1221,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counters_match_quality_for_every_thread_count() {
+    fn shard_metrics_describe_the_partition_for_every_thread_count() {
         let (k, pid) = setup();
         let db = mixed_db(&k, pid);
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
@@ -1229,33 +1123,24 @@ mod tests {
             let mut engine = ResolutionEngine::build(&resolver);
             let t = Telemetry::default();
             engine.set_telemetry(&t);
-            let (report, q, _) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
+            let (report, _, _) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
             assert!(!report.rows.is_empty());
             let snap = t.snapshot();
-            assert_eq!(snap.counter(names::RESOLVE_SAMPLES_RESOLVED), q.resolved);
-            assert_eq!(snap.counter(names::RESOLVE_SAMPLES_STALE_EPOCH), q.stale_epoch);
-            assert_eq!(snap.counter(names::RESOLVE_SAMPLES_UNRESOLVED), q.unresolved);
-            assert_eq!(snap.counter(names::RESOLVE_SAMPLES_DROPPED), q.dropped);
-            assert_eq!(snap.counter(names::RESOLVE_MISSING_EPOCHS), q.missing_epochs);
             assert_eq!(snap.gauge(names::RESOLVE_SHARDS), threads as u64);
             let shard_hist = snap.histogram(names::RESOLVE_SHARD_SAMPLES).unwrap();
             assert_eq!(shard_hist.count, threads as u64);
             assert_eq!(shard_hist.sum, db.total_samples());
-            let stage = snap.stage(names::STAGE_RESOLVE_REPORT).unwrap();
-            assert_eq!((stage.entries, stage.cycles), (1, q.accounted()));
         }
-        // A shared, pre-used registry still passes the delta assertion
-        // and simply accumulates across passes.
+        // A shared registry accumulates across passes.
         let mut engine = ResolutionEngine::build(&resolver);
         let t = Telemetry::default();
         engine.set_telemetry(&t);
         let q1 = engine.quality(&db, 2);
         let q2 = engine.quality(&db, 3);
         assert_eq!(q1, q2);
-        assert_eq!(
-            t.snapshot().counter(names::RESOLVE_SAMPLES_RESOLVED),
-            2 * q1.resolved
-        );
+        let snap = t.snapshot();
+        let shard_hist = snap.histogram(names::RESOLVE_SHARD_SAMPLES).unwrap();
+        assert_eq!((shard_hist.count, shard_hist.sum), (5, 2 * db.total_samples()));
     }
 
     #[test]

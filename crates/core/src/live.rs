@@ -46,10 +46,10 @@ use sim_cpu::ProcKey;
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_PATH};
 use sim_os::journal;
 use sim_os::{ImageId, Kernel};
-use viprof_telemetry::{names, Counter, Stage, Telemetry, TraceCtx, TraceLayer};
+use viprof_telemetry::{names, Counter, Telemetry, TraceCtx, TraceLayer};
 
 use crate::bootmap::BootMap;
-use crate::codemap::{parse_map, CodeMapSet, EpochMap, JIT_MAP_DIR};
+use crate::codemap::{map_prefix, read_map_file, CodeMapSet, EpochMap};
 use crate::engine::ResolutionEngine;
 use crate::flatindex::FlatIndex;
 use crate::resolve::{discover_keys, ResolutionQuality};
@@ -83,8 +83,9 @@ impl LiveSpec {
     }
 }
 
-/// Per-incarnation bookkeeping mirroring what [`CodeMapSet::load`]
-/// would tally for the same directory.
+/// Per-incarnation bookkeeping: what [`CodeMapSet::load`] would tally
+/// for the same directory, by the same per-file rules
+/// ([`read_map_file`]).
 #[derive(Debug, Default)]
 struct KeyState {
     /// Map-file paths already processed (write-once files).
@@ -125,7 +126,6 @@ struct LiveTelemetry {
     batches: Counter,
     extends: Counter,
     rebuilds: Counter,
-    snapshot_stage: Stage,
 }
 
 /// Streaming resolution engine: a shadow sample database plus
@@ -190,9 +190,9 @@ impl LiveEngine {
         }
     }
 
-    /// Share a telemetry registry: live counters, the snapshot stage
-    /// timer, flight-recorder events, and the inner engine's
-    /// `resolve.*` metrics (which accumulate once per snapshot pass).
+    /// Share a telemetry registry: live counters and spans, and the
+    /// inner engine's `resolve.*` metrics (which accumulate once per
+    /// snapshot pass).
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
         self.engine.set_telemetry(registry);
         self.telemetry = Some(LiveTelemetry {
@@ -200,7 +200,6 @@ impl LiveEngine {
             batches: registry.counter(names::LIVE_BATCHES),
             extends: registry.counter(names::LIVE_INCREMENTAL_EXTENDS),
             rebuilds: registry.counter(names::LIVE_FULL_REBUILDS),
-            snapshot_stage: registry.stage(names::STAGE_LIVE_SNAPSHOT),
         });
     }
 
@@ -262,16 +261,6 @@ impl LiveEngine {
         self.span_parent = None;
         if let Some(t) = &self.telemetry {
             t.batches.inc();
-            t.registry.event(
-                names::EVENT_LIVE_BATCH,
-                "live batch ingested",
-                &[
-                    ("seq", seq.unwrap_or(u64::MAX)),
-                    ("journaled", seq.is_some() as u64),
-                    ("samples", batch.total_samples()),
-                    ("db_buckets", self.db.len() as u64),
-                ],
-            );
         }
     }
 
@@ -317,21 +306,7 @@ impl LiveEngine {
     /// distinct sample buckets plus report rows.
     pub fn snapshot(&mut self, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
         self.engine.set_damage(self.damage());
-        let report = self.engine.resolve(&self.db, kernel, spec);
-        if let Some(t) = &self.telemetry {
-            t.snapshot_stage.record(0);
-            t.registry.event(
-                names::EVENT_LIVE_SNAPSHOT,
-                "live snapshot",
-                &[
-                    ("rows", report.lines.rows.len() as u64),
-                    ("accounted", report.quality.accounted()),
-                    ("batches", self.batches),
-                    ("sealed", self.sealed as u64),
-                ],
-            );
-        }
-        report
+        self.engine.resolve(&self.db, kernel, spec)
     }
 
     /// Resolution damage mirroring `ResolutionEngine::build`'s
@@ -425,7 +400,7 @@ impl LiveEngine {
     /// full rebuild when a new epoch arrives out of order (older than
     /// an already-flattened one) or an extend refuses.
     fn rescan_key(&mut self, kernel: &Kernel, key: ProcKey, on_disk: bool) {
-        let prefix = format!("{}/{}/{}/map.", JIT_MAP_DIR, key.pid.0, key.gen);
+        let prefix = map_prefix(key);
         let paths: Vec<String> = kernel
             .vfs
             .list(&prefix)
@@ -453,18 +428,14 @@ impl LiveEngine {
             if st.files.contains(&path) {
                 continue;
             }
-            let epoch = path[prefix.len()..].parse::<u64>().ok();
-            st.files.insert(path.clone());
-            let map = epoch.and_then(|epoch| {
-                let text = std::str::from_utf8(kernel.vfs.read(&path)?).ok()?;
-                let parsed = parse_map(text);
-                st.quarantined_lines += parsed.quarantined;
-                Some(EpochMap::new(epoch, parsed.entries))
-            });
-            match map {
-                Some(map) => fresh.push(map),
-                None => st.skipped_files += 1,
-            }
+            fresh.extend(read_map_file(
+                &kernel.vfs,
+                &prefix,
+                &path,
+                &mut st.quarantined_lines,
+                &mut st.skipped_files,
+            ));
+            st.files.insert(path);
         }
         if fresh.is_empty() {
             if st.failed() {
@@ -523,7 +494,7 @@ impl LiveEngine {
     /// Slow path: reload the incarnation from disk exactly the way the
     /// batch resolver does and rebuild its index from scratch.
     fn rebuild_key(&mut self, kernel: &Kernel, key: ProcKey) {
-        let prefix = format!("{}/{}/{}/map.", JIT_MAP_DIR, key.pid.0, key.gen);
+        let prefix = map_prefix(key);
         let files: HashSet<String> = kernel
             .vfs
             .list(&prefix)
@@ -590,18 +561,6 @@ impl LiveEngine {
             if drop_frozen && samples == 0 && self.engine.take_index(&key).is_some() {
                 st.dropped = true;
                 dropped = true;
-            }
-            if let Some(t) = &self.telemetry {
-                t.registry.event(
-                    names::EVENT_LIVE_FREEZE,
-                    "incarnation frozen",
-                    &[
-                        ("pid", key.pid.0 as u64),
-                        ("gen", key.gen as u64),
-                        ("samples", samples),
-                        ("dropped", dropped as u64),
-                    ],
-                );
             }
             self.live_span(
                 names::SPAN_LIVE_FREEZE,
@@ -699,6 +658,29 @@ mod tests {
         live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0210, 1, 3), None);
 
         assert_eq!(live.batches(), 2);
+        snap_equals_batch(&mut live, &kernel);
+    }
+
+    #[test]
+    fn damaged_map_files_are_tallied_like_the_batch_loader() {
+        let mut kernel = Kernel::new();
+        let pid = kernel.spawn("java");
+        let key = ProcKey::from(pid);
+        let mut live = LiveEngine::new(LiveSpec::new());
+
+        let mut garbled = render_map(&[entry(0x2000_0000, 0x100, "A.run()V")]);
+        garbled.push_str("not a map line\n");
+        kernel.vfs.write(map_path(key, 0), garbled.into_bytes());
+        kernel.vfs.write(format!("{}bogus", map_prefix(key)), b"junk".to_vec());
+        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
+        kernel.vfs.write(map_path(key, 1), vec![0xff, 0xfe, 0xfd]);
+        write_map(&mut kernel, key, 2, &[entry(0x2000_0200, 0x80, "B.run()V")]);
+        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0210, 2, 3), None);
+
+        let quality = live.snapshot(&kernel, &ReportSpec::default()).quality;
+        assert_eq!(quality.quarantined_lines, 1, "the garbled line");
+        assert_eq!(quality.skipped_map_files, 2, "the bad suffix and the non-UTF-8 file");
+        assert_eq!(quality.missing_epochs, 1, "epoch 1 never loaded");
         snap_equals_batch(&mut live, &kernel);
     }
 

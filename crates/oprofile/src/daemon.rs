@@ -95,14 +95,7 @@ impl DaemonTelemetry {
                 &[("dropped", dead), ("drained", batch.total_samples())],
             );
         }
-        if batch.evicted > 0 {
-            self.db_evicted.add(batch.evicted);
-            self.registry.event(
-                names::EVENT_DB_EVICTION,
-                "sample-db admission cap refused new buckets",
-                &[("evicted", batch.evicted), ("drained", batch.total_samples())],
-            );
-        }
+        self.db_evicted.add(batch.evicted);
     }
 
     /// Open the causal spans for one landed drain: the NMI sampling
@@ -605,23 +598,9 @@ impl Daemon {
                 // a full window behind an oversized backlog.
                 self.next_wakeup = now + (self.period_cycles / 2).max(1);
                 t.deadline_misses.inc();
-                t.registry.event(
-                    names::EVENT_GOVERNOR_DEADLINE_MISS,
-                    "drain exceeded its cycle budget",
-                    &[
-                        ("cycles", d.cycles),
-                        ("budget", gov.deadline_cycles()),
-                        ("wakeup", self.wakeups),
-                    ],
-                );
                 if escalate {
                     self.deadline_escalated = true;
                     t.governor_escalations.inc();
-                    t.registry.event(
-                        names::EVENT_GOVERNOR_ESCALATION,
-                        "repeated deadline misses escalated to the supervisor",
-                        &[("misses", gov.deadline_misses)],
-                    );
                 }
             }
         }
@@ -945,8 +924,6 @@ pub(crate) mod tests {
         let snap = t.snapshot();
         assert!(snap.counter(names::DAEMON_DEADLINE_MISSES) >= 2);
         assert!(snap.counter(names::GOVERNOR_ESCALATIONS) >= 1, "threshold of 2 crossed");
-        assert!(!snap.events_of(names::EVENT_GOVERNOR_DEADLINE_MISS).is_empty());
-        assert!(!snap.events_of(names::EVENT_GOVERNOR_ESCALATION).is_empty());
     }
 
     #[test]
@@ -971,7 +948,6 @@ pub(crate) mod tests {
         assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 2);
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::DB_EVICTED_SAMPLES), 3);
-        assert!(!snap.events_of(names::EVENT_DB_EVICTION).is_empty());
     }
 
     #[test]

@@ -266,11 +266,6 @@ impl Governor {
         }
         DeadlineVerdict::Missed { escalate }
     }
-
-    /// Per-drain deadline budget in cycles (0 = disabled).
-    pub fn deadline_cycles(&self) -> u64 {
-        self.config.deadline_cycles
-    }
 }
 
 #[cfg(test)]

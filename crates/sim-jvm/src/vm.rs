@@ -146,8 +146,8 @@ pub struct VmConfig {
     /// Feed real addresses through the cache hierarchy (requires the
     /// machine to have one). Off → statistical misses from `MemSpec`s.
     pub detailed_mem: bool,
-    /// Self-telemetry registry: when present, GC collections and their
-    /// virtual-cycle pauses are recorded (zero simulated cost).
+    /// Self-telemetry registry: when present, GC collections are counted
+    /// and each pause is traced as a `span.vm_gc` (zero simulated cost).
     pub telemetry: Option<viprof_telemetry::Telemetry>,
 }
 
@@ -768,7 +768,6 @@ impl Vm {
             use viprof_telemetry::{names, TraceLayer};
             let pause = gc_cycles + move_cycles;
             t.counter(names::VM_GC_COLLECTIONS).inc();
-            t.histogram(names::VM_GC_PAUSE_CYCLES).record(pause);
             // Retroactive pause span on the sim clock: the collection
             // ended at the cycles just charged to the machine.
             let end = machine.cpu.clock.cycles();

@@ -344,16 +344,13 @@ pub fn repair(vfs: &mut Vfs, path: &str) -> usize {
 // --- writer ----------------------------------------------------------
 
 /// Telemetry handles for the journal write path, resolved once at
-/// attach time. Journal work charges no simulated cycles, so events
-/// are stamped with the registry's published virtual "now".
+/// attach time. Journal work charges no simulated cycles.
 #[derive(Debug, Clone)]
 struct JournalTelemetry {
-    registry: Telemetry,
     appends: Counter,
     commits: Counter,
     repairs: Counter,
     appended_bytes: Counter,
-    damaged_bytes: Counter,
 }
 
 impl JournalTelemetry {
@@ -363,8 +360,6 @@ impl JournalTelemetry {
             commits: registry.counter(names::JOURNAL_COMMITS),
             repairs: registry.counter(names::JOURNAL_REPAIRS),
             appended_bytes: registry.counter(names::JOURNAL_APPENDED_BYTES),
-            damaged_bytes: registry.counter(names::JOURNAL_DAMAGED_BYTES),
-            registry: registry.clone(),
         }
     }
 }
@@ -473,20 +468,12 @@ impl JournalWriter {
             .read(&self.path)
             .map(|d| d[..self.committed_len.min(d.len())].to_vec())
             .unwrap_or_else(|| JOURNAL_MAGIC.to_vec());
-        // The short write's bytes are all discarded by the truncation.
-        let torn_bytes = keep as u64;
         vfs.write(self.path.clone(), kept);
         vfs.append(&self.path, &rec);
         self.commit(rec.len());
         self.repaired += 1;
         if let Some(t) = &self.telemetry {
             t.repairs.inc();
-            t.damaged_bytes.add(torn_bytes);
-            t.registry.event(
-                names::EVENT_JOURNAL_REPAIR,
-                &self.path,
-                &[("seq", seq), ("torn_bytes", torn_bytes)],
-            );
         }
         seq
     }
@@ -813,10 +800,6 @@ mod tests {
         assert_eq!(snap.counter(names::JOURNAL_COMMITS), 3);
         assert_eq!(snap.counter(names::JOURNAL_REPAIRS), 1);
         assert!(snap.counter(names::JOURNAL_APPENDED_BYTES) > 0);
-        assert!(snap.counter(names::JOURNAL_DAMAGED_BYTES) > 0);
-        let repairs = snap.events_of(names::EVENT_JOURNAL_REPAIR);
-        assert_eq!(repairs.len(), 1);
-        assert_eq!(repairs[0].detail, "/j");
         // The writer's own public counters agree with telemetry.
         assert_eq!(w.appended, 3);
         assert_eq!(w.repaired, 1);

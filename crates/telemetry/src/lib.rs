@@ -272,18 +272,14 @@ impl Telemetry {
                 .map(|name| (*name, map.get(*name).map(|g| g.get()).unwrap_or(0)))
                 .collect()
         };
-        let coalesced = {
-            let mut timeline = self.inner.timeline.lock().unwrap();
-            let before = timeline.coalesced();
-            timeline.record(cycles, &counters, &gauges);
-            timeline.coalesced() - before
-        };
+        self.inner
+            .timeline
+            .lock()
+            .unwrap()
+            .record(cycles, &counters, &gauges);
         // Self-accounting (after the record, so the timeline never
         // tracks its own counters).
         self.counter(names::TIMELINE_SAMPLES).inc();
-        if coalesced > 0 {
-            self.counter(names::TIMELINE_WINDOWS_COALESCED).add(coalesced);
-        }
     }
 
     /// Materialize the timeline ring into ordered plain data.
@@ -432,7 +428,7 @@ mod tests {
         t.set_now(1_000);
         t.sample_timeline();
         t.counter(names::BUFFER_DROPPED).add(3);
-        t.counter(names::REPORT_ROWS).add(9); // untracked by the timeline
+        t.counter(names::LIVE_BATCHES).add(9); // untracked by the timeline
         t.set_now(2_000);
         t.sample_timeline();
 
@@ -440,7 +436,7 @@ mod tests {
         assert_eq!(tl.len(), 2);
         assert_eq!(tl.series(names::BUFFER_DROPPED), vec![(1_000, 2), (2_000, 3)]);
         assert_eq!(tl.total(names::BUFFER_DROPPED), 5);
-        assert_eq!(tl.total(names::REPORT_ROWS), 0, "untracked series ignored");
+        assert_eq!(tl.total(names::LIVE_BATCHES), 0, "untracked series ignored");
 
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::TIMELINE_SAMPLES), 2);

@@ -29,7 +29,6 @@ pub const JOURNAL_APPENDS: &str = "journal.appends";
 pub const JOURNAL_COMMITS: &str = "journal.commits";
 pub const JOURNAL_REPAIRS: &str = "journal.repairs";
 pub const JOURNAL_APPENDED_BYTES: &str = "journal.appended_bytes";
-pub const JOURNAL_DAMAGED_BYTES: &str = "journal.damaged_bytes";
 pub const LIVE_BATCHES: &str = "live.batches";
 pub const LIVE_FULL_REBUILDS: &str = "live.full_rebuilds";
 pub const LIVE_INCREMENTAL_EXTENDS: &str = "live.incremental_extends";
@@ -40,27 +39,12 @@ pub const VM_GC_COLLECTIONS: &str = "vm.gc_collections";
 pub const REGISTRY_GENERATION_BUMPS: &str = "registry.generation_bumps";
 pub const REGISTRY_REAPS: &str = "registry.reaps";
 pub const REGISTRY_REGISTRATIONS: &str = "registry.registrations";
-pub const RESOLVE_SAMPLES_RESOLVED: &str = "resolve.samples_resolved";
-pub const RESOLVE_SAMPLES_CROSS_INCARNATION_BLOCKED: &str =
-    "resolve.samples_cross_incarnation_blocked";
-pub const RESOLVE_SAMPLES_STALE_EPOCH: &str = "resolve.samples_stale_epoch";
-pub const RESOLVE_SAMPLES_UNRESOLVED: &str = "resolve.samples_unresolved";
-pub const RESOLVE_SAMPLES_DROPPED: &str = "resolve.samples_dropped";
-pub const RESOLVE_SAMPLES_EVICTED: &str = "resolve.samples_evicted";
-pub const RESOLVE_SAMPLES_QUARANTINED: &str = "resolve.samples_quarantined";
 pub const RESOLVE_SHARD_PANICS: &str = "resolve.shard_panics";
-pub const RESOLVE_QUARANTINED_LINES: &str = "resolve.quarantined_lines";
-pub const RESOLVE_SKIPPED_MAP_FILES: &str = "resolve.skipped_map_files";
-pub const RESOLVE_FAILED_PIDS: &str = "resolve.failed_pids";
-pub const RESOLVE_MISSING_EPOCHS: &str = "resolve.missing_epochs";
-pub const REPORT_ROWS: &str = "report.rows";
 pub const SESSION_INSTALLS: &str = "session.installs";
 pub const SESSION_STOPS: &str = "session.stops";
 pub const TIMELINE_SAMPLES: &str = "timeline.samples";
-pub const TIMELINE_WINDOWS_COALESCED: &str = "timeline.windows_coalesced";
 pub const TRACE_SPANS_DROPPED: &str = "trace.spans_dropped";
 pub const TRACE_SPANS_RECORDED: &str = "trace.spans_recorded";
-pub const BENCH_ARTIFACTS_WRITTEN: &str = "bench.artifacts_written";
 
 /// Saturation counters: the one naming convention for "a bounded
 /// resource was full (or a governor shed load) and records were
@@ -76,15 +60,12 @@ pub const SATURATION_COUNTERS: &[&str] = &[
     CPU_SAMPLES_SUPPRESSED,
     DAEMON_DEAD_GEN_DROPPED,
     DB_EVICTED_SAMPLES,
-    RESOLVE_SAMPLES_DROPPED,
-    RESOLVE_SAMPLES_EVICTED,
     TRACE_SPANS_DROPPED,
 ];
 
 /// Counter series the [`crate::timeline::Timeline`] tracks per drain
-/// window, sorted. Deliberately a session-side allowlist: `resolve.*`,
-/// `live.*`, `report.*` and `bench.*` series are excluded so the
-/// exported timeline is a pure function of the *session* — invariant
+/// window, sorted. Deliberately a session-side allowlist: `resolve.*`
+/// and `live.*` series are excluded so the exported timeline is a pure function of the *session* — invariant
 /// to how (threads) and when (batch vs sealed live) the profile is
 /// later resolved.
 pub const TIMELINE_COUNTERS: &[&str] = &[
@@ -132,16 +113,12 @@ pub const TIMELINE_GAUGES: &[&str] = &[
 // ---- histograms ----
 pub const DAEMON_BATCH_SAMPLES: &str = "daemon.batch_samples";
 pub const RESOLVE_SHARD_SAMPLES: &str = "resolve.shard_samples";
-pub const VM_GC_PAUSE_CYCLES: &str = "vm.gc_pause_cycles";
 
 // ---- stages (virtual-cycle spans; offline stages count work units) ----
 pub const STAGE_NMI_HANDLER: &str = "stage.nmi_handler";
 pub const STAGE_DAEMON_DRAIN: &str = "stage.daemon_drain";
-pub const STAGE_LIVE_SNAPSHOT: &str = "stage.live_snapshot";
 pub const STAGE_AGENT_MAP_WRITE: &str = "stage.agent_map_write";
 pub const STAGE_RESOLVE_LOAD: &str = "stage.resolve_load";
-pub const STAGE_RESOLVE_REPORT: &str = "stage.resolve_report";
-pub const STAGE_REPORT_FINISH: &str = "stage.report_finish";
 
 // ---- trace spans (the causal tree `viprof trace` renders) ----
 pub const SPAN_AGENT_MAP_WRITE: &str = "span.agent_map_write";
@@ -180,24 +157,13 @@ pub const HEALTH_SUPERVISOR_RESTART: &str = "health.supervisor_restart";
 pub const EVENT_BUFFER_OVERFLOW: &str = "buffer.overflow";
 pub const EVENT_DAEMON_DEAD_GEN_DROP: &str = "daemon.dead_gen_drop";
 pub const EVENT_DAEMON_STALL: &str = "daemon.stall";
-pub const EVENT_DB_EVICTION: &str = "db.eviction";
-pub const EVENT_GOVERNOR_DEADLINE_MISS: &str = "governor.deadline_miss";
-pub const EVENT_GOVERNOR_ESCALATION: &str = "governor.escalation";
 pub const EVENT_GOVERNOR_RATE_CHANGE: &str = "governor.rate_change";
 pub const EVENT_RESOLVE_SHARD_QUARANTINE: &str = "resolve.shard_quarantine";
 pub const EVENT_SUPERVISOR_MISSED: &str = "supervisor.missed_window";
 pub const EVENT_SUPERVISOR_RESTART: &str = "supervisor.restart";
-pub const EVENT_AGENT_MAP_WRITE: &str = "agent.map_write";
-pub const EVENT_AGENT_GC_EPOCH: &str = "agent.gc_epoch";
-pub const EVENT_JOURNAL_REPAIR: &str = "journal.repair";
-pub const EVENT_LIVE_BATCH: &str = "live.batch";
-pub const EVENT_LIVE_FREEZE: &str = "live.freeze";
-pub const EVENT_LIVE_SNAPSHOT: &str = "live.snapshot";
 pub const EVENT_REGISTRY_REAP: &str = "registry.reap";
-pub const EVENT_REGISTRY_REGISTER: &str = "registry.register";
 pub const EVENT_SESSION_INSTALL: &str = "session.install";
 pub const EVENT_SESSION_STOP: &str = "session.stop";
-pub const EVENT_BENCH_ARTIFACT: &str = "bench.artifact";
 
 /// The full schema: `(kind, name)` pairs, grouped by kind in
 /// declaration order (names sorted within each kind).
@@ -205,7 +171,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("counter", AGENT_GC_EPOCHS),
     ("counter", AGENT_MAP_ENTRIES),
     ("counter", AGENT_MAPS_WRITTEN),
-    ("counter", BENCH_ARTIFACTS_WRITTEN),
     ("counter", BUFFER_DRAIN_ALLOCATED_SLOTS),
     ("counter", BUFFER_DROPPED),
     ("counter", BUFFER_PUSHED),
@@ -224,7 +189,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("counter", JOURNAL_APPENDED_BYTES),
     ("counter", JOURNAL_APPENDS),
     ("counter", JOURNAL_COMMITS),
-    ("counter", JOURNAL_DAMAGED_BYTES),
     ("counter", JOURNAL_REPAIRS),
     ("counter", LIVE_BATCHES),
     ("counter", LIVE_FULL_REBUILDS),
@@ -232,26 +196,13 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("counter", REGISTRY_GENERATION_BUMPS),
     ("counter", REGISTRY_REAPS),
     ("counter", REGISTRY_REGISTRATIONS),
-    ("counter", REPORT_ROWS),
-    ("counter", RESOLVE_FAILED_PIDS),
-    ("counter", RESOLVE_MISSING_EPOCHS),
-    ("counter", RESOLVE_QUARANTINED_LINES),
-    ("counter", RESOLVE_SAMPLES_CROSS_INCARNATION_BLOCKED),
-    ("counter", RESOLVE_SAMPLES_DROPPED),
-    ("counter", RESOLVE_SAMPLES_EVICTED),
-    ("counter", RESOLVE_SAMPLES_QUARANTINED),
-    ("counter", RESOLVE_SAMPLES_RESOLVED),
-    ("counter", RESOLVE_SAMPLES_STALE_EPOCH),
-    ("counter", RESOLVE_SAMPLES_UNRESOLVED),
     ("counter", RESOLVE_SHARD_PANICS),
-    ("counter", RESOLVE_SKIPPED_MAP_FILES),
     ("counter", SESSION_INSTALLS),
     ("counter", SESSION_STOPS),
     ("counter", SUPERVISOR_MISSED),
     ("counter", SUPERVISOR_REDRAINED_SAMPLES),
     ("counter", SUPERVISOR_RESTARTS),
     ("counter", TIMELINE_SAMPLES),
-    ("counter", TIMELINE_WINDOWS_COALESCED),
     ("counter", TRACE_SPANS_DROPPED),
     ("counter", TRACE_SPANS_RECORDED),
     ("counter", VM_GC_COLLECTIONS),
@@ -262,14 +213,10 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("gauge", SUPERVISOR_LAST_BACKOFF),
     ("histogram", DAEMON_BATCH_SAMPLES),
     ("histogram", RESOLVE_SHARD_SAMPLES),
-    ("histogram", VM_GC_PAUSE_CYCLES),
     ("stage", STAGE_AGENT_MAP_WRITE),
     ("stage", STAGE_DAEMON_DRAIN),
-    ("stage", STAGE_LIVE_SNAPSHOT),
     ("stage", STAGE_NMI_HANDLER),
-    ("stage", STAGE_REPORT_FINISH),
     ("stage", STAGE_RESOLVE_LOAD),
-    ("stage", STAGE_RESOLVE_REPORT),
     ("span", SPAN_AGENT_MAP_WRITE),
     ("span", SPAN_DAEMON_DRAIN),
     ("span", SPAN_JOURNAL_BATCH),
@@ -297,22 +244,11 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("health", HEALTH_JOURNAL_REPAIR),
     ("health", HEALTH_SPANS_DROPPED),
     ("health", HEALTH_SUPERVISOR_RESTART),
-    ("event", EVENT_AGENT_GC_EPOCH),
-    ("event", EVENT_AGENT_MAP_WRITE),
-    ("event", EVENT_BENCH_ARTIFACT),
     ("event", EVENT_BUFFER_OVERFLOW),
     ("event", EVENT_DAEMON_DEAD_GEN_DROP),
     ("event", EVENT_DAEMON_STALL),
-    ("event", EVENT_DB_EVICTION),
-    ("event", EVENT_GOVERNOR_DEADLINE_MISS),
-    ("event", EVENT_GOVERNOR_ESCALATION),
     ("event", EVENT_GOVERNOR_RATE_CHANGE),
-    ("event", EVENT_JOURNAL_REPAIR),
-    ("event", EVENT_LIVE_BATCH),
-    ("event", EVENT_LIVE_FREEZE),
-    ("event", EVENT_LIVE_SNAPSHOT),
     ("event", EVENT_REGISTRY_REAP),
-    ("event", EVENT_REGISTRY_REGISTER),
     ("event", EVENT_RESOLVE_SHARD_QUARANTINE),
     ("event", EVENT_SESSION_INSTALL),
     ("event", EVENT_SESSION_STOP),

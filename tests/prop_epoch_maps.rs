@@ -20,6 +20,7 @@ use viprof_repro::sim_cpu::{CostModel, Pid};
 use viprof_repro::sim_jvm::{CompiledBodyInfo, VmProfilerHooks};
 use viprof_repro::sim_jvm::{Heap, MatureConfig, MethodId, ObjKind, OptLevel};
 use viprof_repro::sim_os::Vfs;
+use viprof_repro::telemetry::Telemetry;
 use viprof_repro::viprof::codemap::{parse_map, render_map, CodeMapEntry, CodeMapSet};
 use viprof_repro::viprof::registry::JitRegistry;
 use viprof_repro::viprof::VmAgent;
@@ -63,7 +64,7 @@ struct Truth {
 fn drive(events: &[Event], precise: bool) -> (Vec<Truth>, CodeMapSet) {
     let pid = Pid(77);
     let registry = JitRegistry::shared();
-    let mut agent = VmAgent::new(registry, CostModel::free()).with_precise_moves(precise);
+    let mut agent = VmAgent::new(registry, CostModel::free(), &Telemetry::new()).with_precise_moves(precise);
     let mut vfs = Vfs::new();
     let mut heap = Heap::with_mature(
         (0x6000_0000, 0x6000_0000 + 256 * 1024),
