@@ -2,8 +2,8 @@
 //!
 //! Loads two exported artifacts of the same kind and emits a
 //! structured per-metric delta report, so a fixed-seed run can be
-//! gated against a committed baseline (`scripts/verify.sh` does
-//! exactly that with the artifacts under `results/`).
+//! compared against a committed one (the golden session exports under
+//! `results/golden/` are such baselines).
 //!
 //! Artifact kinds are detected from JSON shape (no flag needed):
 //!
@@ -17,12 +17,8 @@
 //! * any other JSON document, compared by its numeric leaves
 //!
 //! ```text
-//! viprof diff --emit-baseline <dir>
 //! viprof diff <baseline> <candidate> [--json] [--tolerance <pct>]
 //!
-//!   --emit-baseline D regenerate baseline_telemetry.json and
-//!                     baseline_timeline.json in D from the synthetic
-//!                     session at the committed seed
 //!   --json            print the delta report as one JSON document on
 //!                     stdout (status stays on stderr)
 //!   --tolerance P     treat relative deltas up to P percent as noise
@@ -34,11 +30,10 @@
 use crate::{open_session, read_artifact, report_spec, Args};
 use oprofile::{SampleDb, SAMPLES_PATH};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use viprof::Viprof;
 use viprof_telemetry::json::{get, parse_json, Json, ToJson};
-use viprof_telemetry::synthetic::{synthetic_session, BASELINE_SEED};
 use viprof_telemetry::{HealthReport, Timeline, TraceSnapshot};
 
 /// One loaded artifact: its detected kind and the flattened numeric
@@ -49,12 +44,7 @@ struct Artifact {
 }
 
 pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<ExitCode, String> {
-    let args = Args::parse(words, &[], &["--emit-baseline", "--tolerance"])?;
-    if let Some(dir) = args.value::<PathBuf>("--emit-baseline")? {
-        args.positional::<0>()?;
-        emit_baseline(&dir)?;
-        return Ok(ExitCode::SUCCESS);
-    }
+    let args = Args::parse(words, &[], &["--tolerance"])?;
     let [first, second] = args.positional()?;
     let tolerance = args.value("--tolerance")?.unwrap_or(0.0f64);
 
@@ -346,87 +336,55 @@ fn flatten(value: &Json, prefix: &str, out: &mut BTreeMap<String, f64>) {
     }
 }
 
-/// Regenerate the committed fixed-seed baselines: the synthetic
-/// session at [`BASELINE_SEED`], exported in canonical JSON.
-fn emit_baseline(dir: &Path) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let session = synthetic_session(BASELINE_SEED);
-    for (name, data) in [
-        ("baseline_telemetry.json", session.telemetry.to_json()),
-        ("baseline_timeline.json", session.timeline.to_json()),
-    ] {
-        let path = dir.join(name);
-        std::fs::write(&path, data).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("viprof: wrote {}", path.display());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The synthetic session is deterministic: the same seed must diff
-    /// to zero, a perturbed seed must not, telemetry and timeline must
-    /// detect as distinct kinds, and the emitted baselines must match
-    /// the in-memory session.
+    /// The committed golden session exports: each artifact diffs to
+    /// zero against itself, the two scenarios' telemetry and timelines
+    /// differ, the three kinds detect as distinct, and the live
+    /// scenario's supervisor restart makes an unhealthy report that
+    /// round-trips through the differ as a health artifact.
     #[test]
-    fn synthetic_artifacts_diff_to_zero_only_against_their_own_seed() {
-        let dir = std::env::temp_dir().join(format!("viprof-diff-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create selftest dir");
-        let base = synthetic_session(BASELINE_SEED);
-        let same = synthetic_session(BASELINE_SEED);
-        let perturbed = synthetic_session(BASELINE_SEED + 1);
+    fn golden_artifacts_diff_to_zero_only_against_themselves() {
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+        let path = |scenario: &str, name: &str| golden.join(scenario).join(name);
+        let load = |p: &Path| load_artifact(p, false).expect("golden artifact loads");
 
-        let write = |name: &str, data: &str| {
-            let path = dir.join(name);
-            std::fs::write(&path, data).expect("write selftest artifact");
-            path
-        };
-        let t0 = write("telemetry_a.json", &base.telemetry.to_json());
-        let t1 = write("telemetry_b.json", &same.telemetry.to_json());
-        let t2 = write("telemetry_c.json", &perturbed.telemetry.to_json());
-        let l0 = write("timeline_a.json", &base.timeline.to_json());
-        let l1 = write("timeline_b.json", &same.timeline.to_json());
-        let l2 = write("timeline_c.json", &perturbed.timeline.to_json());
-
-        let load = |p: &Path| load_artifact(p, false).expect("selftest artifact loads");
-        for (a, b, kind) in [(&t0, &t1, "telemetry"), (&l0, &l1, "timeline")] {
-            let (a, b) = (load(a), load(b));
-            assert_eq!(a.kind, kind);
-            assert_eq!(b.kind, kind);
-            assert!(
-                diff_metrics(&a.metrics, &b.metrics).is_empty(),
-                "same seed must diff to zero for {kind}"
+        for (name, kind) in [
+            ("telemetry.json", "telemetry"),
+            ("timeline.json", "timeline"),
+            ("trace.json", "trace"),
+        ] {
+            for scenario in ["ps", "jbb_live"] {
+                let (a, b) = (load(&path(scenario, name)), load(&path(scenario, name)));
+                assert_eq!(a.kind, kind, "{scenario}/{name}");
+                assert!(!a.metrics.is_empty(), "{scenario}/{name} flattens to metrics");
+                assert!(
+                    diff_metrics(&a.metrics, &b.metrics).is_empty(),
+                    "{scenario}/{name} must diff to zero against itself"
+                );
+            }
+        }
+        for name in ["telemetry.json", "timeline.json"] {
+            let rows = diff_metrics(
+                &load(&path("ps", name)).metrics,
+                &load(&path("jbb_live", name)).metrics,
             );
-            assert!(!a.metrics.is_empty(), "{kind} flattens to metrics");
+            assert!(rows.iter().any(|r| r.rel_pct > 0.0), "ps and jbb_live {name} differ");
         }
-        for (a, b, kind) in [(&t0, &t2, "telemetry"), (&l0, &l2, "timeline")] {
-            let rows = diff_metrics(&load(a).metrics, &load(b).metrics);
-            assert!(!rows.is_empty(), "perturbed seed must move {kind} metrics");
-            assert!(rows.iter().any(|r| r.rel_pct > 0.0));
-        }
-        assert_ne!(
-            load(&t0).kind,
-            load(&l0).kind,
-            "telemetry and timeline detect as distinct kinds"
-        );
 
-        // The baseline emitter is the selftest's own generator: what it
-        // writes must load and diff to zero against the in-memory session.
-        emit_baseline(&dir).expect("emit baselines");
-        let emitted = load(&dir.join("baseline_timeline.json"));
-        assert!(diff_metrics(&load(&l0).metrics, &emitted.metrics).is_empty());
-
-        // Health over the synthetic timeline fires the burst findings, and
-        // the health artifact round-trips through the differ too.
-        let health = HealthReport::evaluate(&base.timeline);
-        assert!(!health.is_healthy(), "synthetic burst fires findings");
-        let h0 = write("health_a.json", &health.to_json());
-        let loaded = load(&h0);
+        let text = std::fs::read_to_string(path("jbb_live", "timeline.json")).expect("read");
+        let health = HealthReport::evaluate(&Timeline::from_json(&text).expect("timeline"));
+        assert!(!health.is_healthy(), "the supervisor restart fires a finding");
+        assert!(health.finding(viprof_telemetry::names::HEALTH_SUPERVISOR_RESTART).is_some());
+        let dir = std::env::temp_dir().join(format!("viprof-diff-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create test dir");
+        let h = dir.join("health.json");
+        std::fs::write(&h, health.to_json()).expect("write health artifact");
+        let loaded = load(&h);
         assert_eq!(loaded.kind, "health");
-        assert!(loaded.metrics["findings"] >= 2.0);
-
+        assert_eq!(loaded.metrics["findings"], health.findings.len() as f64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,7 +35,6 @@ usage: viprof report <session-dir> [--classic] [--lineage] [--min <percent>] [--
        viprof trace  <session-dir> [--chrome] [--top <n>]
        viprof top    <session-dir> [--interval <n>] [--rows <n>]
        viprof diff   <baseline> <candidate> [--tolerance <pct>]
-       viprof diff   --emit-baseline <dir>
 every subcommand also takes --json and --recover";
 
 fn main() -> ExitCode {

@@ -32,7 +32,6 @@ pub mod json;
 pub mod metrics;
 pub mod names;
 pub mod recorder;
-pub mod synthetic;
 pub mod timeline;
 pub mod trace;
 

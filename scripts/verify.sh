@@ -105,20 +105,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> churn isolation property tests"
     cargo test -q --test prop_churn
 
-    # Baseline gate: regenerating the committed fixed-seed baselines
-    # must produce artifacts that diff to zero against results/ — any
-    # timeline/telemetry determinism drift, schema drift, or synthetic-
-    # session change fails here until the baselines are regenerated in
-    # the same change (viprof diff --emit-baseline results/).
-    echo "==> baseline drift check"
-    BASELINE_TMP="$(mktemp -d)"
-    cargo run --release -p viprof --bin viprof -- diff --emit-baseline "$BASELINE_TMP"
-    for b in baseline_telemetry.json baseline_timeline.json; do
-        cargo run --release -p viprof --bin viprof -- diff "results/$b" "$BASELINE_TMP/$b" \
-            || { echo "==> $b drifted from results/ (regenerate with viprof diff --emit-baseline results/)"; exit 1; }
-    done
-    rm -rf "$BASELINE_TMP"
-
     # Timeline/health smoke: the telescoping/monotonicity/fixed-point
     # property tests plus the health-rule unit suite, and the governed-burst
     # timeline scenario in the fault matrix. Named so temporal-layer
