@@ -64,7 +64,7 @@ impl BootMap {
             return None;
         }
         let cand = &self.methods[pos - 1];
-        (offset < cand.offset + cand.size).then_some(cand)
+        (offset < cand.offset.saturating_add(cand.size)).then_some(cand)
     }
 }
 

@@ -28,7 +28,7 @@ pub struct CodeMapEntry {
 
 impl CodeMapEntry {
     pub fn contains(&self, pc: Addr) -> bool {
-        pc >= self.addr && pc < self.addr + self.size
+        pc >= self.addr && pc < self.addr.saturating_add(self.size)
     }
 }
 

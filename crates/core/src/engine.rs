@@ -264,6 +264,13 @@ struct EngineTelemetry {
     shard_samples: Histogram,
 }
 
+/// A new engine records into a registry of its own.
+impl Default for EngineTelemetry {
+    fn default() -> EngineTelemetry {
+        EngineTelemetry::attach(&Telemetry::new())
+    }
+}
+
 impl EngineTelemetry {
     fn attach(registry: &Telemetry) -> EngineTelemetry {
         EngineTelemetry {
@@ -373,10 +380,10 @@ pub struct ResolutionEngine {
     /// failed pids, missing epochs) — the static part of every quality
     /// report.
     damage: ResolutionQuality,
-    /// Resolved handles into an attached registry; `None` keeps the
-    /// engine metrics-free (handles never charge simulated cycles
-    /// either way).
-    telemetry: Option<EngineTelemetry>,
+    /// Resolved handles into the registry the engine records into: a
+    /// private one until [`Self::set_telemetry`] attaches a shared one
+    /// (handles never charge simulated cycles).
+    telemetry: EngineTelemetry,
     /// Deterministic panic injector for the quarantine machinery.
     poison: Option<ShardPoison>,
 }
@@ -495,7 +502,7 @@ impl ResolutionEngine {
     /// Handles are resolved once here; the sharded hot path never locks
     /// the registry.
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
-        self.telemetry = Some(EngineTelemetry::attach(registry));
+        self.telemetry = EngineTelemetry::attach(registry);
     }
 
     /// The flattened index for one incarnation, if its maps loaded. A
@@ -651,22 +658,13 @@ impl ResolutionEngine {
         self.poison = spec.poison;
         let (lines, quality, incarnations) =
             self.resolve_rows(db, kernel, &spec.options, spec.threads);
-        let telemetry = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.registry.snapshot())
-            .unwrap_or_else(|| Telemetry::new().snapshot());
-        let (lineage, trace) = if spec.trace {
-            Self::lineage_and_trace(kernel, &quality, &incarnations)
-        } else {
-            (LineageTable::default(), TraceSnapshot::default())
-        };
+        let (lineage, trace) = Self::lineage_and_trace(kernel, &quality, &incarnations);
         SessionReport {
             lines,
             quality,
             recovery: None,
             incarnations,
-            telemetry,
+            telemetry: self.telemetry.registry.snapshot(),
             lineage,
             trace,
             health: Self::evaluate_health(kernel),
@@ -942,11 +940,8 @@ impl ResolutionEngine {
                     let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         self.resolve_shard(&shards[i], labels, Attempt::Retry)
                     }));
-                    let recovered = retried.is_ok();
-                    if let Some(t) = &self.telemetry {
-                        let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
-                        t.note_shard_panic(i as u64, samples, recovered);
-                    }
+                    let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
+                    self.telemetry.note_shard_panic(i as u64, samples, retried.is_ok());
                     retried.unwrap_or_else(|_| ShardPart {
                         tally: Self::quarantine_tally(&shards[i]),
                         ..self.resolve_shard(&shards[i], None, Attempt::Breakdown)
@@ -955,9 +950,8 @@ impl ResolutionEngine {
             })
             .collect();
 
-        if let Some(t) = &self.telemetry {
-            t.note_shards(shards.iter().map(|s| s.iter().map(|(_, c)| *c).sum()));
-        }
+        self.telemetry
+            .note_shards(shards.iter().map(|s| s.iter().map(|(_, c)| *c).sum()));
         let mut quality = self.base_quality(db);
         let mut merged = RowCounts::default();
         let mut incarnations: BTreeMap<ProcKey, ShardTally> = BTreeMap::new();
@@ -999,6 +993,7 @@ mod tests {
     use crate::codemap::{map_path, render_map, CodeMapEntry};
     use crate::report::{self as oracle, viprof_report};
     use crate::resolve::ResolveOptions;
+    use sim_jvm::bootimage::RVM_MAP_PATH;
     use sim_jvm::BootImage;
     use sim_os::journal::KIND_SAMPLE_BATCH_TRACED;
 
@@ -1057,16 +1052,51 @@ mod tests {
 
     #[test]
     fn labels_match_the_reference_resolver_on_every_origin() {
-        let (k, pid) = setup();
+        let (mut k, pid) = setup();
+        // A boot method and a JIT body that run past the top of the
+        // address space: both parsers accept them, and a lookup at
+        // `u64::MAX - 1` or `u64::MAX` must neither overflow nor split
+        // the two resolvers.
+        let top = u64::MAX - 0x10;
+        let mut rvm_map = k.vfs.read(RVM_MAP_PATH).unwrap().to_vec();
+        rvm_map.extend_from_slice(format!("{top:x} 100 VM.Top.edge\n").as_bytes());
+        k.vfs.write(RVM_MAP_PATH, rvm_map);
+        let top_pid = k.spawn("jikesrvm");
+        k.vfs.write(
+            map_path(top_pid, 0),
+            render_map(&[CodeMapEntry {
+                addr: top,
+                size: 0x100,
+                level: "O2".into(),
+                signature: "app.Top.edge".into(),
+            }])
+            .into_bytes(),
+        );
+        let boot_id = k.images.find_by_name(BOOT_IMAGE_NAME).unwrap();
+        let mut db = mixed_db(&k, pid);
+        for addr in [u64::MAX - 1, u64::MAX] {
+            db.add(bucket(SampleOrigin::Image(boot_id), addr, 0), 1);
+            db.add(bucket(SampleOrigin::JitApp { pid: top_pid, gen: 0 }, addr, 0), 1);
+        }
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
         let engine = ResolutionEngine::build(&resolver);
-        for (b, _) in mixed_db(&k, pid).iter() {
+        for (b, _) in db.iter() {
             assert_eq!(
                 engine.label(b, &k),
                 oracle::label(&resolver, b, &k),
                 "label diverged on {b:?}"
             );
         }
+        let top_label = |origin, addr| {
+            let (img, sym) = engine.label(&bucket(origin, addr, 0), &k);
+            format!("{img} {sym}")
+        };
+        let jit = SampleOrigin::JitApp { pid: top_pid, gen: 0 };
+        assert_eq!(top_label(jit, u64::MAX - 1), "JIT.App app.Top.edge");
+        assert_eq!(top_label(jit, u64::MAX), "JIT.App (unresolved jit)");
+        let boot = SampleOrigin::Image(boot_id);
+        assert_eq!(top_label(boot, u64::MAX - 1), "RVM.map VM.Top.edge");
+        assert_eq!(top_label(boot, u64::MAX), "RVM.code.image (no symbols)");
     }
 
     #[test]
@@ -1315,11 +1345,6 @@ mod tests {
             }
             first = Some(report);
         }
-        // spec.trace == false skips the pass entirely.
-        let mut engine = ResolutionEngine::build(&resolver);
-        let report = engine.resolve(&db, &k, &ReportSpec::default().with_trace(false));
-        assert_eq!(report.lineage, LineageTable::default());
-        assert_eq!(report.trace, TraceSnapshot::default());
     }
 
     #[test]

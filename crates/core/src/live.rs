@@ -144,7 +144,7 @@ pub struct LiveEngine {
     boot_fp: Option<(usize, u32)>,
     boot_image: Option<ImageId>,
     sealed: bool,
-    telemetry: Option<LiveTelemetry>,
+    telemetry: LiveTelemetry,
     /// Causal parent for spans emitted during the current ingest: the
     /// daemon's drain span while an `on_batch` is in flight, the
     /// session root during `seal`'s replay, `None` otherwise.
@@ -163,10 +163,15 @@ impl std::fmt::Debug for LiveEngine {
 }
 
 impl LiveEngine {
-    pub fn new(spec: LiveSpec) -> LiveEngine {
+    /// A live engine recording into `registry`: live counters and
+    /// spans, and the inner engine's `resolve.*` metrics (which
+    /// accumulate once per snapshot pass).
+    pub fn new(spec: LiveSpec, registry: &Telemetry) -> LiveEngine {
+        let mut engine = ResolutionEngine::default();
+        engine.set_telemetry(registry);
         LiveEngine {
             spec,
-            engine: ResolutionEngine::default(),
+            engine,
             db: SampleDb::new(),
             keys: HashMap::new(),
             applied: HashSet::new(),
@@ -174,7 +179,12 @@ impl LiveEngine {
             boot_fp: None,
             boot_image: None,
             sealed: false,
-            telemetry: None,
+            telemetry: LiveTelemetry {
+                registry: registry.clone(),
+                batches: registry.counter(names::LIVE_BATCHES),
+                extends: registry.counter(names::LIVE_INCREMENTAL_EXTENDS),
+                rebuilds: registry.counter(names::LIVE_FULL_REBUILDS),
+            },
             span_parent: None,
         }
     }
@@ -183,24 +193,10 @@ impl LiveEngine {
     /// current sim time), parented to the in-flight drain span when the
     /// daemon provided one, else to the session root.
     fn live_span(&self, name: &'static str, fields: &[(&str, u64)]) {
-        if let Some(t) = &self.telemetry {
-            let parent = self.span_parent.or_else(|| t.registry.trace_root());
-            let ctx = t.registry.trace_begin(TraceLayer::Live, name, parent);
-            t.registry.trace_end(ctx, fields);
-        }
-    }
-
-    /// Share a telemetry registry: live counters and spans, and the
-    /// inner engine's `resolve.*` metrics (which accumulate once per
-    /// snapshot pass).
-    pub fn set_telemetry(&mut self, registry: &Telemetry) {
-        self.engine.set_telemetry(registry);
-        self.telemetry = Some(LiveTelemetry {
-            registry: registry.clone(),
-            batches: registry.counter(names::LIVE_BATCHES),
-            extends: registry.counter(names::LIVE_INCREMENTAL_EXTENDS),
-            rebuilds: registry.counter(names::LIVE_FULL_REBUILDS),
-        });
+        let registry = &self.telemetry.registry;
+        let parent = self.span_parent.or_else(|| registry.trace_root());
+        let ctx = registry.trace_begin(TraceLayer::Live, name, parent);
+        registry.trace_end(ctx, fields);
     }
 
     /// Mirror the daemon's admission cap so the shadow database evicts
@@ -259,9 +255,7 @@ impl LiveEngine {
         self.rescan_all(kernel, false);
         self.freeze_dead(kernel);
         self.span_parent = None;
-        if let Some(t) = &self.telemetry {
-            t.batches.inc();
-        }
+        self.telemetry.batches.inc();
     }
 
     /// Close the stream: replay journal records the sink never
@@ -275,10 +269,7 @@ impl LiveEngine {
             return;
         }
         self.sealed = true;
-        self.span_parent = self
-            .telemetry
-            .as_ref()
-            .and_then(|t| t.registry.trace_root());
+        self.span_parent = self.telemetry.registry.trace_root();
         if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
             for rec in &scan.records {
                 let Some(Ok((_, body))) = rec.sample_batch() else {
@@ -471,9 +462,7 @@ impl LiveEngine {
                     break;
                 }
             }
-            if let Some(t) = &self.telemetry {
-                t.extends.add(extended);
-            }
+            self.telemetry.extends.add(extended);
             if extended > 0 {
                 self.live_span(
                     names::SPAN_LIVE_EXTEND,
@@ -511,9 +500,7 @@ impl LiveEngine {
                 st.dropped = false;
                 let epochs = st.epochs.len() as u64;
                 self.engine.insert_index(key, FlatIndex::build(&set));
-                if let Some(t) = &self.telemetry {
-                    t.rebuilds.inc();
-                }
+                self.telemetry.rebuilds.inc();
                 self.live_span(
                     names::SPAN_LIVE_REBUILD,
                     &[
@@ -650,7 +637,8 @@ mod tests {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
-        let mut live = LiveEngine::new(LiveSpec::new());
+        let t = Telemetry::new();
+        let mut live = LiveEngine::new(LiveSpec::new(), &t);
 
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
         live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 5), None);
@@ -658,6 +646,11 @@ mod tests {
         live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0210, 1, 3), None);
 
         assert_eq!(live.batches(), 2);
+        // In-order epochs take the fast path: one extend each, no
+        // rebuild.
+        let snap = t.snapshot();
+        assert_eq!(snap.counter(names::LIVE_INCREMENTAL_EXTENDS), 2);
+        assert_eq!(snap.counter(names::LIVE_FULL_REBUILDS), 0);
         snap_equals_batch(&mut live, &kernel);
     }
 
@@ -666,7 +659,7 @@ mod tests {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
-        let mut live = LiveEngine::new(LiveSpec::new());
+        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
 
         let mut garbled = render_map(&[entry(0x2000_0000, 0x100, "A.run()V")]);
         garbled.push_str("not a map line\n");
@@ -691,7 +684,7 @@ mod tests {
         let key = ProcKey::from(pid);
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
 
-        let mut live = LiveEngine::new(LiveSpec::new());
+        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
         let batch = jit_batch(key, 0x2000_0010, 0, 7);
         live.on_batch(&kernel, Some(3), &batch, None);
         live.on_batch(&kernel, Some(3), &batch, None); // supervisor replay
@@ -704,7 +697,8 @@ mod tests {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
-        let mut live = LiveEngine::new(LiveSpec::new());
+        let t = Telemetry::new();
+        let mut live = LiveEngine::new(LiveSpec::new(), &t);
 
         write_map(&mut kernel, key, 2, &[entry(0x2000_0000, 0x100, "C.run()V")]);
         live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 2, 2), None);
@@ -712,6 +706,7 @@ mod tests {
         write_map(&mut kernel, key, 1, &[entry(0x2000_0000, 0x100, "B.run()V")]);
         live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0010, 1, 2), None);
 
+        assert_eq!(t.snapshot().counter(names::LIVE_FULL_REBUILDS), 1);
         snap_equals_batch(&mut live, &kernel);
     }
 
@@ -723,7 +718,7 @@ mod tests {
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
 
         let other = kernel.spawn("other");
-        let mut live = LiveEngine::new(LiveSpec::new());
+        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
         live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
         kernel.exit_process(pid);
         // Key has samples: frozen but index retained.
@@ -748,7 +743,7 @@ mod tests {
         let seq0 = writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &delivered.to_bytes());
         writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &missed.to_bytes());
 
-        let mut live = LiveEngine::new(LiveSpec::new());
+        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
         live.on_batch(&kernel, Some(seq0), &delivered, None);
         assert_eq!(live.db().total_samples(), 5);
         live.seal(&kernel);

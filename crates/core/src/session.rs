@@ -133,7 +133,7 @@ impl SessionBuilder {
 }
 
 /// What [`Viprof::make_report`] should produce.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct ReportSpec {
     /// Row shaping: event columns, percent floor, row cap.
@@ -150,22 +150,6 @@ pub struct ReportSpec {
     /// named pid's buckets panic mid-resolution, exercising the
     /// engine's catch-unwind fallback and quarantine accounting.
     pub poison: Option<crate::engine::ShardPoison>,
-    /// Build the causal lineage table and resolve-side trace (on by
-    /// default; the bench overhead gate turns it off to measure the
-    /// flat path).
-    pub trace: bool,
-}
-
-impl Default for ReportSpec {
-    fn default() -> ReportSpec {
-        ReportSpec {
-            options: ReportOptions::default(),
-            recover: false,
-            threads: 0,
-            poison: None,
-            trace: true,
-        }
-    }
 }
 
 impl ReportSpec {
@@ -199,12 +183,6 @@ impl ReportSpec {
         self.poison = Some(poison);
         self
     }
-
-    /// Toggle lineage/trace construction.
-    pub fn with_trace(mut self, trace: bool) -> ReportSpec {
-        self.trace = trace;
-        self
-    }
 }
 
 /// Everything one post-processing pass produces.
@@ -225,21 +203,19 @@ pub struct SessionReport {
     /// have one row per VM; restart/pid-reuse churn shows up as extra
     /// rows, each accounted against its own incarnation's maps only.
     pub incarnations: Vec<IncarnationSummary>,
-    /// The resolve pass's own telemetry (`resolve.*` / `report.*`
-    /// metrics). Offline stages count deterministic work units, not
-    /// cycles, so this too is identical across same-seed runs and
-    /// thread counts.
+    /// A snapshot of the registry the resolving engine records into:
+    /// its `resolve.*` shard metrics, plus `stage.resolve_load` under
+    /// [`Viprof::make_report`], or the whole session's metrics for a
+    /// live snapshot.
     pub telemetry: TelemetrySnapshot,
     /// Causal attribution of every `quality` loss bucket: per bucket,
     /// the entry sum equals the quality count exactly — dropped and
     /// evicted samples point back to the journal span that persisted
     /// the losing drain, blocked samples to their incarnation, and
-    /// quarantined samples to the shard pass. Empty when
-    /// [`ReportSpec::trace`] is off.
+    /// quarantined samples to the shard pass.
     pub lineage: LineageTable,
     /// The resolve pass's own span tree (work-unit pseudo-time, so it
     /// is byte-identical across thread counts and batch-vs-live).
-    /// Empty when [`ReportSpec::trace`] is off.
     pub trace: TraceSnapshot,
     /// Declarative health findings evaluated over the session's
     /// exported timeline (`/var/log/viprof/timeline.json`). A pure
@@ -285,8 +261,7 @@ impl Viprof {
             // here when the config didn't bring one) and mirrors the
             // daemon's admission cap, then plugs into the drain sink.
             let telemetry = config.telemetry.get_or_insert_with(Telemetry::new).clone();
-            let mut engine = LiveEngine::new(spec);
-            engine.set_telemetry(&telemetry);
+            let mut engine = LiveEngine::new(spec, &telemetry);
             engine.set_db_cap(config.db_bucket_cap);
             let engine = Arc::new(Mutex::new(engine));
             config.drain_sink = Some(LiveEngine::sink(engine.clone()));
@@ -422,18 +397,14 @@ impl Viprof {
         if spec.recover {
             // Measure the degraded baseline alongside, so the recovery
             // report can say how many samples replay salvaged. The
-            // baseline engine stays un-attached: its pass is scaffolding,
-            // not part of this report's accounting.
+            // baseline engine records into its own registry: its pass
+            // is scaffolding, not part of this report's accounting.
             let (degraded, _) = ViprofResolver::load_with(kernel, ResolveOptions::default())?;
             let baseline =
                 ResolutionEngine::build_on(&degraded, spec.threads.max(1)).quality(db, spec.threads);
             rec.samples_salvaged = report.quality.resolved.saturating_sub(baseline.resolved);
             report.recovery = Some(rec);
         }
-        // The engine snapshotted before the baseline pass; re-snapshot
-        // so the report carries the registry's final state (identical —
-        // the baseline engine is un-attached).
-        report.telemetry = telemetry.snapshot();
         Ok(report)
     }
 

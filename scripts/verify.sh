@@ -48,7 +48,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Drain accounting smoke: every drain (timer, supervisor catch-up,
     # the final flush at stop) runs the daemon's one drain routine, so
     # drain counters, journal records and NMI-window spans agree with
-    # the sample database. Runs before the bench smokes so it is
+    # the sample database. Runs before the bench smoke so it is
     # checked even while a bench gate fails.
     echo "==> drain accounting smoke"
     cargo test -q -p oprofile drain
@@ -57,18 +57,20 @@ if [[ "${1:-}" != "--fast" ]]; then
     # match the per-bucket epoch walk on random sessions, keep its
     # shard sizes a function of bucket content, and keep the
     # per-incarnation breakdown whole when a poisoned shard is
-    # quarantined. Runs before the bench smokes so it is checked even
+    # quarantined. Runs before the bench smoke so it is checked even
     # while a bench gate fails.
     echo "==> resolve equivalence smoke"
     cargo test -q --test prop_resolve_flat
     cargo test -q --test telemetry resolve
     cargo test -q -p viprof poison
 
-    # Resolution-engine bench, smoke-sized: asserts the flattened
-    # sharded path is bit-identical to the legacy walk, gates the
-    # telemetry overhead under 3%, and writes results/BENCH_resolve.json.
-    echo "==> bench_resolve --smoke"
-    cargo run --release -p viprof-bench --bin bench_resolve -- --smoke
+    # Live equivalence smoke: the streaming engine's sealed snapshot
+    # must equal the batch report (rows, quality, incarnations), and
+    # epoch maps that arrive in order must extend an index in place
+    # rather than rebuild it. Runs before the bench smoke so it is
+    # checked even while a bench gate fails.
+    echo "==> live equivalence smoke"
+    cargo test -q -p viprof live
 
     # Overload-governor gate, smoke-sized: a ring small enough to force
     # overflow; the governed run must drop strictly fewer samples than
@@ -76,13 +78,6 @@ if [[ "${1:-}" != "--fast" ]]; then
     # results/BENCH_overload.json.
     echo "==> bench_overload --smoke"
     cargo run --release -p viprof-bench --bin bench_overload -- --smoke
-
-    # Live-resolution gate, smoke-sized: incremental epoch extension
-    # must match (==) and not lose to per-drain re-flattening, and the
-    # streaming engine's sealed snapshot must equal the batch report.
-    # Writes results/BENCH_live.json.
-    echo "==> bench_live --smoke"
-    cargo run --release -p viprof-bench --bin bench_live -- --smoke
 
     # Trace/lineage smoke: the engine tests that assert lineage totals
     # reconcile with quality, attribute losses to journaled batches,

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use support::{check, Gen};
 use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::HwEvent;
-use viprof_repro::sim_os::Kernel;
+use viprof_repro::sim_os::{Kernel, SplitMix64};
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet, EpochMap};
 use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
@@ -89,6 +89,44 @@ fn flattened_index_matches_the_epoch_walk() {
     );
 }
 
+/// Resolve `db` against the maps on `k` with the engine and with the
+/// reference resolver, and assert they agree: every bucket's label,
+/// and the report and quality at 1, 3 and 7 shards.
+fn assert_engine_matches_the_oracle(k: &Kernel, db: &SampleDb) {
+    let (resolver, _) = ViprofResolver::load_with(k, ResolveOptions::default()).unwrap();
+    let mut engine = ResolutionEngine::build(&resolver);
+    // Per-bucket label parity.
+    for (bucket, _) in db.iter() {
+        let (img, sym) = engine.label(bucket, k);
+        assert_eq!(
+            (img.to_string(), sym.to_string()),
+            oracle::label(&resolver, bucket, k),
+            "label diverged on {:?}",
+            bucket
+        );
+    }
+    // Whole-session parity, across shard counts.
+    let options = Default::default();
+    let walk_report = viprof_report(db, k, &resolver, &options);
+    let walk_q = oracle::quality(&resolver, db);
+    assert_eq!(walk_q.accounted(), db.total_samples());
+    for threads in [1usize, 3, 7] {
+        let spec = ReportSpec::default().threads(threads);
+        let session = engine.resolve(db, k, &spec);
+        assert_eq!(
+            &session.lines, &walk_report,
+            "report diverged at threads={}",
+            threads
+        );
+        assert_eq!(
+            session.quality, walk_q,
+            "quality diverged at threads={}",
+            threads
+        );
+        assert_eq!(engine.quality(db, threads), walk_q);
+    }
+}
+
 #[test]
 fn engine_matches_the_reference_resolver_on_random_sessions() {
     check(
@@ -135,40 +173,98 @@ fn engine_matches_the_reference_resolver_on_random_sessions() {
             }
             db.dropped = dropped;
 
-            let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-            let mut engine = ResolutionEngine::build(&resolver);
-            // Per-bucket label parity.
-            for (bucket, _) in db.iter() {
-                let (img, sym) = engine.label(bucket, &k);
-                assert_eq!(
-                    (img.to_string(), sym.to_string()),
-                    oracle::label(&resolver, bucket, &k),
-                    "label diverged on {:?}",
-                    bucket
-                );
-            }
-            // Whole-session parity, across shard counts.
-            let options = Default::default();
-            let walk_report = viprof_report(&db, &k, &resolver, &options);
-            let walk_q = oracle::quality(&resolver, &db);
-            assert_eq!(walk_q.accounted(), db.total_samples());
-            for threads in [1usize, 3, 7] {
-                let spec = ReportSpec::default().threads(threads);
-                let session = engine.resolve(&db, &k, &spec);
-                assert_eq!(
-                    &session.lines, &walk_report,
-                    "report diverged at threads={}",
-                    threads
-                );
-                assert_eq!(
-                    session.quality, walk_q,
-                    "quality diverged at threads={}",
-                    threads
-                );
-                assert_eq!(engine.quality(&db, threads), walk_q);
-            }
+            assert_engine_matches_the_oracle(&k, &db);
         },
     );
+}
+
+/// The chain depth the random strategy never draws: 64 epochs. Each
+/// of four pids compiles method `m` in epoch `m % 64`. Samples land at
+/// the last epoch (backward walks up to 63 maps deep), at epoch 0
+/// (forward salvage), at a random epoch, and in the gaps between
+/// method bodies (unresolved). One chain is also grown by `extend`.
+#[test]
+fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
+    const EPOCHS: u64 = 64;
+    const METHODS: u64 = 256;
+    const BASE: u64 = 0x6400_0000;
+    const STRIDE: u64 = 0x100;
+    const SIZE: u64 = 0x80;
+    let chain = |i: usize| -> Vec<EpochMap> {
+        (0..EPOCHS)
+            .map(|epoch| {
+                let entries = (epoch..METHODS)
+                    .step_by(EPOCHS as usize)
+                    .map(|m| CodeMapEntry {
+                        addr: BASE + m * STRIDE,
+                        size: SIZE,
+                        level: "O2".to_string(),
+                        signature: format!("app.P{i}.M{m:03}.run"),
+                    })
+                    .collect();
+                EpochMap::new(epoch, entries)
+            })
+            .collect()
+    };
+    let mut k = Kernel::new();
+    let pids: Vec<_> = (0..4)
+        .map(|i| {
+            let pid = k.spawn(format!("jikesrvm-{i}"));
+            for map in chain(i) {
+                k.vfs.write(
+                    map_path(pid, map.epoch),
+                    render_map(map.entries()).into_bytes(),
+                );
+            }
+            pid
+        })
+        .collect();
+    let mut rng = SplitMix64::new(0x5EED);
+    let mut below = |n: u64| rng.next_u64() % n;
+    let mut db = SampleDb::new();
+    for _ in 0..20_000 {
+        let pid = pids[below(pids.len() as u64) as usize];
+        let body = BASE + below(METHODS) * STRIDE;
+        let offset = below(SIZE);
+        let (addr, epoch) = match below(20) {
+            0 => (body + offset, 0),
+            1 => (body + offset, below(EPOCHS)),
+            2 => (body + SIZE + offset, EPOCHS - 1),
+            _ => (body + offset, EPOCHS - 1),
+        };
+        let event = if below(4) == 0 {
+            HwEvent::L2Miss
+        } else {
+            HwEvent::Cycles
+        };
+        db.add(
+            SampleBucket {
+                origin: SampleOrigin::JitApp { pid, gen: 0 },
+                event,
+                addr,
+                epoch,
+            },
+            1,
+        );
+    }
+    let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+    let q = oracle::quality(&resolver, &db);
+    assert!(
+        q.resolved > 0 && q.stale_epoch > 0 && q.unresolved > 0,
+        "the session must reach every classification: {q:?}"
+    );
+    assert_engine_matches_the_oracle(&k, &db);
+
+    // The live engine's fast path at the same depth: growing a chain
+    // one epoch at a time equals flattening it whole.
+    let mut grown = FlatIndex::build(&CodeMapSet::default());
+    for (ordinal, map) in chain(0).iter().enumerate() {
+        assert!(
+            grown.extend(map, ordinal as u32),
+            "in-order append refused at {ordinal}"
+        );
+    }
+    assert_eq!(grown, FlatIndex::build(&CodeMapSet::new(chain(0))));
 }
 
 /// The live engine's maintenance invariant, isolated: growing an
