@@ -22,7 +22,7 @@
 
 use crate::{open_session, report_spec, Args};
 use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
-use viprof::{LiveEngine, LiveSpec, SessionReport};
+use viprof::{LiveEngine, SessionReport};
 use viprof_telemetry::json::{Json, ToJson};
 use viprof_telemetry::Telemetry;
 
@@ -41,11 +41,9 @@ pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<(), String> {
         )
     })?;
 
-    // Offline replay keeps every frozen index: the whole journal
-    // references a fixed on-disk map set, so there is nothing to
-    // reclaim mid-stream. Traced (v2) batch records replay with their
-    // span context; untagged v1 records replay without one.
-    let mut live = LiveEngine::new(LiveSpec::new().with_drop_frozen(false), &Telemetry::new());
+    // Traced (v2) batch records replay with their span context;
+    // untagged v1 records replay without one.
+    let mut live = LiveEngine::new(&Telemetry::new());
     let spec = report_spec();
     let mut replayed = 0u64;
     for rec in &scan.records {

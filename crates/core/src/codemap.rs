@@ -48,6 +48,12 @@ pub(crate) fn map_prefix(key: ProcKey) -> String {
     format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen)
 }
 
+/// The epoch a listed map path names: the rest of the path after
+/// `prefix`, when it is a number.
+pub(crate) fn path_epoch(prefix: &str, path: &str) -> Option<u64> {
+    path[prefix.len()..].parse::<u64>().ok()
+}
+
 /// Read one listed map file under the loader's per-file rules, adding
 /// its damage to the caller's tallies. The file is unusable — `None`,
 /// counted in `skipped_files` — when the path after `prefix` is not a
@@ -61,7 +67,7 @@ pub(crate) fn read_map_file(
     quarantined_lines: &mut u64,
     skipped_files: &mut u64,
 ) -> Option<EpochMap> {
-    let usable = path[prefix.len()..].parse::<u64>().ok().and_then(|epoch| {
+    let usable = path_epoch(prefix, path).and_then(|epoch| {
         // A listed path should always read back; treat a miss like any
         // other unusable file rather than panicking mid-report.
         let text = std::str::from_utf8(vfs.read(path)?).ok()?;

@@ -38,7 +38,7 @@ use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
 use sim_os::journal;
 use sim_os::{ImageId, Kernel};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use viprof_telemetry::{
@@ -364,11 +364,10 @@ fn per_incarnation<T: Sync, R: Send>(
 /// threads.
 #[derive(Debug, Default)]
 pub struct ResolutionEngine {
-    /// Flattened epoch chain per incarnation.
+    /// Flattened epoch chain per incarnation. A sample of an
+    /// incarnation with no entry here is blocked exactly when another
+    /// incarnation of its pid has one.
     flat: HashMap<ProcKey, FlatIndex>,
-    /// Pids with at least one incarnation in `flat` — the lookup
-    /// behind cross-incarnation blocking.
-    pids_with_maps: HashSet<u32>,
     /// Flattened boot-image map: disjoint `[start, end)` offset ranges
     /// with method names, reproducing `BootMap::resolve`'s
     /// candidate/shadowing behaviour exactly.
@@ -449,16 +448,13 @@ impl ResolutionEngine {
 
     /// Install (or replace) one incarnation's flattened index.
     pub(crate) fn insert_index(&mut self, key: ProcKey, index: FlatIndex) {
-        self.pids_with_maps.insert(key.pid.0);
         self.flat.insert(key, index);
     }
 
-    /// Remove one incarnation's heavy index (frozen-incarnation drop).
-    /// Deliberately leaves `pids_with_maps` alone: the pid *had* maps,
-    /// so a straggler sample of another generation must still classify
-    /// as blocked, never as merely unresolved.
-    pub(crate) fn take_index(&mut self, key: &ProcKey) -> Option<FlatIndex> {
-        self.flat.remove(key)
+    /// Remove one incarnation's index (the live path, when every map
+    /// file of the incarnation turns out unusable).
+    pub(crate) fn remove_index(&mut self, key: &ProcKey) {
+        self.flat.remove(key);
     }
 
     /// Mutable access to one incarnation's index, for in-place epoch
@@ -517,7 +513,7 @@ impl ResolutionEngine {
         let index = self.flat.get(&key);
         ShardIncarnation {
             index,
-            blocked: index.is_none() && self.pids_with_maps.contains(&key.pid.0),
+            blocked: index.is_none() && self.flat.keys().any(|k| k.pid == key.pid),
             tally: ShardTally::default(),
         }
     }

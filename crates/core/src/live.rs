@@ -13,10 +13,12 @@
 //!    its [`FlatIndex`] by the newly appeared epoch maps only —
 //!    [`FlatIndex::extend`] re-sweeps just the address window each new
 //!    map touches, instead of re-flattening the whole chain;
-//! 3. freezes incarnations the kernel no longer knows (exited or
-//!    churned VMs): their final rescan has already happened, so their
-//!    indexes are immutable from then on — and indexes that never
-//!    received a sample are dropped outright.
+//! 3. installs the same index set the batch loader would for the
+//!    directories on disk now: an incarnation with no usable map has
+//!    no index, and a sample blocks at the incarnation boundary only
+//!    while another incarnation of its pid holds one. The process
+//!    table is never read — like the batch engine, live resolution
+//!    depends on the sample database and the map files alone.
 //!
 //! [`LiveEngine::snapshot`] then delegates to
 //! [`ResolutionEngine::resolve`] against the shadow database:
@@ -41,7 +43,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use oprofile::daemon::DrainSink;
-use oprofile::{SampleDb, SampleOrigin, SinkHandle, SAMPLE_JOURNAL_PATH};
+use oprofile::{SampleDb, SinkHandle, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_PATH};
 use sim_os::journal;
@@ -55,31 +57,16 @@ use crate::flatindex::FlatIndex;
 use crate::resolve::{discover_keys, ResolutionQuality};
 use crate::session::{ReportSpec, SessionReport};
 
-/// Tuning for the live engine.
+/// Requests a live engine from [`crate::SessionBuilder::live`]. The
+/// engine has no tuning: it resolves from the sample database and the
+/// map files alone, exactly as the batch engine does.
 #[non_exhaustive]
-#[derive(Debug, Clone)]
-pub struct LiveSpec {
-    /// Drop the frozen index of a reaped incarnation that never
-    /// received a sample (its rows can never appear in a report).
-    /// Indexes of *sampled* incarnations are kept — the shadow
-    /// database is cumulative, so they stay resolvable forever.
-    pub drop_frozen: bool,
-}
-
-impl Default for LiveSpec {
-    fn default() -> Self {
-        LiveSpec { drop_frozen: true }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct LiveSpec {}
 
 impl LiveSpec {
     pub fn new() -> LiveSpec {
         LiveSpec::default()
-    }
-
-    pub fn with_drop_frozen(mut self, drop: bool) -> Self {
-        self.drop_frozen = drop;
-        self
     }
 }
 
@@ -97,12 +84,6 @@ struct KeyState {
     quarantined_lines: u64,
     /// Files skipped whole (bad epoch suffix, unreadable, non-UTF8).
     skipped_files: u64,
-    /// Samples attributed to this incarnation so far.
-    samples: u64,
-    /// The kernel reaped this incarnation; its final rescan is done.
-    frozen: bool,
-    /// Frozen with zero samples — index released.
-    dropped: bool,
 }
 
 impl KeyState {
@@ -132,7 +113,6 @@ struct LiveTelemetry {
 /// incrementally maintained flat indexes, able to produce a full
 /// [`SessionReport`] at any point mid-run.
 pub struct LiveEngine {
-    spec: LiveSpec,
     engine: ResolutionEngine,
     db: SampleDb,
     keys: HashMap<ProcKey, KeyState>,
@@ -166,11 +146,10 @@ impl LiveEngine {
     /// A live engine recording into `registry`: live counters and
     /// spans, and the inner engine's `resolve.*` metrics (which
     /// accumulate once per snapshot pass).
-    pub fn new(spec: LiveSpec, registry: &Telemetry) -> LiveEngine {
+    pub fn new(registry: &Telemetry) -> LiveEngine {
         let mut engine = ResolutionEngine::default();
         engine.set_telemetry(registry);
         LiveEngine {
-            spec,
             engine,
             db: SampleDb::new(),
             keys: HashMap::new(),
@@ -225,13 +204,13 @@ impl LiveEngine {
         SinkHandle::new(LiveSink(engine))
     }
 
-    /// Ingest one drained batch: merge samples, extend affected
-    /// indexes, freeze reaped incarnations. `seq` is the batch's
+    /// Ingest one drained batch: merge samples and extend the indexes
+    /// of every incarnation whose maps changed. `seq` is the batch's
     /// journal sequence number when journaling is on; a sequence seen
     /// before (supervisor restart replaying the write-ahead log) is
     /// dropped.
     /// `ctx` is the daemon's drain span: live spans emitted while this
-    /// batch is processed (extends, rebuilds, freezes) chain to it.
+    /// batch is processed (extends, rebuilds) chain to it.
     pub fn on_batch(
         &mut self,
         kernel: &Kernel,
@@ -250,20 +229,17 @@ impl LiveEngine {
         self.span_parent = ctx;
         self.batches += 1;
         self.db.merge(batch);
-        self.note_samples(kernel, batch);
         self.refresh_boot(kernel);
-        self.rescan_all(kernel, false);
-        self.freeze_dead(kernel);
+        self.rescan_all(kernel);
         self.span_parent = None;
         self.telemetry.batches.inc();
     }
 
     /// Close the stream: replay journal records the sink never
     /// delivered (deduplicated by sequence number), refresh the boot
-    /// map, and rescan every incarnation — frozen ones included — so
-    /// the engine reflects the final on-disk state. After sealing,
-    /// further batches are ignored and the snapshot is the session's
-    /// final report.
+    /// map, and rescan every incarnation, so the engine reflects the
+    /// final on-disk state. After sealing, further batches are ignored
+    /// and the snapshot is the session's final report.
     pub fn seal(&mut self, kernel: &Kernel) {
         if self.sealed {
             return;
@@ -281,12 +257,11 @@ impl LiveEngine {
                 if let Ok(batch) = SampleDb::from_bytes(body) {
                     self.batches += 1;
                     self.db.merge(&batch);
-                    self.note_samples(kernel, &batch);
                 }
             }
         }
         self.refresh_boot(kernel);
-        self.rescan_all(kernel, true);
+        self.rescan_all(kernel);
         self.span_parent = None;
     }
 
@@ -320,29 +295,6 @@ impl LiveEngine {
         damage
     }
 
-    /// Track per-incarnation sample arrival; a sample for a dropped
-    /// incarnation (possible only through defensive paths — admission
-    /// refuses reaped incarnations) forces its index back via a full
-    /// rebuild.
-    fn note_samples(&mut self, kernel: &Kernel, batch: &SampleDb) {
-        let mut restore: Vec<ProcKey> = Vec::new();
-        for (bucket, count) in batch.iter() {
-            let SampleOrigin::JitApp { pid, gen } = bucket.origin else {
-                continue;
-            };
-            let key = ProcKey::new(pid, gen);
-            let st = self.keys.entry(key).or_default();
-            st.samples += count;
-            if st.dropped {
-                st.dropped = false;
-                restore.push(key);
-            }
-        }
-        for key in restore {
-            self.rebuild_key(kernel, key);
-        }
-    }
-
     /// Reload the flattened boot map when `RVM.map` changed (or first
     /// appeared). The boot-image id is refreshed even when the map
     /// file is absent: boot-image samples are labelled through the
@@ -362,27 +314,11 @@ impl LiveEngine {
         self.engine.set_boot(&map, boot_image);
     }
 
-    /// Rescan every known incarnation's map directory, plus any
-    /// directories that exist on disk but have produced no samples
-    /// yet. Frozen incarnations are skipped mid-run (their final
-    /// rescan happened when they were reaped) but revisited at seal
-    /// for final-state parity.
-    fn rescan_all(&mut self, kernel: &Kernel, include_frozen: bool) {
-        let discovered = discover_keys(kernel);
-        let mut targets: Vec<(ProcKey, bool)> =
-            discovered.iter().map(|&key| (key, true)).collect();
-        targets.extend(
-            self.keys
-                .keys()
-                .filter(|key| discovered.binary_search(key).is_err())
-                .map(|&key| (key, false)),
-        );
-        targets.sort_unstable();
-        for (key, on_disk) in targets {
-            let skip = !include_frozen && self.keys.get(&key).is_some_and(|st| st.frozen);
-            if !skip {
-                self.rescan_key(kernel, key, on_disk);
-            }
+    /// Rescan the map directory of every incarnation on disk — the
+    /// set the batch loader discovers.
+    fn rescan_all(&mut self, kernel: &Kernel) {
+        for key in discover_keys(kernel) {
+            self.rescan_key(kernel, key);
         }
     }
 
@@ -390,7 +326,7 @@ impl LiveEngine {
     /// the incarnation's index one epoch at a time. Falls back to a
     /// full rebuild when a new epoch arrives out of order (older than
     /// an already-flattened one) or an extend refuses.
-    fn rescan_key(&mut self, kernel: &Kernel, key: ProcKey, on_disk: bool) {
+    fn rescan_key(&mut self, kernel: &Kernel, key: ProcKey) {
         let prefix = map_prefix(key);
         let paths: Vec<String> = kernel
             .vfs
@@ -403,13 +339,9 @@ impl LiveEngine {
             // all (journal only — every map write torn, say) loads as
             // an *empty* set in the batch path, which still inserts an
             // empty index and claims the pid. Mirror that.
-            if on_disk
-                && self.engine.index(key).is_none()
-                && !self.keys.get(&key).is_some_and(|st| st.dropped)
-            {
+            if self.engine.index(key).is_none() {
                 self.engine
                     .insert_index(key, FlatIndex::build(&CodeMapSet::default()));
-                self.keys.entry(key).or_default();
             }
             return;
         }
@@ -432,7 +364,7 @@ impl LiveEngine {
             if st.failed() {
                 // Every file for this incarnation is unusable: the
                 // batch loader errors out and loads no index.
-                self.engine.take_index(&key);
+                self.engine.remove_index(&key);
             }
             return;
         }
@@ -441,7 +373,7 @@ impl LiveEngine {
             .epochs
             .last()
             .is_none_or(|&last| fresh[0].epoch >= last);
-        if in_order && !st.dropped {
+        if in_order {
             if self.engine.index(key).is_none() {
                 // An extend-grown index must start from the flattened
                 // empty set, not `FlatIndex::default()` (the sweep
@@ -497,7 +429,6 @@ impl LiveEngine {
                 st.epochs = set.maps().iter().map(|m| m.epoch).collect();
                 st.quarantined_lines = set.quarantined_lines;
                 st.skipped_files = set.skipped_files;
-                st.dropped = false;
                 let epochs = st.epochs.len() as u64;
                 self.engine.insert_index(key, FlatIndex::build(&set));
                 self.telemetry.rebuilds.inc();
@@ -517,47 +448,8 @@ impl LiveEngine {
                 let st = self.keys.entry(key).or_default();
                 st.files = files;
                 st.epochs.clear();
-                st.dropped = false;
-                self.engine.take_index(&key);
+                self.engine.remove_index(&key);
             }
-        }
-    }
-
-    /// Freeze incarnations the kernel no longer tracks under the same
-    /// generation — the reap rule the daemon itself applies. Their
-    /// rescan this batch was the final one; a frozen incarnation with
-    /// zero samples surrenders its index (when the spec allows).
-    fn freeze_dead(&mut self, kernel: &Kernel) {
-        let dead: Vec<ProcKey> = self
-            .keys
-            .iter()
-            .filter(|(key, st)| {
-                !st.frozen
-                    && kernel
-                        .process(key.pid)
-                        .is_none_or(|proc| proc.gen != key.gen)
-            })
-            .map(|(key, _)| *key)
-            .collect();
-        for key in dead {
-            let drop_frozen = self.spec.drop_frozen;
-            let st = self.keys.get_mut(&key).expect("key collected above");
-            st.frozen = true;
-            let samples = st.samples;
-            let mut dropped = false;
-            if drop_frozen && samples == 0 && self.engine.take_index(&key).is_some() {
-                st.dropped = true;
-                dropped = true;
-            }
-            self.live_span(
-                names::SPAN_LIVE_FREEZE,
-                &[
-                    ("pid", key.pid.0 as u64),
-                    ("gen", key.gen as u64),
-                    ("samples", samples),
-                    ("dropped", dropped as u64),
-                ],
-            );
         }
     }
 }
@@ -580,9 +472,9 @@ impl DrainSink for LiveSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codemap::{map_path, render_map, CodeMapEntry};
+    use crate::codemap::{journal_path, map_path, render_map, CodeMapEntry};
     use crate::resolve::{ResolveOptions, ViprofResolver};
-    use oprofile::SampleBucket;
+    use oprofile::{SampleBucket, SampleOrigin};
     use sim_cpu::HwEvent;
     use sim_os::journal::KIND_SAMPLE_BATCH;
 
@@ -638,7 +530,7 @@ mod tests {
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
         let t = Telemetry::new();
-        let mut live = LiveEngine::new(LiveSpec::new(), &t);
+        let mut live = LiveEngine::new(&t);
 
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
         live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 5), None);
@@ -659,7 +551,7 @@ mod tests {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
-        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
+        let mut live = LiveEngine::new(&Telemetry::new());
 
         let mut garbled = render_map(&[entry(0x2000_0000, 0x100, "A.run()V")]);
         garbled.push_str("not a map line\n");
@@ -684,7 +576,7 @@ mod tests {
         let key = ProcKey::from(pid);
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
 
-        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
+        let mut live = LiveEngine::new(&Telemetry::new());
         let batch = jit_batch(key, 0x2000_0010, 0, 7);
         live.on_batch(&kernel, Some(3), &batch, None);
         live.on_batch(&kernel, Some(3), &batch, None); // supervisor replay
@@ -698,7 +590,7 @@ mod tests {
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
         let t = Telemetry::new();
-        let mut live = LiveEngine::new(LiveSpec::new(), &t);
+        let mut live = LiveEngine::new(&t);
 
         write_map(&mut kernel, key, 2, &[entry(0x2000_0000, 0x100, "C.run()V")]);
         live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 2, 2), None);
@@ -711,20 +603,42 @@ mod tests {
     }
 
     #[test]
-    fn frozen_unsampled_incarnation_drops_its_index() {
+    fn exited_process_resolves_like_batch() {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
 
         let other = kernel.spawn("other");
-        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
+        let mut live = LiveEngine::new(&Telemetry::new());
         live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
         kernel.exit_process(pid);
-        // Key has samples: frozen but index retained.
         live.on_batch(&kernel, Some(1), &jit_batch(ProcKey::from(other), 0, 0, 0), None);
-        assert!(live.keys[&key].frozen);
-        assert!(!live.keys[&key].dropped);
+        snap_equals_batch(&mut live, &kernel);
+    }
+
+    #[test]
+    fn incarnation_whose_maps_all_fail_is_unresolved_not_blocked() {
+        let mut kernel = Kernel::new();
+        let pid = kernel.spawn("java");
+        let key = ProcKey::from(pid);
+        let mut live = LiveEngine::new(&Telemetry::new());
+
+        // Only the map journal so far: like the batch loader, live
+        // installs an empty index for the directory.
+        kernel.vfs.write(journal_path(key), Vec::new());
+        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
+        assert!(live.engine.index(key).is_some());
+        // The first map file is not UTF-8: the batch loader fails the
+        // pid and holds no index for it, so nothing can block its
+        // samples at the incarnation boundary.
+        kernel.vfs.write(map_path(key, 0), vec![0xff, 0xfe, 0xfd]);
+        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0010, 0, 3), None);
+
+        let quality = live.snapshot(&kernel, &ReportSpec::default()).quality;
+        assert_eq!(quality.unresolved, 7);
+        assert_eq!(quality.cross_incarnation_blocked, 0);
+        assert_eq!(quality.failed_pids, 1);
         snap_equals_batch(&mut live, &kernel);
     }
 
@@ -743,7 +657,7 @@ mod tests {
         let seq0 = writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &delivered.to_bytes());
         writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &missed.to_bytes());
 
-        let mut live = LiveEngine::new(LiveSpec::new(), &Telemetry::new());
+        let mut live = LiveEngine::new(&Telemetry::new());
         live.on_batch(&kernel, Some(seq0), &delivered, None);
         assert_eq!(live.db().total_samples(), 5);
         live.seal(&kernel);

@@ -30,7 +30,9 @@
 //! alongside `ResolutionQuality` so "how much was saved" is as
 //! measurable as "how much was lost".
 
-use crate::codemap::{journal_path, parse_map, CodeMapSet, EpochMap, ParsedMap, JIT_MAP_DIR};
+use crate::codemap::{
+    journal_path, map_prefix, parse_map, path_epoch, read_map_file, CodeMapSet, EpochMap,
+};
 use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
 use sim_os::journal::{self, KIND_CODE_MAP};
@@ -107,21 +109,23 @@ pub fn recover_codemaps(vfs: &Vfs, key: impl Into<ProcKey>) -> Option<(CodeMapSe
         truncated_bytes: scan.damaged_bytes as u64,
         ..PidRecovery::default()
     };
-    // On-disk state first, exactly as the degraded loader sees it:
-    // `Some(parsed)` for readable files, `None` for unreadable ones.
-    let prefix = format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen);
-    let mut epochs: BTreeMap<u64, Option<ParsedMap>> = BTreeMap::new();
+    // On-disk state first, read by the degraded loader's per-file
+    // rules: `Some((map, quarantined lines))` for usable files, `None`
+    // for unusable ones whose path names an epoch (a journal record
+    // for that epoch replaces them). Files naming no epoch stay
+    // skipped.
+    let prefix = map_prefix(key);
+    let mut epochs: BTreeMap<u64, Option<(EpochMap, u64)>> = BTreeMap::new();
     let mut skipped_unnameable = 0u64;
     for path in vfs.list(&prefix) {
-        let Ok(epoch) = path[prefix.len()..].parse::<u64>() else {
-            skipped_unnameable += 1;
-            continue;
-        };
-        let state = vfs
-            .read(path)
-            .and_then(|raw| std::str::from_utf8(raw).ok())
-            .map(parse_map);
-        epochs.insert(epoch, state);
+        let (mut quarantined, mut skipped) = (0, 0);
+        let map = read_map_file(vfs, &prefix, path, &mut quarantined, &mut skipped);
+        match path_epoch(&prefix, path) {
+            Some(epoch) => {
+                epochs.insert(epoch, map.map(|m| (m, quarantined)));
+            }
+            None => skipped_unnameable += skipped,
+        }
     }
     // Overlay the journal: each committed record is a pristine epoch
     // map (CRC-verified, so a decode failure here means a malformed
@@ -135,24 +139,29 @@ pub fn recover_codemaps(vfs: &Vfs, key: impl Into<ProcKey>) -> Option<(CodeMapSe
             continue;
         };
         rec.records_replayed += 1;
-        let pristine = parse_map(text);
+        let parsed = parse_map(text);
+        let pristine = EpochMap::new(epoch, parsed.entries);
+        // Both sides hold their entries in address order; a fault only
+        // truncates or garbles a file, never reorders it.
         let improved = match epochs.get(&epoch) {
             None | Some(None) => true,
-            Some(Some(disk)) => disk.quarantined > 0 || disk.entries != pristine.entries,
+            Some(Some((disk, quarantined))) => {
+                *quarantined > 0 || disk.entries() != pristine.entries()
+            }
         };
         if improved {
             rec.epochs_recovered += 1;
         }
-        epochs.insert(epoch, Some(pristine));
+        epochs.insert(epoch, Some((pristine, parsed.quarantined)));
     }
     let mut maps = Vec::new();
     let mut quarantined = 0;
     let mut skipped = skipped_unnameable;
-    for (epoch, state) in epochs {
+    for state in epochs.into_values() {
         match state {
-            Some(p) => {
-                quarantined += p.quarantined;
-                maps.push(EpochMap::new(epoch, p.entries));
+            Some((map, lines)) => {
+                quarantined += lines;
+                maps.push(map);
             }
             None => skipped += 1,
         }

@@ -256,12 +256,12 @@ impl Viprof {
         agent_faults: Option<MapFaults>,
         live: Option<LiveSpec>,
     ) -> Viprof {
-        let live = live.map(|spec| {
+        let live = live.map(|_| {
             // The live engine shares the session's registry (created
             // here when the config didn't bring one) and mirrors the
             // daemon's admission cap, then plugs into the drain sink.
             let telemetry = config.telemetry.get_or_insert_with(Telemetry::new).clone();
-            let mut engine = LiveEngine::new(spec, &telemetry);
+            let mut engine = LiveEngine::new(&telemetry);
             engine.set_db_cap(config.db_bucket_cap);
             let engine = Arc::new(Mutex::new(engine));
             config.drain_sink = Some(LiveEngine::sink(engine.clone()));

@@ -129,19 +129,6 @@ impl OpConfig {
         self
     }
 
-    /// Feed every non-trivial drained batch to `sink` (live resolution).
-    pub fn with_drain_sink(mut self, sink: SinkHandle) -> Self {
-        self.drain_sink = Some(sink);
-        self
-    }
-
-    /// Share `registry` with the session instead of letting it create
-    /// a private one.
-    pub fn with_telemetry(mut self, registry: &Telemetry) -> Self {
-        self.telemetry = Some(registry.clone());
-        self
-    }
-
     /// Validate the configuration before a session starts. An empty
     /// event list used to slip through here and surface later as a
     /// zero `primary_period()` — a divide-by-zero hazard once the

@@ -144,10 +144,6 @@ impl Machine {
         self.services.push(s);
     }
 
-    pub fn clear_services(&mut self) {
-        self.services.clear();
-    }
-
     /// Execute one block, then poll services.
     pub fn exec(&mut self, block: &BlockExec) -> BlockEvents {
         let events = self.cpu.execute_block(

@@ -8,9 +8,9 @@
 //!
 //! * **counters / gauges / histograms** ([`metrics`]) — always-on
 //!   atomics, JXPerf-style: cheap enough to never turn off;
-//! * **stage timers** ([`metrics::Stage`] / [`metrics::Span`]) —
-//!   spans measured in **virtual cycles** (the sim clock), never wall
-//!   time, so a seeded run reproduces its own overhead breakdown
+//! * **stage timers** ([`metrics::Stage`]) — entry counts and
+//!   durations in **virtual cycles** (the sim clock), never wall time,
+//!   so a seeded run reproduces its own overhead breakdown
 //!   bit-for-bit;
 //! * a **flight recorder** ([`recorder`]) — a bounded ring of
 //!   structured events that makes fault-matrix runs explainable after
@@ -39,11 +39,11 @@ pub use export::{log2_rows, HistogramSnapshot, StageSnapshot, TelemetrySnapshot}
 pub use health::{
     HealthFinding, HealthReport, HealthRule, Severity, DEFAULT_HEALTH_RULES,
 };
-pub use metrics::{bucket_hi, bucket_lo, bucket_of, Counter, Gauge, Histogram, Span, Stage, BUCKETS};
+pub use metrics::{bucket_hi, bucket_lo, bucket_of, Counter, Gauge, Histogram, Stage, BUCKETS};
 pub use recorder::{Event, FlightRecorder, DEFAULT_EVENT_CAPACITY};
 pub use timeline::{Timeline, TimelineWindow, DEFAULT_TIMELINE_CAPACITY};
 pub use trace::{
-    LineageEntry, LineageTable, SpanRecord, SpanStore, StagedSpan, TraceCtx, TraceLayer,
+    LineageEntry, LineageTable, SpanRecord, SpanStore, TraceCtx, TraceLayer,
     TraceSnapshot, DEFAULT_SPAN_CAPACITY,
 };
 
@@ -87,13 +87,6 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Registry whose flight recorder keeps at most `capacity` events.
-    pub fn with_recorder_capacity(capacity: usize) -> Telemetry {
-        let t = Telemetry::default();
-        *t.inner.recorder.lock().unwrap() = FlightRecorder::new(capacity);
-        t
-    }
-
     /// Get-or-create; call once per site and keep the handle (the
     /// lookup locks a map, the handle does not).
     pub fn counter(&self, name: &'static str) -> Counter {
@@ -134,12 +127,6 @@ impl Telemetry {
             .entry(name)
             .or_default()
             .clone()
-    }
-
-    /// Open a virtual-time span over `name` starting at the current
-    /// virtual clock.
-    pub fn span(&self, name: &'static str) -> Span {
-        Span::open(self.stage(name), self.now())
     }
 
     /// Publish the sim clock (cheap atomic store; clocked layers call
@@ -214,23 +201,6 @@ impl Telemetry {
     /// [`Self::trace_end`] with an explicit virtual timestamp.
     pub fn trace_end_at(&self, cycles: u64, ctx: TraceCtx, fields: &[(&str, u64)]) {
         self.inner.tracer.lock().unwrap().end(ctx, cycles, fields);
-    }
-
-    /// Close a trace span and charge its virtual-cycle duration to
-    /// stage `stage_name` — the begin/end guard coupling spans to the
-    /// existing stage timers, so the span tree and the stage totals
-    /// cannot disagree.
-    pub fn trace_end_staged(
-        &self,
-        ctx: TraceCtx,
-        stage_name: &'static str,
-        fields: &[(&str, u64)],
-    ) {
-        let now = self.now();
-        let dur = self.inner.tracer.lock().unwrap().end(ctx, now, fields);
-        if let Some(dur) = dur {
-            self.stage(stage_name).record(dur);
-        }
     }
 
     /// The first root span opened in this registry (the session root).
@@ -398,7 +368,7 @@ mod tests {
         t.set_now(1_200);
         let drain = t.trace_begin(TraceLayer::Drain, "daemon.drain", Some(root));
         t.set_now(1_260);
-        t.trace_end_staged(drain, names::STAGE_DAEMON_DRAIN, &[("samples", 4)]);
+        t.trace_end(drain, &[("samples", 4)]);
         t.set_now(2_000);
         t.trace_end(root, &[]);
 
@@ -412,12 +382,6 @@ mod tests {
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::TRACE_SPANS_RECORDED), 2);
         assert_eq!(snap.counter(names::TRACE_SPANS_DROPPED), 0);
-        let st = snap.stage(names::STAGE_DAEMON_DRAIN).unwrap();
-        assert_eq!(
-            (st.entries, st.cycles),
-            (1, 60),
-            "staged guard lands the span duration on the stage"
-        );
     }
 
     #[test]
@@ -445,17 +409,5 @@ mod tests {
             snap.counters.iter().all(|(n, _)| n != names::GOVERNOR_BACKOFFS),
             "sampling must not register silent series"
         );
-    }
-
-    #[test]
-    fn spans_use_published_virtual_time() {
-        let t = Telemetry::new();
-        t.set_now(1_000);
-        let span = t.span(names::STAGE_DAEMON_DRAIN);
-        t.set_now(1_450);
-        span.finish(t.now());
-        let s = t.snapshot();
-        let st = s.stage(names::STAGE_DAEMON_DRAIN).unwrap();
-        assert_eq!((st.entries, st.cycles), (1, 450));
     }
 }

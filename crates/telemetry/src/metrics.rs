@@ -181,24 +181,6 @@ impl Stage {
     }
 }
 
-/// An open stage span: constructed at a virtual-time reading, closed at
-/// a later one; the delta lands in the stage.
-#[derive(Debug)]
-pub struct Span {
-    stage: Stage,
-    start: u64,
-}
-
-impl Span {
-    pub fn open(stage: Stage, start_cycles: u64) -> Span {
-        Span { stage, start: start_cycles }
-    }
-
-    pub fn finish(self, now_cycles: u64) {
-        self.stage.record(now_cycles.saturating_sub(self.start));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,18 +241,5 @@ mod tests {
             h.nonzero_buckets(),
             vec![(0, 1), (1, 1), (2, 2), (11, 5)]
         );
-    }
-
-    #[test]
-    fn span_records_virtual_delta() {
-        let s = Stage::new();
-        let span = Span::open(s.clone(), 100);
-        span.finish(160);
-        assert_eq!(s.entries(), 1);
-        assert_eq!(s.cycles(), 60);
-        // A span closed "before" it opened records zero, not a wrap.
-        Span::open(s.clone(), 50).finish(10);
-        assert_eq!(s.cycles(), 60);
-        assert_eq!(s.entries(), 2);
     }
 }

@@ -125,7 +125,6 @@ pub const SPAN_AGENT_MAP_WRITE: &str = "span.agent_map_write";
 pub const SPAN_DAEMON_DRAIN: &str = "span.daemon_drain";
 pub const SPAN_JOURNAL_BATCH: &str = "span.journal_batch";
 pub const SPAN_LIVE_EXTEND: &str = "span.live_extend";
-pub const SPAN_LIVE_FREEZE: &str = "span.live_freeze";
 pub const SPAN_LIVE_REBUILD: &str = "span.live_rebuild";
 pub const SPAN_NMI_WINDOW: &str = "span.nmi_window";
 pub const SPAN_RESOLVE: &str = "span.resolve";
@@ -221,7 +220,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("span", SPAN_DAEMON_DRAIN),
     ("span", SPAN_JOURNAL_BATCH),
     ("span", SPAN_LIVE_EXTEND),
-    ("span", SPAN_LIVE_FREEZE),
     ("span", SPAN_LIVE_REBUILD),
     ("span", SPAN_NMI_WINDOW),
     ("span", SPAN_RESOLVE),

@@ -4,7 +4,7 @@
 //! Counters say *how much* each pipeline stage lost; spans say *where
 //! in the causal chain* it happened. Every batch boundary — an NMI
 //! sampling window, a ring-buffer drain, a journal append, a
-//! supervisor redrain, a live extend/rebuild/freeze, a resolve pass —
+//! supervisor redrain, a live extend or rebuild, a resolve pass —
 //! opens a span that links to its parent, so a sample's whole vertical
 //! path (paper §1's "vertically integrated" claim, applied to the
 //! profiler itself) is reconstructible after the fact.
@@ -31,7 +31,7 @@
 //! [`TraceSnapshot::from_chrome_json`].
 
 use crate::json::{get, parse_json, JsonWriter};
-use crate::metrics::{bucket_of, Stage, BUCKETS};
+use crate::metrics::{bucket_of, BUCKETS};
 use std::collections::HashMap;
 
 /// One causal position: the trace a span belongs to and the span
@@ -57,7 +57,7 @@ pub enum TraceLayer {
     Journal,
     /// A supervisor catch-up redrain after a restart.
     Redrain,
-    /// Live-engine index work (extend / rebuild / freeze).
+    /// Live-engine index work (extend / rebuild).
     Live,
     /// Agent map writes.
     Agent,
@@ -272,29 +272,6 @@ impl SpanStore {
         TraceSnapshot {
             spans: self.spans.clone(),
             dropped: self.dropped,
-        }
-    }
-}
-
-/// An open span coupled to a [`Stage`] timer: ending it lands the
-/// span's virtual-cycle duration on the stage, so the span tree and
-/// the stage totals can never disagree — the begin/end guard over the
-/// existing stage timers.
-#[derive(Debug)]
-pub struct StagedSpan {
-    pub ctx: TraceCtx,
-    stage: Stage,
-}
-
-impl StagedSpan {
-    pub fn new(ctx: TraceCtx, stage: Stage) -> StagedSpan {
-        StagedSpan { ctx, stage }
-    }
-
-    /// Close via `store`, charging the duration to the stage.
-    pub fn finish(self, store: &mut SpanStore, now: u64, fields: &[(&str, u64)]) {
-        if let Some(dur) = store.end(self.ctx, now, fields) {
-            self.stage.record(dur);
         }
     }
 }
@@ -592,16 +569,6 @@ mod tests {
         let (ctx2, _) = s.begin(TraceLayer::Nmi, "window", None, 600);
         s.end(ctx2, 700, &[("samples", 12)]);
         assert_eq!(s.snapshot().spans[1].field("samples"), Some(12));
-    }
-
-    #[test]
-    fn staged_span_charges_the_stage() {
-        let mut s = SpanStore::new(4);
-        let stage = Stage::new();
-        let (ctx, _) = s.begin(TraceLayer::Agent, "map_write", None, 100);
-        StagedSpan::new(ctx, stage.clone()).finish(&mut s, 160, &[("entries", 4)]);
-        assert_eq!((stage.entries(), stage.cycles()), (1, 60));
-        assert_eq!(s.snapshot().spans[0].field("entries"), Some(4));
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl ProfilerKind {
     pub fn viprof_supervised_at(period: u64, plan: FaultPlan) -> ProfilerKind {
         ProfilerKind::ViprofSupervised(OpConfig::time_at(period), plan)
     }
-
-    /// VIProf at `period` with the live engine attached.
-    pub fn viprof_live_at(period: u64) -> ProfilerKind {
-        ProfilerKind::ViprofLive(OpConfig::time_at(period), None)
-    }
 }
 
 /// Everything a harness wants from one run.

@@ -194,9 +194,6 @@ fn spec_builders_reach_every_field() {
 
     assert!(ResolveOptions::recovered().recover);
     assert!(!ResolveOptions::default().with_recover(false).recover);
-
-    assert!(LiveSpec::new().drop_frozen, "reclaim is the default");
-    assert!(!LiveSpec::new().with_drop_frozen(false).drop_frozen);
 }
 
 #[test]

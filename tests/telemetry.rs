@@ -9,8 +9,8 @@
 //!   range with no gaps, overlaps, or misfiled boundaries;
 //! * **Schema** — the metric catalog matches the reviewed golden list
 //!   in `scripts/telemetry-schema.txt`, so instrumentation drift fails
-//!   review here and in `scripts/verify.sh`, and every recorded name
-//!   has a reader;
+//!   review here and in `scripts/verify.sh`, every recorded name
+//!   has a reader, and every span name has a writer;
 //! * **Flight recorder** — a long session keeps the events operators
 //!   read instead of evicting them.
 
@@ -240,9 +240,16 @@ fn mentions_word(text: &str, word: &str) -> bool {
 /// workspace files besides `names.rs` — the one that records it and
 /// one that reads it (a report line, a health rule, a test, a gate or
 /// the benchmark). Timeline-allowlisted series are read by the
-/// timeline itself. Spans, lineage buckets and health ids are read by
-/// construction (trace tree, lineage table, health report) and are not
-/// checked here.
+/// timeline itself.
+///
+/// Span names are read generically: the trace tree, `viprof trace
+/// --top` and the Chrome export show every recorded span whatever its
+/// name. So a span name is checked from the writer's side instead: its
+/// constant (or literal) must appear in the non-test part (before the
+/// first `#[cfg(test)]`) of some program source file besides
+/// `names.rs`, outside every `tests/` directory. Lineage buckets and
+/// health ids are read by construction (lineage table, health report)
+/// and are not checked here.
 #[test]
 fn every_recorded_name_has_a_reader() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -259,9 +266,28 @@ fn every_recorded_name_has_a_reader() {
     let mut sources = Vec::new();
     rust_sources(root, &mut sources);
     sources.retain(|(path, _)| !Path::new(path).ends_with("crates/telemetry/src/names.rs"));
+    // The program code of each source: test directories dropped, and
+    // each file cut at its first `#[cfg(test)]`.
+    let program: Vec<&str> = sources
+        .iter()
+        .filter(|(path, _)| {
+            let rel = Path::new(path).strip_prefix(root).expect("source under the root");
+            !rel.components().any(|c| c.as_os_str() == "tests")
+        })
+        .map(|(_, text)| text.split("#[cfg(test)]").next().unwrap_or_default())
+        .collect();
 
     let mut unread = Vec::new();
+    let mut unwritten = Vec::new();
     for (kind, name) in names::ALL_METRICS {
+        let literal = format!("\"{name}\"");
+        if *kind == "span" {
+            let ident = constant(name);
+            if !program.iter().any(|text| mentions_word(text, &ident) || text.contains(&literal)) {
+                unwritten.push(format!("{kind} {name}"));
+            }
+            continue;
+        }
         if !["counter", "gauge", "histogram", "stage", "event"].contains(kind)
             || names::TIMELINE_COUNTERS.contains(name)
             || names::TIMELINE_GAUGES.contains(name)
@@ -269,7 +295,6 @@ fn every_recorded_name_has_a_reader() {
             continue;
         }
         let ident = constant(name);
-        let literal = format!("\"{name}\"");
         let files = sources
             .iter()
             .filter(|(_, text)| mentions_word(text, &ident) || text.contains(&literal))
@@ -284,6 +309,13 @@ fn every_recorded_name_has_a_reader() {
          read them or delete them:\n{}",
         unread.len(),
         unread.join("\n")
+    );
+    assert!(
+        unwritten.is_empty(),
+        "{} span name(s) are never recorded by program code — \
+         record them or delete them:\n{}",
+        unwritten.len(),
+        unwritten.join("\n")
     );
 }
 
