@@ -586,7 +586,8 @@ mod tests {
         let set = CodeMapSet::load(&vfs, Pid(7)).unwrap();
         let map1 = &set.maps()[1];
         assert_eq!(map1.epoch, 1);
-        let sigs: Vec<&str> = map1.entries().iter().map(|e| e.signature.as_str()).collect();
+        let name = |e: &crate::codemap::MapEntry| set.symbols().name(e.signature);
+        let sigs: Vec<&str> = map1.entries().iter().map(name).collect();
         assert_eq!(sigs.len(), 2);
         assert!(sigs.contains(&"app.M0.run"), "moved method present");
         assert!(sigs.contains(&"app.M2.run"), "new compile present");
@@ -595,7 +596,7 @@ mod tests {
         let a_entry = map1
             .entries()
             .iter()
-            .find(|e| e.signature == "app.M0.run")
+            .find(|e| name(e) == "app.M0.run")
             .unwrap();
         assert_eq!(a_entry.addr, 0x1800);
     }
@@ -614,7 +615,7 @@ mod tests {
         let set = CodeMapSet::load(&vfs, Pid(7)).unwrap();
         assert_eq!(set.maps()[1].entries().len(), 0);
         let hit = set.resolve(0x1110, 1).expect("backward chain must find B");
-        assert_eq!(hit.signature, "app.M1.run");
+        assert_eq!(hit, "app.M1.run");
     }
 
     #[test]
@@ -722,7 +723,10 @@ mod tests {
         assert!(bytes.len() >= rendered.len() / 2, "cut lands in 2nd half");
         assert_eq!(f.stats().torn_maps, 1);
         // Whatever survived must never panic the lossy parser.
-        let parsed = crate::codemap::parse_map(std::str::from_utf8(&bytes).unwrap_or(""));
+        let parsed = crate::codemap::parse_map(
+            std::str::from_utf8(&bytes).unwrap_or(""),
+            &mut Default::default(),
+        );
         assert!(parsed.entries.len() <= 2);
     }
 
@@ -877,8 +881,8 @@ mod tests {
         // corrupted the other's.
         let g0 = CodeMapSet::load(&vfs, ProcKey::new(Pid(7), 0)).unwrap();
         let g1 = CodeMapSet::load(&vfs, ProcKey::new(Pid(7), 1)).unwrap();
-        assert_eq!(g0.resolve(0x1010, 0).unwrap().signature, "app.M0.run");
-        assert_eq!(g1.resolve(0x3010, 0).unwrap().signature, "app.M9.run");
+        assert_eq!(g0.resolve(0x1010, 0).unwrap(), "app.M0.run");
+        assert_eq!(g1.resolve(0x3010, 0).unwrap(), "app.M9.run");
         assert!(g0.resolve(0x3010, 0).is_none());
         for gen in [0u32, 1] {
             let scan =

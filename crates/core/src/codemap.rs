@@ -11,11 +11,13 @@
 use crate::error::ViprofError;
 use sim_cpu::{Addr, ProcKey};
 use sim_os::Vfs;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// VFS directory the agent writes maps under.
 pub const JIT_MAP_DIR: &str = "/var/lib/oprofile/jit";
 
-/// One code-body record in a map file.
+/// One code-body record as the agent writes it (see [`render_map`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodeMapEntry {
     pub addr: Addr,
@@ -26,9 +28,65 @@ pub struct CodeMapEntry {
     pub signature: String,
 }
 
-impl CodeMapEntry {
+/// One code-body record as loaded: its address range and the ids of
+/// its tier label and signature in the incarnation's [`Symbols`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MapEntry {
+    pub addr: Addr,
+    pub size: u64,
+    /// Id of the tier label.
+    pub level: u32,
+    /// Id of the method signature.
+    pub signature: u32,
+}
+
+impl MapEntry {
     pub fn contains(&self, pc: Addr) -> bool {
         pc >= self.addr && pc < self.addr.saturating_add(self.size)
+    }
+}
+
+/// The text of one incarnation's maps: each distinct tier label and
+/// signature stored once, named by a dense id in first-parse order.
+/// The table only grows, so an id stays valid as later files are
+/// parsed into it.
+#[derive(Debug, Clone, Default)]
+pub struct Symbols {
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
+}
+
+impl Symbols {
+    /// The id of `text`, adding it when it is new.
+    pub fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.ids.get(text) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        let name: Arc<str> = Arc::from(text);
+        self.names.push(name.clone());
+        self.ids.insert(name, id);
+        id
+    }
+
+    /// The text an id names.
+    pub fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// Every interned text, indexed by id.
+    pub(crate) fn names(&self) -> &[Arc<str>] {
+        &self.names
+    }
+
+    /// A loaded entry in the agent's writer form.
+    pub fn text(&self, e: &MapEntry) -> CodeMapEntry {
+        CodeMapEntry {
+            addr: e.addr,
+            size: e.size,
+            level: self.name(e.level).to_string(),
+            signature: self.name(e.signature).to_string(),
+        }
     }
 }
 
@@ -54,16 +112,17 @@ pub(crate) fn path_epoch(prefix: &str, path: &str) -> Option<u64> {
     path[prefix.len()..].parse::<u64>().ok()
 }
 
-/// Read one listed map file under the loader's per-file rules, adding
-/// its damage to the caller's tallies. The file is unusable — `None`,
-/// counted in `skipped_files` — when the path after `prefix` is not a
-/// numeric epoch, when it does not read back, or when its content is
-/// not UTF-8. Bad lines inside a usable file are counted in
-/// `quarantined_lines` (see [`parse_map`]).
+/// Read one listed map file under the loader's per-file rules, parsing
+/// its text into `symbols` and adding its damage to the caller's
+/// tallies. The file is unusable — `None`, counted in `skipped_files` —
+/// when the path after `prefix` is not a numeric epoch, when it does
+/// not read back, or when its content is not UTF-8. Bad lines inside a
+/// usable file are counted in `quarantined_lines` (see [`parse_map`]).
 pub(crate) fn read_map_file(
     vfs: &Vfs,
     prefix: &str,
     path: &str,
+    symbols: &mut Symbols,
     quarantined_lines: &mut u64,
     skipped_files: &mut u64,
 ) -> Option<EpochMap> {
@@ -71,7 +130,7 @@ pub(crate) fn read_map_file(
         // A listed path should always read back; treat a miss like any
         // other unusable file rather than panicking mid-report.
         let text = std::str::from_utf8(vfs.read(path)?).ok()?;
-        Some((epoch, parse_map(text)))
+        Some((epoch, parse_map(text, symbols)))
     });
     match usable {
         Some((epoch, parsed)) => {
@@ -111,38 +170,56 @@ pub fn render_map(entries: &[CodeMapEntry]) -> String {
 /// plus a count of lines that did not.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedMap {
-    pub entries: Vec<CodeMapEntry>,
+    pub entries: Vec<MapEntry>,
     /// Lines rejected (malformed field layout, bad hex).
     pub quarantined: u64,
 }
 
-fn parse_line(line: &str) -> Option<CodeMapEntry> {
+fn parse_line<'t>(
+    line: &'t str,
+    symbols: &mut Symbols,
+    last_level: &mut Option<(&'t str, u32)>,
+) -> Option<MapEntry> {
     let mut parts = line.splitn(4, ' ');
     let (addr, size, level, signature) =
         (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
-    Some(CodeMapEntry {
-        addr: u64::from_str_radix(addr, 16).ok()?,
-        size: u64::from_str_radix(size, 16).ok()?,
-        level: level.to_string(),
-        signature: signature.to_string(),
+    let addr = u64::from_str_radix(addr, 16).ok()?;
+    let size = u64::from_str_radix(size, 16).ok()?;
+    let level = match *last_level {
+        Some((text, id)) if text == level => id,
+        _ => {
+            let id = symbols.intern(level);
+            *last_level = Some((level, id));
+            id
+        }
+    };
+    Some(MapEntry {
+        addr,
+        size,
+        level,
+        signature: symbols.intern(signature),
     })
 }
 
-/// Parse a map file, quarantining bad lines instead of failing.
+/// Parse a map file into `symbols`, quarantining bad lines instead of
+/// failing. Only lines that decode cleanly add text to the table.
 ///
 /// A map written by a crashing agent (or damaged on disk) is still
 /// mostly good: every cleanly-decoded line is kept, every damaged one
 /// is counted. One flipped bit must not cost a whole epoch's worth of
 /// resolution — the count surfaces in
 /// [`crate::resolve::ResolutionQuality::quarantined_lines`].
-pub fn parse_map(text: &str) -> ParsedMap {
+pub fn parse_map(text: &str, symbols: &mut Symbols) -> ParsedMap {
     let mut out = ParsedMap::default();
+    // Runs of lines share a tier label: reuse the last one's id
+    // instead of hashing it again.
+    let mut last_level = None;
     for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        match parse_line(line) {
+        match parse_line(line, symbols, &mut last_level) {
             Some(e) => out.entries.push(e),
             None => out.quarantined += 1,
         }
@@ -150,26 +227,27 @@ pub fn parse_map(text: &str) -> ParsedMap {
     out
 }
 
-/// One epoch's map, indexed for address lookup.
+/// One epoch's map, indexed for address lookup. Its entries name their
+/// text in the [`Symbols`] of the set they were parsed into.
 #[derive(Debug, Clone)]
 pub struct EpochMap {
     pub epoch: u64,
     /// Sorted by `addr`. Entries within one map never overlap (each is
     /// a distinct heap object), so binary search suffices.
-    entries: Vec<CodeMapEntry>,
+    entries: Vec<MapEntry>,
 }
 
 impl EpochMap {
-    pub fn new(epoch: u64, mut entries: Vec<CodeMapEntry>) -> Self {
+    pub(crate) fn new(epoch: u64, mut entries: Vec<MapEntry>) -> Self {
         entries.sort_by_key(|e| e.addr);
         EpochMap { epoch, entries }
     }
 
-    pub fn entries(&self) -> &[CodeMapEntry] {
+    pub fn entries(&self) -> &[MapEntry] {
         &self.entries
     }
 
-    pub fn resolve(&self, pc: Addr) -> Option<&CodeMapEntry> {
+    pub fn resolve(&self, pc: Addr) -> Option<&MapEntry> {
         let pos = self.entries.partition_point(|e| e.addr <= pc);
         if pos == 0 {
             return None;
@@ -179,11 +257,13 @@ impl EpochMap {
     }
 }
 
-/// All epoch maps of one VM, ready for chained resolution.
+/// All epoch maps of one VM, ready for chained resolution, with the
+/// one symbol table their entries name their text in.
 #[derive(Debug, Clone, Default)]
 pub struct CodeMapSet {
     /// Sorted ascending by epoch.
     maps: Vec<EpochMap>,
+    symbols: Symbols,
     /// Map lines rejected during load (see [`parse_map`]).
     pub quarantined_lines: u64,
     /// Whole map files skipped as unusable (unparseable filename or
@@ -192,10 +272,35 @@ pub struct CodeMapSet {
 }
 
 impl CodeMapSet {
-    pub fn new(mut maps: Vec<EpochMap>) -> Self {
+    /// A set of `(epoch, entries)` maps given in the agent's writer
+    /// form, interned in order as the loader would parse their files.
+    pub fn new(maps: Vec<(u64, Vec<CodeMapEntry>)>) -> Self {
+        let mut symbols = Symbols::default();
+        let maps = maps
+            .into_iter()
+            .map(|(epoch, entries)| {
+                let entries = entries
+                    .iter()
+                    .map(|e| MapEntry {
+                        addr: e.addr,
+                        size: e.size,
+                        level: symbols.intern(&e.level),
+                        signature: symbols.intern(&e.signature),
+                    })
+                    .collect();
+                EpochMap::new(epoch, entries)
+            })
+            .collect();
+        CodeMapSet::from_parts(maps, symbols)
+    }
+
+    /// Assemble a set from maps parsed into `symbols`, sorting the maps
+    /// by epoch (stable, so maps naming one epoch keep their order).
+    pub(crate) fn from_parts(mut maps: Vec<EpochMap>, symbols: Symbols) -> Self {
         maps.sort_by_key(|m| m.epoch);
         CodeMapSet {
             maps,
+            symbols,
             quarantined_lines: 0,
             skipped_files: 0,
         }
@@ -211,11 +316,19 @@ impl CodeMapSet {
         let key = key.into();
         let prefix = map_prefix(key);
         let paths = vfs.list(&prefix);
+        let mut symbols = Symbols::default();
         let (mut quarantined_lines, mut skipped_files) = (0, 0);
         let maps: Vec<EpochMap> = paths
             .iter()
             .filter_map(|path| {
-                read_map_file(vfs, &prefix, path, &mut quarantined_lines, &mut skipped_files)
+                read_map_file(
+                    vfs,
+                    &prefix,
+                    path,
+                    &mut symbols,
+                    &mut quarantined_lines,
+                    &mut skipped_files,
+                )
             })
             .collect();
         if !paths.is_empty() && maps.is_empty() {
@@ -224,12 +337,23 @@ impl CodeMapSet {
         Ok(CodeMapSet {
             quarantined_lines,
             skipped_files,
-            ..CodeMapSet::new(maps)
+            ..CodeMapSet::from_parts(maps, symbols)
         })
     }
 
     pub fn maps(&self) -> &[EpochMap] {
         &self.maps
+    }
+
+    /// The table every entry of this set names its text in.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
+    /// Give up the maps and keep only the symbol table, which later
+    /// files of the incarnation are parsed into.
+    pub(crate) fn into_symbols(self) -> Symbols {
+        self.symbols
     }
 
     pub fn is_empty(&self) -> bool {
@@ -238,7 +362,13 @@ impl CodeMapSet {
 
     /// The paper's resolution algorithm: search the sample's epoch map,
     /// then walk backwards until the first map containing the address.
-    pub fn resolve(&self, pc: Addr, epoch: u64) -> Option<&CodeMapEntry> {
+    /// Returns the occupant's signature.
+    pub fn resolve(&self, pc: Addr, epoch: u64) -> Option<&str> {
+        self.walk_back(pc, epoch)
+            .map(|e| self.symbols.name(e.signature))
+    }
+
+    fn walk_back(&self, pc: Addr, epoch: u64) -> Option<&MapEntry> {
         let start = self.maps.partition_point(|m| m.epoch <= epoch);
         self.maps[..start]
             .iter()
@@ -252,17 +382,17 @@ impl CodeMapSet {
     /// address at some *later* time, so the attribution may be stale —
     /// but it recovers samples whose own epoch's map was lost, or whose
     /// epoch tag was skewed backwards by a lagging driver-side counter.
-    /// Returns the entry and whether it came from the stale (forward)
-    /// path.
-    pub fn resolve_salvage(&self, pc: Addr, epoch: u64) -> Option<(&CodeMapEntry, bool)> {
-        if let Some(e) = self.resolve(pc, epoch) {
-            return Some((e, false));
-        }
-        let start = self.maps.partition_point(|m| m.epoch <= epoch);
-        self.maps[start..]
-            .iter()
-            .find_map(|m| m.resolve(pc))
-            .map(|e| (e, true))
+    /// Returns the signature and whether it came from the stale
+    /// (forward) path.
+    pub fn resolve_salvage(&self, pc: Addr, epoch: u64) -> Option<(&str, bool)> {
+        let hit = match self.walk_back(pc, epoch) {
+            Some(e) => (e, false),
+            None => {
+                let start = self.maps.partition_point(|m| m.epoch <= epoch);
+                (self.maps[start..].iter().find_map(|m| m.resolve(pc))?, true)
+            }
+        };
+        Some((self.symbols.name(hit.0.signature), hit.1))
     }
 
     /// Epochs absent from the chain. The agent writes one map per epoch
@@ -301,8 +431,10 @@ mod tests {
             e(0x6400_0040, 0x80, "app.Main.run"),
             e(0x6400_0100, 0x40, "app.Util.helper"),
         ];
-        let parsed = parse_map(&render_map(&entries));
-        assert_eq!(parsed.entries, entries);
+        let mut symbols = Symbols::default();
+        let parsed = parse_map(&render_map(&entries), &mut symbols);
+        let text: Vec<CodeMapEntry> = parsed.entries.iter().map(|e| symbols.text(e)).collect();
+        assert_eq!(text, entries);
         assert_eq!(parsed.quarantined, 0);
     }
 
@@ -316,34 +448,38 @@ mod tests {
                     # comment\n\
                     \n\
                     200 40 base app.Good.two\n";
-        let parsed = parse_map(text);
+        let mut symbols = Symbols::default();
+        let parsed = parse_map(text, &mut symbols);
         assert_eq!(parsed.quarantined, 3);
         let sigs: Vec<&str> = parsed
             .entries
             .iter()
-            .map(|e| e.signature.as_str())
+            .map(|e| symbols.name(e.signature))
             .collect();
         assert_eq!(sigs, vec!["app.Good.one", "app.Good.two"]);
-        assert_eq!(parse_map("# comment\n\n"), ParsedMap::default());
+        assert_eq!(parse_map("# comment\n\n", &mut symbols), ParsedMap::default());
     }
 
     #[test]
     fn signatures_with_spaces_survive() {
         // splitn(4) keeps everything after the level as the signature.
         let entries = vec![e(0x10, 0x10, "app.Main.run (I)V")];
-        let parsed = parse_map(&render_map(&entries));
-        assert_eq!(parsed.entries[0].signature, "app.Main.run (I)V");
+        let mut symbols = Symbols::default();
+        let parsed = parse_map(&render_map(&entries), &mut symbols);
+        assert_eq!(symbols.name(parsed.entries[0].signature), "app.Main.run (I)V");
     }
 
     #[test]
     fn epoch_map_binary_search() {
-        let m = EpochMap::new(0, vec![e(0x200, 0x40, "b"), e(0x100, 0x40, "a")]);
-        assert_eq!(m.resolve(0x100).unwrap().signature, "a");
-        assert_eq!(m.resolve(0x13f).unwrap().signature, "a");
-        assert!(m.resolve(0x140).is_none(), "gap");
-        assert_eq!(m.resolve(0x23f).unwrap().signature, "b");
-        assert!(m.resolve(0x240).is_none());
-        assert!(m.resolve(0x0).is_none());
+        let set = CodeMapSet::new(vec![(0, vec![e(0x200, 0x40, "b"), e(0x100, 0x40, "a")])]);
+        let (m, symbols) = (&set.maps()[0], set.symbols());
+        let sig = |pc| m.resolve(pc).map(|e| symbols.name(e.signature));
+        assert_eq!(sig(0x100), Some("a"));
+        assert_eq!(sig(0x13f), Some("a"));
+        assert!(sig(0x140).is_none(), "gap");
+        assert_eq!(sig(0x23f), Some("b"));
+        assert!(sig(0x240).is_none());
+        assert!(sig(0x0).is_none());
     }
 
     #[test]
@@ -351,17 +487,17 @@ mod tests {
         // Epoch 0: method A at 0x100. Epoch 1: method B compiled over
         // the same address (A died). Epoch 2: nothing at 0x100.
         let set = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![e(0x100, 0x40, "A")]),
-            EpochMap::new(1, vec![e(0x100, 0x40, "B")]),
-            EpochMap::new(2, vec![e(0x900, 0x40, "C")]),
+            (0, vec![e(0x100, 0x40, "A")]),
+            (1, vec![e(0x100, 0x40, "B")]),
+            (2, vec![e(0x900, 0x40, "C")]),
         ]);
         // Sample in epoch 0 → A (epoch-0 map hit directly).
-        assert_eq!(set.resolve(0x110, 0).unwrap().signature, "A");
+        assert_eq!(set.resolve(0x110, 0).unwrap(), "A");
         // Sample in epoch 1 → B.
-        assert_eq!(set.resolve(0x110, 1).unwrap().signature, "B");
+        assert_eq!(set.resolve(0x110, 1).unwrap(), "B");
         // Sample in epoch 2 → backward search lands on B, the most
         // recent occupant (paper §3.2).
-        assert_eq!(set.resolve(0x110, 2).unwrap().signature, "B");
+        assert_eq!(set.resolve(0x110, 2).unwrap(), "B");
         // Unknown address in any epoch → None.
         assert!(set.resolve(0x500, 2).is_none());
     }
@@ -370,11 +506,11 @@ mod tests {
     fn resolution_never_looks_forward() {
         // Method compiled in epoch 3 must not resolve samples from
         // epoch 1 (the address belonged to nobody back then).
-        let set = CodeMapSet::new(vec![EpochMap::new(3, vec![e(0x100, 0x40, "X")])]);
+        let set = CodeMapSet::new(vec![(3, vec![e(0x100, 0x40, "X")])]);
         assert!(set.resolve(0x110, 1).is_none());
-        assert_eq!(set.resolve(0x110, 3).unwrap().signature, "X");
+        assert_eq!(set.resolve(0x110, 3).unwrap(), "X");
         assert_eq!(
-            set.resolve(0x110, 9).unwrap().signature,
+            set.resolve(0x110, 9).unwrap(),
             "X",
             "later epochs fall back to the last write"
         );
@@ -392,7 +528,7 @@ mod tests {
         let set = CodeMapSet::load(&vfs, pid).unwrap();
         let epochs: Vec<u64> = set.maps().iter().map(|m| m.epoch).collect();
         assert_eq!(epochs, vec![0, 2, 7, 10]);
-        assert_eq!(set.resolve(0x300, 5).unwrap().signature, "m2");
+        assert_eq!(set.resolve(0x300, 5).unwrap(), "m2");
         // Other pids' maps are invisible.
         assert!(CodeMapSet::load(&vfs, Pid(99)).unwrap().is_empty());
     }
@@ -415,7 +551,7 @@ mod tests {
         assert_eq!(set.maps().len(), 2);
         assert_eq!(set.quarantined_lines, 1);
         assert_eq!(set.skipped_files, 2);
-        assert_eq!(set.resolve(0x210, 1).unwrap().signature, "alive");
+        assert_eq!(set.resolve(0x210, 1).unwrap(), "alive");
     }
 
     #[test]
@@ -433,15 +569,15 @@ mod tests {
         // map. A sample tagged epoch 1 misses backwards but salvages
         // forwards — flagged stale.
         let set = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![e(0x900, 0x40, "old")]),
-            EpochMap::new(3, vec![e(0x100, 0x40, "X")]),
+            (0, vec![e(0x900, 0x40, "old")]),
+            (3, vec![e(0x100, 0x40, "X")]),
         ]);
         assert!(set.resolve(0x110, 1).is_none());
         let (hit, stale) = set.resolve_salvage(0x110, 1).unwrap();
-        assert_eq!((hit.signature.as_str(), stale), ("X", true));
+        assert_eq!((hit, stale), ("X", true));
         // A backward hit is never marked stale.
         let (hit, stale) = set.resolve_salvage(0x910, 2).unwrap();
-        assert_eq!((hit.signature.as_str(), stale), ("old", false));
+        assert_eq!((hit, stale), ("old", false));
         // Nothing anywhere: still a miss.
         assert!(set.resolve_salvage(0x500, 1).is_none());
     }
@@ -459,8 +595,8 @@ mod tests {
         );
         let g0 = CodeMapSet::load(&vfs, pid).unwrap();
         let g1 = CodeMapSet::load(&vfs, ProcKey::new(pid, 1)).unwrap();
-        assert_eq!(g0.resolve(0x110, 0).unwrap().signature, "old.Main");
-        assert_eq!(g1.resolve(0x110, 0).unwrap().signature, "new.Main");
+        assert_eq!(g0.resolve(0x110, 0).unwrap(), "old.Main");
+        assert_eq!(g1.resolve(0x110, 0).unwrap(), "new.Main");
         // A generation that never ran has no maps at all.
         assert!(CodeMapSet::load(&vfs, ProcKey::new(pid, 2)).unwrap().is_empty());
     }
@@ -468,15 +604,15 @@ mod tests {
     #[test]
     fn missing_epochs_counts_chain_gaps() {
         let gap = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![]),
-            EpochMap::new(3, vec![]),
+            (0, vec![]),
+            (3, vec![]),
         ]);
         assert_eq!(gap.missing_epochs(), 2, "epochs 1 and 2 lost");
-        let headless = CodeMapSet::new(vec![EpochMap::new(2, vec![])]);
+        let headless = CodeMapSet::new(vec![(2, vec![])]);
         assert_eq!(headless.missing_epochs(), 2, "epochs 0 and 1 lost");
         let full = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![]),
-            EpochMap::new(1, vec![]),
+            (0, vec![]),
+            (1, vec![]),
         ]);
         assert_eq!(full.missing_epochs(), 0);
         assert_eq!(CodeMapSet::default().missing_epochs(), 0);

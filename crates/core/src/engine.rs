@@ -3,7 +3,9 @@
 //!
 //! [`ViprofResolver`] loads the on-disk artifacts (epoch code maps,
 //! `RVM.map`); [`ResolutionEngine::build`] turns what it loaded into
-//! the state every query runs against:
+//! the state every query runs against. `Viprof::make_report` does both
+//! in one pass per incarnation instead, so each worker holds one
+//! incarnation's maps at a time:
 //!
 //! 1. every incarnation's epoch chain is collapsed into a
 //!    [`FlatIndex`] (one binary search per
@@ -29,7 +31,12 @@
 
 use crate::bootmap::BootMap;
 use crate::flatindex::FlatIndex;
-use crate::resolve::{IncarnationSummary, ResolutionQuality, ViprofResolver};
+use crate::codemap::CodeMapSet;
+use crate::error::ViprofError;
+use crate::recover::RecoveryReport;
+use crate::resolve::{
+    load_each, IncarnationSummary, ResolutionQuality, ResolveOptions, ViprofResolver,
+};
 use crate::session::{ReportSpec, SessionReport};
 use oprofile::report::{bucket_label, finish_report, report_events, Report, ReportOptions};
 use oprofile::{SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH, TIMELINE_PATH};
@@ -322,7 +329,7 @@ fn host_parallelism() -> usize {
 /// time, so one large incarnation does not hold up the rest; with one
 /// worker the loop runs inline. A panicking job panics the caller, as
 /// in the serial loop.
-fn per_incarnation<T: Sync, R: Send>(
+pub(crate) fn per_incarnation<T: Sync, R: Send>(
     items: &[T],
     workers: usize,
     job: impl Fn(&T) -> R + Sync,
@@ -359,9 +366,31 @@ fn per_incarnation<T: Sync, R: Send>(
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Immutable resolution state shared by every shard. Built once from a
-/// loaded [`ViprofResolver`]; safe to query from any number of scoped
-/// threads.
+/// One incarnation as the engine keeps it: its index, and what its
+/// maps showed at load time.
+struct Flattened {
+    index: FlatIndex,
+    quarantined_lines: u64,
+    skipped_files: u64,
+    missing_epochs: u64,
+    entries: u64,
+}
+
+impl Flattened {
+    fn of(set: &CodeMapSet) -> Flattened {
+        Flattened {
+            index: FlatIndex::build(set),
+            quarantined_lines: set.quarantined_lines,
+            skipped_files: set.skipped_files,
+            missing_epochs: set.missing_epochs(),
+            entries: set.total_entries() as u64,
+        }
+    }
+}
+
+/// Immutable resolution state shared by every shard. Built once, from
+/// a loaded [`ViprofResolver`] or straight from the map files; safe to
+/// query from any number of scoped threads.
 #[derive(Debug, Default)]
 pub struct ResolutionEngine {
     /// Flattened epoch chain per incarnation. A sample of an
@@ -379,6 +408,8 @@ pub struct ResolutionEngine {
     /// failed pids, missing epochs) — the static part of every quality
     /// report.
     damage: ResolutionQuality,
+    /// Map entries loaded across every incarnation.
+    map_entries: u64,
     /// Resolved handles into the registry the engine records into: a
     /// private one until [`Self::set_telemetry`] attaches a shared one
     /// (handles never charge simulated cycles).
@@ -389,28 +420,58 @@ pub struct ResolutionEngine {
 
 impl ResolutionEngine {
     /// Flatten everything the resolver loaded, one incarnation per job
-    /// on scoped threads.
+    /// on as many scoped threads as the host runs at once. Each index
+    /// takes its signature ids from the loader's per-incarnation symbol
+    /// table and shares its names, so flattening hashes and copies no
+    /// text.
     pub fn build(resolver: &ViprofResolver) -> ResolutionEngine {
-        ResolutionEngine::build_on(resolver, host_parallelism())
+        let sets: Vec<_> = resolver.sets().collect();
+        let flattened = per_incarnation(&sets, host_parallelism(), |(_, set)| Flattened::of(set));
+        ResolutionEngine::assemble(
+            resolver.bootmap(),
+            resolver.boot_image_id(),
+            resolver.failed_pids().len(),
+            sets.iter().map(|(key, _)| **key).zip(flattened),
+        )
     }
 
-    /// [`Self::build`] on at most `workers` threads, the calling one
-    /// included. Only flattening fans out; [`ViprofResolver::load_with`]
-    /// stays serial because a helper thread's allocations land in its
-    /// own malloc arena, which the calling thread cannot reuse, and the
-    /// loaded maps are the bulk of a report's memory.
-    pub(crate) fn build_on(resolver: &ViprofResolver, workers: usize) -> ResolutionEngine {
-        let sets: Vec<_> = resolver.sets().collect();
-        let indexes = per_incarnation(&sets, workers, |(_, set)| FlatIndex::build(set));
+    /// Load and flatten in one pass on at most `workers` threads, the
+    /// calling one included: the job that reads an incarnation's maps
+    /// flattens them and drops them before it takes the next, so a
+    /// worker holds one incarnation's maps at a time. The engine is the
+    /// one [`ViprofResolver::load_with`] and [`Self::build`] produce.
+    pub(crate) fn load_on(
+        kernel: &Kernel,
+        options: ResolveOptions,
+        workers: usize,
+    ) -> Result<(ResolutionEngine, RecoveryReport), ViprofError> {
+        let loaded = load_each(kernel, options, workers, |set| Flattened::of(&set))?;
+        let engine = ResolutionEngine::assemble(
+            &loaded.bootmap,
+            loaded.boot_image,
+            loaded.failed_keys.len(),
+            loaded.incarnations,
+        );
+        Ok((engine, loaded.recovery))
+    }
+
+    /// An engine from flattened incarnations and the boot map.
+    fn assemble(
+        bootmap: &BootMap,
+        boot_image: Option<ImageId>,
+        failed_pids: usize,
+        incarnations: impl IntoIterator<Item = (ProcKey, Flattened)>,
+    ) -> ResolutionEngine {
         let mut engine = ResolutionEngine::default();
-        engine.damage.failed_pids = resolver.failed_pids().len() as u64;
-        for ((key, set), index) in sets.into_iter().zip(indexes) {
-            engine.damage.quarantined_lines += set.quarantined_lines;
-            engine.damage.skipped_map_files += set.skipped_files;
-            engine.damage.missing_epochs += set.missing_epochs();
-            engine.insert_index(*key, index);
+        engine.damage.failed_pids = failed_pids as u64;
+        for (key, flat) in incarnations {
+            engine.damage.quarantined_lines += flat.quarantined_lines;
+            engine.damage.skipped_map_files += flat.skipped_files;
+            engine.damage.missing_epochs += flat.missing_epochs;
+            engine.map_entries += flat.entries;
+            engine.insert_index(key, flat.index);
         }
-        engine.set_boot(resolver.bootmap(), resolver.boot_image_id());
+        engine.set_boot(bootmap, boot_image);
         engine
     }
 
@@ -499,6 +560,11 @@ impl ResolutionEngine {
     /// the registry.
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
         self.telemetry = EngineTelemetry::attach(registry);
+    }
+
+    /// Map entries loaded across every incarnation.
+    pub(crate) fn map_entries(&self) -> u64 {
+        self.map_entries
     }
 
     /// The flattened index for one incarnation, if its maps loaded. A

@@ -9,7 +9,11 @@
 //! [`FlatIndex`] collapses the whole chain into one sorted table of
 //! disjoint address segments. Each segment carries the *layer list* of
 //! epochs whose map covers it, epoch-ascending, with the covering
-//! entry's signature interned as an [`Arc<str>`]. Resolution becomes
+//! entry's signature id. The ids are the ones the loader parsed the
+//! maps into ([`crate::codemap::Symbols`], one table per incarnation),
+//! so flattening hashes no text: the index shares the table's
+//! [`Arc<str>`] names and counts its distinct signatures from its
+//! layers. Resolution becomes
 //! one binary search over segments plus one `partition_point` over the
 //! segment's layers:
 //!
@@ -29,23 +33,30 @@
 //! insertion order) counts. Equivalence against the legacy walk is
 //! property-tested in `tests/prop_resolve_flat.rs`.
 
-use crate::codemap::{CodeMapSet, EpochMap};
+use crate::codemap::{CodeMapSet, EpochMap, Symbols};
 use sim_cpu::Addr;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// One covering layer discovered during flattening: which map (epoch +
 /// position in the set, to order duplicate-epoch maps exactly like the
 /// walk does), covering which address range, resolving to which
-/// interned symbol.
+/// signature id.
 struct LayerSpan {
     start: u64,
     end: u64,
-    /// Walk order: (epoch, ordinal of the map within the sorted set).
-    /// The backward walk visits maps in descending `(epoch, ordinal)`;
-    /// forward salvage in ascending order past the sample's epoch.
-    key: (u64, u32),
+    epoch: u64,
+    /// Position of the map within the sorted set.
+    ordinal: u32,
     sym: u32,
+}
+
+impl LayerSpan {
+    /// Walk order: the backward walk visits maps in descending
+    /// `(epoch, ordinal)`; forward salvage in ascending order past the
+    /// sample's epoch.
+    fn key(&self) -> (u64, u32) {
+        (self.epoch, self.ordinal)
+    }
 }
 
 /// The flattened, immutable index for one pid's epoch-map chain.
@@ -53,17 +64,38 @@ struct LayerSpan {
 /// Column-oriented storage: segment `i` spans
 /// `[starts[i], ends[i])` and owns layers
 /// `layer_off[i] .. layer_off[i + 1]`, sorted ascending by
-/// `(epoch, map ordinal)`. Symbols are interned once per distinct
-/// signature; lookups hand out cheap [`Arc<str>`] clones instead of
-/// allocating a `String` per bucket.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `(epoch, map ordinal)`. A layer names its signature by the
+/// incarnation's symbol id; lookups hand out the shared [`Arc<str>`]
+/// instead of allocating a `String` per bucket.
+///
+/// `==` compares segments, layers and each layer's signature *text*:
+/// two indexes over the same chain are equal whatever order their
+/// symbol tables assigned ids in.
+#[derive(Debug, Clone, Default)]
 pub struct FlatIndex {
     starts: Vec<u64>,
     ends: Vec<u64>,
     layer_off: Vec<u32>,
     layer_epochs: Vec<u64>,
     layer_syms: Vec<u32>,
+    /// The incarnation's symbol names, indexed by id: the table's own
+    /// `Arc`s, so a copy costs no text.
     syms: Vec<Arc<str>>,
+}
+
+impl PartialEq for FlatIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.starts == other.starts
+            && self.ends == other.ends
+            && self.layer_off == other.layer_off
+            && self.layer_epochs == other.layer_epochs
+            && self.layer_syms.len() == other.layer_syms.len()
+            && self
+                .layer_syms
+                .iter()
+                .zip(&other.layer_syms)
+                .all(|(&a, &b)| self.syms[a as usize] == other.syms[b as usize])
+    }
 }
 
 impl FlatIndex {
@@ -71,26 +103,15 @@ impl FlatIndex {
     /// O(total entries · log total entries); every subsequent lookup is
     /// two binary searches regardless of epoch depth.
     pub fn build(set: &CodeMapSet) -> FlatIndex {
-        let mut syms: Vec<Arc<str>> = Vec::new();
-        let mut sym_ids: HashMap<Arc<str>, u32> = HashMap::new();
-        let mut spans: Vec<LayerSpan> = Vec::new();
-
+        let mut spans: Vec<LayerSpan> = Vec::with_capacity(set.total_entries());
         for (ordinal, map) in set.maps().iter().enumerate() {
-            Self::map_spans(map, ordinal as u32, &mut syms, &mut sym_ids, &mut spans);
+            Self::map_spans(map, ordinal as u32, &mut spans);
         }
-        Self::sweep(spans, syms)
+        Self::sweep(spans, set.symbols().names().to_vec())
     }
 
-    /// Generate the effective coverage spans of one epoch map,
-    /// interning signatures in first-encounter order (the order `build`
-    /// uses, so incremental extension reproduces it exactly).
-    fn map_spans(
-        map: &EpochMap,
-        ordinal: u32,
-        syms: &mut Vec<Arc<str>>,
-        sym_ids: &mut HashMap<Arc<str>, u32>,
-        spans: &mut Vec<LayerSpan>,
-    ) {
+    /// Generate the effective coverage spans of one epoch map.
+    fn map_spans(map: &EpochMap, ordinal: u32, spans: &mut Vec<LayerSpan>) {
         let entries = map.entries();
         let mut i = 0;
         while i < entries.len() {
@@ -111,21 +132,12 @@ impl FlatIndex {
                 end = end.min(next.addr);
             }
             if end > addr {
-                let sym = match sym_ids.get(cand.signature.as_str()) {
-                    Some(&id) => id,
-                    None => {
-                        let id = syms.len() as u32;
-                        let s: Arc<str> = Arc::from(cand.signature.as_str());
-                        syms.push(s.clone());
-                        sym_ids.insert(s, id);
-                        id
-                    }
-                };
                 spans.push(LayerSpan {
                     start: addr,
                     end,
-                    key: (map.epoch, ordinal),
-                    sym,
+                    epoch: map.epoch,
+                    ordinal,
+                    sym: cand.signature,
                 });
             }
             i = j;
@@ -138,31 +150,26 @@ impl FlatIndex {
     ///
     /// `ordinal` is the map's position in the chain (the number of maps
     /// already flattened), exactly as `build` would number it.
+    /// `symbols` is the table the map was parsed into, the one every
+    /// earlier map of this index was parsed into too (it only grows).
     ///
     /// Returns `false` — with the index untouched — when the append
     /// cannot take the fast path: the new map's epoch precedes an
     /// existing layer's, so its layers would not sort last and the
     /// caller must rebuild from the full chain. On `true` the result is
-    /// identical (segments, layer order, merge decisions *and* symbol
-    /// interning order, i.e. `==`) to `FlatIndex::build` over the
-    /// extended chain.
-    pub fn extend(&mut self, map: &EpochMap, ordinal: u32) -> bool {
+    /// identical (segments, layer order, merge decisions and symbols,
+    /// i.e. `==`) to `FlatIndex::build` over the extended chain.
+    pub fn extend(&mut self, map: &EpochMap, symbols: &Symbols, ordinal: u32) -> bool {
         if self.layer_epochs.iter().any(|&e| e > map.epoch) {
             return false;
         }
-        let mut sym_ids: HashMap<Arc<str>, u32> = self
-            .syms
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-        let mut syms = std::mem::take(&mut self.syms);
+        self.syms
+            .extend_from_slice(&symbols.names()[self.syms.len()..]);
         let mut spans: Vec<LayerSpan> = Vec::new();
-        Self::map_spans(map, ordinal, &mut syms, &mut sym_ids, &mut spans);
+        Self::map_spans(map, ordinal, &mut spans);
         if spans.is_empty() {
             // Nothing covered (empty or all-zero-size map): the full
             // rebuild would produce the same index we already hold.
-            self.syms = syms;
             return true;
         }
         let lo = spans.iter().map(|s| s.start).min().expect("non-empty");
@@ -186,12 +193,13 @@ impl FlatIndex {
                 spans.push(LayerSpan {
                     start: self.starts[seg],
                     end: self.ends[seg],
-                    key: (self.layer_epochs[k], pos as u32),
+                    epoch: self.layer_epochs[k],
+                    ordinal: pos as u32,
                     sym: self.layer_syms[k],
                 });
             }
         }
-        let mini = Self::sweep(spans, syms);
+        let mini = Self::sweep(spans, Vec::new());
         self.splice(first, last, mini);
         true
     }
@@ -203,7 +211,6 @@ impl FlatIndex {
         let hi_off = self.layer_off[last] as usize;
         let mini_layers = mini.layer_epochs.len();
         let mini_segs = mini.starts.len();
-        self.syms = mini.syms;
         self.layer_epochs.splice(lo_off..hi_off, mini.layer_epochs);
         self.layer_syms.splice(lo_off..hi_off, mini.layer_syms);
         self.starts.splice(first..last, mini.starts);
@@ -262,16 +269,9 @@ impl FlatIndex {
     /// Boundary sweep: turn per-epoch spans into disjoint elementary
     /// segments, each snapshotting the set of layers covering it.
     fn sweep(mut spans: Vec<LayerSpan>, syms: Vec<Arc<str>>) -> FlatIndex {
-        let mut boundaries: Vec<u64> = Vec::with_capacity(spans.len() * 2);
-        for s in &spans {
-            boundaries.push(s.start);
-            boundaries.push(s.end);
-        }
-        boundaries.sort_unstable();
-        boundaries.dedup();
         spans.sort_unstable_by_key(|s| s.start);
-        let mut by_end: Vec<usize> = (0..spans.len()).collect();
-        by_end.sort_unstable_by_key(|&i| spans[i].end);
+        let mut by_end: Vec<u32> = (0..spans.len() as u32).collect();
+        by_end.sort_unstable_by_key(|&i| spans[i as usize].end);
 
         let mut idx = FlatIndex {
             syms,
@@ -280,42 +280,59 @@ impl FlatIndex {
         };
         // Spans from one map never overlap (entry groups are disjoint
         // after truncation), so `(epoch, ordinal)` uniquely keys the
-        // active set at any address.
-        let mut active: BTreeMap<(u64, u32), u32> = BTreeMap::new();
+        // active set at any address, and the set holds at most one span
+        // per map: a sorted vector, short as the chain is deep.
+        let mut active: Vec<((u64, u32), u32)> = Vec::new();
         let (mut si, mut ei) = (0, 0);
-        for (bi, &b) in boundaries.iter().enumerate() {
-            while ei < by_end.len() && spans[by_end[ei]].end <= b {
-                active.remove(&spans[by_end[ei]].key);
+        // Boundaries are every span's start and end, visited in order:
+        // each step's next one is the smaller of the next start and the
+        // next end, both past the current boundary.
+        let Some(first) = spans.first() else {
+            return idx;
+        };
+        let mut b = first.start;
+        loop {
+            while ei < by_end.len() && spans[by_end[ei] as usize].end <= b {
+                let key = spans[by_end[ei] as usize].key();
+                if let Ok(pos) = active.binary_search_by_key(&key, |a| a.0) {
+                    active.remove(pos);
+                }
                 ei += 1;
             }
             while si < spans.len() && spans[si].start <= b {
-                active.insert(spans[si].key, spans[si].sym);
+                let span = &spans[si];
+                match active.binary_search_by_key(&span.key(), |a| a.0) {
+                    Ok(pos) => active[pos].1 = span.sym,
+                    Err(pos) => active.insert(pos, (span.key(), span.sym)),
+                }
                 si += 1;
             }
-            let Some(&next) = boundaries.get(bi + 1) else {
+            let next_start = spans.get(si).map(|s| s.start);
+            let next_end = by_end.get(ei).map(|&i| spans[i as usize].end);
+            let Some(next) = next_start.into_iter().chain(next_end).min() else {
                 break;
             };
-            if active.is_empty() {
-                continue;
+            if !active.is_empty() {
+                if idx.mergeable(b, &active) {
+                    *idx.ends.last_mut().expect("mergeable implies a segment") = next;
+                } else {
+                    idx.starts.push(b);
+                    idx.ends.push(next);
+                    for &((epoch, _), sym) in &active {
+                        idx.layer_epochs.push(epoch);
+                        idx.layer_syms.push(sym);
+                    }
+                    idx.layer_off.push(idx.layer_epochs.len() as u32);
+                }
             }
-            if idx.mergeable(b, &active) {
-                *idx.ends.last_mut().expect("mergeable implies a segment") = next;
-                continue;
-            }
-            idx.starts.push(b);
-            idx.ends.push(next);
-            for (&(epoch, _), &sym) in &active {
-                idx.layer_epochs.push(epoch);
-                idx.layer_syms.push(sym);
-            }
-            idx.layer_off.push(idx.layer_epochs.len() as u32);
+            b = next;
         }
         idx
     }
 
     /// Can `[b, …)` extend the previous segment? Only when it is
     /// contiguous and carries the identical layer stack.
-    fn mergeable(&self, b: u64, active: &BTreeMap<(u64, u32), u32>) -> bool {
+    fn mergeable(&self, b: u64, active: &[((u64, u32), u32)]) -> bool {
         let n = self.starts.len();
         if n == 0 || self.ends[n - 1] != b {
             return false;
@@ -326,7 +343,7 @@ impl FlatIndex {
             && active
                 .iter()
                 .zip(lo..hi)
-                .all(|((&(epoch, _), &sym), k)| {
+                .all(|(&((epoch, _), sym), k)| {
                     self.layer_epochs[k] == epoch && self.layer_syms[k] == sym
                 })
     }
@@ -376,16 +393,20 @@ impl FlatIndex {
         self.layer_epochs.len()
     }
 
-    /// Number of distinct interned signatures.
+    /// Number of distinct signatures the layers resolve to.
     pub fn interned_symbols(&self) -> usize {
-        self.syms.len()
+        let mut seen = vec![false; self.syms.len()];
+        self.layer_syms
+            .iter()
+            .filter(|&&s| !std::mem::replace(&mut seen[s as usize], true))
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codemap::{CodeMapEntry, EpochMap};
+    use crate::codemap::CodeMapEntry;
 
     fn e(addr: Addr, size: u64, sig: &str) -> CodeMapEntry {
         CodeMapEntry {
@@ -403,9 +424,9 @@ mod tests {
     #[test]
     fn backward_walk_finds_most_recent_occupant() {
         let set = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![e(0x100, 0x40, "A")]),
-            EpochMap::new(1, vec![e(0x100, 0x40, "B")]),
-            EpochMap::new(2, vec![e(0x900, 0x40, "C")]),
+            (0, vec![e(0x100, 0x40, "A")]),
+            (1, vec![e(0x100, 0x40, "B")]),
+            (2, vec![e(0x900, 0x40, "C")]),
         ]);
         let f = FlatIndex::build(&set);
         assert_eq!(f.resolve(0x110, 0).map(|s| &**s), Some("A"));
@@ -418,7 +439,7 @@ mod tests {
 
     #[test]
     fn resolution_never_looks_forward_without_salvage() {
-        let set = CodeMapSet::new(vec![EpochMap::new(3, vec![e(0x100, 0x40, "X")])]);
+        let set = CodeMapSet::new(vec![(3, vec![e(0x100, 0x40, "X")])]);
         let f = FlatIndex::build(&set);
         assert!(f.resolve(0x110, 1).is_none());
         assert_eq!(f.resolve(0x110, 3).map(|s| &**s), Some("X"));
@@ -428,9 +449,9 @@ mod tests {
     #[test]
     fn salvage_matches_the_chained_walk() {
         let set = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![e(0x900, 0x40, "old")]),
-            EpochMap::new(3, vec![e(0x100, 0x40, "X")]),
-            EpochMap::new(5, vec![e(0x100, 0x40, "Y")]),
+            (0, vec![e(0x900, 0x40, "old")]),
+            (3, vec![e(0x100, 0x40, "X")]),
+            (5, vec![e(0x100, 0x40, "Y")]),
         ]);
         let f = FlatIndex::build(&set);
         // Forward salvage picks the *earliest* later layer, like the
@@ -447,7 +468,7 @@ mod tests {
         // "big" overlaps past "small"'s start; the walk consults only
         // the last entry with addr <= pc, so pcs past small's end are
         // misses even though big's range covers them.
-        let set = CodeMapSet::new(vec![EpochMap::new(
+        let set = CodeMapSet::new(vec![(
             0,
             vec![e(0x100, 0x100, "big"), e(0x180, 0x40, "small")],
         )]);
@@ -462,20 +483,20 @@ mod tests {
     fn duplicate_start_addresses_use_the_last_entry() {
         // Stable sort keeps insertion order; the walk's candidate is
         // the last of the equal-addr group.
-        let set = CodeMapSet::new(vec![EpochMap::new(
+        let set = CodeMapSet::new(vec![(
             0,
             vec![e(0x100, 0x40, "first"), e(0x100, 0x20, "second")],
         )]);
         let f = FlatIndex::build(&set);
         assert_eq!(f.resolve(0x110, 0).map(|s| &**s), Some("second"));
         assert!(f.resolve(0x130, 0).is_none(), "first is shadowed entirely");
-        assert_eq!(set.resolve(0x110, 0).unwrap().signature, "second");
+        assert_eq!(set.resolve(0x110, 0).unwrap(), "second");
         assert!(set.resolve(0x130, 0).is_none());
     }
 
     #[test]
     fn zero_sized_entries_cover_nothing() {
-        let set = CodeMapSet::new(vec![EpochMap::new(0, vec![e(0x100, 0, "ghost")])]);
+        let set = CodeMapSet::new(vec![(0, vec![e(0x100, 0, "ghost")])]);
         let f = FlatIndex::build(&set);
         assert!(f.resolve(0x100, 0).is_none());
         assert_eq!(f.segments(), 0);
@@ -484,8 +505,8 @@ mod tests {
     #[test]
     fn interning_dedups_signatures_across_epochs() {
         let set = CodeMapSet::new(vec![
-            EpochMap::new(0, vec![e(0x100, 0x40, "m"), e(0x200, 0x40, "n")]),
-            EpochMap::new(1, vec![e(0x300, 0x40, "m")]),
+            (0, vec![e(0x100, 0x40, "m"), e(0x200, 0x40, "n")]),
+            (1, vec![e(0x300, 0x40, "m")]),
         ]);
         let f = FlatIndex::build(&set);
         assert_eq!(f.interned_symbols(), 2);
@@ -499,7 +520,7 @@ mod tests {
     fn contiguous_identical_layers_merge() {
         // Two adjacent entries with the same signature in the same
         // epoch flatten to a single segment.
-        let set = CodeMapSet::new(vec![EpochMap::new(
+        let set = CodeMapSet::new(vec![(
             0,
             vec![e(0x100, 0x40, "m"), e(0x140, 0x40, "m")],
         )]);
@@ -517,53 +538,61 @@ mod tests {
     }
 
     /// Grow a chain one epoch at a time through `extend` and check the
-    /// result is `==` (segments, layers *and* interning order) to a
-    /// from-scratch build at every step.
-    fn grow_and_check(maps: Vec<EpochMap>) {
+    /// result is `==` (segments, layers and symbols) to a from-scratch
+    /// build at every step.
+    fn grow_and_check(maps: Vec<(u64, Vec<CodeMapEntry>)>) {
+        let whole = CodeMapSet::new(maps.clone());
         let mut inc = FlatIndex::build(&CodeMapSet::default());
-        for n in 0..maps.len() {
+        for (n, map) in whole.maps().iter().enumerate() {
             assert!(
-                inc.extend(&maps[n], n as u32),
+                inc.extend(map, whole.symbols(), n as u32),
                 "in-order append must take the fast path (epoch {})",
-                maps[n].epoch
+                map.epoch
             );
             let full = FlatIndex::build(&CodeMapSet::new(maps[..=n].to_vec()));
-            assert_eq!(inc, full, "diverged after appending epoch {}", maps[n].epoch);
+            assert_eq!(inc, full, "diverged after appending epoch {}", map.epoch);
         }
     }
 
     #[test]
     fn extend_matches_rebuild_across_overlaps_gaps_and_merges() {
         grow_and_check(vec![
-            EpochMap::new(0, vec![e(0x100, 0x40, "A"), e(0x200, 0x40, "B")]),
+            (0, vec![e(0x100, 0x40, "A"), e(0x200, 0x40, "B")]),
             // Overlaps A's tail and the gap after it.
-            EpochMap::new(1, vec![e(0x120, 0x100, "C")]),
+            (1, vec![e(0x120, 0x100, "C")]),
             // Same epoch again (duplicate-epoch chain), shadowing quirk.
-            EpochMap::new(1, vec![e(0x100, 0x100, "big"), e(0x180, 0x40, "small")]),
+            (1, vec![e(0x100, 0x100, "big"), e(0x180, 0x40, "small")]),
             // Disjoint from everything (pure insertion, no overlap).
-            EpochMap::new(2, vec![e(0x900, 0x40, "D")]),
+            (2, vec![e(0x900, 0x40, "D")]),
             // Adjacent same-signature coverage that must merge with D.
-            EpochMap::new(3, vec![e(0x940, 0x40, "D")]),
+            (3, vec![e(0x940, 0x40, "D")]),
             // Zero-size and empty maps are no-ops.
-            EpochMap::new(4, vec![e(0x500, 0, "ghost")]),
-            EpochMap::new(5, vec![]),
+            (4, vec![e(0x500, 0, "ghost")]),
+            (5, vec![]),
             // Re-covers the whole hull in one span.
-            EpochMap::new(6, vec![e(0x80, 0xa00, "E")]),
+            (6, vec![e(0x80, 0xa00, "E")]),
         ]);
     }
 
     #[test]
     fn extend_refuses_out_of_order_epochs() {
-        let set = CodeMapSet::new(vec![EpochMap::new(5, vec![e(0x100, 0x40, "X")])]);
-        let mut f = FlatIndex::build(&set);
+        let set = CodeMapSet::new(vec![
+            (5, vec![e(0x100, 0x40, "X")]),
+            (3, vec![e(0x100, 0x40, "Y")]),
+            (5, vec![e(0x100, 0x40, "Y")]),
+        ]);
+        // `new` interns in the order given, so the first map's table is
+        // a prefix of the whole set's.
+        let (early, y) = (&set.maps()[0], &set.maps()[2]);
+        let mut f = FlatIndex::build(&CodeMapSet::new(vec![(5, vec![e(0x100, 0x40, "X")])]));
         let before = f.clone();
-        assert!(!f.extend(&EpochMap::new(3, vec![e(0x100, 0x40, "Y")]), 1));
+        assert!(!f.extend(early, set.symbols(), 1));
         assert_eq!(f, before, "refused extend must leave the index untouched");
         // Equal epoch is fine: the new map's ordinal still sorts last.
-        assert!(f.extend(&EpochMap::new(5, vec![e(0x100, 0x40, "Y")]), 1));
+        assert!(f.extend(y, set.symbols(), 1));
         let full = FlatIndex::build(&CodeMapSet::new(vec![
-            EpochMap::new(5, vec![e(0x100, 0x40, "X")]),
-            EpochMap::new(5, vec![e(0x100, 0x40, "Y")]),
+            (5, vec![e(0x100, 0x40, "X")]),
+            (5, vec![e(0x100, 0x40, "Y")]),
         ]));
         assert_eq!(f, full);
         assert_eq!(f.resolve(0x110, 5).map(|s| &**s), Some("Y"));

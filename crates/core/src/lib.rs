@@ -55,7 +55,7 @@ pub mod xen;
 pub use agent::{AgentStats, MapFaultStats, MapFaults, VmAgent};
 pub use bootmap::BootMap;
 pub use callgraph::CallGraph;
-pub use codemap::{CodeMapEntry, CodeMapSet, EpochMap, ParsedMap, JIT_MAP_DIR};
+pub use codemap::{CodeMapEntry, CodeMapSet, EpochMap, MapEntry, ParsedMap, Symbols, JIT_MAP_DIR};
 pub use engine::{ResolutionEngine, ShardPoison};
 pub use error::ViprofError;
 pub use faults::{ChurnSchedule, FaultPlan, FaultReport};

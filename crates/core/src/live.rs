@@ -51,7 +51,7 @@ use sim_os::{ImageId, Kernel};
 use viprof_telemetry::{names, Counter, Telemetry, TraceCtx, TraceLayer};
 
 use crate::bootmap::BootMap;
-use crate::codemap::{map_prefix, read_map_file, CodeMapSet, EpochMap};
+use crate::codemap::{map_prefix, read_map_file, CodeMapSet, EpochMap, Symbols};
 use crate::engine::ResolutionEngine;
 use crate::flatindex::FlatIndex;
 use crate::resolve::{discover_keys, ResolutionQuality};
@@ -84,6 +84,9 @@ struct KeyState {
     quarantined_lines: u64,
     /// Files skipped whole (bad epoch suffix, unreadable, non-UTF8).
     skipped_files: u64,
+    /// The table the incarnation's maps are parsed into, the one its
+    /// index names symbols by.
+    symbols: Symbols,
 }
 
 impl KeyState {
@@ -328,12 +331,7 @@ impl LiveEngine {
     /// an already-flattened one) or an extend refuses.
     fn rescan_key(&mut self, kernel: &Kernel, key: ProcKey) {
         let prefix = map_prefix(key);
-        let paths: Vec<String> = kernel
-            .vfs
-            .list(&prefix)
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
+        let paths = kernel.vfs.list(&prefix);
         if paths.is_empty() {
             // A discovered incarnation directory with no map files at
             // all (journal only — every map write torn, say) loads as
@@ -348,17 +346,18 @@ impl LiveEngine {
         let st = self.keys.entry(key).or_default();
         let mut fresh: Vec<EpochMap> = Vec::new();
         for path in paths {
-            if st.files.contains(&path) {
+            if st.files.contains(path) {
                 continue;
             }
             fresh.extend(read_map_file(
                 &kernel.vfs,
                 &prefix,
-                &path,
+                path,
+                &mut st.symbols,
                 &mut st.quarantined_lines,
                 &mut st.skipped_files,
             ));
-            st.files.insert(path);
+            st.files.insert(path.to_string());
         }
         if fresh.is_empty() {
             if st.failed() {
@@ -386,7 +385,7 @@ impl LiveEngine {
             for map in &fresh {
                 let ordinal = st.epochs.len() as u32;
                 let index = self.engine.index_mut(&key).expect("index just ensured");
-                if index.extend(map, ordinal) {
+                if index.extend(map, &st.symbols, ordinal) {
                     st.epochs.push(map.epoch);
                     extended += 1;
                 } else {
@@ -431,6 +430,7 @@ impl LiveEngine {
                 st.skipped_files = set.skipped_files;
                 let epochs = st.epochs.len() as u64;
                 self.engine.insert_index(key, FlatIndex::build(&set));
+                st.symbols = set.into_symbols();
                 self.telemetry.rebuilds.inc();
                 self.live_span(
                     names::SPAN_LIVE_REBUILD,

@@ -31,7 +31,7 @@
 //! measurable as "how much was lost".
 
 use crate::codemap::{
-    journal_path, map_prefix, parse_map, path_epoch, read_map_file, CodeMapSet, EpochMap,
+    journal_path, map_prefix, parse_map, path_epoch, read_map_file, CodeMapSet, EpochMap, Symbols,
 };
 use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
@@ -110,20 +110,23 @@ pub fn recover_codemaps(vfs: &Vfs, key: impl Into<ProcKey>) -> Option<(CodeMapSe
         ..PidRecovery::default()
     };
     // On-disk state first, read by the degraded loader's per-file
-    // rules: `Some((map, quarantined lines))` for usable files, `None`
-    // for unusable ones whose path names an epoch (a journal record
-    // for that epoch replaces them). Files naming no epoch stay
-    // skipped.
+    // rules, into the one table the journal's maps are parsed into
+    // too. Per epoch, every file naming it in listing order:
+    // `Some((map, quarantined lines))` for a usable file, `None` for an
+    // unusable one (a journal record for that epoch replaces them all).
+    // Files naming no epoch stay skipped.
     let prefix = map_prefix(key);
-    let mut epochs: BTreeMap<u64, Option<(EpochMap, u64)>> = BTreeMap::new();
+    let mut symbols = Symbols::default();
+    let mut epochs: BTreeMap<u64, Vec<Option<(EpochMap, u64)>>> = BTreeMap::new();
     let mut skipped_unnameable = 0u64;
     for path in vfs.list(&prefix) {
         let (mut quarantined, mut skipped) = (0, 0);
-        let map = read_map_file(vfs, &prefix, path, &mut quarantined, &mut skipped);
+        let map = read_map_file(vfs, &prefix, path, &mut symbols, &mut quarantined, &mut skipped);
         match path_epoch(&prefix, path) {
-            Some(epoch) => {
-                epochs.insert(epoch, map.map(|m| (m, quarantined)));
-            }
+            Some(epoch) => epochs
+                .entry(epoch)
+                .or_default()
+                .push(map.map(|m| (m, quarantined))),
             None => skipped_unnameable += skipped,
         }
     }
@@ -139,25 +142,26 @@ pub fn recover_codemaps(vfs: &Vfs, key: impl Into<ProcKey>) -> Option<(CodeMapSe
             continue;
         };
         rec.records_replayed += 1;
-        let parsed = parse_map(text);
+        let parsed = parse_map(text, &mut symbols);
         let pristine = EpochMap::new(epoch, parsed.entries);
-        // Both sides hold their entries in address order; a fault only
-        // truncates or garbles a file, never reorders it.
-        let improved = match epochs.get(&epoch) {
-            None | Some(None) => true,
-            Some(Some((disk, quarantined))) => {
-                *quarantined > 0 || disk.entries() != pristine.entries()
-            }
-        };
+        // The disk already held the pristine map only when one clean
+        // file names the epoch with the same entries. Both sides hold
+        // their entries in address order (a fault only truncates or
+        // garbles a file, never reorders it), and both parsed into one
+        // table, so equal ids are equal text.
+        let improved = !matches!(
+            epochs.get(&epoch).map(Vec::as_slice),
+            Some([Some((disk, 0))]) if disk.entries() == pristine.entries()
+        );
         if improved {
             rec.epochs_recovered += 1;
         }
-        epochs.insert(epoch, Some((pristine, parsed.quarantined)));
+        epochs.insert(epoch, vec![Some((pristine, parsed.quarantined))]);
     }
     let mut maps = Vec::new();
     let mut quarantined = 0;
     let mut skipped = skipped_unnameable;
-    for state in epochs.into_values() {
+    for state in epochs.into_values().flatten() {
         match state {
             Some((map, lines)) => {
                 quarantined += lines;
@@ -166,7 +170,7 @@ pub fn recover_codemaps(vfs: &Vfs, key: impl Into<ProcKey>) -> Option<(CodeMapSe
             None => skipped += 1,
         }
     }
-    let mut set = CodeMapSet::new(maps);
+    let mut set = CodeMapSet::from_parts(maps, symbols);
     set.quarantined_lines = quarantined;
     set.skipped_files = skipped;
     Some((set, rec))
@@ -256,7 +260,7 @@ mod tests {
         let degraded = CodeMapSet::load(&vfs, pid).unwrap();
         assert!(degraded.resolve(0x210, 1).is_none(), "torn line lost B");
         let (set, rec) = recover_codemaps(&vfs, pid).unwrap();
-        assert_eq!(set.resolve(0x210, 1).unwrap().signature, "app.B");
+        assert_eq!(set.resolve(0x210, 1).unwrap(), "app.B");
         assert_eq!(rec.records_replayed, 2);
         assert_eq!(rec.epochs_recovered, 1, "epoch 0 was already clean");
         assert_eq!(rec.truncated_bytes, 0);
@@ -274,7 +278,7 @@ mod tests {
         w.append(&mut vfs, KIND_CODE_MAP, &map_payload(0, &[entry(0x100, "app.X")]));
         let (set, rec) = recover_codemaps(&vfs, pid).unwrap();
         assert_eq!(set.maps().len(), 1);
-        assert_eq!(set.resolve(0x110, 0).unwrap().signature, "app.X");
+        assert_eq!(set.resolve(0x110, 0).unwrap(), "app.X");
         assert_eq!(rec.epochs_recovered, 1);
     }
 
@@ -296,8 +300,8 @@ mod tests {
         assert_eq!(rec.records_replayed, 0);
         assert!(rec.truncated_bytes > 0);
         assert_eq!(rec.epochs_recovered, 0);
-        assert_eq!(set.resolve(0x110, 0).unwrap().signature, "app.A");
-        assert_eq!(set.resolve(0x210, 1).unwrap().signature, "app.B");
+        assert_eq!(set.resolve(0x110, 0).unwrap(), "app.A");
+        assert_eq!(set.resolve(0x210, 1).unwrap(), "app.B");
     }
 
     #[test]
@@ -316,8 +320,59 @@ mod tests {
         assert_eq!(set.skipped_files, 0, "unreadable epoch replaced by replay");
         assert_eq!(rec.epochs_recovered, 1);
         assert!(set.total_entries() >= degraded.total_entries());
-        assert_eq!(set.resolve(0x210, 1).unwrap().signature, "app.B");
-        assert_eq!(set.resolve(0x310, 2).unwrap().signature, "app.C");
+        assert_eq!(set.resolve(0x210, 1).unwrap(), "app.B");
+        assert_eq!(set.resolve(0x310, 2).unwrap(), "app.C");
+    }
+
+    #[test]
+    fn two_files_naming_one_epoch_are_both_kept() {
+        // `map.0000000001` and `map.1` both name epoch 1, and the
+        // journal holds epoch 0 only: like the degraded loader, recovery
+        // keeps both files, in listing order, and skips neither.
+        let mut vfs = Vfs::new();
+        let pid = Pid(8);
+        let a = [entry(0x100, "app.A")];
+        vfs.write(map_path(pid, 0), render_map(&a).into_bytes());
+        vfs.write(map_path(pid, 1), render_map(&[entry(0x200, "app.B")]).into_bytes());
+        vfs.write(
+            format!("{}1", map_prefix(pid.into())),
+            render_map(&[entry(0x300, "app.C")]).into_bytes(),
+        );
+        let mut w = JournalWriter::create(&mut vfs, journal_path(pid));
+        w.append(&mut vfs, KIND_CODE_MAP, &map_payload(0, &a));
+        let degraded = CodeMapSet::load(&vfs, pid).unwrap();
+        assert_eq!(degraded.resolve(0x210, 1), Some("app.B"));
+        let (set, rec) = recover_codemaps(&vfs, pid).unwrap();
+        assert_eq!(set.resolve(0x210, 1), Some("app.B"));
+        assert_eq!(set.resolve(0x310, 1), Some("app.C"));
+        assert_eq!(set.maps().len(), degraded.maps().len());
+        assert_eq!(
+            (set.quarantined_lines, set.skipped_files),
+            (degraded.quarantined_lines, degraded.skipped_files)
+        );
+        assert_eq!(rec.epochs_recovered, 0, "epoch 0 was already clean");
+    }
+
+    #[test]
+    fn a_replayed_epoch_skips_none_of_its_files() {
+        // Two files name epoch 1, one of them unreadable; the journal
+        // replaces the epoch, so neither file counts as skipped.
+        let mut vfs = Vfs::new();
+        let pid = Pid(6);
+        vfs.write(map_path(pid, 1), vec![0xff, 0xfe]);
+        vfs.write(
+            format!("{}1", map_prefix(pid.into())),
+            render_map(&[entry(0x300, "app.C")]).into_bytes(),
+        );
+        let mut w = JournalWriter::create(&mut vfs, journal_path(pid));
+        w.append(&mut vfs, KIND_CODE_MAP, &map_payload(1, &[entry(0x200, "app.B")]));
+        assert_eq!(CodeMapSet::load(&vfs, pid).unwrap().skipped_files, 1);
+        let (set, rec) = recover_codemaps(&vfs, pid).unwrap();
+        assert_eq!(set.skipped_files, 0);
+        assert_eq!(set.maps().len(), 1);
+        assert_eq!(set.resolve(0x210, 1), Some("app.B"));
+        assert!(set.resolve(0x310, 1).is_none(), "the replay replaced the epoch");
+        assert_eq!(rec.epochs_recovered, 1);
     }
 
     #[test]

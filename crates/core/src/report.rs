@@ -56,7 +56,7 @@ pub fn label(
                 .codemaps(ProcKey::new(pid, gen))
                 .and_then(|set| set.resolve_salvage(bucket.addr, bucket.epoch));
             match resolved {
-                Some((e, _)) => ("JIT.App".to_string(), e.signature.clone()),
+                Some((signature, _)) => ("JIT.App".to_string(), signature.to_string()),
                 None => ("JIT.App".to_string(), "(unresolved jit)".to_string()),
             }
         }

@@ -18,6 +18,7 @@
 
 use crate::bootmap::BootMap;
 use crate::codemap::{CodeMapSet, JIT_MAP_DIR};
+use crate::engine::per_incarnation;
 use crate::error::ViprofError;
 use crate::recover::{recover_codemaps, RecoveryReport};
 use sim_cpu::{Pid, ProcKey};
@@ -151,6 +152,60 @@ impl ResolveOptions {
     }
 }
 
+/// What one load pass produced: `RVM.map`, the boot image's id, what
+/// each loaded incarnation became in key order, the incarnations whose
+/// maps were present but unloadable, and what journal replay did.
+pub(crate) struct Loaded<T> {
+    pub bootmap: BootMap,
+    pub boot_image: Option<ImageId>,
+    pub incarnations: Vec<(ProcKey, T)>,
+    pub failed_keys: Vec<ProcKey>,
+    pub recovery: RecoveryReport,
+}
+
+/// Load every incarnation's maps on at most `workers` threads, the
+/// calling one included, and hand each set to `then` on the thread that
+/// read it. One job reads, parses and (with
+/// [`ResolveOptions::recover`], when the incarnation has a map journal)
+/// replays one incarnation; results are gathered in key order, so the
+/// outcome is the same for every worker count.
+pub(crate) fn load_each<T: Send>(
+    kernel: &Kernel,
+    options: ResolveOptions,
+    workers: usize,
+    then: impl Fn(CodeMapSet) -> T + Sync,
+) -> Result<Loaded<T>, ViprofError> {
+    let bootmap = BootMap::load(&kernel.vfs)?;
+    let keys = discover_keys(kernel);
+    let outcomes = per_incarnation(&keys, workers, |&key| {
+        if options.recover {
+            if let Some((set, rec)) = recover_codemaps(&kernel.vfs, key) {
+                return Ok((then(set), Some(rec)));
+            }
+        }
+        CodeMapSet::load(&kernel.vfs, key).map(|set| (then(set), None))
+    });
+    let mut loaded = Loaded {
+        bootmap,
+        boot_image: kernel.images.find_by_name(BOOT_IMAGE_NAME),
+        incarnations: Vec::with_capacity(keys.len()),
+        failed_keys: Vec::new(),
+        recovery: RecoveryReport::default(),
+    };
+    for (key, outcome) in keys.into_iter().zip(outcomes) {
+        match outcome {
+            Ok((done, rec)) => {
+                if let Some(rec) = rec {
+                    loaded.recovery.absorb(&rec);
+                }
+                loaded.incarnations.push((key, done));
+            }
+            Err(_) => loaded.failed_keys.push(key),
+        }
+    }
+    Ok(loaded)
+}
+
 /// The loaded post-processing inputs: every incarnation's code maps,
 /// `RVM.map` and the boot image's id. Flatten it with
 /// [`crate::engine::ResolutionEngine::build`] to resolve samples.
@@ -168,6 +223,13 @@ impl ViprofResolver {
     /// through the journal-replay recovery pass
     /// ([`ResolveOptions::recover`]).
     ///
+    /// Loads on the calling thread: the resolver holds every
+    /// incarnation's maps at once, and maps read on helper threads
+    /// would stay in those threads' malloc arenas after it is gone.
+    /// `Viprof::make_report` loads on its workers instead, where each
+    /// worker flattens and drops one incarnation's maps before it reads
+    /// the next.
+    ///
     /// One pid's unloadable maps must not abort post-processing for
     /// every other pid: such pids are recorded (their samples degrade to
     /// "(unresolved jit)") and loading continues. The returned
@@ -177,34 +239,15 @@ impl ViprofResolver {
         kernel: &Kernel,
         options: ResolveOptions,
     ) -> Result<(ViprofResolver, RecoveryReport), ViprofError> {
-        let bootmap = BootMap::load(&kernel.vfs)?;
-        let boot_image = kernel.images.find_by_name(BOOT_IMAGE_NAME);
-        let mut codemaps = HashMap::new();
-        let mut failed_keys = Vec::new();
-        let mut report = RecoveryReport::default();
-        for key in discover_keys(kernel) {
-            if options.recover {
-                if let Some((set, key_rec)) = recover_codemaps(&kernel.vfs, key) {
-                    report.absorb(&key_rec);
-                    codemaps.insert(key, set);
-                    continue;
-                }
-            }
-            match CodeMapSet::load(&kernel.vfs, key) {
-                Ok(set) => {
-                    codemaps.insert(key, set);
-                }
-                Err(_) => failed_keys.push(key),
-            }
-        }
+        let loaded = load_each(kernel, options, 1, |set| set)?;
         Ok((
             ViprofResolver {
-                bootmap,
-                codemaps,
-                boot_image,
-                failed_keys,
+                bootmap: loaded.bootmap,
+                codemaps: loaded.incarnations.into_iter().collect(),
+                boot_image: loaded.boot_image,
+                failed_keys: loaded.failed_keys,
             },
-            report,
+            loaded.recovery,
         ))
     }
 

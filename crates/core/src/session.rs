@@ -9,7 +9,7 @@ use crate::faults::FaultPlan;
 use crate::live::{LiveEngine, LiveSpec};
 use crate::recover::RecoveryReport;
 use crate::registry::{JitRegistry, SharedRegistry};
-use crate::resolve::{IncarnationSummary, ResolutionQuality, ResolveOptions, ViprofResolver};
+use crate::resolve::{IncarnationSummary, ResolutionQuality, ResolveOptions};
 use crate::runtime::ViprofExtension;
 use oprofile::report::{Report, ReportOptions};
 use oprofile::{
@@ -142,7 +142,8 @@ pub struct ReportSpec {
     /// report what it salvaged.
     pub recover: bool,
     /// Threads for the report: the resolution shards, and the cap on
-    /// the index flattening workers (one incarnation per job); `0` or
+    /// the map loading and index flattening workers (one incarnation
+    /// per job); `0` or
     /// `1` = single-threaded. The report is bit-identical for every
     /// value.
     pub threads: usize,
@@ -171,7 +172,8 @@ impl ReportSpec {
     }
 
     /// Set the report's thread count: the resolution shards, and the
-    /// cap on the index flattening workers; `0` or `1` = single-threaded.
+    /// cap on the map loading and index flattening workers; `0` or
+    /// `1` = single-threaded.
     pub fn threads(mut self, threads: usize) -> ReportSpec {
         self.threads = threads;
         self
@@ -366,8 +368,9 @@ impl Viprof {
     }
 
     /// Post-process one session: load maps from the VFS (optionally
-    /// through journal-replay recovery), flatten them into the
-    /// [`ResolutionEngine`], and resolve the database across
+    /// through journal-replay recovery) and flatten them into the
+    /// [`ResolutionEngine`], one incarnation per job on up to
+    /// `spec.threads` workers, then resolve the database across
     /// `spec.threads` shards. One entrypoint for everything the old
     /// `report`/`report_with_quality`/`report_with_recovery` trio did —
     /// lines, quality accounting and recovery outcome come back
@@ -381,17 +384,12 @@ impl Viprof {
         // *this* resolve, and stays byte-identical across same-seed
         // runs.
         let telemetry = Telemetry::new();
-        let (resolver, mut rec) =
-            ViprofResolver::load_with(kernel, ResolveOptions { recover: spec.recover })?;
-        let loaded_entries: u64 = resolver
-            .sets()
-            .map(|(_, set)| set.total_entries() as u64)
-            .sum();
+        let workers = spec.threads.max(1);
+        let (mut engine, mut rec) =
+            ResolutionEngine::load_on(kernel, ResolveOptions { recover: spec.recover }, workers)?;
         telemetry
             .stage(names::STAGE_RESOLVE_LOAD)
-            .record(loaded_entries);
-        let mut engine = ResolutionEngine::build_on(&resolver, spec.threads.max(1));
-        drop(resolver);
+            .record(engine.map_entries());
         engine.set_telemetry(&telemetry);
         let mut report = engine.resolve(db, kernel, spec);
         if spec.recover {
@@ -399,9 +397,9 @@ impl Viprof {
             // report can say how many samples replay salvaged. The
             // baseline engine records into its own registry: its pass
             // is scaffolding, not part of this report's accounting.
-            let (degraded, _) = ViprofResolver::load_with(kernel, ResolveOptions::default())?;
-            let baseline =
-                ResolutionEngine::build_on(&degraded, spec.threads.max(1)).quality(db, spec.threads);
+            let (degraded, _) =
+                ResolutionEngine::load_on(kernel, ResolveOptions::default(), workers)?;
+            let baseline = degraded.quality(db, spec.threads);
             rec.samples_salvaged = report.quality.resolved.saturating_sub(baseline.resolved);
             report.recovery = Some(rec);
         }

@@ -102,14 +102,18 @@ fn main() {
         maps.maps().len(),
         maps.total_entries()
     );
+    let symbols = maps.symbols();
     let fib_entries: Vec<String> = maps
         .maps()
         .iter()
         .flat_map(|m| {
             m.entries()
                 .iter()
-                .filter(|e| e.signature == "fib.Memo.fib")
-                .map(move |e| format!("epoch {} @ {:#x} ({})", m.epoch, e.addr, e.level))
+                .filter(|e| symbols.name(e.signature) == "fib.Memo.fib")
+                .map(move |e| {
+                    let level = symbols.name(e.level);
+                    format!("epoch {} @ {:#x} ({level})", m.epoch, e.addr)
+                })
         })
         .collect();
     println!("fib.Memo.fib body history ({} records):", fib_entries.len());

@@ -57,10 +57,12 @@ if [[ "${1:-}" != "--fast" ]]; then
     # match the per-bucket epoch walk on random sessions, keep its
     # shard sizes a function of bucket content, and keep the
     # per-incarnation breakdown whole when a poisoned shard is
-    # quarantined. Runs before the bench smoke so it is checked even
-    # while a bench gate fails.
+    # quarantined; damaged map text must parse like the plain line
+    # rules and tally alike in the batch and live readers. Runs before
+    # the bench smoke so it is checked even while a bench gate fails.
     echo "==> resolve equivalence smoke"
     cargo test -q --test prop_resolve_flat
+    cargo test -q --test prop_map_text
     cargo test -q --test telemetry resolve
     cargo test -q -p viprof poison
 

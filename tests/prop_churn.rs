@@ -187,8 +187,8 @@ fn samples_only_resolve_against_their_own_incarnation() {
                 let (_, sym) = oracle::label(&resolver, bucket, &k);
                 match own {
                     Some(set) => match set.resolve_salvage(bucket.addr, bucket.epoch) {
-                        Some((e, stale)) => {
-                            assert_eq!(&sym, &e.signature, "label came from own maps");
+                        Some((signature, stale)) => {
+                            assert_eq!(sym, signature, "label came from own maps");
                             if stale {
                                 want_stale += count
                             } else {

@@ -21,7 +21,7 @@ use viprof_repro::sim_jvm::{CompiledBodyInfo, VmProfilerHooks};
 use viprof_repro::sim_jvm::{Heap, MatureConfig, MethodId, ObjKind, OptLevel};
 use viprof_repro::sim_os::Vfs;
 use viprof_repro::telemetry::Telemetry;
-use viprof_repro::viprof::codemap::{parse_map, render_map, CodeMapEntry, CodeMapSet};
+use viprof_repro::viprof::codemap::{parse_map, render_map, CodeMapEntry, CodeMapSet, Symbols};
 use viprof_repro::viprof::registry::JitRegistry;
 use viprof_repro::viprof::VmAgent;
 
@@ -154,8 +154,8 @@ fn precise_resolves_every_point(events: Vec<Event>) {
             t.epoch
         );
         assert_eq!(
-            &hit.unwrap().signature,
-            &format!("test.M{}.run", t.method.0),
+            hit.unwrap(),
+            format!("test.M{}.run", t.method.0),
             "addr {:#x} epoch {}",
             t.addr,
             t.epoch
@@ -180,8 +180,8 @@ fn flag_only_is_mostly_right_and_precise_fixes_the_rest(events: Vec<Event>) {
             // Compile records are buffered per event: immune.
             assert!(hit.is_some(), "compiled point must resolve");
             assert_eq!(
-                &hit.unwrap().signature,
-                &format!("test.M{}.run", t.method.0),
+                hit.unwrap(),
+                format!("test.M{}.run", t.method.0),
                 "addr {:#x} epoch {}",
                 t.addr,
                 t.epoch
@@ -195,10 +195,7 @@ fn flag_only_is_mostly_right_and_precise_fixes_the_rest(events: Vec<Event>) {
     for t in &truth_p {
         let hit = maps_p.resolve(t.addr, t.epoch);
         assert!(hit.is_some());
-        assert_eq!(
-            &hit.unwrap().signature,
-            &format!("test.M{}.run", t.method.0)
-        );
+        assert_eq!(hit.unwrap(), format!("test.M{}.run", t.method.0));
     }
 }
 
@@ -282,7 +279,8 @@ fn parse_map_keeps_clean_lines_and_counts_corrupt_ones() {
                     damaged_lines.insert(line);
                 }
             }
-            let parsed = parse_map(&lines.join("\n"));
+            let mut symbols = Symbols::default();
+            let parsed = parse_map(&lines.join("\n"), &mut symbols);
             assert_eq!(parsed.quarantined, damaged_lines.len() as u64);
             let survivors: Vec<&CodeMapEntry> = entries
                 .iter()
@@ -292,7 +290,7 @@ fn parse_map_keeps_clean_lines_and_counts_corrupt_ones() {
                 .collect();
             assert_eq!(parsed.entries.len(), survivors.len());
             for (got, want) in parsed.entries.iter().zip(survivors) {
-                assert_eq!(got, want);
+                assert_eq!(&symbols.text(got), want);
             }
         },
     );

@@ -14,7 +14,9 @@ use support::{check, Gen};
 use viprof_repro::sim_cpu::Pid;
 use viprof_repro::sim_os::journal::{scan_bytes, KIND_CODE_MAP};
 use viprof_repro::sim_os::{JournalWriter, Vfs};
-use viprof_repro::viprof::codemap::{journal_path, parse_map, render_map, CodeMapEntry};
+use viprof_repro::viprof::codemap::{
+    journal_path, parse_map, render_map, CodeMapEntry, CodeMapSet, EpochMap, Symbols,
+};
 use viprof_repro::viprof::recover_codemaps;
 
 const PID: Pid = Pid(77);
@@ -51,9 +53,16 @@ fn build_journal(epochs: &[Vec<(u64, u64)>]) -> (Vec<u8>, Vec<Vec<CodeMapEntry>>
         let mut payload = (epoch as u64).to_le_bytes().to_vec();
         payload.extend_from_slice(rendered.as_bytes());
         w.append(&mut vfs, KIND_CODE_MAP, &payload);
-        expected.push(parse_map(&rendered).entries);
+        let mut symbols = Symbols::default();
+        let parsed = parse_map(&rendered, &mut symbols);
+        expected.push(parsed.entries.iter().map(|e| symbols.text(e)).collect());
     }
     (vfs.read(&path).unwrap().to_vec(), expected)
+}
+
+/// A loaded map's entries in the agent's writer form.
+fn text_of(set: &CodeMapSet, map: &EpochMap) -> Vec<CodeMapEntry> {
+    map.entries().iter().map(|e| set.symbols().text(e)).collect()
 }
 
 #[test]
@@ -82,7 +91,7 @@ fn crash_at_any_byte_recovers_exactly_the_committed_prefix() {
                 assert_eq!(m.epoch, i as u64);
                 let mut want = expected[i].clone();
                 want.sort_by_key(|e| e.addr);
-                assert_eq!(m.entries(), &want[..], "epoch {i} diverged");
+                assert_eq!(text_of(&set, m), want, "epoch {i} diverged");
             }
 
             // Prefix-consistency against the uninterrupted run: the cut
@@ -94,7 +103,7 @@ fn crash_at_any_byte_recovers_exactly_the_committed_prefix() {
             assert_eq!(full_set.maps().len(), epochs.len());
             for (a, b) in set.maps().iter().zip(full_set.maps()) {
                 assert_eq!(a.epoch, b.epoch);
-                assert_eq!(a.entries(), b.entries());
+                assert_eq!(text_of(&set, a), text_of(&full_set, b));
             }
         },
     );

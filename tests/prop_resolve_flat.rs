@@ -14,7 +14,7 @@ use support::{check, Gen};
 use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::HwEvent;
 use viprof_repro::sim_os::{Kernel, SplitMix64};
-use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet, EpochMap};
+use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet};
 use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
@@ -64,22 +64,15 @@ fn flattened_index_matches_the_epoch_walk() {
         256,
         |g| (chain_strategy(g), queries_strategy(g)),
         |(chain, queries)| {
-            let set = CodeMapSet::new(
-                chain
-                    .into_iter()
-                    .map(|(epoch, entries)| EpochMap::new(epoch, entries))
-                    .collect(),
-            );
+            let set = CodeMapSet::new(chain);
             let flat = FlatIndex::build(&set);
             for (pc, epoch) in queries {
                 // Backward walk only.
-                let walk = set.resolve(pc, epoch).map(|e| e.signature.as_str());
+                let walk = set.resolve(pc, epoch);
                 let fast = flat.resolve(pc, epoch).map(|s| s.as_ref());
                 assert_eq!(walk, fast, "resolve(pc={:#x}, epoch={})", pc, epoch);
                 // Walk + forward salvage, with the stale flag.
-                let walk = set
-                    .resolve_salvage(pc, epoch)
-                    .map(|(e, stale)| (e.signature.as_str(), stale));
+                let walk = set.resolve_salvage(pc, epoch);
                 let fast = flat
                     .resolve_salvage(pc, epoch)
                     .map(|(s, stale)| (s.as_ref(), stale));
@@ -190,7 +183,7 @@ fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
     const BASE: u64 = 0x6400_0000;
     const STRIDE: u64 = 0x100;
     const SIZE: u64 = 0x80;
-    let chain = |i: usize| -> Vec<EpochMap> {
+    let chain = |i: usize| -> Vec<(u64, Vec<CodeMapEntry>)> {
         (0..EPOCHS)
             .map(|epoch| {
                 let entries = (epoch..METHODS)
@@ -202,7 +195,7 @@ fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
                         signature: format!("app.P{i}.M{m:03}.run"),
                     })
                     .collect();
-                EpochMap::new(epoch, entries)
+                (epoch, entries)
             })
             .collect()
     };
@@ -210,11 +203,8 @@ fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
     let pids: Vec<_> = (0..4)
         .map(|i| {
             let pid = k.spawn(format!("jikesrvm-{i}"));
-            for map in chain(i) {
-                k.vfs.write(
-                    map_path(pid, map.epoch),
-                    render_map(map.entries()).into_bytes(),
-                );
+            for (epoch, entries) in chain(i) {
+                k.vfs.write(map_path(pid, epoch), render_map(&entries).into_bytes());
             }
             pid
         })
@@ -257,10 +247,11 @@ fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
 
     // The live engine's fast path at the same depth: growing a chain
     // one epoch at a time equals flattening it whole.
+    let whole = CodeMapSet::new(chain(0));
     let mut grown = FlatIndex::build(&CodeMapSet::default());
-    for (ordinal, map) in chain(0).iter().enumerate() {
+    for (ordinal, map) in whole.maps().iter().enumerate() {
         assert!(
-            grown.extend(map, ordinal as u32),
+            grown.extend(map, whole.symbols(), ordinal as u32),
             "in-order append refused at {ordinal}"
         );
     }
@@ -283,21 +274,19 @@ fn extend_by_epoch_equals_rebuild_from_scratch() {
         |(chain, queries)| {
             // Chain order = ascending (epoch, position): exactly how
             // `CodeMapSet::new` sorts and numbers the maps.
-            let mut maps: Vec<EpochMap> = chain
-                .into_iter()
-                .map(|(epoch, entries)| EpochMap::new(epoch, entries))
-                .collect();
-            maps.sort_by_key(|m| m.epoch);
+            let mut chain = chain;
+            chain.sort_by_key(|(epoch, _)| *epoch);
+            let whole = CodeMapSet::new(chain.clone());
 
             let mut grown = FlatIndex::build(&CodeMapSet::default());
-            for (ordinal, map) in maps.iter().enumerate() {
+            for (ordinal, map) in whole.maps().iter().enumerate() {
                 let before = grown.clone();
-                let ok = grown.extend(map, ordinal as u32);
+                let ok = grown.extend(map, whole.symbols(), ordinal as u32);
                 assert!(ok, "in-order append refused at ordinal {}", ordinal);
                 // Each prefix matches its own full rebuild, not just the
                 // final state — a mid-chain divergence that later appends
                 // happen to repair would still break live snapshots.
-                let rebuilt = FlatIndex::build(&CodeMapSet::new(maps[..=ordinal].to_vec()));
+                let rebuilt = FlatIndex::build(&CodeMapSet::new(chain[..=ordinal].to_vec()));
                 assert_eq!(
                     &grown,
                     &rebuilt,
@@ -309,10 +298,13 @@ fn extend_by_epoch_equals_rebuild_from_scratch() {
 
             // An out-of-order append (epoch strictly below an existing
             // layer) must refuse and leave the index bit-identical.
-            if let Some(top) = maps.iter().map(|m| m.epoch).max() {
+            if let Some(top) = chain.iter().map(|(epoch, _)| *epoch).max() {
                 if top > 0 {
                     let mut probe = grown.clone();
-                    let stale = EpochMap::new(
+                    // Parsed after the chain, into the same table: the
+                    // last map of epoch `top - 1` once sorted.
+                    let mut with_stale = chain.clone();
+                    with_stale.push((
                         top - 1,
                         vec![CodeMapEntry {
                             addr: 0x100,
@@ -320,17 +312,23 @@ fn extend_by_epoch_equals_rebuild_from_scratch() {
                             level: "O1".to_string(),
                             signature: SIGS[0].to_string(),
                         }],
-                    );
-                    if !probe.extend(&stale, maps.len() as u32) {
+                    ));
+                    let probe_set = CodeMapSet::new(with_stale);
+                    let stale = probe_set
+                        .maps()
+                        .iter()
+                        .rfind(|m| m.epoch == top - 1)
+                        .expect("the stale map");
+                    if !probe.extend(stale, probe_set.symbols(), chain.len() as u32) {
                         assert_eq!(&probe, &grown, "refused extend mutated the index");
                     }
                 }
             }
 
             // And the grown index still answers like the walk.
-            let set = CodeMapSet::new(maps);
+            let set = whole;
             for (pc, epoch) in queries {
-                let walk = set.resolve(pc, epoch).map(|e| e.signature.as_str());
+                let walk = set.resolve(pc, epoch);
                 let fast = grown.resolve(pc, epoch).map(|s| s.as_ref());
                 assert_eq!(walk, fast, "grown resolve(pc={:#x}, epoch={})", pc, epoch);
             }
