@@ -11,9 +11,9 @@
 //!    [`FlatIndex`] (one binary search per
 //!    lookup instead of one per epoch), one incarnation per job on
 //!    scoped threads, and the boot-image map is flattened the same way;
-//! 2. the sample database is partitioned into shards by a cheap mix of
-//!    each bucket's content, and the shards are resolved concurrently
-//!    via [`std::thread::scope`] against the shared immutable index.
+//! 2. the sample database's sorted buckets are split into contiguous
+//!    slices, and the shards are resolved concurrently via
+//!    [`std::thread::scope`] against the shared immutable index.
 //!    Each bucket costs one index lookup, which yields its class and
 //!    its label together; rows are keyed by the *address* of borrowed
 //!    label text, so the hot loop neither allocates nor touches shared
@@ -73,10 +73,10 @@ enum Class {
 }
 
 /// The FxHash step (rotate, xor, multiply per word) for the engine's
-/// hot maps and its shard choice. Their keys are a few integers or
-/// addresses that the engine itself derives, so SipHash's flooding
-/// resistance buys nothing, and unlike `RandomState` the result is a
-/// pure function of the key.
+/// hot maps. Their keys are a few integers or addresses that the
+/// engine itself derives, so SipHash's flooding resistance buys
+/// nothing, and unlike `RandomState` the result is a pure function of
+/// the key.
 #[derive(Debug, Clone, Copy, Default)]
 struct Mix(u64);
 
@@ -201,7 +201,8 @@ impl ShardTally {
 }
 
 /// One incarnation as a shard sees it: its index, looked up once per
-/// shard rather than once per bucket, and its breakdown so far.
+/// run of its buckets rather than once per bucket, and its breakdown
+/// so far.
 struct ShardIncarnation<'a> {
     index: Option<&'a FlatIndex>,
     /// No index of its own while another incarnation of the pid has
@@ -231,7 +232,8 @@ impl<'a> ShardIncarnation<'a> {
 struct ShardPart<'a> {
     rows: RowCounts<'a>,
     tally: ShardTally,
-    incarnations: HashMap<ProcKey, ShardIncarnation<'a>, MixState>,
+    /// One entry per run of an incarnation's buckets, in shard order.
+    incarnations: Vec<(ProcKey, ShardIncarnation<'a>)>,
 }
 
 /// Which pass over a shard is running; decides whether the poison knob
@@ -627,24 +629,17 @@ impl ResolutionEngine {
         self.row_of(bucket, kernel).to_strings(kernel)
     }
 
-    /// Partition the database's buckets into `threads` shards by a
-    /// mix of each bucket's content (one shard — every bucket — when
-    /// `threads <= 1`). Shard sizes depend on the database alone,
-    /// never on its hash map's iteration order.
-    fn shard(db: &SampleDb, threads: usize) -> Vec<Vec<(&SampleBucket, u64)>> {
+    /// Split the database's sorted buckets into `threads` contiguous
+    /// slices of near-equal bucket count (one shard — every bucket —
+    /// when `threads <= 1`). Shards borrow the database and copy
+    /// nothing, and since the order is the buckets' own, shard sizes
+    /// depend on the database's content alone.
+    fn shard(db: &SampleDb, threads: usize) -> Vec<&[(SampleBucket, u64)]> {
+        let buckets = db.buckets();
         let n = threads.max(1);
-        if n == 1 {
-            return vec![db.iter().map(|(b, c)| (b, *c)).collect()];
-        }
-        let mut shards: Vec<Vec<(&SampleBucket, u64)>> = vec![Vec::new(); n];
-        for (b, c) in db.iter() {
-            let mut mix = Mix::default();
-            b.hash(&mut mix);
-            // The high half of `hash · n` is uniform over `0..n`.
-            let shard = ((u128::from(mix.finish()) * n as u128) >> 64) as usize;
-            shards[shard].push((b, *c));
-        }
-        shards
+        (0..n)
+            .map(|i| &buckets[i * buckets.len() / n..(i + 1) * buckets.len() / n])
+            .collect()
     }
 
     fn base_quality(&self, db: &SampleDb) -> ResolutionQuality {
@@ -661,26 +656,31 @@ impl ResolutionEngine {
     /// Aggregation only covers buckets whose event is a report column
     /// (like [`oprofile::report::aggregate`]); without `labels` no
     /// label work is done at all.
+    ///
+    /// Buckets sort by origin first, so one incarnation's buckets lie
+    /// next to each other: the shard looks an incarnation up when its
+    /// run begins and keeps it for the whole run.
     fn resolve_shard<'a>(
         &'a self,
-        shard: &[(&SampleBucket, u64)],
+        shard: &[(SampleBucket, u64)],
         labels: Option<(&'a Kernel, &[HwEvent])>,
         attempt: Attempt,
     ) -> ShardPart<'a> {
         let mut part = ShardPart {
             rows: RowCounts::default(),
             tally: ShardTally::default(),
-            incarnations: HashMap::default(),
+            incarnations: Vec::new(),
         };
-        for &(bucket, count) in shard {
+        for (bucket, count) in shard {
+            let count = *count;
             self.trip_poison(bucket, attempt);
             let (class, row) = match bucket.origin {
                 SampleOrigin::JitApp { pid, gen } => {
                     let key = ProcKey::new(pid, gen);
-                    let inc = part
-                        .incarnations
-                        .entry(key)
-                        .or_insert_with(|| self.incarnation(key));
+                    if part.incarnations.last().is_none_or(|(k, _)| *k != key) {
+                        part.incarnations.push((key, self.incarnation(key)));
+                    }
+                    let (_, inc) = part.incarnations.last_mut().expect("pushed above");
                     let (class, symbol) = inc.classify(bucket);
                     inc.tally.add(class, count);
                     (class, Some(Self::jit_row(symbol)))
@@ -703,7 +703,7 @@ impl ResolutionEngine {
 
     /// Quarantine tally for a shard whose worker *and* fallback died:
     /// every sample is kept in the accounting, none get report rows.
-    fn quarantine_tally(shard: &[(&SampleBucket, u64)]) -> ShardTally {
+    fn quarantine_tally(shard: &[(SampleBucket, u64)]) -> ShardTally {
         ShardTally {
             quarantined: shard.iter().map(|(_, c)| *c).sum(),
             ..ShardTally::default()
@@ -987,7 +987,7 @@ impl ResolutionEngine {
                 })
                 .collect();
             let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.resolve_shard(&shards[0], labels, Attempt::Worker)
+                self.resolve_shard(shards[0], labels, Attempt::Worker)
             }));
             std::iter::once(first.ok())
                 .chain(helpers.into_iter().map(|h| h.join().ok()))
@@ -1000,13 +1000,13 @@ impl ResolutionEngine {
                 Some(part) => part,
                 None => {
                     let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.resolve_shard(&shards[i], labels, Attempt::Retry)
+                        self.resolve_shard(shards[i], labels, Attempt::Retry)
                     }));
                     let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
                     self.telemetry.note_shard_panic(i as u64, samples, retried.is_ok());
                     retried.unwrap_or_else(|_| ShardPart {
-                        tally: Self::quarantine_tally(&shards[i]),
-                        ..self.resolve_shard(&shards[i], None, Attempt::Breakdown)
+                        tally: Self::quarantine_tally(shards[i]),
+                        ..self.resolve_shard(shards[i], None, Attempt::Breakdown)
                     })
                 }
             })
@@ -1299,6 +1299,31 @@ mod tests {
                 poisoned.incarnations, clean.incarnations,
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn fatal_poison_quarantines_only_the_slices_the_pid_reaches() {
+        // Shards are contiguous slices of the sorted buckets, so a fatal
+        // poison quarantines exactly the slices that hold one of the
+        // pid's buckets: the damage depends on the database and the
+        // thread count. Image buckets sort before JIT ones, so here the
+        // pid's two buckets reach one slice of two, and one of four.
+        let (k, pid) = setup();
+        let boot_id = k.images.find_by_name(BOOT_IMAGE_NAME).unwrap();
+        let mut db = SampleDb::new();
+        for i in 1..=6 {
+            db.add(bucket(SampleOrigin::Image(boot_id), i * 0x10, 0), 5);
+        }
+        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, 2), 10);
+        db.add(bucket(SampleOrigin::JitApp { pid, gen: 0 }, 0x6500_0010, 1), 6);
+        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+        let mut engine = ResolutionEngine::build(&resolver);
+        engine.set_poison(Some(ShardPoison { pid, fatal: true }));
+        for (threads, quarantined) in [(1, 46), (2, 5 + 5 + 10 + 6), (4, 10 + 6)] {
+            let q = engine.quality(&db, threads);
+            assert_eq!(q.quarantined, quarantined, "threads={threads}");
+            assert_eq!(q.accounted(), db.total_samples(), "threads={threads}");
         }
     }
 

@@ -6,9 +6,10 @@
 //! feeds every drained batch to a [`LiveEngine`] through the
 //! [`DrainSink`] seam, and the engine
 //!
-//! 1. merges the batch into a shadow [`SampleDb`] (the same `merge`
-//!    the daemon applies to its own database, so the shadow converges
-//!    to the authoritative one bucket-for-bucket);
+//! 1. merges the batch into a shadow [`SampleDb`]. A batch holds
+//!    exactly what the daemon admitted into its own database, so the
+//!    shadow converges to the authoritative one bucket-for-bucket,
+//!    under an admission cap too;
 //! 2. rescans each incarnation's code-map directory and **extends**
 //!    its [`FlatIndex`] by the newly appeared epoch maps only —
 //!    [`FlatIndex::extend`] re-sweeps just the address window each new
@@ -43,7 +44,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use oprofile::daemon::DrainSink;
-use oprofile::{SampleDb, SinkHandle, SAMPLE_JOURNAL_PATH};
+use oprofile::{SampleAccumulator, SampleDb, SinkHandle, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_PATH};
 use sim_os::journal;
@@ -117,7 +118,7 @@ struct LiveTelemetry {
 /// [`SessionReport`] at any point mid-run.
 pub struct LiveEngine {
     engine: ResolutionEngine,
-    db: SampleDb,
+    db: SampleAccumulator,
     keys: HashMap<ProcKey, KeyState>,
     /// Journal sequence numbers already merged (replay dedup).
     applied: HashSet<u64>,
@@ -139,7 +140,6 @@ impl std::fmt::Debug for LiveEngine {
         f.debug_struct("LiveEngine")
             .field("batches", &self.batches)
             .field("keys", &self.keys.len())
-            .field("samples", &self.db.total_samples())
             .field("sealed", &self.sealed)
             .finish()
     }
@@ -154,7 +154,7 @@ impl LiveEngine {
         engine.set_telemetry(registry);
         LiveEngine {
             engine,
-            db: SampleDb::new(),
+            db: SampleAccumulator::default(),
             keys: HashMap::new(),
             applied: HashSet::new(),
             batches: 0,
@@ -181,15 +181,9 @@ impl LiveEngine {
         registry.trace_end(ctx, fields);
     }
 
-    /// Mirror the daemon's admission cap so the shadow database evicts
-    /// and rejects the same buckets the authoritative one does.
-    pub fn set_db_cap(&mut self, cap: Option<usize>) {
-        self.db.set_admission_cap(cap);
-    }
-
     /// The shadow sample database (converges to the daemon's).
-    pub fn db(&self) -> &SampleDb {
-        &self.db
+    pub fn db(&mut self) -> &SampleDb {
+        self.db.db()
     }
 
     /// Batches accepted so far (after journal-sequence deduplication).
@@ -275,7 +269,7 @@ impl LiveEngine {
     /// distinct sample buckets plus report rows.
     pub fn snapshot(&mut self, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
         self.engine.set_damage(self.damage());
-        self.engine.resolve(&self.db, kernel, spec)
+        self.engine.resolve(self.db.db(), kernel, spec)
     }
 
     /// Resolution damage mirroring `ResolutionEngine::build`'s

@@ -33,7 +33,7 @@
 use crate::codemap::{
     journal_path, map_prefix, parse_map, path_epoch, read_map_file, CodeMapSet, EpochMap, Symbols,
 };
-use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
+use oprofile::{SampleAccumulator, SampleDb, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
 use sim_os::journal::{self, KIND_CODE_MAP};
 use sim_os::Vfs;
@@ -188,14 +188,16 @@ pub struct RecoveredDb {
     pub truncated_bytes: u64,
 }
 
-/// Replay the daemon's sample-batch journal into a fresh [`SampleDb`].
-/// `None` when the session never journaled samples.
+/// Replay the daemon's sample-batch journal into a fresh [`SampleDb`],
+/// merging batches the way the daemon did. `None` when the session
+/// never journaled samples.
 pub fn recover_sample_db(vfs: &Vfs) -> Option<RecoveredDb> {
     let scan = journal::scan(vfs, SAMPLE_JOURNAL_PATH)?;
     let mut out = RecoveredDb {
         truncated_bytes: scan.damaged_bytes as u64,
         ..RecoveredDb::default()
     };
+    let mut db = SampleAccumulator::default();
     for r in &scan.records {
         let body = match r.sample_batch() {
             None => continue,
@@ -205,11 +207,15 @@ pub fn recover_sample_db(vfs: &Vfs) -> Option<RecoveredDb> {
                 continue;
             }
         };
-        match out.db.merge_from_bytes(body) {
-            Ok(()) => out.batches += 1,
+        match SampleDb::from_bytes(body) {
+            Ok(batch) => {
+                db.merge(&batch);
+                out.batches += 1;
+            }
             Err(_) => out.bad_batches += 1,
         }
     }
+    out.db = db.into_db();
     Some(out)
 }
 

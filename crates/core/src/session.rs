@@ -260,12 +260,10 @@ impl Viprof {
     ) -> Viprof {
         let live = live.map(|_| {
             // The live engine shares the session's registry (created
-            // here when the config didn't bring one) and mirrors the
-            // daemon's admission cap, then plugs into the drain sink.
+            // here when the config didn't bring one), then plugs into
+            // the drain sink.
             let telemetry = config.telemetry.get_or_insert_with(Telemetry::new).clone();
-            let mut engine = LiveEngine::new(&telemetry);
-            engine.set_db_cap(config.db_bucket_cap);
-            let engine = Arc::new(Mutex::new(engine));
+            let engine = Arc::new(Mutex::new(LiveEngine::new(&telemetry)));
             config.drain_sink = Some(LiveEngine::sink(engine.clone()));
             engine
         });

@@ -16,7 +16,7 @@
 use crate::driver::Driver;
 use crate::faults::{DaemonFaultStats, DaemonFaults};
 use crate::governor::{DeadlineVerdict, Governor, GovernorDecision};
-use crate::samples::{SampleDb, SampleOrigin};
+use crate::samples::{SampleAccumulator, SampleDb, SampleOrigin};
 use sim_cpu::{Addr, BlockExec, CostModel, Cpu, CpuMode, HwEvent, MemActivity, Pid};
 use sim_os::journal::{encode_traced_payload, JournalWriter, KIND_SAMPLE_BATCH_TRACED};
 use sim_os::loader::BIN_HINT;
@@ -73,8 +73,9 @@ impl DaemonTelemetry {
     /// incarnation was reaped (not a ring overflow), reported under its
     /// own counter/event.
     fn note_drain(&self, batch: &SampleDb, cycles: u64, journaled: bool, dead: u64) {
+        let drained = drained_samples(batch);
         self.drains.inc();
-        self.batch_samples.record(batch.total_samples());
+        self.batch_samples.record(drained);
         self.drain_stage.record(cycles);
         if journaled && !is_trivial(batch) {
             self.batches_journaled.inc();
@@ -84,7 +85,7 @@ impl DaemonTelemetry {
             self.registry.event(
                 names::EVENT_BUFFER_OVERFLOW,
                 "ring buffer overflowed since last drain",
-                &[("dropped", ring_dropped), ("drained", batch.total_samples())],
+                &[("dropped", ring_dropped), ("drained", drained)],
             );
         }
         if dead > 0 {
@@ -92,7 +93,7 @@ impl DaemonTelemetry {
             self.registry.event(
                 names::EVENT_DAEMON_DEAD_GEN_DROP,
                 "late samples for reaped incarnations dropped at drain",
-                &[("dropped", dead), ("drained", batch.total_samples())],
+                &[("dropped", dead), ("drained", drained)],
             );
         }
         self.db_evicted.add(batch.evicted);
@@ -149,6 +150,13 @@ impl DaemonTelemetry {
 /// nor handed to the sink.
 fn is_trivial(batch: &SampleDb) -> bool {
     batch.total_samples() == 0 && batch.dropped == 0 && batch.evicted == 0
+}
+
+/// Samples a drained batch took from the ring for live incarnations:
+/// those it holds plus those the admission cap refused, which left the
+/// batch for its `evicted` count.
+fn drained_samples(batch: &SampleDb) -> u64 {
+    batch.total_samples().saturating_add(batch.evicted)
 }
 
 /// OS image name of the daemon binary.
@@ -220,7 +228,7 @@ pub(crate) struct Drained {
 /// `stop`), so all three run the same [`Drain::run`].
 pub(crate) struct Drain {
     driver: Arc<Mutex<Driver>>,
-    db: Arc<Mutex<SampleDb>>,
+    db: Arc<Mutex<SampleAccumulator>>,
     cost: CostModel,
     /// Write-ahead journal for drained batches: every non-trivial batch
     /// is appended as one committed record, so a crashed or corrupted
@@ -237,7 +245,7 @@ pub(crate) struct Drain {
 impl Drain {
     pub(crate) fn new(
         driver: Arc<Mutex<Driver>>,
-        db: Arc<Mutex<SampleDb>>,
+        db: Arc<Mutex<SampleAccumulator>>,
         cost: CostModel,
         registry: &Telemetry,
         journal: Option<JournalWriter>,
@@ -313,16 +321,19 @@ impl Drain {
 
     /// Move buffered samples into the database, returning the drained
     /// window as its own [`SampleDb`] (already merged into `db`) and
-    /// the cycles the daemon consumed doing so. The batch is what gets
-    /// journaled: replaying every batch record in order rebuilds the
-    /// full database, because [`SampleDb::merge`] is the same operation
-    /// the drain itself performs.
+    /// the cycles the daemon consumed doing so. The batch is built by
+    /// sorting the drained vector in place and counting its runs, not
+    /// by one lookup per sample.
+    /// The batch is what gets journaled: replaying every batch record
+    /// in order rebuilds the full database, because the batch holds
+    /// exactly what the drain admitted.
     /// The drained vector is recycled back into the ring before the
-    /// driver lock drops, so steady-state drains allocate nothing. The
-    /// returned batch's `evicted` counts samples the shared database's
-    /// admission cap refused *from this batch* — mirroring how
-    /// `dropped` carries this window's overflow losses — so journal
-    /// replay rebuilds eviction accounting too.
+    /// driver lock drops, so steady-state drains allocate no ring
+    /// slots. Buckets the shared database's admission cap refused
+    /// leave the batch, and their samples are counted in its `evicted`
+    /// — mirroring how `dropped` carries this window's overflow losses
+    /// — so journal replay rebuilds eviction accounting too, and counts
+    /// no refused sample as admitted.
     /// The third return value is the count of samples refused because
     /// their `(pid, gen)` registration was reaped (the incarnation died
     /// unclean). Those are folded into `batch.dropped` — alongside ring
@@ -331,30 +342,23 @@ impl Drain {
     pub(crate) fn drain_batch(&self) -> (SampleDb, u64, u64) {
         let (mut batch, n, probe, dead) = {
             let mut d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
-            let (samples, dropped) = d.drain();
+            let (mut samples, dropped) = d.drain();
             let n = samples.len() as u64;
-            let mut batch = SampleDb::new();
-            let mut dead = 0u64;
-            for s in &samples {
-                if let SampleOrigin::JitApp { pid, gen } = s.origin {
-                    if !d.admit(pid, gen) {
-                        dead += 1;
-                        continue;
-                    }
-                }
-                batch.add(*s, 1);
-            }
+            samples.retain(|s| match s.origin {
+                SampleOrigin::JitApp { pid, gen } => d.admit(pid, gen),
+                _ => true,
+            });
+            let dead = n - samples.len() as u64;
+            let mut batch = SampleDb::from_samples(&mut samples);
             batch.dropped = dropped + dead;
             d.recycle(samples);
             let probe = d.daemon_probe_cost();
             (batch, n, probe, dead)
         };
-        batch.evicted = {
-            let mut db = self.db.lock().unwrap_or_else(PoisonError::into_inner);
-            let before = db.evicted;
-            db.merge(&batch);
-            db.evicted - before
-        };
+        self.db
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .merge_admitted(&mut batch);
         (batch, self.cost.daemon_drain(n) + probe, dead)
     }
 
@@ -524,7 +528,7 @@ impl Daemon {
             .run(ctx.kernel, now, true, |_, _| {});
         self.drains += 1;
         self.charge(ctx, drained.cycles);
-        drained.batch.total_samples()
+        drained_samples(&drained.batch)
     }
 
     /// Injected-fault counters, if a schedule is installed.
@@ -667,7 +671,7 @@ pub(crate) mod tests {
 
     /// A daemon with handles to its driver, database and activity flag.
     pub(crate) type DaemonParts =
-        (Daemon, Arc<Mutex<Driver>>, Arc<Mutex<SampleDb>>, Arc<AtomicBool>);
+        (Daemon, Arc<Mutex<Driver>>, Arc<Mutex<SampleAccumulator>>, Arc<AtomicBool>);
 
     /// A daemon on `m` over a fresh `capacity`-slot driver and database,
     /// reporting to `t` and journaling to `journal` if given. The caller
@@ -681,14 +685,14 @@ pub(crate) mod tests {
         journal: Option<JournalWriter>,
     ) -> DaemonParts {
         let driver = Arc::new(Mutex::new(Driver::new(cost, capacity)));
-        let db = Arc::new(Mutex::new(SampleDb::new()));
+        let db = Arc::new(Mutex::new(SampleAccumulator::default()));
         let active = Arc::new(AtomicBool::new(true));
         let drain = Drain::new(driver.clone(), db.clone(), cost, t, journal, None);
         let d = Daemon::spawn(&mut m.kernel, Arc::new(Mutex::new(drain)), active.clone(), period);
         (d, driver, db, active)
     }
 
-    type Rig = (Machine, Arc<Mutex<Driver>>, Arc<Mutex<SampleDb>>, Arc<AtomicBool>);
+    type Rig = (Machine, Arc<Mutex<Driver>>, Arc<Mutex<SampleAccumulator>>, Arc<AtomicBool>);
 
     fn setup_with_cost(period: u64, cost: CostModel) -> Rig {
         let mut m = Machine::new(MachineConfig::default());
@@ -709,11 +713,11 @@ pub(crate) mod tests {
         driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x20));
         // Not yet due.
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 500));
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 0);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 0);
         // Crossing the period triggers the drain.
         let before = m.cpu.clock.cycles();
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 600));
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 2);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 2);
         let elapsed = m.cpu.clock.cycles() - before;
         assert!(
             elapsed > 600,
@@ -728,7 +732,7 @@ pub(crate) mod tests {
         active.store(false, Ordering::Relaxed);
         driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x10));
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 10_000));
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 0);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 0);
         assert_eq!(m.cpu.clock.cycles(), 10_000, "no daemon cycles charged");
     }
 
@@ -739,13 +743,14 @@ pub(crate) mod tests {
         driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x10));
         // One block spanning 10 periods → exactly one catch-up drain.
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 10_500));
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 1);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 1);
         // Next wakeup is aligned after `now`.
         driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x20));
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 400));
         assert_eq!(
             db.lock()
                 .unwrap_or_else(PoisonError::into_inner)
+                .db()
                 .total_samples(),
             1,
             "not due again yet"
@@ -775,12 +780,13 @@ pub(crate) mod tests {
         assert_eq!(
             db.lock()
                 .unwrap_or_else(PoisonError::into_inner)
+                .db()
                 .total_samples(),
             2,
             "only the restart drain landed"
         );
         assert_eq!(
-            db.lock().unwrap_or_else(PoisonError::into_inner).dropped,
+            db.lock().unwrap_or_else(PoisonError::into_inner).db().dropped,
             6,
             "pushes during the outage overflowed"
         );
@@ -932,7 +938,7 @@ pub(crate) mod tests {
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
         let (d, driver, db, _) = spawn_daemon(&mut m, &t, 64, CostModel::free(), 100, None);
-        db.lock().unwrap_or_else(PoisonError::into_inner).set_admission_cap(Some(2));
+        *db.lock().unwrap_or_else(PoisonError::into_inner) = SampleAccumulator::new(Some(2));
         m.add_service(Box::new(d));
         for i in 0..5 {
             let mut d = driver.lock().unwrap_or_else(PoisonError::into_inner);
@@ -940,14 +946,38 @@ pub(crate) mod tests {
         }
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
         assert_eq!(
-            db.lock().unwrap_or_else(PoisonError::into_inner).len(),
+            db.lock().unwrap_or_else(PoisonError::into_inner).db().len(),
             2,
             "cap bounds distinct buckets"
         );
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).evicted, 3);
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 2);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().evicted, 3);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 2);
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::DB_EVICTED_SAMPLES), 3);
+    }
+
+    #[test]
+    fn capped_journal_replays_without_counting_refused_samples_twice() {
+        use sim_os::journal::scan;
+        let mut m = Machine::new(MachineConfig::default());
+        let journal = JournalWriter::create(&mut m.kernel.vfs, "/j");
+        let (d, driver, db, _) =
+            spawn_daemon(&mut m, &Telemetry::new(), 64, CostModel::free(), 100, Some(journal));
+        *db.lock().unwrap_or_else(PoisonError::into_inner) = SampleAccumulator::new(Some(3));
+        m.add_service(Box::new(d));
+        for i in 0..10 {
+            driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(i * 16));
+        }
+        m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
+        let held = db.lock().unwrap_or_else(PoisonError::into_inner).db().clone();
+        assert_eq!((held.total_samples(), held.evicted), (3, 7));
+        let mut replayed = SampleDb::new();
+        for rec in &scan(&m.kernel.vfs, "/j").unwrap().records {
+            let (_, body) = rec.sample_batch().unwrap().unwrap();
+            replayed.merge_from_bytes(body).unwrap();
+        }
+        assert_eq!(replayed, held, "the journal holds only admitted buckets");
+        assert_eq!(replayed.total_samples(), 3);
     }
 
     #[test]
@@ -960,7 +990,7 @@ pub(crate) mod tests {
             driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(i * 16));
         }
         m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 200));
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).total_samples(), 2);
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).dropped, 3);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 2);
+        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().dropped, 3);
     }
 }

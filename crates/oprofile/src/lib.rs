@@ -39,7 +39,7 @@ pub use driver::{Driver, DriverStats};
 pub use faults::{DaemonFaultStats, DaemonFaults, DriverFaultStats, DriverFaults, FaultVerdict};
 pub use governor::{DeadlineVerdict, Governor, GovernorConfig, GovernorDecision};
 pub use report::{opreport, Report, ReportOptions, ReportRow};
-pub use samples::{SampleBucket, SampleDb, SampleOrigin};
+pub use samples::{SampleAccumulator, SampleBucket, SampleDb, SampleOrigin};
 pub use session::{
     Oprofile, SAMPLES_PATH, SAMPLE_JOURNAL_PATH, TELEMETRY_PATH, TIMELINE_PATH, TRACE_PATH,
 };

@@ -5,7 +5,7 @@ use crate::config::OpConfig;
 use crate::daemon::{Daemon, Drain};
 use crate::driver::{Driver, DriverStats};
 use crate::faults::{DaemonFaultStats, DaemonFaults, DriverFaultStats};
-use crate::samples::SampleDb;
+use crate::samples::{SampleAccumulator, SampleDb};
 use crate::supervisor::{Supervisor, SupervisorCounters, SupervisorStats};
 use sim_cpu::Pid;
 use sim_os::journal::JournalWriter;
@@ -37,7 +37,7 @@ pub const TIMELINE_PATH: &str = "/var/log/viprof/timeline.json";
 /// A running profiling session.
 pub struct Oprofile {
     pub driver: Arc<Mutex<Driver>>,
-    pub db: Arc<Mutex<SampleDb>>,
+    pub db: Arc<Mutex<SampleAccumulator>>,
     active: Arc<AtomicBool>,
     config: OpConfig,
     daemon_pid: Pid,
@@ -96,8 +96,7 @@ impl Oprofile {
         }
         machine.set_handler(driver.clone());
 
-        let db = Arc::new(Mutex::new(SampleDb::new()));
-        db.lock().unwrap_or_else(PoisonError::into_inner).set_admission_cap(config.db_bucket_cap);
+        let db = Arc::new(Mutex::new(SampleAccumulator::new(config.db_bucket_cap)));
         let active = Arc::new(AtomicBool::new(true));
         let journal = config.journal.then(|| {
             let mut writer = JournalWriter::create(&mut machine.kernel.vfs, SAMPLE_JOURNAL_PATH);
@@ -203,7 +202,7 @@ impl Oprofile {
     /// Snapshot of the sample DB as accumulated so far (not including
     /// still-buffered samples).
     pub fn db_snapshot(&self) -> SampleDb {
-        self.db.lock().unwrap_or_else(PoisonError::into_inner).clone()
+        self.db.lock().unwrap_or_else(PoisonError::into_inner).db().clone()
     }
 
     /// Stop profiling: final buffer flush (charged to simulated time),
@@ -235,7 +234,7 @@ impl Oprofile {
                 cycles,
             ));
         }
-        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        let db = self.db.lock().unwrap_or_else(PoisonError::into_inner).db().clone();
         machine.kernel.vfs.write(SAMPLES_PATH, db.to_bytes());
         // Telemetry epilogue: stamp the final clock, close the session,
         // and persist the artifacts next to the sample database.
@@ -519,7 +518,7 @@ mod tests {
         let op = Oprofile::start(&mut m, config);
         let snap = op.telemetry().snapshot();
         assert_eq!(snap.gauge(names::GOVERNOR_PERIOD), 90_000);
-        assert_eq!(op.db.lock().unwrap_or_else(PoisonError::into_inner).admission_cap(), Some(64));
+        assert_eq!(op.db.lock().unwrap_or_else(PoisonError::into_inner).db().admission_cap(), Some(64));
         op.stop(&mut m);
     }
 

@@ -234,7 +234,7 @@ mod tests {
     use crate::daemon::tests::{bucket, spawn_daemon};
     use crate::driver::Driver;
     use crate::faults::DaemonFaults;
-    use crate::samples::SampleDb;
+    use crate::samples::SampleAccumulator;
     use sim_cpu::{BlockExec, CostModel, CpuMode, HwEvent, Pid};
     use sim_os::{Machine, MachineConfig};
     use std::sync::{Arc, Mutex, PoisonError};
@@ -242,7 +242,7 @@ mod tests {
     struct Rig {
         m: Machine,
         driver: Arc<Mutex<Driver>>,
-        db: Arc<Mutex<SampleDb>>,
+        db: Arc<Mutex<SampleAccumulator>>,
         stats: SupervisorCounters,
     }
 
@@ -294,6 +294,7 @@ mod tests {
         assert_eq!(
             r.db.lock()
                 .unwrap_or_else(PoisonError::into_inner)
+                .db()
                 .total_samples(),
             12,
             "all windows drained"
@@ -320,7 +321,8 @@ mod tests {
         assert!(s.missed_observed >= 2);
         assert!(s.redrained_samples > 0, "catch-up drain recovered backlog");
         assert_eq!(s.last_backoff, 1);
-        let db = r.db.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut db = r.db.lock().unwrap_or_else(PoisonError::into_inner);
+        let db = db.db();
         // 8 rounds x 2 pushes: the supervised run keeps everything except
         // what overflowed during the short outage.
         assert!(db.total_samples() >= 10, "got {}", db.total_samples());
@@ -345,7 +347,8 @@ mod tests {
             m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
         }
         let bare = {
-            let db = db.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut db = db.lock().unwrap_or_else(PoisonError::into_inner);
+            let db = db.db();
             (db.total_samples(), db.dropped)
         };
 
@@ -357,7 +360,8 @@ mod tests {
         let mut r = rig(Some(faults()), cfg);
         run_windows(&mut r, 8);
         let supervised = {
-            let db = r.db.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut db = r.db.lock().unwrap_or_else(PoisonError::into_inner);
+            let db = db.db();
             (db.total_samples(), db.dropped)
         };
         assert!(
@@ -468,7 +472,8 @@ mod tests {
             let mut r = rig(Some(DaemonFaults::new(5).with_stalls(0.6)), cfg);
             run_windows(&mut r, 30);
             let s = r.stats.snapshot();
-            let db = r.db.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut db = r.db.lock().unwrap_or_else(PoisonError::into_inner);
+            let db = db.db();
             (s, db.total_samples(), db.dropped)
         };
         assert_eq!(run(11), run(11), "same seed, same schedule");

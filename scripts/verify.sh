@@ -48,10 +48,13 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Drain accounting smoke: every drain (timer, supervisor catch-up,
     # the final flush at stop) runs the daemon's one drain routine, so
     # drain counters, journal records and NMI-window spans agree with
-    # the sample database. Runs before the bench smoke so it is
-    # checked even while a bench gate fails.
+    # the sample database, and a capped session's journal replays to
+    # its database. The sample-file readers must agree on damaged,
+    # shuffled and repeated records. Runs before the bench smoke so it
+    # is checked even while a bench gate fails.
     echo "==> drain accounting smoke"
     cargo test -q -p oprofile drain
+    cargo test -q --test prop_sample_file
 
     # Resolve equivalence smoke: the flattened, sharded engine must
     # match the per-bucket epoch walk on random sessions, keep its

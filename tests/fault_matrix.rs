@@ -1051,8 +1051,9 @@ fn poisoned_shard_never_loses_the_session_report() {
             .is_empty(),
         "the quarantine leaves a flight-recorder trace"
     );
-    // Shard assignment is content-hashed, not worker-count-dependent:
-    // the damage is identical at every thread count.
+    // Shards are contiguous slices of the sorted buckets, and the
+    // poisoned pid's buckets reach every slice of this database: the
+    // damage is identical at every thread count.
     let single = Viprof::make_report(db, kernel, &fatal_spec(1)).unwrap();
     assert_eq!(single.quality, maimed.quality);
     assert_eq!(single.lines, maimed.lines);

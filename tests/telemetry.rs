@@ -103,8 +103,9 @@ fn resolve_shards_are_a_function_of_bucket_content() {
             _ => None,
         })
         .expect("workload produced JIT samples");
-    // Two decodes of the same bytes: equal content, but each map has
-    // its own `RandomState`, so their iteration orders differ.
+    // Two decodes of the same bytes: equal content in two separate
+    // databases. Shards are slices of the sorted buckets, so their
+    // sizes must follow the content alone.
     let bytes = db.to_bytes();
     let a = SampleDb::from_bytes(&bytes).unwrap();
     let b = SampleDb::from_bytes(&bytes).unwrap();
