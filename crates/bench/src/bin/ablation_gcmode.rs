@@ -20,7 +20,6 @@
 use oprofile::OpConfig;
 use sim_jvm::{GcMode, VmConfig};
 use sim_os::{Machine, MachineConfig};
-use std::sync::PoisonError;
 use viprof::Viprof;
 use viprof_bench::{write_artifact, HarnessOpts};
 use viprof_telemetry::impl_to_json;
@@ -85,7 +84,7 @@ fn run(mode: GcMode, profiled: bool, built: &viprof_workloads::BuiltWorkload, pl
     let agent_stats = agent.stats_handle();
     let stats = execute_plan_with_config(&mut machine, built, plan, Box::new(agent), config);
     vp.stop(&mut machine);
-    let ast = agent_stats.lock().unwrap_or_else(PoisonError::into_inner);
+    let ast = agent_stats.snapshot();
     GcModeRow {
         mode: format!("{mode:?}"),
         base_seconds: 0.0,

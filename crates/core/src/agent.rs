@@ -15,13 +15,14 @@
 //! of Figure 2.
 
 use crate::callgraph::CallGraph;
-use crate::codemap::{journal_path, map_path, render_map, CodeMapEntry};
+use crate::codemap::{journal_path, map_path, render_line};
 use crate::registry::{RegisterOutcome, SharedRegistry};
 use sim_cpu::{Addr, CostModel, Pid, ProcKey};
-use sim_jvm::{CompiledBodyInfo, MethodId, VmProfilerHooks};
+use sim_jvm::{CompiledBodyInfo, MethodId, OptLevel, VmProfilerHooks};
 use sim_os::journal::{JournalWriter, KIND_CODE_MAP};
 use sim_os::{SplitMix64, Vfs};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError};
 use viprof_telemetry::{names, Counter, Stage, Telemetry, TraceLayer};
 
@@ -61,13 +62,22 @@ pub struct MapFaultStats {
     pub garbled_lines: u64,
 }
 
+/// The live cells behind a [`MapFaults`] handle.
+#[derive(Debug, Default)]
+struct MapFaultCells {
+    lost_maps: AtomicU64,
+    torn_maps: AtomicU64,
+    garbled_lines: AtomicU64,
+}
+
 /// Map-write fault injector: the agent-layer leg of a
 /// [`crate::faults::FaultPlan`]. Models a VM dying between map writes
 /// (lost map), a write cut short by a full disk or kill signal (torn
 /// map), and on-disk line damage (garbled lines).
 ///
-/// Stats sit behind a shared handle, like [`AgentStats`]: the injector
-/// is boxed into the VM with the agent, and the session keeps a clone.
+/// Stats are atomics behind a shared handle, like [`AgentCounters`]:
+/// the injector is boxed into the VM with the agent, and the session
+/// keeps a clone.
 #[derive(Debug, Clone)]
 pub struct MapFaults {
     rng: SplitMix64,
@@ -77,7 +87,7 @@ pub struct MapFaults {
     pub tear_rate: f64,
     /// Per-line garble probability in surviving maps.
     pub garble_rate: f64,
-    stats: Arc<Mutex<MapFaultStats>>,
+    stats: Arc<MapFaultCells>,
 }
 
 impl MapFaults {
@@ -93,7 +103,11 @@ impl MapFaults {
 
     /// Snapshot of the injected-fault counters.
     pub fn stats(&self) -> MapFaultStats {
-        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+        MapFaultStats {
+            lost_maps: self.stats.lost_maps.load(Relaxed),
+            torn_maps: self.stats.torn_maps.load(Relaxed),
+            garbled_lines: self.stats.garbled_lines.load(Relaxed),
+        }
     }
 
     pub fn with_lost(mut self, rate: f64) -> MapFaults {
@@ -112,50 +126,63 @@ impl MapFaults {
     }
 
     /// Pass one rendered map through the fault schedule: `None` means
-    /// the write is lost entirely; otherwise the (possibly torn or
-    /// line-garbled) bytes to write.
-    pub fn corrupt_write(&mut self, rendered: &str) -> Option<Vec<u8>> {
+    /// the write is lost entirely; otherwise the bytes to write. An
+    /// intact or torn write borrows `rendered` (a torn one a prefix of
+    /// it); only garbling copies the map.
+    pub fn corrupt_write<'a>(&mut self, rendered: &'a str) -> Option<Cow<'a, [u8]>> {
         if self.lose_rate > 0.0 && self.rng.next_f64() < self.lose_rate {
-            self.stats.lock().unwrap_or_else(PoisonError::into_inner).lost_maps += 1;
+            self.stats.lost_maps.fetch_add(1, Relaxed);
             return None;
         }
         if self.tear_rate > 0.0 && self.rng.next_f64() < self.tear_rate {
             // A torn write keeps some prefix — cut in the second half so
             // the damage usually lands mid-line.
-            self.stats.lock().unwrap_or_else(PoisonError::into_inner).torn_maps += 1;
+            self.stats.torn_maps.fetch_add(1, Relaxed);
             let len = rendered.len() as u64;
             let cut = if len < 2 {
                 0
             } else {
                 self.rng.range_u64(len / 2, len)
             };
-            let mut bytes = rendered.as_bytes().to_vec();
-            bytes.truncate(cut as usize);
-            return Some(bytes);
+            return Some(Cow::Borrowed(&rendered.as_bytes()[..cut as usize]));
         }
         if self.garble_rate > 0.0 {
+            // Built from the first garbled line on: the lines before it
+            // are copied then, so an undamaged map is never copied.
+            let mut out: Option<String> = None;
             let mut garbled = 0u64;
-            let mut out = String::with_capacity(rendered.len() + 8);
-            for line in rendered.lines() {
-                if !line.is_empty() && self.rng.next_f64() < self.garble_rate {
-                    // Invalid leading field: the post-processor must
-                    // quarantine exactly this line.
-                    out.push_str("!! ");
-                    garbled += 1;
+            for (i, line) in rendered.lines().enumerate() {
+                // Invalid leading field: the post-processor must
+                // quarantine exactly this line.
+                let garble = !line.is_empty() && self.rng.next_f64() < self.garble_rate;
+                if garble && out.is_none() {
+                    let mut head = String::with_capacity(rendered.len() + 8);
+                    for kept in rendered.lines().take(i) {
+                        head.push_str(kept);
+                        head.push('\n');
+                    }
+                    out = Some(head);
                 }
-                out.push_str(line);
-                out.push('\n');
+                if let Some(out) = &mut out {
+                    if garble {
+                        out.push_str("!! ");
+                        garbled += 1;
+                    }
+                    out.push_str(line);
+                    out.push('\n');
+                }
             }
-            if garbled > 0 {
-                self.stats.lock().unwrap_or_else(PoisonError::into_inner).garbled_lines += garbled;
-                return Some(out.into_bytes());
+            if let Some(out) = out {
+                self.stats.garbled_lines.fetch_add(garbled, Relaxed);
+                return Some(Cow::Owned(out.into_bytes()));
             }
         }
-        Some(rendered.as_bytes().to_vec())
+        Some(Cow::Borrowed(rendered.as_bytes()))
     }
 }
 
-/// Agent-side counters (tests, ablations, EXPERIMENTS.md).
+/// Agent-side counters (tests, ablations, EXPERIMENTS.md): a
+/// point-in-time copy of an [`AgentCounters`] handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgentStats {
     pub compiles_logged: u64,
@@ -170,8 +197,65 @@ pub struct AgentStats {
     pub journal_repairs: u64,
 }
 
+/// The live cells behind an [`AgentCounters`] handle.
+#[derive(Debug, Default)]
+struct AgentCells {
+    compiles_logged: AtomicU64,
+    moves_flagged: AtomicU64,
+    maps_written: AtomicU64,
+    entries_written: AtomicU64,
+    call_edges_recorded: AtomicU64,
+    journal_appends: AtomicU64,
+    journal_repairs: AtomicU64,
+}
+
+/// Shared handle to the agent's counters: plain atomics the hooks bump
+/// without a lock, read on demand through [`AgentCounters::snapshot`].
+/// They are the agent's own tallies, not registry counters, so they
+/// add nothing to the session's telemetry export.
+#[derive(Debug, Clone, Default)]
+pub struct AgentCounters(Arc<AgentCells>);
+
+impl AgentCounters {
+    /// Point-in-time copy of every counter.
+    pub fn snapshot(&self) -> AgentStats {
+        let c = &self.0;
+        AgentStats {
+            compiles_logged: c.compiles_logged.load(Relaxed),
+            moves_flagged: c.moves_flagged.load(Relaxed),
+            maps_written: c.maps_written.load(Relaxed),
+            entries_written: c.entries_written.load(Relaxed),
+            call_edges_recorded: c.call_edges_recorded.load(Relaxed),
+            journal_appends: c.journal_appends.load(Relaxed),
+            journal_repairs: c.journal_repairs.load(Relaxed),
+        }
+    }
+}
+
 /// Cycles the agent spends recording one sampled call edge.
 const CALL_EDGE_CYCLES: u64 = 30;
+
+/// One code body as the agent logs it: where it sits, its tier and its
+/// method. The signature text lives once per method, in the method
+/// table, so a record is `Copy`.
+#[derive(Debug, Clone, Copy)]
+struct BodyRecord {
+    addr: Addr,
+    size: u64,
+    level: OptLevel,
+    method: MethodId,
+}
+
+/// One known compiled method ("a list of known compiled methods", §3):
+/// its current body and its signature.
+#[derive(Debug)]
+struct MethodSlot {
+    body: BodyRecord,
+    signature: Box<str>,
+    /// Flagged as moved since the last map write (listed in
+    /// `VmAgent::moved`).
+    moved: bool,
+}
 
 /// The agent. One per VM; all agents share the [`SharedRegistry`].
 pub struct VmAgent {
@@ -182,17 +266,21 @@ pub struct VmAgent {
     /// restarted VM (same pid, bumped generation) starts a fresh chain
     /// at epoch 0 without touching its predecessor's files.
     key: Option<ProcKey>,
-    /// Current location of every known compiled method ("a list of
-    /// known compiled methods", §3).
-    current: BTreeMap<MethodId, CodeMapEntry>,
+    /// Every known compiled method, indexed by `MethodId`: a method's
+    /// id is its index in the program's method table, so the table is
+    /// dense.
+    methods: Vec<Option<MethodSlot>>,
     /// Every compile/recompile event since the last map write — a
     /// method recompiled twice in one epoch contributes *two* entries,
     /// so samples on the superseded body still resolve (§3: the hooks
     /// "log the beginning address, size and signature of the method
-    /// that was just compiled into a buffer").
-    pending_compiles: Vec<CodeMapEntry>,
-    /// Methods moved by the previous collection (flag only).
-    moved_flags: BTreeSet<MethodId>,
+    /// that was just compiled into a buffer"). The map write also
+    /// builds the epoch's map in this buffer, so its capacity is
+    /// reused from epoch to epoch.
+    pending_compiles: Vec<BodyRecord>,
+    /// Methods moved by the previous collection (flag only), each once:
+    /// its slot's `moved` bit is set while it is listed here.
+    moved: Vec<MethodId>,
     /// Precise-move mode: snapshot (addr, size) at move time instead of
     /// reading the method's *current* location at map-write time. The
     /// paper's flag-only protocol (§3) loses samples when a body is
@@ -202,7 +290,7 @@ pub struct VmAgent {
     /// acknowledges the possibility of unresolvable samples (§3.1);
     /// this switch quantifies it (experiment E4).
     precise_moves: bool,
-    pending_moves: Vec<CodeMapEntry>,
+    pending_moves: Vec<BodyRecord>,
     /// Optional map-write fault injector (robustness testing).
     map_faults: Option<MapFaults>,
     /// Journal epoch maps to a per-pid write-ahead log alongside the
@@ -217,7 +305,7 @@ pub struct VmAgent {
     call_sample_interval: u64,
     call_counter: u64,
     telemetry: AgentTelemetry,
-    pub stats: Arc<Mutex<AgentStats>>,
+    stats: AgentCounters,
 }
 
 impl VmAgent {
@@ -228,9 +316,9 @@ impl VmAgent {
             registry,
             cost,
             key: None,
-            current: BTreeMap::new(),
+            methods: Vec::new(),
             pending_compiles: Vec::new(),
-            moved_flags: BTreeSet::new(),
+            moved: Vec::new(),
             precise_moves: false,
             pending_moves: Vec::new(),
             map_faults: None,
@@ -240,7 +328,7 @@ impl VmAgent {
             call_sample_interval: 16,
             call_counter: 0,
             telemetry: AgentTelemetry::attach(telemetry),
-            stats: Arc::new(Mutex::new(AgentStats::default())),
+            stats: AgentCounters::default(),
         }
     }
 
@@ -277,56 +365,79 @@ impl VmAgent {
 
     /// Shared stats handle (readable after the agent is boxed into the
     /// VM).
-    pub fn stats_handle(&self) -> Arc<Mutex<AgentStats>> {
+    pub fn stats_handle(&self) -> AgentCounters {
         self.stats.clone()
+    }
+
+    /// Build and render the ending epoch's map: every compile event of
+    /// the epoch, then the pending precise moves, then the current
+    /// locations of bodies flagged as moved. One record per address,
+    /// chosen in that order of precedence: the last compile at an
+    /// address, else its first precise move, else the flagged method
+    /// with the lowest id. Empties the epoch's buffers; returns the
+    /// rendered text and its entry count.
+    fn render_epoch(&mut self) -> (String, u64) {
+        // Listed in precedence order, so a stable sort by address puts
+        // each address's winner first and the dedup keeps it.
+        let records = &mut self.pending_compiles;
+        records.reverse();
+        records.append(&mut self.pending_moves);
+        self.moved.sort_unstable();
+        for m in self.moved.drain(..) {
+            let slot = self.methods[m.0 as usize]
+                .as_mut()
+                .expect("a flagged method is known");
+            slot.moved = false;
+            records.push(slot.body);
+        }
+        records.sort_by_key(|r| r.addr);
+        records.dedup_by_key(|r| r.addr);
+        let mut text = String::with_capacity(records.len() * 64);
+        for r in records.iter() {
+            let slot = self.methods[r.method.0 as usize]
+                .as_ref()
+                .expect("a logged body's method is known");
+            render_line(&mut text, r.addr, r.size, r.level.as_str(), &slot.signature);
+        }
+        let entries = records.len() as u64;
+        records.clear();
+        (text, entries)
     }
 
     fn write_map(&mut self, epoch: u64, vfs: &mut Vfs) -> u64 {
         // An agent used before `on_vm_start` has nothing to attribute a
         // map to; skip gracefully rather than panicking inside a hook.
         let Some(key) = self.key else { return 0 };
-        // Entries: every compile event of the ending epoch, plus the
-        // current locations of bodies moved by the previous collection.
-        // Keyed by address: a method compiled after being moved shares
-        // its current address with its pending entry — one record wins.
-        let mut by_addr: BTreeMap<sim_cpu::Addr, CodeMapEntry> = BTreeMap::new();
-        for e in self.pending_compiles.drain(..) {
-            by_addr.insert(e.addr, e);
-        }
-        for e in self.pending_moves.drain(..) {
-            by_addr.entry(e.addr).or_insert(e);
-        }
-        for m in &self.moved_flags {
-            if let Some(e) = self.current.get(m) {
-                by_addr.entry(e.addr).or_insert_with(|| e.clone());
-            }
-        }
-        let entries: Vec<CodeMapEntry> = by_addr.into_values().collect();
-        let rendered = render_map(&entries);
+        let (rendered, entries) = self.render_epoch();
         // The fault seam sits between rendering and the VFS: the agent
         // always does (and is charged for) the work; what reaches disk
         // may be lost, torn, or garbled.
-        let payload = match &mut self.map_faults {
+        let written = match &mut self.map_faults {
             Some(f) => f.corrupt_write(&rendered),
-            None => Some(rendered.as_bytes().to_vec()),
+            None => Some(Cow::Borrowed(rendered.as_bytes())),
         };
-        if let Some(bytes) = &payload {
-            vfs.write(map_path(key, epoch), bytes.clone());
-        }
         if self.journal_enabled {
-            self.journal_map(key, epoch, &rendered, payload.as_deref(), vfs);
+            self.journal_map(key, epoch, &rendered, written.as_deref(), vfs);
         }
-        self.moved_flags.clear();
-        let mut st = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        st.maps_written += 1;
-        st.entries_written += entries.len() as u64;
-        drop(st);
+        match written {
+            None => {}
+            Some(Cow::Owned(garbled)) => vfs.write(map_path(key, epoch), garbled),
+            // Intact or torn: the rendered text itself becomes the file.
+            Some(Cow::Borrowed(kept)) => {
+                let len = kept.len();
+                let mut bytes = rendered.into_bytes();
+                bytes.truncate(len);
+                vfs.write(map_path(key, epoch), bytes);
+            }
+        }
+        self.stats.0.maps_written.fetch_add(1, Relaxed);
+        self.stats.0.entries_written.fetch_add(entries, Relaxed);
         // Journal appends ride the map write's existing I/O budget, so
         // the charged cost is the same with or without journaling.
-        let cost = self.cost.map_write(entries.len() as u64);
+        let cost = self.cost.map_write(entries);
         let t = &self.telemetry;
         t.maps_written.inc();
-        t.map_entries.add(entries.len() as u64);
+        t.map_entries.add(entries);
         t.map_write_stage.record(cost);
         // Causal span: map writes are roots of the epoch's later
         // resolution story, parented under the session span.
@@ -339,7 +450,7 @@ impl VmAgent {
             span,
             &[
                 ("epoch", epoch),
-                ("entries", entries.len() as u64),
+                ("entries", entries),
                 ("cost", cost),
             ],
         );
@@ -379,10 +490,9 @@ impl VmAgent {
         let mut payload = Vec::with_capacity(8 + rendered.len());
         payload.extend_from_slice(&epoch.to_le_bytes());
         payload.extend_from_slice(rendered.as_bytes());
-        let mut st = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
         if damaged.len() < rendered.len() {
             journal.append_torn_then_repair(vfs, KIND_CODE_MAP, &payload, 8 + damaged.len());
-            st.journal_repairs += 1;
+            self.stats.0.journal_repairs.fetch_add(1, Relaxed);
         } else if damaged != rendered.as_bytes() {
             let mut rot = Vec::with_capacity(payload.len());
             rot.extend_from_slice(&epoch.to_le_bytes());
@@ -391,7 +501,7 @@ impl VmAgent {
         } else {
             journal.append(vfs, KIND_CODE_MAP, &payload);
         }
-        st.journal_appends += 1;
+        self.stats.0.journal_appends.fetch_add(1, Relaxed);
     }
 }
 
@@ -426,35 +536,48 @@ impl VmProfilerHooks for VmAgent {
         self.cost.vm_probe_cycles
     }
 
-    fn on_compile(&mut self, info: &CompiledBodyInfo) -> u64 {
-        let entry = CodeMapEntry {
+    fn on_compile(&mut self, info: &CompiledBodyInfo<'_>) -> u64 {
+        let i = info.method.0 as usize;
+        if i >= self.methods.len() {
+            self.methods.resize_with(i + 1, || None);
+        }
+        let body = BodyRecord {
             addr: info.addr,
             size: info.size,
-            level: info.opt_level.as_str().to_string(),
-            signature: info.signature.clone(),
+            level: info.opt_level,
+            method: info.method,
         };
-        self.current.insert(info.method, entry.clone());
-        self.pending_compiles.push(entry);
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).compiles_logged += 1;
+        // A method's signature is its name in the program, so it is
+        // stored at the method's first compile only.
+        let slot = self.methods[i].get_or_insert_with(|| MethodSlot {
+            body,
+            signature: info.signature.into(),
+            moved: false,
+        });
+        slot.body = body;
+        self.pending_compiles.push(body);
+        self.stats.0.compiles_logged.fetch_add(1, Relaxed);
         self.cost.agent_compile_log_cycles
     }
 
     fn on_code_moved(&mut self, method: MethodId, _old: Addr, new: Addr, size: u64) -> u64 {
         // Paper behaviour: flag only; the location is read from the
-        // known-compiled-methods list at write time.
-        if let Some(e) = self.current.get_mut(&method) {
-            e.addr = new;
-            e.size = size;
-        }
-        self.moved_flags.insert(method);
-        if self.precise_moves {
-            // Fix mode: snapshot the moved location now, so a later
-            // recompile cannot shadow it.
-            if let Some(e) = self.current.get(&method) {
-                self.pending_moves.push(e.clone());
+        // known-compiled-methods list at write time. A method the agent
+        // never saw compiled has no location to flag.
+        if let Some(Some(slot)) = self.methods.get_mut(method.0 as usize) {
+            slot.body.addr = new;
+            slot.body.size = size;
+            if !slot.moved {
+                slot.moved = true;
+                self.moved.push(method);
+            }
+            if self.precise_moves {
+                // Fix mode: snapshot the moved location now, so a later
+                // recompile cannot shadow it.
+                self.pending_moves.push(slot.body);
             }
         }
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).moves_flagged += 1;
+        self.stats.0.moves_flagged.fetch_add(1, Relaxed);
         self.cost.agent_move_flag_cycles
     }
 
@@ -495,7 +618,7 @@ impl VmProfilerHooks for VmAgent {
         cg.lock()
             .unwrap_or_else(PoisonError::into_inner)
             .add_edge(caller.unwrap_or("(root)"), callee);
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).call_edges_recorded += 1;
+        self.stats.0.call_edges_recorded.fetch_add(1, Relaxed);
         CALL_EDGE_CYCLES
     }
 
@@ -513,7 +636,7 @@ impl VmProfilerHooks for VmAgent {
         }
         cg.lock().unwrap_or_else(PoisonError::into_inner)
             .add_edge_n(caller.unwrap_or("(root)"), callee, recorded);
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner).call_edges_recorded += recorded;
+        self.stats.0.call_edges_recorded.fetch_add(recorded, Relaxed);
         recorded * CALL_EDGE_CYCLES
     }
 }
@@ -521,7 +644,7 @@ impl VmProfilerHooks for VmAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codemap::CodeMapSet;
+    use crate::codemap::{render_map, CodeMapEntry, CodeMapSet};
     use crate::registry::JitRegistry;
     use sim_jvm::OptLevel;
 
@@ -530,16 +653,17 @@ mod tests {
         (VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()), reg)
     }
 
-    fn compile_info(m: u32, addr: Addr, epoch: u64) -> CompiledBodyInfo {
-        CompiledBodyInfo {
+    /// Announce a baseline compile of method `m` (`app.M{m}.run`).
+    fn compile(hooks: &mut dyn VmProfilerHooks, m: u32, addr: Addr, epoch: u64) -> u64 {
+        hooks.on_compile(&CompiledBodyInfo {
             method: MethodId(m),
-            signature: format!("app.M{m}.run"),
+            signature: &format!("app.M{m}.run"),
             addr,
             size: 0x40,
             opt_level: OptLevel::Baseline,
             is_recompile: false,
             epoch,
-        }
+        })
     }
 
     #[test]
@@ -574,14 +698,14 @@ mod tests {
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
         // Epoch 0: compile A and B.
-        a.on_compile(&compile_info(0, 0x1000, 0));
-        a.on_compile(&compile_info(1, 0x1100, 0));
+        compile(&mut a, 0, 0x1000, 0);
+        compile(&mut a, 1, 0x1100, 0);
         a.on_gc_begin(0, &mut vfs); // map.0: A, B
         // GC 0 moves only A.
         a.on_code_moved(MethodId(0), 0x1000, 0x1800, 0x40);
         a.on_gc_end(1);
         // Epoch 1: compile C.
-        a.on_compile(&compile_info(2, 0x1200, 1));
+        compile(&mut a, 2, 0x1200, 1);
         a.on_gc_begin(1, &mut vfs); // map.1: A (moved), C — NOT B
         let set = CodeMapSet::load(&vfs, Pid(7)).unwrap();
         let map1 = &set.maps()[1];
@@ -608,7 +732,7 @@ mod tests {
         let (mut a, _) = agent();
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(1, 0x1100, 0));
+        compile(&mut a, 1, 0x1100, 0);
         a.on_gc_begin(0, &mut vfs);
         a.on_gc_end(1);
         a.on_vm_exit(1, &mut vfs); // empty map.1
@@ -625,7 +749,7 @@ mod tests {
         let mut vfs = Vfs::new();
         assert_eq!(a.on_vm_start(Pid(1), 0, (0, 0x1000)), cost.vm_probe_cycles);
         assert_eq!(
-            a.on_compile(&compile_info(0, 0x10, 0)),
+            compile(&mut a, 0, 0x10, 0),
             cost.agent_compile_log_cycles
         );
         assert_eq!(
@@ -657,7 +781,7 @@ mod tests {
             "every 4th edge recorded"
         );
         assert_eq!(charged, 4 * CALL_EDGE_CYCLES);
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).call_edges_recorded, 4);
+        assert_eq!(a.stats.snapshot().call_edges_recorded, 4);
     }
 
     #[test]
@@ -665,8 +789,8 @@ mod tests {
         let (a, _) = agent();
         let stats = a.stats_handle();
         let mut boxed: Box<dyn VmProfilerHooks> = Box::new(a);
-        boxed.on_compile(&compile_info(0, 0x10, 0));
-        assert_eq!(stats.lock().unwrap_or_else(PoisonError::into_inner).compiles_logged, 1);
+        compile(boxed.as_mut(), 0, 0x10, 0);
+        assert_eq!(stats.snapshot().compiles_logged, 1);
     }
 
     #[test]
@@ -676,13 +800,13 @@ mod tests {
         let faults = a.map_faults.clone().unwrap();
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
+        compile(&mut a, 0, 0x1000, 0);
         a.on_gc_begin(0, &mut vfs);
         a.on_vm_exit(1, &mut vfs);
         assert!(vfs.is_empty(), "every write swallowed");
         assert_eq!(faults.stats().lost_maps, 2);
         // The agent still believes it wrote (cost charged, stats kept).
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).maps_written, 2);
+        assert_eq!(a.stats.snapshot().maps_written, 2);
     }
 
     #[test]
@@ -692,8 +816,8 @@ mod tests {
         let faults = a.map_faults.clone().unwrap();
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
-        a.on_compile(&compile_info(1, 0x1100, 0));
+        compile(&mut a, 0, 0x1000, 0);
+        compile(&mut a, 1, 0x1100, 0);
         a.on_gc_begin(0, &mut vfs);
         assert_eq!(faults.stats().garbled_lines, 2);
         let set = CodeMapSet::load(&vfs, Pid(7)).unwrap();
@@ -736,10 +860,10 @@ mod tests {
         a = a.with_journal(true);
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
+        compile(&mut a, 0, 0x1000, 0);
         a.on_gc_begin(0, &mut vfs);
         a.on_gc_end(1);
-        a.on_compile(&compile_info(1, 0x1100, 1));
+        compile(&mut a, 1, 0x1100, 1);
         a.on_vm_exit(1, &mut vfs);
         let scan = sim_os::journal::scan(&vfs, &journal_path(Pid(7))).unwrap();
         assert_eq!(scan.damaged_bytes, 0);
@@ -753,8 +877,8 @@ mod tests {
                 vfs.read(&map_path(Pid(7), epoch)).unwrap()
             );
         }
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).journal_appends, 2);
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).journal_repairs, 0);
+        assert_eq!(a.stats.snapshot().journal_appends, 2);
+        assert_eq!(a.stats.snapshot().journal_repairs, 0);
     }
 
     #[test]
@@ -769,8 +893,8 @@ mod tests {
         let faults = a.map_faults.clone().unwrap();
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
-        a.on_compile(&compile_info(1, 0x1100, 0));
+        compile(&mut a, 0, 0x1000, 0);
+        compile(&mut a, 1, 0x1100, 0);
         a.on_gc_begin(0, &mut vfs);
         assert!(faults.stats().torn_maps >= 1);
         let expected = render_map(&[
@@ -793,7 +917,7 @@ mod tests {
         let scan = sim_os::journal::scan(&vfs, &journal_path(Pid(7))).unwrap();
         assert_eq!(scan.damaged_bytes, 0);
         assert_eq!(&scan.records[0].payload[8..], expected.as_bytes());
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).journal_repairs, 1);
+        assert_eq!(a.stats.snapshot().journal_repairs, 1);
     }
 
     #[test]
@@ -806,7 +930,7 @@ mod tests {
             .with_journal(true);
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
+        compile(&mut a, 0, 0x1000, 0);
         a.on_gc_begin(0, &mut vfs);
         let scan = sim_os::journal::scan(&vfs, &journal_path(Pid(7))).unwrap();
         assert!(scan.records.is_empty(), "rotted record must not replay");
@@ -821,12 +945,12 @@ mod tests {
             .with_journal(true);
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
+        compile(&mut a, 0, 0x1000, 0);
         a.on_gc_begin(0, &mut vfs);
         // The VM died before either write — even the journal is absent
         // (it is created lazily by the first surviving write).
         assert!(sim_os::journal::scan(&vfs, &journal_path(Pid(7))).is_none());
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).journal_appends, 0);
+        assert_eq!(a.stats.snapshot().journal_appends, 0);
     }
 
     #[test]
@@ -835,10 +959,10 @@ mod tests {
         let mut a = VmAgent::new(JitRegistry::shared(), CostModel::default(), &t);
         let mut vfs = Vfs::new();
         a.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a.on_compile(&compile_info(0, 0x1000, 0));
+        compile(&mut a, 0, 0x1000, 0);
         a.on_gc_begin(0, &mut vfs);
         a.on_gc_end(1);
-        a.on_compile(&compile_info(1, 0x1100, 1));
+        compile(&mut a, 1, 0x1100, 1);
         a.on_vm_exit(1, &mut vfs);
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::AGENT_MAPS_WRITTEN), 2);
@@ -848,7 +972,7 @@ mod tests {
         assert_eq!(stage.entries, 2);
         assert!(stage.cycles > 0);
         // The stats handle sees the same counts.
-        assert_eq!(a.stats.lock().unwrap_or_else(PoisonError::into_inner).maps_written, 2);
+        assert_eq!(a.stats.snapshot().maps_written, 2);
     }
 
     #[test]
@@ -858,7 +982,7 @@ mod tests {
         // Incarnation 0 lives and dies gracefully.
         let mut a0 = VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()).with_journal(true);
         a0.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
-        a0.on_compile(&compile_info(0, 0x1000, 0));
+        compile(&mut a0, 0, 0x1000, 0);
         a0.on_vm_exit(0, &mut vfs);
         assert!(
             !reg.read()
@@ -875,7 +999,7 @@ mod tests {
                 .classify(Pid(7), 0x3800),
             Some((0, 1))
         );
-        a1.on_compile(&compile_info(9, 0x3000, 0));
+        compile(&mut a1, 9, 0x3000, 0);
         a1.on_vm_exit(0, &mut vfs);
         // Each incarnation has its own chain and journal; neither
         // corrupted the other's.
@@ -928,7 +1052,9 @@ mod tests {
                 level: "base".into(),
                 signature: "app.A.run".into(),
             }]);
-            (0..32).map(|_| f.corrupt_write(&rendered)).collect::<Vec<_>>()
+            (0..32)
+                .map(|_| f.corrupt_write(&rendered).map(|w| w.into_owned()))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9), "same seed, same damage");
         assert_ne!(run(9), run(10), "different seed, different damage");

@@ -8,10 +8,11 @@
 
 use std::collections::HashMap;
 
-/// Sampled caller→callee edge counts.
+/// Sampled caller→callee edge counts, keyed caller first so an edge
+/// already seen is found by `&str` and counted without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
-    edges: HashMap<(String, String), u64>,
+    edges: HashMap<String, HashMap<String, u64>>,
 }
 
 impl CallGraph {
@@ -24,65 +25,46 @@ impl CallGraph {
     }
 
     pub fn add_edge_n(&mut self, caller: &str, callee: &str, n: u64) {
-        *self
-            .edges
-            .entry((caller.to_string(), callee.to_string()))
-            .or_insert(0) += n;
+        let Some(callees) = self.edges.get_mut(caller) else {
+            self.edges
+                .entry(caller.to_string())
+                .or_default()
+                .insert(callee.to_string(), n);
+            return;
+        };
+        match callees.get_mut(callee) {
+            Some(count) => *count += n,
+            None => {
+                callees.insert(callee.to_string(), n);
+            }
+        }
+    }
+
+    /// Every edge with its count, in no particular order.
+    fn edges(&self) -> impl Iterator<Item = (&str, &str, u64)> {
+        self.edges.iter().flat_map(|(caller, callees)| {
+            callees
+                .iter()
+                .map(move |(callee, c)| (caller.as_str(), callee.as_str(), *c))
+        })
     }
 
     /// Total recorded edge samples.
     pub fn total_edges(&self) -> u64 {
-        self.edges.values().sum()
+        self.edges().map(|(_, _, c)| c).sum()
     }
 
     pub fn distinct_edges(&self) -> usize {
-        self.edges.len()
+        self.edges.values().map(HashMap::len).sum()
     }
 
     /// Hottest `n` edges, count-descending (name-ascending tiebreak for
     /// determinism).
     pub fn top_edges(&self, n: usize) -> Vec<(&str, &str, u64)> {
-        let mut v: Vec<(&str, &str, u64)> = self
-            .edges
-            .iter()
-            .map(|((a, b), c)| (a.as_str(), b.as_str(), *c))
-            .collect();
+        let mut v: Vec<(&str, &str, u64)> = self.edges().collect();
         v.sort_by(|x, y| y.2.cmp(&x.2).then_with(|| (x.0, x.1).cmp(&(y.0, y.1))));
         v.truncate(n);
         v
-    }
-
-    /// Fan-out of one caller: callees with counts.
-    pub fn callees_of(&self, caller: &str) -> Vec<(&str, u64)> {
-        let mut v: Vec<(&str, u64)> = self
-            .edges
-            .iter()
-            .filter(|((a, _), _)| a == caller)
-            .map(|((_, b), c)| (b.as_str(), *c))
-            .collect();
-        v.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(y.0)));
-        v
-    }
-
-    /// Graphviz DOT rendering of the top `n` edges (cross-layer call
-    /// graph, ready for `dot -Tsvg`). Edge width scales with weight.
-    pub fn render_dot(&self, n: usize) -> String {
-        fn quote(s: &str) -> String {
-            format!("\"{}\"", s.replace('"', "\\\""))
-        }
-        let top = self.top_edges(n);
-        let max = top.first().map(|(_, _, c)| *c).unwrap_or(1).max(1);
-        let mut out = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        for (a, b, c) in &top {
-            let w = 1.0 + 4.0 * *c as f64 / max as f64;
-            out.push_str(&format!(
-                "  {} -> {} [label={c}, penwidth={w:.2}];\n",
-                quote(a),
-                quote(b)
-            ));
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// Text rendering of the top edges.
@@ -128,14 +110,18 @@ mod tests {
     }
 
     #[test]
-    fn callees_of_filters_by_caller() {
+    fn edges_of_one_caller_count_apart() {
         let mut g = CallGraph::new();
         g.add_edge("m", "x");
-        g.add_edge("m", "x");
+        g.add_edge_n("m", "x", 3);
         g.add_edge("m", "memset");
         g.add_edge("other", "x");
-        assert_eq!(g.callees_of("m"), vec![("x", 2), ("memset", 1)]);
-        assert!(g.callees_of("nobody").is_empty());
+        assert_eq!(g.total_edges(), 6);
+        assert_eq!(g.distinct_edges(), 3);
+        assert_eq!(
+            g.top_edges(10),
+            vec![("m", "x", 4), ("m", "memset", 1), ("other", "x", 1)]
+        );
     }
 
     #[test]
@@ -144,17 +130,5 @@ mod tests {
         g.add_edge("dacapo.ps.Scanner.parseLine", "memset");
         let text = g.render_text(10);
         assert!(text.contains("dacapo.ps.Scanner.parseLine -> memset"));
-    }
-
-    #[test]
-    fn dot_rendering_is_well_formed() {
-        let mut g = CallGraph::new();
-        g.add_edge_n("a", "b", 10);
-        g.add_edge_n("a", "c\"quoted", 5);
-        let dot = g.render_dot(10);
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.ends_with("}\n"));
-        assert!(dot.contains("\"a\" -> \"b\" [label=10, penwidth=5.00];"));
-        assert!(dot.contains("c\\\"quoted"), "quotes escaped: {dot}");
     }
 }

@@ -12,6 +12,7 @@ use crate::error::ViprofError;
 use sim_cpu::{Addr, ProcKey};
 use sim_os::Vfs;
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// VFS directory the agent writes maps under.
@@ -158,12 +159,16 @@ pub fn journal_path(key: impl Into<ProcKey>) -> String {
 pub fn render_map(entries: &[CodeMapEntry]) -> String {
     let mut s = String::with_capacity(entries.len() * 80);
     for e in entries {
-        s.push_str(&format!(
-            "{:016x} {:08x} {} {}\n",
-            e.addr, e.size, e.level, e.signature
-        ));
+        render_line(&mut s, e.addr, e.size, &e.level, &e.signature);
     }
     s
+}
+
+/// Append one map line to `out` (the format [`render_map`] writes),
+/// allocating nothing beyond `out`'s growth.
+pub(crate) fn render_line(out: &mut String, addr: Addr, size: u64, level: &str, signature: &str) {
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "{addr:016x} {size:08x} {level} {signature}");
 }
 
 /// Outcome of a (lossy) map parse: the entries that decoded cleanly

@@ -52,7 +52,7 @@ pub mod runtime;
 pub mod session;
 pub mod xen;
 
-pub use agent::{AgentStats, MapFaultStats, MapFaults, VmAgent};
+pub use agent::{AgentCounters, AgentStats, MapFaultStats, MapFaults, VmAgent};
 pub use bootmap::BootMap;
 pub use callgraph::CallGraph;
 pub use codemap::{CodeMapEntry, CodeMapSet, EpochMap, MapEntry, ParsedMap, Symbols, JIT_MAP_DIR};

@@ -13,12 +13,14 @@ use crate::bytecode::MethodId;
 use sim_cpu::{Addr, Pid};
 use sim_os::Vfs;
 
-/// Everything the VM tells the agent about a (re)compilation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompiledBodyInfo {
+/// Everything the VM tells the agent about a (re)compilation. The
+/// signature is borrowed from the program's method table: the VM
+/// copies no text to announce a compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompiledBodyInfo<'a> {
     pub method: MethodId,
     /// Fully-qualified method signature (what the code map records).
-    pub signature: String,
+    pub signature: &'a str,
     /// Start address of the fresh code body.
     pub addr: Addr,
     /// Machine-code size in bytes.
@@ -40,7 +42,7 @@ pub trait VmProfilerHooks: Send {
     }
 
     /// A method was compiled or recompiled.
-    fn on_compile(&mut self, _info: &CompiledBodyInfo) -> u64 {
+    fn on_compile(&mut self, _info: &CompiledBodyInfo<'_>) -> u64 {
         0
     }
 
@@ -92,7 +94,8 @@ impl VmProfilerHooks for NullHooks {}
 #[derive(Debug, Default)]
 pub struct RecordingHooks {
     pub starts: Vec<(Pid, u32, (Addr, Addr))>,
-    pub compiles: Vec<CompiledBodyInfo>,
+    /// Each compiled method and the signature it was announced with.
+    pub compiles: Vec<(MethodId, String)>,
     pub moves: Vec<(MethodId, Addr, Addr)>,
     pub gc_begins: Vec<u64>,
     pub gc_ends: Vec<u64>,
@@ -106,8 +109,8 @@ impl VmProfilerHooks for RecordingHooks {
         self.cost_per_hook
     }
 
-    fn on_compile(&mut self, info: &CompiledBodyInfo) -> u64 {
-        self.compiles.push(info.clone());
+    fn on_compile(&mut self, info: &CompiledBodyInfo<'_>) -> u64 {
+        self.compiles.push((info.method, info.signature.to_string()));
         self.cost_per_hook
     }
 

@@ -694,7 +694,7 @@ impl Vm {
         let (addr, _) = self.heap.range_of(body);
         let info = CompiledBodyInfo {
             method,
-            signature: self.program.methods[method.0 as usize].name.clone(),
+            signature: &self.program.methods[method.0 as usize].name,
             addr,
             size: self.heap.get(body).byte_size,
             opt_level: level,

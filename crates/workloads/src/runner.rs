@@ -7,8 +7,7 @@ use crate::spec::BenchParams;
 use oprofile::{DriverStats, OpConfig, Oprofile, SampleDb, SupervisorStats};
 use sim_jvm::{NullHooks, Vm, VmConfig, VmProfilerHooks, VmStats};
 use sim_os::{Machine, MachineConfig};
-use std::sync::{Arc, Mutex};
-use viprof::agent::AgentStats;
+use viprof::agent::AgentCounters;
 use viprof::{ChurnSchedule, FaultPlan, FaultReport, LiveSpec, ReportSpec, SessionReport, Viprof};
 use viprof_telemetry::{TelemetrySnapshot, TraceSnapshot};
 
@@ -68,7 +67,7 @@ pub struct RunOutcome {
     /// Final sample database (profiled runs).
     pub db: Option<SampleDb>,
     pub driver: Option<DriverStats>,
-    pub agent: Option<Arc<Mutex<AgentStats>>>,
+    pub agent: Option<AgentCounters>,
     /// Injected-fault counters (fault-plan runs only).
     pub faults: Option<FaultReport>,
     /// Watchdog/restart counters (supervised runs only).
@@ -381,13 +380,7 @@ mod tests {
         assert!(vd.jit > 0);
         // The agent wrote maps.
         assert!(
-            viprof
-                .agent
-                .unwrap()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .maps_written
-                >= 1
+            viprof.agent.unwrap().snapshot().maps_written >= 1
         );
         // Telemetry rode along the profiled runs (and only those).
         assert!(base.telemetry.is_none());

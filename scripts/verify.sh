@@ -77,6 +77,15 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> live equivalence smoke"
     cargo test -q -p viprof live
 
+    # Agent map smoke: the VM agent's epoch maps, journal records,
+    # hook charges and counters must equal a plain BTreeMap-and-format!
+    # writer's, byte for byte, on crowded hook histories and real heap
+    # histories under both move protocols and injected map faults.
+    # Runs before the bench smoke so it is checked even while a bench
+    # gate fails.
+    echo "==> agent map smoke"
+    cargo test -q --test prop_epoch_maps oracle
+
     # Overload-governor gate, smoke-sized: a ring small enough to force
     # overflow; the governed run must drop strictly fewer samples than
     # fixed-rate sampling and keep its drop fraction under 5%. Writes

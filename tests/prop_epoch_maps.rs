@@ -12,18 +12,30 @@
 //! * the **flag-only** agent (the paper's protocol) must resolve every
 //!   point *except* the documented moved-then-recompiled race (E4), and
 //!   must never resolve to the *wrong* method.
+//!
+//! The agent's own output is checked byte for byte against
+//! [`OracleAgent`], a test-local copy of the straightforward writer
+//! (one `BTreeMap` by address, one `format!` per line): on heap
+//! histories and on hook histories that put many bodies at the same
+//! few addresses, under both move protocols and under map-write faults
+//! with journaling on, every map file, every journal record, every
+//! hook's cycle charge and every counter must match.
 
 mod support;
 
+use std::collections::{BTreeMap, BTreeSet};
 use support::{check, Gen};
-use viprof_repro::sim_cpu::{CostModel, Pid};
+use viprof_repro::sim_cpu::{Addr, CostModel, Pid, ProcKey};
 use viprof_repro::sim_jvm::{CompiledBodyInfo, VmProfilerHooks};
 use viprof_repro::sim_jvm::{Heap, MatureConfig, MethodId, ObjKind, OptLevel};
-use viprof_repro::sim_os::Vfs;
+use viprof_repro::sim_os::journal::{self, JournalWriter, KIND_CODE_MAP};
+use viprof_repro::sim_os::{SplitMix64, Vfs};
 use viprof_repro::telemetry::Telemetry;
-use viprof_repro::viprof::codemap::{parse_map, render_map, CodeMapEntry, CodeMapSet, Symbols};
+use viprof_repro::viprof::codemap::{
+    journal_path, map_path, parse_map, render_map, CodeMapEntry, CodeMapSet, Symbols, JIT_MAP_DIR,
+};
 use viprof_repro::viprof::registry::JitRegistry;
-use viprof_repro::viprof::VmAgent;
+use viprof_repro::viprof::{AgentStats, MapFaultStats, MapFaults, VmAgent};
 
 #[derive(Debug, Clone)]
 enum Event {
@@ -66,6 +78,20 @@ fn drive(events: &[Event], precise: bool) -> (Vec<Truth>, CodeMapSet) {
     let registry = JitRegistry::shared();
     let mut agent = VmAgent::new(registry, CostModel::free(), &Telemetry::new()).with_precise_moves(precise);
     let mut vfs = Vfs::new();
+    let truth = run_on_heap(events, pid, &mut agent, &mut vfs);
+    let maps = CodeMapSet::load(&vfs, pid).unwrap();
+    (truth, maps)
+}
+
+/// Run `events` through a real heap with `agent` hooked in as the VM
+/// would hook it, from VM start to exit; returns the ground truth
+/// recorded after every event.
+fn run_on_heap(
+    events: &[Event],
+    pid: Pid,
+    agent: &mut dyn VmProfilerHooks,
+    vfs: &mut Vfs,
+) -> Vec<Truth> {
     let mut heap = Heap::with_mature(
         (0x6000_0000, 0x6000_0000 + 256 * 1024),
         MatureConfig {
@@ -98,7 +124,7 @@ fn drive(events: &[Event], precise: bool) -> (Vec<Truth>, CodeMapSet) {
     };
 
     let do_gc = |heap: &mut Heap,
-                 agent: &mut VmAgent,
+                 agent: &mut dyn VmProfilerHooks,
                  vfs: &mut Vfs,
                  bodies: &[Option<viprof_repro::sim_jvm::ObjRef>]| {
         agent.on_gc_begin(heap.collections, vfs);
@@ -118,7 +144,7 @@ fn drive(events: &[Event], precise: bool) -> (Vec<Truth>, CodeMapSet) {
                 let body = loop {
                     match heap.alloc_code(method, 64 + *size as u64) {
                         Ok(r) => break r,
-                        Err(_) => do_gc(&mut heap, &mut agent, &mut vfs, &bodies),
+                        Err(_) => do_gc(&mut heap, agent, vfs, &bodies),
                     }
                 };
                 bodies[*m as usize] = Some(body);
@@ -126,7 +152,7 @@ fn drive(events: &[Event], precise: bool) -> (Vec<Truth>, CodeMapSet) {
                 let (addr, _) = heap.range_of(body);
                 agent.on_compile(&CompiledBodyInfo {
                     method,
-                    signature: format!("test.M{m}.run"),
+                    signature: &format!("test.M{m}.run"),
                     addr,
                     size: heap.get(body).byte_size,
                     opt_level: OptLevel::Baseline,
@@ -134,13 +160,12 @@ fn drive(events: &[Event], precise: bool) -> (Vec<Truth>, CodeMapSet) {
                     epoch: heap.collections,
                 });
             }
-            Event::Gc => do_gc(&mut heap, &mut agent, &mut vfs, &bodies),
+            Event::Gc => do_gc(&mut heap, agent, vfs, &bodies),
         }
         record(&heap, &bodies, &body_epoch, &mut truth);
     }
-    agent.on_vm_exit(heap.collections, &mut vfs);
-    let maps = CodeMapSet::load(&vfs, pid).unwrap();
-    (truth, maps)
+    agent.on_vm_exit(heap.collections, vfs);
+    truth
 }
 
 fn precise_resolves_every_point(events: Vec<Event>) {
@@ -293,5 +318,430 @@ fn parse_map_keeps_clean_lines_and_counts_corrupt_ones() {
                 assert_eq!(&symbols.text(got), want);
             }
         },
+    );
+}
+
+// ---------- byte-level oracle: the agent writes what the plain writer writes ----------
+
+/// The straightforward VM agent: per-method state in a `BTreeMap` of
+/// owned entries, moved flags in a `BTreeSet`, each epoch map built in
+/// a `BTreeMap` by address and rendered one `format!` per line. It
+/// shares no code with [`VmAgent`]'s map path, so the two agree only
+/// when the agent keeps the one-address precedence rule: the last
+/// compile at an address, else its first precise move, else the
+/// flagged method with the lowest id.
+struct OracleAgent {
+    cost: CostModel,
+    key: Option<ProcKey>,
+    current: BTreeMap<MethodId, CodeMapEntry>,
+    pending_compiles: Vec<CodeMapEntry>,
+    moved_flags: BTreeSet<MethodId>,
+    precise_moves: bool,
+    pending_moves: Vec<CodeMapEntry>,
+    faults: Option<OracleFaults>,
+    journal_enabled: bool,
+    journal: Option<JournalWriter>,
+    stats: AgentStats,
+}
+
+/// The map-fault schedule, drawn from its own generator in the same
+/// order as [`MapFaults`], copying the map whatever happens to it.
+struct OracleFaults {
+    rng: SplitMix64,
+    lose_rate: f64,
+    tear_rate: f64,
+    garble_rate: f64,
+    stats: MapFaultStats,
+}
+
+impl OracleFaults {
+    fn corrupt_write(&mut self, rendered: &str) -> Option<Vec<u8>> {
+        if self.lose_rate > 0.0 && self.rng.next_f64() < self.lose_rate {
+            self.stats.lost_maps += 1;
+            return None;
+        }
+        if self.tear_rate > 0.0 && self.rng.next_f64() < self.tear_rate {
+            self.stats.torn_maps += 1;
+            let len = rendered.len() as u64;
+            let cut = if len < 2 {
+                0
+            } else {
+                self.rng.range_u64(len / 2, len)
+            };
+            let mut bytes = rendered.as_bytes().to_vec();
+            bytes.truncate(cut as usize);
+            return Some(bytes);
+        }
+        if self.garble_rate > 0.0 {
+            let mut garbled = 0u64;
+            let mut out = String::new();
+            for line in rendered.lines() {
+                if !line.is_empty() && self.rng.next_f64() < self.garble_rate {
+                    out.push_str("!! ");
+                    garbled += 1;
+                }
+                out.push_str(line);
+                out.push('\n');
+            }
+            if garbled > 0 {
+                self.stats.garbled_lines += garbled;
+                return Some(out.into_bytes());
+            }
+        }
+        Some(rendered.as_bytes().to_vec())
+    }
+}
+
+impl OracleAgent {
+    fn write_map(&mut self, epoch: u64, vfs: &mut Vfs) -> u64 {
+        let Some(key) = self.key else { return 0 };
+        let mut by_addr: BTreeMap<Addr, CodeMapEntry> = BTreeMap::new();
+        for e in self.pending_compiles.drain(..) {
+            by_addr.insert(e.addr, e);
+        }
+        for e in self.pending_moves.drain(..) {
+            by_addr.entry(e.addr).or_insert(e);
+        }
+        for m in &self.moved_flags {
+            if let Some(e) = self.current.get(m) {
+                by_addr.entry(e.addr).or_insert_with(|| e.clone());
+            }
+        }
+        self.moved_flags.clear();
+        let mut rendered = String::new();
+        for e in by_addr.values() {
+            rendered.push_str(&format!(
+                "{:016x} {:08x} {} {}\n",
+                e.addr, e.size, e.level, e.signature
+            ));
+        }
+        let written = match &mut self.faults {
+            Some(f) => f.corrupt_write(&rendered),
+            None => Some(rendered.as_bytes().to_vec()),
+        };
+        if let Some(bytes) = &written {
+            vfs.write(map_path(key, epoch), bytes.clone());
+            if self.journal_enabled {
+                self.journal_map(key, epoch, &rendered, bytes, vfs);
+            }
+        }
+        self.stats.maps_written += 1;
+        self.stats.entries_written += by_addr.len() as u64;
+        self.cost.map_write(by_addr.len() as u64)
+    }
+
+    fn journal_map(&mut self, key: ProcKey, epoch: u64, rendered: &str, damaged: &[u8], vfs: &mut Vfs) {
+        let journal = self
+            .journal
+            .get_or_insert_with(|| JournalWriter::create(vfs, journal_path(key)));
+        let mut payload = epoch.to_le_bytes().to_vec();
+        payload.extend_from_slice(rendered.as_bytes());
+        if damaged.len() < rendered.len() {
+            journal.append_torn_then_repair(vfs, KIND_CODE_MAP, &payload, 8 + damaged.len());
+            self.stats.journal_repairs += 1;
+        } else if damaged != rendered.as_bytes() {
+            let mut rot = epoch.to_le_bytes().to_vec();
+            rot.extend_from_slice(damaged);
+            journal.append_rotted(vfs, KIND_CODE_MAP, &payload, &rot);
+        } else {
+            journal.append(vfs, KIND_CODE_MAP, &payload);
+        }
+        self.stats.journal_appends += 1;
+    }
+}
+
+impl VmProfilerHooks for OracleAgent {
+    fn on_vm_start(&mut self, pid: Pid, gen: u32, _heap_range: (Addr, Addr)) -> u64 {
+        let key = ProcKey::new(pid, gen);
+        if self.key != Some(key) {
+            self.journal = None;
+        }
+        self.key = Some(key);
+        self.cost.vm_probe_cycles
+    }
+
+    fn on_compile(&mut self, info: &CompiledBodyInfo<'_>) -> u64 {
+        let entry = CodeMapEntry {
+            addr: info.addr,
+            size: info.size,
+            level: info.opt_level.as_str().to_string(),
+            signature: info.signature.to_string(),
+        };
+        self.current.insert(info.method, entry.clone());
+        self.pending_compiles.push(entry);
+        self.stats.compiles_logged += 1;
+        self.cost.agent_compile_log_cycles
+    }
+
+    fn on_code_moved(&mut self, method: MethodId, _old: Addr, new: Addr, size: u64) -> u64 {
+        if let Some(e) = self.current.get_mut(&method) {
+            e.addr = new;
+            e.size = size;
+        }
+        self.moved_flags.insert(method);
+        if self.precise_moves {
+            if let Some(e) = self.current.get(&method) {
+                self.pending_moves.push(e.clone());
+            }
+        }
+        self.stats.moves_flagged += 1;
+        self.cost.agent_move_flag_cycles
+    }
+
+    fn on_gc_begin(&mut self, ending_epoch: u64, vfs: &mut Vfs) -> u64 {
+        self.write_map(ending_epoch, vfs)
+    }
+
+    fn on_vm_exit(&mut self, final_epoch: u64, vfs: &mut Vfs) -> u64 {
+        self.write_map(final_epoch, vfs)
+    }
+}
+
+/// How one agent run is configured: the move protocol, the journal, and
+/// an optional map-fault schedule `(seed, lost, torn, garbled)`.
+#[derive(Debug, Clone)]
+struct AgentSetup {
+    precise: bool,
+    journal: bool,
+    faults: Option<(u64, f64, f64, f64)>,
+}
+
+fn arb_setup(g: &mut Gen) -> AgentSetup {
+    const RATES: [f64; 3] = [0.0, 0.25, 0.6];
+    let faults = g.option(|g| {
+        let rate = |g: &mut Gen| RATES[g.range(0..RATES.len())];
+        (g.u64(), rate(g), rate(g), rate(g))
+    });
+    AgentSetup {
+        precise: g.bool(),
+        // Faulted runs always journal, so every fault outcome also
+        // reaches the journal's repair and rot paths.
+        journal: faults.is_some() || g.bool(),
+        faults,
+    }
+}
+
+/// The agent under test and the oracle, fed the same hook calls; each
+/// hook asserts that both charge the same cycles. The oracle writes to
+/// its own VFS.
+struct Paired {
+    agent: VmAgent,
+    oracle: OracleAgent,
+    oracle_vfs: Vfs,
+}
+
+impl Paired {
+    fn new(setup: &AgentSetup) -> Paired {
+        let cost = CostModel::default();
+        let mut agent = VmAgent::new(JitRegistry::shared(), cost, &Telemetry::new())
+            .with_precise_moves(setup.precise)
+            .with_journal(setup.journal);
+        let mut faults = None;
+        if let Some((seed, lost, torn, garbled)) = setup.faults {
+            agent = agent.with_map_faults(
+                MapFaults::new(seed)
+                    .with_lost(lost)
+                    .with_torn(torn)
+                    .with_garbled(garbled),
+            );
+            faults = Some(OracleFaults {
+                rng: SplitMix64::new(seed),
+                lose_rate: lost,
+                tear_rate: torn,
+                garble_rate: garbled,
+                stats: MapFaultStats::default(),
+            });
+        }
+        let oracle = OracleAgent {
+            cost,
+            key: None,
+            current: BTreeMap::new(),
+            pending_compiles: Vec::new(),
+            moved_flags: BTreeSet::new(),
+            precise_moves: setup.precise,
+            pending_moves: Vec::new(),
+            faults,
+            journal_enabled: setup.journal,
+            journal: None,
+            stats: AgentStats::default(),
+        };
+        Paired {
+            agent,
+            oracle,
+            oracle_vfs: Vfs::new(),
+        }
+    }
+
+    /// Every file the agent wrote equals the oracle's, byte for byte,
+    /// and so do the counters.
+    fn assert_same_output(&self, vfs: &Vfs) {
+        let written = vfs.list(JIT_MAP_DIR);
+        assert_eq!(written, self.oracle_vfs.list(JIT_MAP_DIR), "file listing");
+        for path in &written {
+            let (got, want) = (vfs.read(path), self.oracle_vfs.read(path));
+            if got != want {
+                panic!(
+                    "{path} differs:\n--- agent\n{}\n--- oracle\n{}",
+                    String::from_utf8_lossy(got.unwrap_or_default()),
+                    String::from_utf8_lossy(want.unwrap_or_default()),
+                );
+            }
+        }
+        // The journal's records, as recovery would read them.
+        if let Some(key) = self.oracle.key {
+            let records = |v: &Vfs| journal::scan(v, &journal_path(key)).map(|s| s.records);
+            assert_eq!(records(vfs), records(&self.oracle_vfs), "journal records");
+        }
+        assert_eq!(self.agent.stats_handle().snapshot(), self.oracle.stats, "agent stats");
+        assert_eq!(
+            self.agent.map_fault_stats(),
+            self.oracle.faults.as_ref().map(|f| f.stats),
+            "map fault stats"
+        );
+    }
+}
+
+impl VmProfilerHooks for Paired {
+    fn on_vm_start(&mut self, pid: Pid, gen: u32, heap_range: (Addr, Addr)) -> u64 {
+        let cycles = self.agent.on_vm_start(pid, gen, heap_range);
+        assert_eq!(cycles, self.oracle.on_vm_start(pid, gen, heap_range));
+        cycles
+    }
+
+    fn on_compile(&mut self, info: &CompiledBodyInfo<'_>) -> u64 {
+        let cycles = self.agent.on_compile(info);
+        assert_eq!(cycles, self.oracle.on_compile(info));
+        cycles
+    }
+
+    fn on_code_moved(&mut self, method: MethodId, old: Addr, new: Addr, size: u64) -> u64 {
+        let cycles = self.agent.on_code_moved(method, old, new, size);
+        assert_eq!(cycles, self.oracle.on_code_moved(method, old, new, size));
+        cycles
+    }
+
+    fn on_gc_begin(&mut self, ending_epoch: u64, vfs: &mut Vfs) -> u64 {
+        let cycles = self.agent.on_gc_begin(ending_epoch, vfs);
+        let want = self.oracle.on_gc_begin(ending_epoch, &mut self.oracle_vfs);
+        assert_eq!(cycles, want, "map {ending_epoch} write cost");
+        cycles
+    }
+
+    fn on_gc_end(&mut self, new_epoch: u64) -> u64 {
+        self.agent.on_gc_end(new_epoch)
+    }
+
+    fn on_vm_exit(&mut self, final_epoch: u64, vfs: &mut Vfs) -> u64 {
+        let cycles = self.agent.on_vm_exit(final_epoch, vfs);
+        let want = self.oracle.on_vm_exit(final_epoch, &mut self.oracle_vfs);
+        assert_eq!(cycles, want, "final map {final_epoch} write cost");
+        cycles
+    }
+}
+
+/// One hook call of a synthetic history.
+#[derive(Debug, Clone)]
+enum Hook {
+    Compile {
+        m: u32,
+        addr: Addr,
+        size: u64,
+        level: OptLevel,
+    },
+    Move {
+        m: u32,
+        new: Addr,
+        size: u64,
+    },
+    Gc,
+}
+
+/// Histories whose bodies crowd onto six addresses, so one epoch's map
+/// sees same-address recompiles, compiles over moved bodies, several
+/// precise moves to one place and several flagged methods sharing a
+/// current address. Method 40 leaves a gap in the method ids, and a
+/// move may name a method that was never compiled.
+fn arb_hooks(g: &mut Gen) -> Vec<Hook> {
+    const LEVELS: [OptLevel; 3] = [OptLevel::Baseline, OptLevel::Opt1, OptLevel::Opt2];
+    let method = |g: &mut Gen| {
+        if g.range(0u32..8) == 0 {
+            40
+        } else {
+            g.range(0u32..5)
+        }
+    };
+    let addr = |g: &mut Gen| 0x6000_0000 + 0x100 * g.range(0u64..6);
+    g.vec(1..80, |g| match g.range(0u32..10) {
+        0..=4 => Hook::Compile {
+            m: method(g),
+            addr: addr(g),
+            size: g.range(1u64..0x100),
+            level: LEVELS[g.range(0..LEVELS.len())],
+        },
+        5..=7 => Hook::Move {
+            m: method(g),
+            new: addr(g),
+            size: g.range(1u64..0x100),
+        },
+        _ => Hook::Gc,
+    })
+}
+
+fn agent_matches_oracle_on_hooks((setup, hooks): (AgentSetup, Vec<Hook>)) {
+    let mut pair = Paired::new(&setup);
+    let mut vfs = Vfs::new();
+    let mut epoch = 0;
+    pair.on_vm_start(Pid(77), 1, (0x6000_0000, 0x6100_0000));
+    for hook in &hooks {
+        match *hook {
+            Hook::Compile { m, addr, size, level } => {
+                pair.on_compile(&CompiledBodyInfo {
+                    method: MethodId(m),
+                    signature: &format!("test.M{m}.run"),
+                    addr,
+                    size,
+                    opt_level: level,
+                    is_recompile: false,
+                    epoch,
+                });
+            }
+            Hook::Move { m, new, size } => {
+                pair.on_code_moved(MethodId(m), 0, new, size);
+            }
+            Hook::Gc => {
+                pair.on_gc_begin(epoch, &mut vfs);
+                epoch += 1;
+                pair.on_gc_end(epoch);
+            }
+        }
+    }
+    pair.on_vm_exit(epoch, &mut vfs);
+    pair.assert_same_output(&vfs);
+}
+
+fn agent_matches_oracle_on_heap((setup, events): (AgentSetup, Vec<Event>)) {
+    let mut pair = Paired::new(&setup);
+    let mut vfs = Vfs::new();
+    run_on_heap(&events, Pid(77), &mut pair, &mut vfs);
+    pair.assert_same_output(&vfs);
+}
+
+#[test]
+fn agent_maps_equal_the_oracle_on_crowded_hook_histories() {
+    check(
+        "agent_maps_equal_the_oracle_on_crowded_hook_histories",
+        256,
+        |g| (arb_setup(g), arb_hooks(g)),
+        agent_matches_oracle_on_hooks,
+    );
+}
+
+#[test]
+fn agent_maps_equal_the_oracle_on_heap_histories() {
+    check(
+        "agent_maps_equal_the_oracle_on_heap_histories",
+        64,
+        |g| (arb_setup(g), arb_events(g)),
+        agent_matches_oracle_on_heap,
     );
 }
