@@ -15,14 +15,14 @@
 //! binary via `CARGO_BIN_EXE_viprof` (which is why this test lives in
 //! the `viprof` package rather than the workspace-root suite).
 
-use oprofile::OpConfig;
+use oprofile::{OpConfig, SampleDb, SAMPLES_PATH};
 use sim_cpu::{BlockExec, CpuMode};
 use sim_os::{Machine, MachineConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use viprof::codemap::{map_path, render_map, CodeMapEntry};
-use viprof::Viprof;
-use viprof_telemetry::json::{get, parse_json, Json};
+use viprof::{ReportSpec, Viprof};
+use viprof_telemetry::json::{get, parse_json, Json, ToJson};
 
 const VIPROF: &str = env!("CARGO_BIN_EXE_viprof");
 
@@ -143,6 +143,62 @@ fn json_modes_emit_exactly_one_document_on_stdout() {
     let v = assert_stdout_is_one_json_document(&out, "viprof top --json");
     assert!(field(&v, "quality").is_some(), "sealed snapshot shape: {v}");
     assert!(!out.stderr.is_empty(), "progress snapshots went to stderr");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `viprof top`'s final profile is the batch report over the same
+/// session, whether or not it printed mid-run snapshots: the rows of
+/// `report --json` (with `--min 0`, since top applies no percent
+/// floor), and the quality and incarnations that
+/// [`Viprof::make_report`] gives over the exported sample database.
+#[test]
+fn top_final_json_matches_the_batch_report() {
+    let dir = export_fixture("top");
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+
+    let out = run(&["report", dir_s, "--json", "--min", "0"]);
+    let report = assert_stdout_is_one_json_document(&out, "viprof report --json");
+    let rows = field(&report, "rows").expect("report rows");
+    assert!(!rows.as_arr("rows").expect("rows array").is_empty(), "the fixture has samples");
+
+    let kernel = Viprof::import_session(&dir).expect("import the fixture");
+    let bytes = kernel.vfs.read(SAMPLES_PATH).expect("exported sample db");
+    let db = SampleDb::from_bytes(bytes).expect("sample db decodes");
+    let batch = Viprof::make_report(&db, &kernel, &ReportSpec::default()).expect("batch report");
+    let q = &batch.quality;
+    let quality = [
+        ("resolved", q.resolved),
+        ("stale_epoch", q.stale_epoch),
+        ("unresolved", q.unresolved),
+        ("quarantined", q.quarantined),
+        ("cross_incarnation_blocked", q.cross_incarnation_blocked),
+        ("dropped", q.dropped),
+        ("evicted", q.evicted),
+        ("quarantined_lines", q.quarantined_lines),
+        ("skipped_map_files", q.skipped_map_files),
+        ("failed_pids", q.failed_pids),
+        ("missing_epochs", q.missing_epochs),
+        ("accounted", q.accounted()),
+    ];
+    assert_eq!(q.accounted(), db.total_samples() + db.dropped);
+
+    for interval in ["0", "1"] {
+        let what = format!("viprof top --json --interval {interval}");
+        let out = run(&["top", dir_s, "--json", "--interval", interval]);
+        let top = assert_stdout_is_one_json_document(&out, &what);
+        assert_eq!(field(&top, "rows"), Some(rows), "{what}: rows differ from report --json");
+        let top_quality = field(&top, "quality").expect("top quality");
+        for (key, want) in quality {
+            let got = field(top_quality, key).and_then(|v| v.as_num(key).ok());
+            assert_eq!(got, Some(want), "{what}: quality.{key}");
+        }
+        assert_eq!(
+            field(&top, "incarnations"),
+            Some(&batch.incarnations.to_json()),
+            "{what}: incarnations differ from the batch report"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
