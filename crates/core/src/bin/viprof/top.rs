@@ -1,12 +1,12 @@
 //! `viprof top` — streaming profile viewer.
 //!
-//! Replays an exported session's sample-batch journal through the
-//! [`viprof::LiveEngine`] in drain order — the same engine a running
-//! session feeds through the daemon's drain sink — and renders the
-//! evolving profile the way `top` renders processes: a snapshot every
-//! `--interval` batches, and the sealed final profile at the end. The
-//! final profile is bit-identical to `viprof report` over the same
-//! session.
+//! Replays an exported session's sample-batch journal in drain order
+//! into a sample database, and resolves it through a
+//! [`viprof::LiveEngine`] — the index cache a running session resolves
+//! its daemon's database through — rendering the evolving profile the
+//! way `top` renders processes: a snapshot every `--interval` batches,
+//! and the sealed final profile at the end. The final profile is
+//! bit-identical to `viprof report` over the same session.
 //!
 //! ```text
 //! viprof top <session-dir> [--interval <n>] [--json] [--rows <n>]
@@ -21,7 +21,7 @@
 //! ```
 
 use crate::{open_session, report_spec, Args};
-use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
+use oprofile::{SampleAccumulator, SampleDb, SAMPLE_JOURNAL_PATH};
 use viprof::{LiveEngine, SessionReport};
 use viprof_telemetry::json::{Json, ToJson};
 use viprof_telemetry::Telemetry;
@@ -41,15 +41,14 @@ pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<(), String> {
         )
     })?;
 
-    // Traced (v2) batch records replay with their span context;
-    // untagged v1 records replay without one.
+    let mut db = SampleAccumulator::default();
     let mut live = LiveEngine::new(&Telemetry::new());
     let spec = report_spec();
     let mut replayed = 0u64;
     for rec in &scan.records {
-        let (ctx, body) = match rec.sample_batch() {
+        let body = match rec.sample_batch() {
             None => continue,
-            Some(Ok(batch)) => batch,
+            Some(Ok((_, body))) => body,
             Some(Err(why)) => {
                 eprintln!("viprof: skipping {why}");
                 continue;
@@ -59,10 +58,10 @@ pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<(), String> {
             eprintln!("viprof: skipping corrupt batch record seq {}", rec.seq);
             continue;
         };
-        live.on_batch(&kernel, Some(rec.seq), &batch, ctx);
+        db.merge(&batch);
         replayed += 1;
         if interval > 0 && replayed.is_multiple_of(interval) {
-            let snap = live.snapshot(&kernel, &spec);
+            let snap = live.snapshot(db.db(), &kernel, &spec);
             // Under --json, stdout carries nothing but the final JSON
             // document: progress snapshots go to stderr.
             status(json, format_args!("== after batch {replayed} =="));
@@ -76,8 +75,7 @@ pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<(), String> {
         );
     }
 
-    live.seal(&kernel);
-    let snap = live.snapshot(&kernel, &spec);
+    let snap = live.snapshot(db.db(), &kernel, &spec);
     if json {
         println!("{}", final_json(&snap, replayed));
     } else {

@@ -778,9 +778,9 @@ impl ResolutionEngine {
         let mut lineage = LineageTable::default();
 
         // Traced journal batches: `(seq, runtime span ctx, dropped,
-        // evicted)`. A scan yields each seq once, in order (supervisor
-        // replays re-deliver batches to the live sink, they never
-        // re-append a seq), so no dedup is needed here.
+        // evicted)`. A scan yields each seq once, in order (a
+        // supervisor restart never re-appends a seq), so no dedup is
+        // needed here.
         let mut batches: Vec<(u64, TraceCtx, u64, u64)> = Vec::new();
         if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
             for rec in &scan.records {

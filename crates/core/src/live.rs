@@ -1,55 +1,50 @@
 //! # Live incremental resolution
 //!
-//! The offline pipeline waits for `opcontrol --stop` before it builds
-//! flat indexes and resolves the sample database. This module keeps a
-//! resolution engine **current while the session runs**: the daemon
-//! feeds every drained batch to a [`LiveEngine`] through the
-//! [`DrainSink`] seam, and the engine
+//! The offline pipeline builds flat indexes from scratch and resolves
+//! the sample database once the session has stopped. A [`LiveEngine`]
+//! is a cache of that index set, so a report can be resolved **while
+//! the session runs** without re-flattening every map each time. It
+//! does work only when a report is asked for: its one entry point,
+//! [`LiveEngine::snapshot`], takes the database to resolve and first
+//! refreshes the cache:
 //!
-//! 1. merges the batch into a shadow [`SampleDb`]. A batch holds
-//!    exactly what the daemon admitted into its own database, so the
-//!    shadow converges to the authoritative one bucket-for-bucket,
-//!    under an admission cap too;
-//! 2. rescans each incarnation's code-map directory and **extends**
-//!    its [`FlatIndex`] by the newly appeared epoch maps only —
-//!    [`FlatIndex::extend`] re-sweeps just the address window each new
-//!    map touches, instead of re-flattening the whole chain;
-//! 3. installs the same index set the batch loader would for the
+//! 1. it reloads the flattened boot map when `RVM.map`'s fingerprint
+//!    changed;
+//! 2. it lists each incarnation's code-map directory and **extends**
+//!    that incarnation's [`FlatIndex`] by the epoch maps that appeared
+//!    since the last refresh — [`FlatIndex::extend`] re-sweeps just the
+//!    address window each new map touches, instead of re-flattening
+//!    the whole chain. A map that arrives out of order, or an extend
+//!    that refuses, falls back to a rebuild of that incarnation;
+//! 3. it installs the same index set the batch loader would for the
 //!    directories on disk now: an incarnation with no usable map has
 //!    no index, and a sample blocks at the incarnation boundary only
 //!    while another incarnation of its pid holds one. The process
 //!    table is never read — like the batch engine, live resolution
 //!    depends on the sample database and the map files alone.
 //!
-//! [`LiveEngine::snapshot`] then delegates to
-//! [`ResolutionEngine::resolve`] against the shadow database:
+//! The snapshot then delegates to [`ResolutionEngine::resolve`]:
 //! O(aggregate size) — proportional to the number of distinct buckets
 //! and report rows, *independent of epoch depth and of how many
-//! samples arrived* — and structurally bit-identical to the batch
-//! report because it runs the very same resolve code over the very
-//! same inputs.
-//!
-//! Batches are deduplicated by journal sequence number, so a
-//! supervisor-restarted daemon replaying its write-ahead log cannot
-//! double-count; [`LiveEngine::seal`] replays any journal records the
-//! sink never delivered and does a final rescan, after which the
-//! snapshot equals the offline report exactly (`tests/fault_matrix.rs`
-//! checks the three-way identity under the full fault matrix).
+//! samples arrived*. The engine holds no samples of its own: a session
+//! hands it the daemon's database, `viprof top` the database it
+//! replays from the journal. So a snapshot is the batch report of
+//! that database by construction, because it runs the very same
+//! resolve code over the very same inputs (`tests/fault_matrix.rs`
+//! checks live ≡ batch ≡ journal replay under the full fault matrix).
 //!
 //! Epoch map files are written once and never mutated (the VM agent
-//! creates `map.<epoch>` at epoch boundaries); the rescan relies on
+//! creates `map.<epoch>` at epoch boundaries); the refresh relies on
 //! that — a path already processed is never re-read.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, PoisonError};
 
-use oprofile::daemon::DrainSink;
-use oprofile::{SampleAccumulator, SampleDb, SinkHandle, SAMPLE_JOURNAL_PATH};
+use oprofile::SampleDb;
 use sim_cpu::ProcKey;
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_PATH};
 use sim_os::journal;
 use sim_os::{ImageId, Kernel};
-use viprof_telemetry::{names, Counter, Telemetry, TraceCtx, TraceLayer};
+use viprof_telemetry::{names, Counter, Telemetry, TraceLayer};
 
 use crate::bootmap::BootMap;
 use crate::codemap::{map_prefix, read_map_file, CodeMapSet, EpochMap, Symbols};
@@ -108,39 +103,26 @@ impl KeyState {
 
 struct LiveTelemetry {
     registry: Telemetry,
-    batches: Counter,
     extends: Counter,
     rebuilds: Counter,
 }
 
-/// Streaming resolution engine: a shadow sample database plus
-/// incrementally maintained flat indexes, able to produce a full
-/// [`SessionReport`] at any point mid-run.
+/// Streaming resolution engine: a cache of incrementally maintained
+/// flat indexes, one per incarnation, plus the boot map, able to
+/// resolve a full [`SessionReport`] at any point mid-run.
 pub struct LiveEngine {
     engine: ResolutionEngine,
-    db: SampleAccumulator,
     keys: HashMap<ProcKey, KeyState>,
-    /// Journal sequence numbers already merged (replay dedup).
-    applied: HashSet<u64>,
-    /// Batches accepted (post-dedup).
-    batches: u64,
     /// `(len, crc32)` of `RVM.map` when the boot map was last loaded.
     boot_fp: Option<(usize, u32)>,
     boot_image: Option<ImageId>,
-    sealed: bool,
     telemetry: LiveTelemetry,
-    /// Causal parent for spans emitted during the current ingest: the
-    /// daemon's drain span while an `on_batch` is in flight, the
-    /// session root during `seal`'s replay, `None` otherwise.
-    span_parent: Option<TraceCtx>,
 }
 
 impl std::fmt::Debug for LiveEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveEngine")
-            .field("batches", &self.batches)
             .field("keys", &self.keys.len())
-            .field("sealed", &self.sealed)
             .finish()
     }
 }
@@ -154,122 +136,50 @@ impl LiveEngine {
         engine.set_telemetry(registry);
         LiveEngine {
             engine,
-            db: SampleAccumulator::default(),
             keys: HashMap::new(),
-            applied: HashSet::new(),
-            batches: 0,
             boot_fp: None,
             boot_image: None,
-            sealed: false,
             telemetry: LiveTelemetry {
                 registry: registry.clone(),
-                batches: registry.counter(names::LIVE_BATCHES),
                 extends: registry.counter(names::LIVE_INCREMENTAL_EXTENDS),
                 rebuilds: registry.counter(names::LIVE_FULL_REBUILDS),
             },
-            span_parent: None,
         }
     }
 
     /// Emit one instant live-layer span (begin == end at the registry's
-    /// current sim time), parented to the in-flight drain span when the
-    /// daemon provided one, else to the session root.
+    /// current sim time), parented to the session root.
     fn live_span(&self, name: &'static str, fields: &[(&str, u64)]) {
         let registry = &self.telemetry.registry;
-        let parent = self.span_parent.or_else(|| registry.trace_root());
-        let ctx = registry.trace_begin(TraceLayer::Live, name, parent);
+        let ctx = registry.trace_begin(TraceLayer::Live, name, registry.trace_root());
         registry.trace_end(ctx, fields);
     }
 
-    /// The shadow sample database (converges to the daemon's).
-    pub fn db(&mut self) -> &SampleDb {
-        self.db.db()
-    }
-
-    /// Batches accepted so far (after journal-sequence deduplication).
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Whether [`seal`](Self::seal) has run.
-    pub fn sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// Wrap a shared engine as a daemon drain sink.
-    pub fn sink(engine: Arc<Mutex<LiveEngine>>) -> SinkHandle {
-        SinkHandle::new(LiveSink(engine))
-    }
-
-    /// Ingest one drained batch: merge samples and extend the indexes
-    /// of every incarnation whose maps changed. `seq` is the batch's
-    /// journal sequence number when journaling is on; a sequence seen
-    /// before (supervisor restart replaying the write-ahead log) is
-    /// dropped.
-    /// `ctx` is the daemon's drain span: live spans emitted while this
-    /// batch is processed (extends, rebuilds) chain to it.
-    pub fn on_batch(
+    /// Resolve `db` into a full report against the maps on disk now:
+    /// refresh the cache, then run the batch engine's resolve code, so
+    /// the snapshot is bit-identical to the offline report over the
+    /// same database. Cost is proportional to the number of distinct
+    /// sample buckets plus report rows, plus the maps that are new
+    /// since the last snapshot.
+    pub fn snapshot(
         &mut self,
+        db: &SampleDb,
         kernel: &Kernel,
-        seq: Option<u64>,
-        batch: &SampleDb,
-        ctx: Option<TraceCtx>,
-    ) {
-        if self.sealed {
-            return;
-        }
-        if let Some(seq) = seq {
-            if !self.applied.insert(seq) {
-                return;
-            }
-        }
-        self.span_parent = ctx;
-        self.batches += 1;
-        self.db.merge(batch);
-        self.refresh_boot(kernel);
-        self.rescan_all(kernel);
-        self.span_parent = None;
-        self.telemetry.batches.inc();
-    }
-
-    /// Close the stream: replay journal records the sink never
-    /// delivered (deduplicated by sequence number), refresh the boot
-    /// map, and rescan every incarnation, so the engine reflects the
-    /// final on-disk state. After sealing, further batches are ignored
-    /// and the snapshot is the session's final report.
-    pub fn seal(&mut self, kernel: &Kernel) {
-        if self.sealed {
-            return;
-        }
-        self.sealed = true;
-        self.span_parent = self.telemetry.registry.trace_root();
-        if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
-            for rec in &scan.records {
-                let Some(Ok((_, body))) = rec.sample_batch() else {
-                    continue;
-                };
-                if !self.applied.insert(rec.seq) {
-                    continue;
-                }
-                if let Ok(batch) = SampleDb::from_bytes(body) {
-                    self.batches += 1;
-                    self.db.merge(&batch);
-                }
-            }
-        }
-        self.refresh_boot(kernel);
-        self.rescan_all(kernel);
-        self.span_parent = None;
-    }
-
-    /// Produce a full report from the current live state. Runs the
-    /// same resolve code as the batch engine over the shadow database,
-    /// so a snapshot after [`seal`](Self::seal) is bit-identical to
-    /// the offline report. Cost is proportional to the number of
-    /// distinct sample buckets plus report rows.
-    pub fn snapshot(&mut self, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
+        spec: &ReportSpec,
+    ) -> SessionReport {
+        self.refresh(kernel);
         self.engine.set_damage(self.damage());
-        self.engine.resolve(self.db.db(), kernel, spec)
+        self.engine.resolve(db, kernel, spec)
+    }
+
+    /// Bring the cache up to the on-disk state: the boot map, then
+    /// every incarnation's map directory — the set the batch loader
+    /// discovers.
+    pub(crate) fn refresh(&mut self, kernel: &Kernel) {
+        self.refresh_boot(kernel);
+        for key in discover_keys(kernel) {
+            self.rescan_key(kernel, key);
+        }
     }
 
     /// Resolution damage mirroring `ResolutionEngine::build`'s
@@ -309,14 +219,6 @@ impl LiveEngine {
         self.boot_fp = fp;
         let map = BootMap::load(&kernel.vfs).unwrap_or_default();
         self.engine.set_boot(&map, boot_image);
-    }
-
-    /// Rescan the map directory of every incarnation on disk — the
-    /// set the batch loader discovers.
-    fn rescan_all(&mut self, kernel: &Kernel) {
-        for key in discover_keys(kernel) {
-            self.rescan_key(kernel, key);
-        }
     }
 
     /// Incremental path: process map files not seen before, extending
@@ -448,21 +350,6 @@ impl LiveEngine {
     }
 }
 
-/// Adapter feeding daemon drain batches into a shared [`LiveEngine`].
-pub struct LiveSink(pub Arc<Mutex<LiveEngine>>);
-
-impl DrainSink for LiveSink {
-    fn on_batch(
-        &mut self,
-        kernel: &Kernel,
-        seq: Option<u64>,
-        batch: &SampleDb,
-        ctx: Option<TraceCtx>,
-    ) {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).on_batch(kernel, seq, batch, ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,7 +357,6 @@ mod tests {
     use crate::resolve::{ResolveOptions, ViprofResolver};
     use oprofile::{SampleBucket, SampleOrigin};
     use sim_cpu::HwEvent;
-    use sim_os::journal::KIND_SAMPLE_BATCH;
 
     fn entry(addr: u64, size: u64, sig: &str) -> CodeMapEntry {
         CodeMapEntry {
@@ -506,16 +392,23 @@ mod tests {
         db
     }
 
-    fn snap_equals_batch(live: &mut LiveEngine, kernel: &Kernel) {
+    /// A live snapshot of `db` equals the batch engine's report over
+    /// the same database and the maps on disk now.
+    fn snap_equals_batch(
+        live: &mut LiveEngine,
+        db: &SampleDb,
+        kernel: &Kernel,
+    ) -> SessionReport {
         let spec = ReportSpec::default();
-        let snap = live.snapshot(kernel, &spec);
+        let snap = live.snapshot(db, kernel, &spec);
         let (resolver, _) =
             ViprofResolver::load_with(kernel, ResolveOptions::default()).expect("batch load");
         let mut batch = ResolutionEngine::build(&resolver);
-        let offline = batch.resolve(live.db(), kernel, &spec);
+        let offline = batch.resolve(db, kernel, &spec);
         assert_eq!(snap.lines, offline.lines);
         assert_eq!(snap.quality, offline.quality);
         assert_eq!(snap.incarnations, offline.incarnations);
+        snap
     }
 
     #[test]
@@ -525,19 +418,21 @@ mod tests {
         let key = ProcKey::from(pid);
         let t = Telemetry::new();
         let mut live = LiveEngine::new(&t);
+        let mut db = SampleDb::new();
 
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 5), None);
+        db.merge(&jit_batch(key, 0x2000_0010, 0, 5));
+        snap_equals_batch(&mut live, &db, &kernel);
         write_map(&mut kernel, key, 1, &[entry(0x2000_0200, 0x80, "B.run()V")]);
-        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0210, 1, 3), None);
+        db.merge(&jit_batch(key, 0x2000_0210, 1, 3));
+        snap_equals_batch(&mut live, &db, &kernel);
 
-        assert_eq!(live.batches(), 2);
         // In-order epochs take the fast path: one extend each, no
-        // rebuild.
+        // rebuild; a snapshot with no new map extends nothing.
+        snap_equals_batch(&mut live, &db, &kernel);
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::LIVE_INCREMENTAL_EXTENDS), 2);
         assert_eq!(snap.counter(names::LIVE_FULL_REBUILDS), 0);
-        snap_equals_batch(&mut live, &kernel);
     }
 
     #[test]
@@ -546,36 +441,22 @@ mod tests {
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
         let mut live = LiveEngine::new(&Telemetry::new());
+        let mut db = SampleDb::new();
 
         let mut garbled = render_map(&[entry(0x2000_0000, 0x100, "A.run()V")]);
         garbled.push_str("not a map line\n");
         kernel.vfs.write(map_path(key, 0), garbled.into_bytes());
         kernel.vfs.write(format!("{}bogus", map_prefix(key)), b"junk".to_vec());
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
+        db.merge(&jit_batch(key, 0x2000_0010, 0, 4));
+        snap_equals_batch(&mut live, &db, &kernel);
         kernel.vfs.write(map_path(key, 1), vec![0xff, 0xfe, 0xfd]);
         write_map(&mut kernel, key, 2, &[entry(0x2000_0200, 0x80, "B.run()V")]);
-        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0210, 2, 3), None);
+        db.merge(&jit_batch(key, 0x2000_0210, 2, 3));
 
-        let quality = live.snapshot(&kernel, &ReportSpec::default()).quality;
+        let quality = snap_equals_batch(&mut live, &db, &kernel).quality;
         assert_eq!(quality.quarantined_lines, 1, "the garbled line");
         assert_eq!(quality.skipped_map_files, 2, "the bad suffix and the non-UTF-8 file");
         assert_eq!(quality.missing_epochs, 1, "epoch 1 never loaded");
-        snap_equals_batch(&mut live, &kernel);
-    }
-
-    #[test]
-    fn replayed_sequences_are_deduplicated() {
-        let mut kernel = Kernel::new();
-        let pid = kernel.spawn("java");
-        let key = ProcKey::from(pid);
-        write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
-
-        let mut live = LiveEngine::new(&Telemetry::new());
-        let batch = jit_batch(key, 0x2000_0010, 0, 7);
-        live.on_batch(&kernel, Some(3), &batch, None);
-        live.on_batch(&kernel, Some(3), &batch, None); // supervisor replay
-        assert_eq!(live.batches(), 1);
-        assert_eq!(live.db().total_samples(), 7);
     }
 
     #[test]
@@ -585,15 +466,17 @@ mod tests {
         let key = ProcKey::from(pid);
         let t = Telemetry::new();
         let mut live = LiveEngine::new(&t);
+        let mut db = SampleDb::new();
 
         write_map(&mut kernel, key, 2, &[entry(0x2000_0000, 0x100, "C.run()V")]);
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 2, 2), None);
+        db.merge(&jit_batch(key, 0x2000_0010, 2, 2));
+        snap_equals_batch(&mut live, &db, &kernel);
         // An older epoch appears late (torn agent flush): rebuild path.
         write_map(&mut kernel, key, 1, &[entry(0x2000_0000, 0x100, "B.run()V")]);
-        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0010, 1, 2), None);
+        db.merge(&jit_batch(key, 0x2000_0010, 1, 2));
+        snap_equals_batch(&mut live, &db, &kernel);
 
         assert_eq!(t.snapshot().counter(names::LIVE_FULL_REBUILDS), 1);
-        snap_equals_batch(&mut live, &kernel);
     }
 
     #[test]
@@ -603,12 +486,11 @@ mod tests {
         let key = ProcKey::from(pid);
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
 
-        let other = kernel.spawn("other");
         let mut live = LiveEngine::new(&Telemetry::new());
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
+        let db = jit_batch(key, 0x2000_0010, 0, 4);
+        snap_equals_batch(&mut live, &db, &kernel);
         kernel.exit_process(pid);
-        live.on_batch(&kernel, Some(1), &jit_batch(ProcKey::from(other), 0, 0, 0), None);
-        snap_equals_batch(&mut live, &kernel);
+        snap_equals_batch(&mut live, &db, &kernel);
     }
 
     #[test]
@@ -617,49 +499,24 @@ mod tests {
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
         let mut live = LiveEngine::new(&Telemetry::new());
+        let mut db = SampleDb::new();
 
         // Only the map journal so far: like the batch loader, live
         // installs an empty index for the directory.
         kernel.vfs.write(journal_path(key), Vec::new());
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
+        db.merge(&jit_batch(key, 0x2000_0010, 0, 4));
+        snap_equals_batch(&mut live, &db, &kernel);
         assert!(live.engine.index(key).is_some());
         // The first map file is not UTF-8: the batch loader fails the
         // pid and holds no index for it, so nothing can block its
         // samples at the incarnation boundary.
         kernel.vfs.write(map_path(key, 0), vec![0xff, 0xfe, 0xfd]);
-        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0010, 0, 3), None);
+        db.merge(&jit_batch(key, 0x2000_0010, 0, 3));
 
-        let quality = live.snapshot(&kernel, &ReportSpec::default()).quality;
+        let quality = snap_equals_batch(&mut live, &db, &kernel).quality;
+        assert!(live.engine.index(key).is_none());
         assert_eq!(quality.unresolved, 7);
         assert_eq!(quality.cross_incarnation_blocked, 0);
         assert_eq!(quality.failed_pids, 1);
-        snap_equals_batch(&mut live, &kernel);
-    }
-
-    #[test]
-    fn seal_replays_missed_journal_batches() {
-        use sim_os::journal::JournalWriter;
-
-        let mut kernel = Kernel::new();
-        let pid = kernel.spawn("java");
-        let key = ProcKey::from(pid);
-        write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
-
-        let delivered = jit_batch(key, 0x2000_0010, 0, 5);
-        let missed = jit_batch(key, 0x2000_0020, 0, 3);
-        let mut writer = JournalWriter::create(&mut kernel.vfs, SAMPLE_JOURNAL_PATH);
-        let seq0 = writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &delivered.to_bytes());
-        writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &missed.to_bytes());
-
-        let mut live = LiveEngine::new(&Telemetry::new());
-        live.on_batch(&kernel, Some(seq0), &delivered, None);
-        assert_eq!(live.db().total_samples(), 5);
-        live.seal(&kernel);
-        // The record the sink never saw is merged exactly once.
-        assert_eq!(live.db().total_samples(), 8);
-        assert_eq!(live.batches(), 2);
-        live.seal(&kernel); // idempotent
-        assert_eq!(live.db().total_samples(), 8);
-        snap_equals_batch(&mut live, &kernel);
     }
 }

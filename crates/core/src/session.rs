@@ -83,11 +83,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Maintain a [`LiveEngine`] alongside the session: the daemon
-    /// feeds it every drained batch, and
+    /// Keep a [`LiveEngine`] index cache alongside the session, so
     /// [`Viprof::live_snapshot`] produces a full [`SessionReport`]
     /// at any point mid-run. The engine shares the session's
-    /// telemetry registry and mirrors its admission cap.
+    /// telemetry registry.
     pub fn live(mut self, spec: LiveSpec) -> SessionBuilder {
         self.live = Some(spec);
         self
@@ -240,9 +239,9 @@ pub struct Viprof {
     /// Whether agents built by this session journal their map writes
     /// (mirrors `OpConfig::journal`, which covers the daemon side).
     journal: bool,
-    /// Streaming resolution engine fed by the daemon's drain sink
+    /// Index cache that resolves the daemon's database mid-run
     /// (sessions built with [`SessionBuilder::live`] only).
-    live: Option<Arc<Mutex<LiveEngine>>>,
+    live: Option<Mutex<LiveEngine>>,
 }
 
 impl Viprof {
@@ -260,12 +259,9 @@ impl Viprof {
     ) -> Viprof {
         let live = live.map(|_| {
             // The live engine shares the session's registry (created
-            // here when the config didn't bring one), then plugs into
-            // the drain sink.
-            let telemetry = config.telemetry.get_or_insert_with(Telemetry::new).clone();
-            let engine = Arc::new(Mutex::new(LiveEngine::new(&telemetry)));
-            config.drain_sink = Some(LiveEngine::sink(engine.clone()));
-            engine
+            // here when the config didn't bring one).
+            let telemetry = config.telemetry.get_or_insert_with(Telemetry::new);
+            Mutex::new(LiveEngine::new(telemetry))
         });
         let registry = JitRegistry::shared();
         let cost = config.cost;
@@ -338,31 +334,30 @@ impl Viprof {
     }
 
     /// Stop profiling; returns the final sample database. A live
-    /// session's engine is sealed here — it replays any journal
-    /// batches the sink never saw and does a final map rescan, after
-    /// which [`Viprof::live_snapshot`] equals the offline report.
+    /// session's index cache is refreshed here against the final
+    /// maps, so a [`Viprof::live_snapshot`] after stop only resolves.
+    /// The refresh runs before the final flush, which writes no map,
+    /// so its counters and spans land in the telemetry the flush
+    /// persists.
     pub fn stop(&self, machine: &mut Machine) -> SampleDb {
-        let db = self.op.stop(machine);
         if let Some(live) = &self.live {
-            live.lock().unwrap_or_else(PoisonError::into_inner).seal(&machine.kernel);
+            live.lock().unwrap_or_else(PoisonError::into_inner).refresh(&machine.kernel);
         }
-        db
+        self.op.stop(machine)
     }
 
-    /// The shared live engine, for direct inspection (live sessions
-    /// only).
-    pub fn live_engine(&self) -> Option<Arc<Mutex<LiveEngine>>> {
-        self.live.clone()
-    }
-
-    /// Resolve the live engine's current state into a full
-    /// [`SessionReport`] — mid-run or after [`Viprof::stop`]. `None`
-    /// unless the session was built with [`SessionBuilder::live`].
-    /// Cost is proportional to the aggregate (distinct buckets +
-    /// rows), independent of how many samples have arrived.
+    /// Resolve the daemon's database as it stands now (the copy
+    /// [`Viprof::db_snapshot`] takes) into a full [`SessionReport`] —
+    /// mid-run or after [`Viprof::stop`] — through the live index
+    /// cache, extended first by the maps written since the last
+    /// snapshot. `None` unless the session was built with
+    /// [`SessionBuilder::live`]. Cost is proportional to the aggregate
+    /// (distinct buckets + rows), independent of how many samples
+    /// have arrived.
     pub fn live_snapshot(&self, kernel: &Kernel, spec: &ReportSpec) -> Option<SessionReport> {
         let live = self.live.as_ref()?;
-        Some(live.lock().unwrap_or_else(PoisonError::into_inner).snapshot(kernel, spec))
+        let db = self.db_snapshot();
+        Some(live.lock().unwrap_or_else(PoisonError::into_inner).snapshot(&db, kernel, spec))
     }
 
     /// Post-process one session: load maps from the VFS (optionally
@@ -885,28 +880,19 @@ mod tests {
         vm.run(&mut machine);
 
         // Mid-run: a full report is available and fully accounted
-        // against the samples streamed so far.
+        // against the daemon's database so far.
         let mid = viprof
             .live_snapshot(&machine.kernel, &ReportSpec::default())
             .expect("live session");
-        let live = viprof.live_engine().expect("live session");
         assert!(mid.quality.accounted() > 0, "{:?}", mid.quality);
-        assert_eq!(
-            mid.quality.accounted(),
-            live.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .db()
-                .total_samples()
-        );
+        assert_eq!(mid.quality.accounted(), viprof.db_snapshot().total_samples());
         assert!(!mid.lines.rows.is_empty());
 
         vm.shutdown(&mut machine);
         let db = viprof.stop(&mut machine);
 
-        // Sealed: the shadow database converged to the authoritative
-        // one, and the final snapshot is bit-identical to the offline
+        // After stop, the snapshot is bit-identical to the offline
         // report at every thread count.
-        assert_eq!(*live.lock().unwrap_or_else(PoisonError::into_inner).db(), db);
         for threads in [1usize, 4] {
             let spec = ReportSpec::default().threads(threads);
             let snap = viprof
@@ -916,13 +902,65 @@ mod tests {
             assert_eq!(snap.lines, offline.lines, "threads={threads}");
             assert_eq!(snap.quality, offline.quality, "threads={threads}");
             assert_eq!(snap.incarnations, offline.incarnations, "threads={threads}");
+            assert_eq!(snap.quality.accounted(), db.total_samples(), "threads={threads}");
         }
 
-        // The streaming pipeline left its telemetry trail.
+        // The index cache left its telemetry trail.
         let t = viprof.telemetry().snapshot();
-        assert!(t.counter(names::LIVE_BATCHES) > 0);
         assert!(t.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0);
         assert!(t.histogram(names::RESOLVE_SHARD_SAMPLES).is_some(), "snapshots resolved");
+    }
+
+    #[test]
+    fn mid_run_snapshots_extend_the_cache_in_place() {
+        let mut machine = Machine::new(MachineConfig::default());
+        let mut config = OpConfig::time_at(20_000);
+        config.daemon_period_cycles = 2_000_000;
+        let viprof = Viprof::builder()
+            .config(config)
+            .live(LiveSpec::new())
+            .start(&mut machine);
+        let mut natives = NativeRegistry::new();
+        let program = bench_program(&mut natives);
+        let mut vm = Vm::boot(
+            &mut machine,
+            program,
+            natives,
+            vm_config(96 * 1024),
+            Box::new(viprof.make_agent()),
+        );
+        let maps = |m: &Machine| m.kernel.vfs.list(crate::codemap::JIT_MAP_DIR).len();
+        let extends = || viprof.telemetry().snapshot().counter(names::LIVE_INCREMENTAL_EXTENDS);
+        // Each snapshot is the batch report over the daemon's database
+        // and the maps on disk at that moment.
+        let snapshot_equals_batch = |machine: &Machine| {
+            let spec = ReportSpec::default();
+            let snap = viprof.live_snapshot(&machine.kernel, &spec).expect("live session");
+            let offline =
+                Viprof::make_report(&viprof.db_snapshot(), &machine.kernel, &spec).unwrap();
+            assert_eq!(snap.lines, offline.lines);
+            assert_eq!(snap.quality, offline.quality);
+            assert_eq!(snap.incarnations, offline.incarnations);
+        };
+
+        vm.run(&mut machine);
+        let maps_first = maps(&machine);
+        assert!(maps_first > 0, "the first run wrote epoch maps");
+        snapshot_equals_batch(&machine);
+        let extends_first = extends();
+        assert!(extends_first > 0);
+
+        // More GCs, more epoch maps: the second snapshot extends the
+        // cached indexes by those alone.
+        vm.run(&mut machine);
+        assert!(maps(&machine) > maps_first, "the second run wrote new epoch maps");
+        snapshot_equals_batch(&machine);
+        assert!(extends() > extends_first, "the new maps were extended in place");
+        let t = viprof.telemetry().snapshot();
+        assert_eq!(t.counter(names::LIVE_FULL_REBUILDS), 0);
+
+        vm.shutdown(&mut machine);
+        viprof.stop(&mut machine);
     }
 
     #[test]

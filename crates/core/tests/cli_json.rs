@@ -181,7 +181,7 @@ fn top_final_json_matches_the_batch_report() {
         ("missing_epochs", q.missing_epochs),
         ("accounted", q.accounted()),
     ];
-    assert_eq!(q.accounted(), db.total_samples() + db.dropped);
+    assert_eq!(q.accounted(), db.total_samples());
 
     for interval in ["0", "1"] {
         let what = format!("viprof top --json --interval {interval}");

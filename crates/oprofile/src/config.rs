@@ -1,6 +1,5 @@
 //! Profiler configuration.
 
-use crate::daemon::SinkHandle;
 use crate::faults::{DaemonFaults, DriverFaults};
 use crate::governor::GovernorConfig;
 use crate::supervisor::SupervisorConfig;
@@ -36,11 +35,6 @@ pub struct OpConfig {
     /// memory). `None` = unbounded; rejected samples are counted as
     /// evictions and flow into quality accounting.
     pub db_bucket_cap: Option<usize>,
-    /// Observer fed every non-trivial drained batch, in drain order,
-    /// with the batch's journal sequence number when journaling is on.
-    /// The live resolution engine plugs in here; `None` (the default)
-    /// keeps the classic drain path.
-    pub drain_sink: Option<SinkHandle>,
     /// Share a telemetry registry with the session. Telemetry is
     /// always on — `None` just means the session creates its own
     /// registry; pass a handle to observe it (or to share one registry
@@ -61,7 +55,6 @@ impl Default for OpConfig {
             supervisor: None,
             governor: None,
             db_bucket_cap: None,
-            drain_sink: None,
             telemetry: None,
         }
     }

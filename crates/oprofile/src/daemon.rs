@@ -104,7 +104,7 @@ impl DaemonTelemetry {
     /// previous drain ended) and the drain itself as its child.
     /// `redrain` marks the supervisor's out-of-schedule catch-up.
     /// Returns the drain span, the parent for the journal append and
-    /// everything downstream (live sink, lineage).
+    /// everything downstream (lineage).
     fn begin_drain_spans(
         &self,
         window_begin: u64,
@@ -146,8 +146,7 @@ impl DaemonTelemetry {
     }
 }
 
-/// A batch with no samples and no loss accounting: neither journaled
-/// nor handed to the sink.
+/// A batch with no samples and no loss accounting: not journaled.
 fn is_trivial(batch: &SampleDb) -> bool {
     batch.total_samples() == 0 && batch.dropped == 0 && batch.evicted == 0
 }
@@ -161,52 +160,6 @@ fn drained_samples(batch: &SampleDb) -> u64 {
 
 /// OS image name of the daemon binary.
 pub const DAEMON_IMAGE: &str = "oprofiled";
-
-/// Observer of drained sample batches — the seam the live resolution
-/// engine feeds from. Fired after a drained window has been merged into
-/// the shared database and journaled, for every batch that carries
-/// samples or loss accounting (trivial empty windows are skipped, the
-/// same rule the journal applies). `seq` is the journal sequence number
-/// of the batch's record, `None` when the session runs unjournaled.
-/// `ctx` is the drain span that delivered the batch — the causal parent
-/// for any spans the sink opens.
-pub trait DrainSink: Send {
-    fn on_batch(
-        &mut self,
-        kernel: &Kernel,
-        seq: Option<u64>,
-        batch: &SampleDb,
-        ctx: Option<TraceCtx>,
-    );
-}
-
-/// Cloneable shared handle to a [`DrainSink`], so `OpConfig` keeps its
-/// `Debug`/`Clone` derives and the session, daemon, and caller can all
-/// hold the same sink.
-#[derive(Clone)]
-pub struct SinkHandle(Arc<Mutex<dyn DrainSink>>);
-
-impl SinkHandle {
-    pub fn new(sink: impl DrainSink + 'static) -> SinkHandle {
-        SinkHandle(Arc::new(Mutex::new(sink)))
-    }
-
-    pub fn on_batch(
-        &self,
-        kernel: &Kernel,
-        seq: Option<u64>,
-        batch: &SampleDb,
-        ctx: Option<TraceCtx>,
-    ) {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).on_batch(kernel, seq, batch, ctx);
-    }
-}
-
-impl std::fmt::Debug for SinkHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SinkHandle(..)")
-    }
-}
 
 /// What one [`Drain::run`] moved and what it cost.
 pub(crate) struct Drained {
@@ -234,8 +187,6 @@ pub(crate) struct Drain {
     /// is appended as one committed record, so a crashed or corrupted
     /// `current.db` can be rebuilt by replay.
     journal: Option<JournalWriter>,
-    /// Observer fed every non-trivial drained batch (live resolution).
-    sink: Option<SinkHandle>,
     t: DaemonTelemetry,
     /// Virtual time the previous drain landed — the begin of the NMI
     /// sampling window the next drain's span closes retroactively.
@@ -249,14 +200,12 @@ impl Drain {
         cost: CostModel,
         registry: &Telemetry,
         journal: Option<JournalWriter>,
-        sink: Option<SinkHandle>,
     ) -> Drain {
         Drain {
             driver,
             db,
             cost,
             journal,
-            sink,
             t: DaemonTelemetry::attach(registry),
             last_drain_end: 0,
         }
@@ -266,7 +215,7 @@ impl Drain {
     /// supervisor's catch-up (`redrain`) and the final flush at `stop`.
     /// In order: reap dead incarnations, open the NMI-window and drain
     /// spans, move the ring into the database, journal the batch,
-    /// notify the sink, account the drain and close its span, then
+    /// account the drain and close its span, then
     /// close the timeline window at the drain's end. `govern` runs just
     /// before the window closes, so a period the daemon's governor
     /// reprograms lands in the window that caused it. The caller
@@ -289,8 +238,7 @@ impl Drain {
         let span = self.t.begin_drain_spans(self.last_drain_end, now, occupancy, redrain);
         let (batch, cycles, dead) = self.drain_batch();
         self.last_drain_end = now;
-        let seq = self.journal_batch(&mut kernel.vfs, &batch, span);
-        self.notify_sink(kernel, seq, &batch, span);
+        self.journal_batch(&mut kernel.vfs, &batch, span);
         self.t.note_drain(&batch, cycles, self.journal.is_some(), dead);
         self.t.end_drain_span(span, now + cycles, &batch, dead);
         let drained = Drained { batch, cycles, dead, occupancy, capacity };
@@ -365,9 +313,8 @@ impl Drain {
     /// Append one drained batch to the journal (if one is attached and
     /// the batch carries anything worth replaying). Journal appends are
     /// part of the drain's existing I/O budget — no extra cycles — so
-    /// journaled and unjournaled runs stay cycle-identical. Returns the
-    /// sequence number of the appended record, `None` when nothing was
-    /// journaled (no journal, or a trivial batch).
+    /// journaled and unjournaled runs stay cycle-identical. Nothing is
+    /// journaled without a journal, or for a trivial batch.
     ///
     /// The append is wrapped in a `span.journal_batch` child of
     /// `parent`, the record is written as [`KIND_SAMPLE_BATCH_TRACED`],
@@ -379,10 +326,12 @@ impl Drain {
         vfs: &mut Vfs,
         batch: &SampleDb,
         parent: TraceCtx,
-    ) -> Option<u64> {
-        let journal = self.journal.as_mut()?;
+    ) {
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
         if is_trivial(batch) {
-            return None;
+            return;
         }
         let t = &self.t.registry;
         let span = t.trace_begin(TraceLayer::Journal, names::SPAN_JOURNAL_BATCH, Some(parent));
@@ -397,27 +346,6 @@ impl Drain {
                 ("evicted", batch.evicted),
             ],
         );
-        Some(seq)
-    }
-
-    /// Hand a non-trivial drained batch to the sink. Uses the same
-    /// triviality rule as [`Drain::journal_batch`], so a journaled
-    /// session's sink sees exactly the journaled record stream (with
-    /// matching sequence numbers) and an unjournaled one sees the same
-    /// batches with `seq: None`. `ctx` is the drain span handed through
-    /// to the sink as causal parent.
-    pub(crate) fn notify_sink(
-        &self,
-        kernel: &Kernel,
-        seq: Option<u64>,
-        batch: &SampleDb,
-        ctx: TraceCtx,
-    ) {
-        if let Some(sink) = &self.sink {
-            if !is_trivial(batch) {
-                sink.on_batch(kernel, seq, batch, Some(ctx));
-            }
-        }
     }
 }
 
@@ -687,7 +615,7 @@ pub(crate) mod tests {
         let driver = Arc::new(Mutex::new(Driver::new(cost, capacity)));
         let db = Arc::new(Mutex::new(SampleAccumulator::default()));
         let active = Arc::new(AtomicBool::new(true));
-        let drain = Drain::new(driver.clone(), db.clone(), cost, t, journal, None);
+        let drain = Drain::new(driver.clone(), db.clone(), cost, t, journal);
         let d = Daemon::spawn(&mut m.kernel, Arc::new(Mutex::new(drain)), active.clone(), period);
         (d, driver, db, active)
     }

@@ -34,7 +34,7 @@ pub mod supervisor;
 pub use anon::{AnonExtension, AnonTable, JitClaim, NoExtension};
 pub use buffer::RingBuffer;
 pub use config::OpConfig;
-pub use daemon::{Daemon, DrainSink, SinkHandle};
+pub use daemon::Daemon;
 pub use driver::{Driver, DriverStats};
 pub use faults::{DaemonFaultStats, DaemonFaults, DriverFaultStats, DriverFaults, FaultVerdict};
 pub use governor::{DeadlineVerdict, Governor, GovernorConfig, GovernorDecision};

@@ -385,8 +385,8 @@ fn count_below(sorted: &[(SampleBucket, u64)], bucket: &SampleBucket) -> usize {
     from + sorted[from..to].partition_point(|(b, _)| b < bucket)
 }
 
-/// A sample database being written by many merges: the daemon's, the
-/// live engine's shadow and journal replay's. A merged bucket the
+/// A sample database being written by many merges: the daemon's and
+/// journal replay's. A merged bucket the
 /// database already holds is counted in place, found by a galloping
 /// search that resumes where the previous bucket of the (sorted) batch
 /// was found. A new bucket goes to an unsorted staging run, which is

@@ -109,7 +109,6 @@ impl Oprofile {
             config.cost,
             &telemetry,
             journal,
-            config.drain_sink.clone(),
         )));
         let mut daemon = Daemon::spawn(
             &mut machine.kernel,
@@ -210,9 +209,8 @@ impl Oprofile {
     /// database to the VFS, and return it.
     pub fn stop(&self, machine: &mut Machine) -> SampleDb {
         // The final flush is the daemon's drain routine run one last
-        // time — reaped, traced, journaled, fed to the sink and
-        // accounted like every timer drain, so replay and telemetry
-        // cover the whole run.
+        // time — reaped, traced, journaled and accounted like every
+        // timer drain, so replay and telemetry cover the whole run.
         let now = machine.cpu.clock.cycles();
         let cycles = self
             .drain

@@ -420,9 +420,7 @@ impl JournalWriter {
         &self.path
     }
 
-    /// The sequence number the next appended record will carry — what
-    /// a drain-order observer (e.g. a live drain sink deduplicating
-    /// replayed batches) should expect from the upcoming record.
+    /// The sequence number the next appended record will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }

@@ -391,7 +391,7 @@ mod tests {
         t.set_now(1_000);
         t.sample_timeline();
         t.counter(names::BUFFER_DROPPED).add(3);
-        t.counter(names::LIVE_BATCHES).add(9); // untracked by the timeline
+        t.counter(names::LIVE_FULL_REBUILDS).add(9); // untracked by the timeline
         t.set_now(2_000);
         t.sample_timeline();
 
@@ -399,7 +399,7 @@ mod tests {
         assert_eq!(tl.len(), 2);
         assert_eq!(tl.series(names::BUFFER_DROPPED), vec![(1_000, 2), (2_000, 3)]);
         assert_eq!(tl.total(names::BUFFER_DROPPED), 5);
-        assert_eq!(tl.total(names::LIVE_BATCHES), 0, "untracked series ignored");
+        assert_eq!(tl.total(names::LIVE_FULL_REBUILDS), 0, "untracked series ignored");
 
         let snap = t.snapshot();
         assert_eq!(snap.counter(names::TIMELINE_SAMPLES), 2);

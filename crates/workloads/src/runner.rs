@@ -28,11 +28,10 @@ pub enum ProfilerKind {
     /// on: map + sample journaling plus the daemon watchdog/restart
     /// supervisor (both seeded from the plan, so runs replay).
     ViprofSupervised(OpConfig, FaultPlan),
-    /// VIProf with the streaming resolution engine riding the daemon's
-    /// drain sink (journaled, so replayed batches exercise the
-    /// sequence dedup). The optional fault plan puts the stream under
-    /// the robustness matrix; the sealed final snapshot comes back in
-    /// [`RunOutcome::live`].
+    /// VIProf, journaled, with the live index cache: the final
+    /// snapshot, taken after stop, comes back in [`RunOutcome::live`].
+    /// The optional fault plan puts the session under the robustness
+    /// matrix.
     ViprofLive(OpConfig, Option<FaultPlan>),
 }
 
@@ -80,7 +79,7 @@ pub struct RunOutcome {
     /// after the stop-time flush — same data the session persists as
     /// Chrome trace JSON at `oprofile::TRACE_PATH`.
     pub trace: Option<TraceSnapshot>,
-    /// The live engine's sealed final snapshot
+    /// The live engine's final snapshot, taken after stop
     /// ([`ProfilerKind::ViprofLive`] runs only) — bit-identical to
     /// `Viprof::make_report` over [`RunOutcome::db`].
     pub live: Option<SessionReport>,
@@ -453,7 +452,8 @@ mod tests {
         assert_eq!(live.incarnations, offline.incarnations);
         use viprof_telemetry::names;
         let t = out.telemetry.as_ref().unwrap();
-        assert!(t.counter(names::LIVE_BATCHES) > 0);
+        assert!(t.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0, "the snapshot extended indexes");
+        assert_eq!(live.quality.accounted(), db.total_samples());
         // Non-live runs don't carry one.
         let plain = run_benchmark(&built, &plan, ProfilerKind::viprof_at(90_000), 1, false);
         assert!(plain.live.is_none());

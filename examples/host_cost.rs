@@ -3,8 +3,11 @@
 //!
 //! Runs antlr at the benchmark's `collect` configuration (scale 0.08,
 //! one sample per 90K cycles, Figure 2's background load) with no
-//! profiler, with stock OProfile and with VIProf, interleaved over
-//! seeds and rounds, and prints the median host time of each:
+//! profiler, with stock OProfile, with VIProf, with VIProf journaled
+//! and supervised (a fault plan that injects nothing), and with that
+//! session plus the live index cache and its final snapshot,
+//! interleaved over seeds and rounds, and prints the median host time
+//! of each:
 //!
 //! ```text
 //! cargo run --release --example host_cost [rounds] [seeds]
@@ -14,9 +17,12 @@
 //! round of every configuration is a warm-up and is not counted.
 //! "Over unprofiled" is the median minus the unprofiled median; the
 //! cost per delivered sample divides it by the median number of
-//! samples the CPU delivered to the profiler's handler.
+//! samples the CPU delivered to the profiler's handler. The gap
+//! between the last two rows is what the live engine costs a session.
 
 use std::time::Instant;
+use viprof_repro::oprofile::OpConfig;
+use viprof_repro::viprof::FaultPlan;
 use viprof_repro::workloads::{
     calibrate, find_benchmark, programs, run_benchmark, ProfilerKind,
 };
@@ -48,10 +54,24 @@ fn main() {
     let built = programs::build(&params);
     let plan = calibrate(&built, SCALE);
 
+    let quiet = FaultPlan::new(1);
     let kinds = [
         ("none", ProfilerKind::None),
         ("OProfile", ProfilerKind::oprofile_at(PERIOD)),
         ("VIProf", ProfilerKind::viprof_at(PERIOD)),
+        (
+            "VIProf journaled + supervised",
+            ProfilerKind::viprof_supervised_at(PERIOD, quiet.clone()),
+        ),
+        (
+            "VIProf live",
+            ProfilerKind::ViprofLive(
+                OpConfig::time_at(PERIOD)
+                    .with_journal()
+                    .with_supervisor(quiet.supervisor_config()),
+                Some(quiet),
+            ),
+        ),
     ];
     let mut host_ms = vec![Vec::new(); kinds.len()];
     let mut samples = vec![Vec::new(); kinds.len()];
@@ -74,7 +94,7 @@ fn main() {
          medians of {rounds} rounds x {seeds} seeds"
     );
     println!(
-        "{:<10}{:>10}{:>18}{:>12}{:>14}",
+        "{:<30}{:>10}{:>18}{:>12}{:>14}",
         "profiler", "host ms", "over unprofiled", "samples", "us/sample"
     );
     let base = median(&mut host_ms[0]);
@@ -83,13 +103,13 @@ fn main() {
         let ms = median(&mut host_ms[i]);
         let delivered = median(&mut samples[i]);
         if i == 0 {
-            println!("{label:<10}{ms:>10.1}{:>18}{:>12}{:>14}", "-", "-", "-");
+            println!("{label:<30}{ms:>10.1}{:>18}{:>12}{:>14}", "-", "-", "-");
             continue;
         }
         let over = ms - base;
         let us = over * 1e3 / delivered.max(1.0);
         per_sample.push(us);
-        println!("{label:<10}{ms:>10.1}{over:>+18.1}{delivered:>12.0}{us:>14.3}");
+        println!("{label:<30}{ms:>10.1}{over:>+18.1}{delivered:>12.0}{us:>14.3}");
     }
     println!(
         "VIProf / OProfile host cost per delivered sample: {:.2}x",

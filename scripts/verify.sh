@@ -69,13 +69,15 @@ if [[ "${1:-}" != "--fast" ]]; then
     cargo test -q --test telemetry resolve
     cargo test -q -p viprof poison
 
-    # Live equivalence smoke: the streaming engine's sealed snapshot
-    # must equal the batch report (rows, quality, incarnations), and
-    # epoch maps that arrive in order must extend an index in place
-    # rather than rebuild it. Runs before the bench smoke so it is
-    # checked even while a bench gate fails.
+    # Live equivalence smoke: a live snapshot must equal the batch
+    # report (rows, quality, incarnations), epoch maps written since
+    # the previous snapshot must extend the cached index in place
+    # rather than rebuild it, and `viprof top`'s final JSON must equal
+    # `viprof report`'s. Runs before the bench smoke so it is checked
+    # even while a bench gate fails.
     echo "==> live equivalence smoke"
     cargo test -q -p viprof live
+    cargo test -q -p viprof --test cli_json top
 
     # Agent map smoke: the VM agent's epoch maps, journal records,
     # hook charges and counters must equal a plain BTreeMap-and-format!

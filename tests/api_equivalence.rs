@@ -225,7 +225,7 @@ fn live_builder_snapshot_equals_make_report() {
     // A session built without `live(..)` has no engine to expose.
     let (_, _, _) = run_session(&built, &plan, |m| {
         let vp = Viprof::builder().config(OpConfig::time_at(60_000)).start(m);
-        assert!(vp.live_engine().is_none());
+        assert!(vp.live_snapshot(&m.kernel, &ReportSpec::default()).is_none());
         vp
     });
 }

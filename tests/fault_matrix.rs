@@ -674,9 +674,8 @@ fn governed_burst_sheds_strictly_fewer_samples() {
         "governor trajectory replays bit for bit"
     );
 
-    // Streaming under backpressure: the live engine rides the governed
-    // run's drain sink, sees the rate-scaled windows, and its sealed
-    // snapshot is still the batch report.
+    // Streaming under backpressure: the live engine's snapshot of the
+    // governed run's rate-scaled database is still the batch report.
     let live = run_benchmark(
         &built,
         &plan,
@@ -687,10 +686,14 @@ fn governed_burst_sheds_strictly_fewer_samples() {
     let lsnap = live.telemetry.as_ref().unwrap();
     assert!(
         lsnap.counter(names::GOVERNOR_BACKOFFS) >= 1,
-        "the governor must still engage with the sink attached"
+        "the governor must still engage in a live session"
     );
-    assert!(lsnap.counter(names::LIVE_BATCHES) >= 1, "the sink saw drained windows");
+    assert!(
+        lsnap.counter(names::LIVE_INCREMENTAL_EXTENDS) >= 1,
+        "the snapshot extended indexes"
+    );
     let live_snap = live.live.as_ref().expect("live run seals a snapshot");
+    assert_eq!(live_snap.quality.accounted(), live.db.as_ref().unwrap().total_samples());
     for threads in [1usize, SHARDS] {
         let offline = Viprof::make_report(
             live.db.as_ref().unwrap(),
@@ -944,13 +947,12 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
     let replayed = recover_sample_db(&a.machine.kernel.vfs).expect("journaling on");
     assert_eq!(&replayed.db, db, "journal replay reproduces churn drops exactly");
 
-    // Live leg: the same chaos with the streaming engine riding the
-    // drain sink (supervision pre-chained on the config — equivalent
-    // to the `supervised(true)` toggle). Attaching the sink is
-    // invisible to the simulation, and the sealed snapshot is the
-    // batch report — under pid-reuse churn, overflow, a daemon crash
-    // with supervisor restarts, and the replayed journal batches the
-    // restarts produce (sequence dedup under fire).
+    // Live leg: the same chaos with the live index cache attached
+    // (supervision pre-chained on the config — equivalent to the
+    // `supervised(true)` toggle). Attaching it is invisible to the
+    // simulation, and the snapshot after stop is the batch report —
+    // under pid-reuse churn, overflow, a daemon crash with supervisor
+    // restarts, and the batches the restarts redrain.
     let live_run = run_benchmark(
         &built,
         &plan,
@@ -963,8 +965,8 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
         11,
         false,
     );
-    assert_eq!(live_run.cycles, a.cycles, "live sink perturbed the run");
-    assert_eq!(live_run.db, a.db, "live sink perturbed the profile");
+    assert_eq!(live_run.cycles, a.cycles, "the live engine perturbed the run");
+    assert_eq!(live_run.db, a.db, "the live engine perturbed the profile");
     assert_eq!(live_run.faults, a.faults);
     let live_snap = live_run.live.as_ref().expect("live run seals a snapshot");
     for threads in [1usize, SHARDS] {

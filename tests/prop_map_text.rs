@@ -176,22 +176,21 @@ fn batch_and_live_readers_tally_damage_alike() {
             let keys = [ProcKey::new(pid, 0), ProcKey::new(pid, 1)];
             let mut live = LiveEngine::new(&Telemetry::new());
             let empty = SampleDb::new();
-            // Files appear one at a time, as the agent writes them; the
-            // live engine rescans after each.
-            for (seq, (key, (name, bytes))) in first
+            let spec = ReportSpec::default();
+            // Files appear one at a time, as the agent writes them; a
+            // live snapshot follows each.
+            for (key, (name, bytes)) in first
                 .iter()
                 .map(|f| (keys[0], f))
                 .chain(second.iter().map(|f| (keys[1], f)))
-                .enumerate()
             {
                 let prefix = map_path(key, 0);
                 let path = format!("{}{name}", &prefix[..prefix.len() - 10]);
                 kernel.vfs.write(path, bytes.clone());
-                live.on_batch(&kernel, Some(seq as u64), &empty, None);
+                live.snapshot(&empty, &kernel, &spec);
             }
-            let spec = ReportSpec::default();
             let batch = Viprof::make_report(&empty, &kernel, &spec).expect("the session reports");
-            let live = live.snapshot(&kernel, &spec);
+            let live = live.snapshot(&empty, &kernel, &spec);
             assert_eq!(tallies(&live.quality), tallies(&batch.quality));
         },
     );
