@@ -653,6 +653,11 @@ mod tests {
         (VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()), reg)
     }
 
+    fn is_registered(reg: &SharedRegistry, pid: Pid) -> bool {
+        let reg = reg.read().unwrap_or_else(PoisonError::into_inner);
+        reg.registrations().iter().any(|r| r.pid == pid)
+    }
+
     /// Announce a baseline compile of method `m` (`app.M{m}.run`).
     fn compile(hooks: &mut dyn VmProfilerHooks, m: u32, addr: Addr, epoch: u64) -> u64 {
         hooks.on_compile(&CompiledBodyInfo {
@@ -670,7 +675,7 @@ mod tests {
     fn vm_start_registers_heap() {
         let (mut a, reg) = agent();
         a.on_vm_start(Pid(7), 0, (0x6000_0000, 0x6400_0000));
-        assert!(reg.read().unwrap_or_else(PoisonError::into_inner).is_registered(Pid(7)));
+        assert!(is_registered(&reg, Pid(7)));
         assert_eq!(
             reg.read()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -984,12 +989,7 @@ mod tests {
         a0.on_vm_start(Pid(7), 0, (0x1000, 0x2000));
         compile(&mut a0, 0, 0x1000, 0);
         a0.on_vm_exit(0, &mut vfs);
-        assert!(
-            !reg.read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_registered(Pid(7)),
-            "retired at exit"
-        );
+        assert!(!is_registered(&reg, Pid(7)), "retired at exit");
         // Incarnation 1 reuses the pid: epoch counter restarts at 0.
         let mut a1 = VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new()).with_journal(true);
         a1.on_vm_start(Pid(7), 1, (0x3000, 0x4000));
@@ -1030,7 +1030,7 @@ mod tests {
         let mut a = VmAgent::new(reg.clone(), CostModel::default(), &Telemetry::new());
         let cost = a.on_vm_start(Pid(4), 2, (0x1000, 0x2000));
         assert_eq!(cost, CostModel::default().vm_probe_cycles);
-        assert!(!reg.read().unwrap_or_else(PoisonError::into_inner).is_registered(Pid(4)));
+        assert!(!is_registered(&reg, Pid(4)));
         assert_eq!(
             reg.read()
                 .unwrap_or_else(PoisonError::into_inner)

@@ -100,8 +100,8 @@ pub(crate) fn run(words: impl Iterator<Item = String>) -> Result<(), String> {
         }
         if q.evicted > 0 {
             println!(
-                "NOTE: {} sample(s) evicted at admission — the session ran \
-                 with a bounded sample database",
+                "NOTE: {} sample(s) refused by an older session's admission \
+                 cap — counted in its sample files, never resolved",
                 q.evicted
             );
         }

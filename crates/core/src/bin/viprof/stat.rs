@@ -155,13 +155,12 @@ fn print_pipeline(t: &TelemetrySnapshot) {
     if backoffs > 0 || recoveries > 0 || misses > 0 {
         println!(
             "  governor backoffs / recoveries / escalations {} / {} / {} \
-             (period {}, {} deadline misses, {} evicted)",
+             (period {}, {} deadline misses)",
             backoffs,
             recoveries,
             t.counter(names::GOVERNOR_ESCALATIONS),
             t.gauge(names::GOVERNOR_PERIOD),
-            misses,
-            t.counter(names::DB_EVICTED_SAMPLES)
+            misses
         );
         for e in t.events_of(names::EVENT_GOVERNOR_RATE_CHANGE) {
             let field = |key: &str| e.fields.iter().find(|(k, _)| k == key).map_or(0, |(_, v)| *v);
@@ -234,7 +233,7 @@ fn print_resolution(report: &SessionReport) {
         );
     }
     if q.evicted > 0 {
-        println!("  admission-cap evictions {}", q.evicted);
+        println!("  refused by an older session's admission cap {}", q.evicted);
     }
     if let Some(h) = t.histogram(names::RESOLVE_SHARD_SAMPLES) {
         let spread: Vec<String> = h

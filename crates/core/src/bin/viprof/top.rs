@@ -125,7 +125,7 @@ fn render(snap: &SessionReport, rows: usize, to_stderr: bool) {
         to_stderr,
         format_args!(
             "  accounted {} = {} resolved + {} stale + {} unresolved + {} blocked \
-             + {} quarantined + {} dropped + {} evicted",
+             + {} quarantined + {} dropped + {} evicted by an old cap",
             q.accounted(),
             q.resolved,
             q.stale_epoch,

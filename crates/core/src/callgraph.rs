@@ -54,10 +54,6 @@ impl CallGraph {
         self.edges().map(|(_, _, c)| c).sum()
     }
 
-    pub fn distinct_edges(&self) -> usize {
-        self.edges.values().map(HashMap::len).sum()
-    }
-
     /// Hottest `n` edges, count-descending (name-ascending tiebreak for
     /// determinism).
     pub fn top_edges(&self, n: usize) -> Vec<(&str, &str, u64)> {
@@ -95,7 +91,7 @@ mod tests {
         g.add_edge("a", "b");
         g.add_edge("a", "c");
         assert_eq!(g.total_edges(), 3);
-        assert_eq!(g.distinct_edges(), 2);
+        assert_eq!(g.edges().count(), 2);
     }
 
     #[test]
@@ -117,7 +113,7 @@ mod tests {
         g.add_edge("m", "memset");
         g.add_edge("other", "x");
         assert_eq!(g.total_edges(), 6);
-        assert_eq!(g.distinct_edges(), 3);
+        assert_eq!(g.edges().count(), 3);
         assert_eq!(
             g.top_edges(10),
             vec![("m", "x", 4), ("m", "memset", 1), ("other", "x", 1)]

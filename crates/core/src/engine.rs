@@ -1366,6 +1366,26 @@ mod tests {
     }
 
     #[test]
+    fn an_old_capped_file_still_accounts_its_evictions() {
+        // A v2 sample file from a session that ran under an admission
+        // cap: its `evicted` header word is all that is left of the
+        // samples the cap refused.
+        let (k, pid) = setup();
+        let mut old = mixed_db(&k, pid);
+        old.evicted = 9;
+        let mut v2 = old.to_bytes();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let db = SampleDb::from_bytes(&v2).unwrap();
+        assert_eq!(db, old);
+        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+        let mut engine = ResolutionEngine::build(&resolver);
+        let report = engine.resolve(&db, &k, &ReportSpec::default());
+        assert_eq!(report.quality.evicted, 9);
+        assert_eq!(report.lineage.total("evicted"), 9);
+        assert_eq!(report.quality.accounted(), db.total_samples());
+    }
+
+    #[test]
     fn per_incarnation_keeps_order_and_its_worker_cap() {
         let items: Vec<u32> = (0..9).collect();
         let want: Vec<u32> = items.iter().map(|i| i * 3).collect();

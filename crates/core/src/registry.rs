@@ -161,11 +161,6 @@ impl JitRegistry {
         }
     }
 
-    /// Compatibility alias for [`JitRegistry::retire`].
-    pub fn unregister(&mut self, pid: Pid) -> bool {
-        self.retire(pid)
-    }
-
     /// Reap live registrations whose process is gone: `is_live(pid,
     /// gen)` consults the kernel's process table. Reaped incarnations
     /// stop admitting samples. Returns how many were reaped.
@@ -208,10 +203,6 @@ impl JitRegistry {
             .iter()
             .find(|r| r.pid == pid && pc >= r.heap_range.0 && pc < r.heap_range.1)
             .map(|r| (r.epoch(), r.gen))
-    }
-
-    pub fn is_registered(&self, pid: Pid) -> bool {
-        self.vms.iter().any(|r| r.pid == pid)
     }
 
     pub fn len(&self) -> usize {
@@ -281,8 +272,8 @@ mod tests {
         r.set_epoch(Pid(2), 9);
         assert_eq!(r.classify(Pid(1), 0x1500), Some((0, 0)));
         assert_eq!(r.classify(Pid(2), 0x1500), Some((9, 0)));
-        assert!(r.unregister(Pid(1)));
-        assert!(!r.unregister(Pid(1)));
+        assert!(r.retire(Pid(1)));
+        assert!(!r.retire(Pid(1)));
         assert_eq!(r.len(), 1);
     }
 

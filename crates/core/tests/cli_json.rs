@@ -10,14 +10,16 @@
 //! * a session that fails its manifest checks is refused, and opened
 //!   with one warning per mismatch under `--recover`.
 //!
-//! The fixture is a real fixed-config session exported to disk with
+//! The fixture is a real fixed-config session, with a JIT process whose
+//! samples span several journaled drains, exported to disk with
 //! [`Viprof::export_session`], then inspected through the installed
 //! binary via `CARGO_BIN_EXE_viprof` (which is why this test lives in
 //! the `viprof` package rather than the workspace-root suite).
 
-use oprofile::{OpConfig, SampleDb, SAMPLES_PATH};
-use sim_cpu::{BlockExec, CpuMode};
-use sim_os::{Machine, MachineConfig};
+use oprofile::{OpConfig, SampleDb, SampleOrigin, SAMPLES_PATH, SAMPLE_JOURNAL_PATH};
+use sim_cpu::{Addr, BlockExec, CpuMode};
+use sim_jvm::VmProfilerHooks;
+use sim_os::{Loader, Machine, MachineConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use viprof::codemap::{map_path, render_map, CodeMapEntry};
@@ -29,9 +31,15 @@ const VIPROF: &str = env!("CARGO_BIN_EXE_viprof");
 /// The one epoch code map the fixture carries, as a VM agent writes it.
 const FIXTURE_MAP: &str = "var/lib/oprofile/jit/1/0/map.0000000000";
 
-/// Build a small deterministic journaled session, with one agent code
-/// map, and export it under a unique temp directory. Returns the
-/// session dir (caller cleans up).
+/// The JIT heap the fixture's VM registers and executes in.
+const FIXTURE_HEAP: (Addr, Addr) = (0x1000, 0x2000);
+
+/// Build a small deterministic journaled session and export it under a
+/// unique temp directory. A VM agent registers the one process's
+/// anonymous heap, so its samples are JIT samples; they are drained
+/// over several daemon wakeups, so the journal holds several batches;
+/// and one agent code map covers the first 0x100 bytes of the heap, so
+/// some of them resolve. Returns the session dir (caller cleans up).
 fn export_fixture(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("viprof-cli-json-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -39,11 +47,18 @@ fn export_fixture(tag: &str) -> PathBuf {
 
     let mut m = Machine::new(MachineConfig::default());
     let pid = m.kernel.spawn("cli-json");
-    let vp = Viprof::builder()
-        .config(OpConfig::time_at(10_000))
-        .journal(true)
-        .start(&mut m);
-    m.exec(&BlockExec::compute(pid, CpuMode::User, (0x1000, 0x2000), 1_000_000));
+    let gen = m.kernel.process(pid).expect("spawned").gen;
+    let heap = Loader::map_anon(&mut m.kernel, pid, FIXTURE_HEAP.1 - FIXTURE_HEAP.0, FIXTURE_HEAP.0);
+    assert_eq!(heap, FIXTURE_HEAP);
+    let config = OpConfig {
+        daemon_period_cycles: 300_000,
+        ..OpConfig::time_at(10_000)
+    };
+    let vp = Viprof::builder().config(config).journal(true).start(&mut m);
+    vp.make_agent().on_vm_start(pid, gen, FIXTURE_HEAP);
+    for _ in 0..10 {
+        m.exec(&BlockExec::compute(pid, CpuMode::User, FIXTURE_HEAP, 100_000));
+    }
     vp.stop(&mut m);
     let entry = CodeMapEntry {
         addr: 0x1000,
@@ -167,6 +182,20 @@ fn top_final_json_matches_the_batch_report() {
     let db = SampleDb::from_bytes(bytes).expect("sample db decodes");
     let batch = Viprof::make_report(&db, &kernel, &ReportSpec::default()).expect("batch report");
     let q = &batch.quality;
+    // What makes the comparison mean something: JIT samples, some of
+    // them resolved through the code map, and enough journal batches
+    // for `--interval 1` to print snapshots before the final one.
+    assert!(
+        db.iter().any(|(b, _)| matches!(b.origin, SampleOrigin::JitApp { .. })),
+        "the fixture's process is a registered JIT process"
+    );
+    assert!(
+        rows.to_string().contains("app.Main.run") && q.unresolved > 0,
+        "the code map resolves some JIT samples, not all: {rows}"
+    );
+    let scan = sim_os::journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH).expect("journal exported");
+    let batches = scan.records.iter().filter(|r| r.sample_batch().is_some()).count();
+    assert!(batches >= 3, "the journal holds {batches} sample batches");
     let quality = [
         ("resolved", q.resolved),
         ("stale_epoch", q.stale_epoch),

@@ -31,10 +31,6 @@ pub struct OpConfig {
     /// OProfile behaviour — and the default, so unregulated sessions
     /// replay bit-identically to older seeds).
     pub governor: Option<GovernorConfig>,
-    /// Admission cap on distinct sample-database buckets (bounded
-    /// memory). `None` = unbounded; rejected samples are counted as
-    /// evictions and flow into quality accounting.
-    pub db_bucket_cap: Option<usize>,
     /// Share a telemetry registry with the session. Telemetry is
     /// always on — `None` just means the session creates its own
     /// registry; pass a handle to observe it (or to share one registry
@@ -54,7 +50,6 @@ impl Default for OpConfig {
             journal: false,
             supervisor: None,
             governor: None,
-            db_bucket_cap: None,
             telemetry: None,
         }
     }
@@ -116,12 +111,6 @@ impl OpConfig {
         self
     }
 
-    /// Bound the sample database to at most `buckets` distinct buckets.
-    pub fn with_db_bucket_cap(mut self, buckets: usize) -> Self {
-        self.db_bucket_cap = Some(buckets);
-        self
-    }
-
     /// Validate the configuration before a session starts. An empty
     /// event list used to slip through here and surface later as a
     /// zero `primary_period()` — a divide-by-zero hazard once the
@@ -138,9 +127,6 @@ impl OpConfig {
         }
         if let Some(governor) = &self.governor {
             governor.validate()?;
-        }
-        if self.db_bucket_cap == Some(0) {
-            return Err("db_bucket_cap of 0 would reject every sample".into());
         }
         Ok(())
     }
@@ -216,7 +202,12 @@ mod tests {
         assert!(bad_gov.validate().is_err());
         let good_gov = OpConfig::default().with_governor(GovernorConfig::default());
         assert!(good_gov.validate().is_ok());
-        assert!(OpConfig::default().with_db_bucket_cap(0).validate().is_err());
-        assert!(OpConfig::default().with_db_bucket_cap(10_000).validate().is_ok());
+        // The back-off cap, a multiple of the base period, must be at
+        // least 1.
+        let no_cap = OpConfig::default().with_governor(GovernorConfig {
+            max_scale: 0,
+            ..GovernorConfig::default()
+        });
+        assert!(no_cap.validate().is_err());
     }
 }

@@ -39,7 +39,6 @@ pub(crate) struct DaemonTelemetry {
     governor_backoffs: Counter,
     governor_recoveries: Counter,
     governor_escalations: Counter,
-    db_evicted: Counter,
     governor_period: Gauge,
     batch_samples: Histogram,
     drain_stage: Stage,
@@ -59,7 +58,6 @@ impl DaemonTelemetry {
             governor_backoffs: registry.counter(names::GOVERNOR_BACKOFFS),
             governor_recoveries: registry.counter(names::GOVERNOR_RECOVERIES),
             governor_escalations: registry.counter(names::GOVERNOR_ESCALATIONS),
-            db_evicted: registry.counter(names::DB_EVICTED_SAMPLES),
             governor_period: registry.gauge(names::GOVERNOR_PERIOD),
             batch_samples: registry.histogram(names::DAEMON_BATCH_SAMPLES),
             drain_stage: registry.stage(names::STAGE_DAEMON_DRAIN),
@@ -73,7 +71,7 @@ impl DaemonTelemetry {
     /// incarnation was reaped (not a ring overflow), reported under its
     /// own counter/event.
     fn note_drain(&self, batch: &SampleDb, cycles: u64, journaled: bool, dead: u64) {
-        let drained = drained_samples(batch);
+        let drained = batch.total_samples();
         self.drains.inc();
         self.batch_samples.record(drained);
         self.drain_stage.record(cycles);
@@ -96,7 +94,6 @@ impl DaemonTelemetry {
                 &[("dropped", dead), ("drained", drained)],
             );
         }
-        self.db_evicted.add(batch.evicted);
     }
 
     /// Open the causal spans for one landed drain: the NMI sampling
@@ -139,7 +136,6 @@ impl DaemonTelemetry {
             &[
                 ("samples", batch.total_samples()),
                 ("dropped", batch.dropped),
-                ("evicted", batch.evicted),
                 ("dead", dead),
             ],
         );
@@ -148,14 +144,7 @@ impl DaemonTelemetry {
 
 /// A batch with no samples and no loss accounting: not journaled.
 fn is_trivial(batch: &SampleDb) -> bool {
-    batch.total_samples() == 0 && batch.dropped == 0 && batch.evicted == 0
-}
-
-/// Samples a drained batch took from the ring for live incarnations:
-/// those it holds plus those the admission cap refused, which left the
-/// batch for its `evicted` count.
-fn drained_samples(batch: &SampleDb) -> u64 {
-    batch.total_samples().saturating_add(batch.evicted)
+    batch.total_samples() == 0 && batch.dropped == 0
 }
 
 /// OS image name of the daemon binary.
@@ -277,18 +266,14 @@ impl Drain {
     /// exactly what the drain admitted.
     /// The drained vector is recycled back into the ring before the
     /// driver lock drops, so steady-state drains allocate no ring
-    /// slots. Buckets the shared database's admission cap refused
-    /// leave the batch, and their samples are counted in its `evicted`
-    /// — mirroring how `dropped` carries this window's overflow losses
-    /// — so journal replay rebuilds eviction accounting too, and counts
-    /// no refused sample as admitted.
+    /// slots.
     /// The third return value is the count of samples refused because
     /// their `(pid, gen)` registration was reaped (the incarnation died
     /// unclean). Those are folded into `batch.dropped` — alongside ring
     /// overflow losses — so both the shared database and journal replay
     /// account them as dropped, never as resolvable samples.
     pub(crate) fn drain_batch(&self) -> (SampleDb, u64, u64) {
-        let (mut batch, n, probe, dead) = {
+        let (batch, n, probe, dead) = {
             let mut d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
             let (mut samples, dropped) = d.drain();
             let n = samples.len() as u64;
@@ -306,7 +291,7 @@ impl Drain {
         self.db
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .merge_admitted(&mut batch);
+            .merge(&batch);
         (batch, self.cost.daemon_drain(n) + probe, dead)
     }
 
@@ -320,7 +305,7 @@ impl Drain {
     /// `parent`, the record is written as [`KIND_SAMPLE_BATCH_TRACED`],
     /// and that journal span's identity rides in the record header — so
     /// an offline resolver can point at the exact batch where a sample
-    /// was dropped or evicted.
+    /// was dropped.
     pub(crate) fn journal_batch(
         &mut self,
         vfs: &mut Vfs,
@@ -343,7 +328,6 @@ impl Drain {
                 ("seq", seq),
                 ("samples", batch.total_samples()),
                 ("dropped", batch.dropped),
-                ("evicted", batch.evicted),
             ],
         );
     }
@@ -456,7 +440,7 @@ impl Daemon {
             .run(ctx.kernel, now, true, |_, _| {});
         self.drains += 1;
         self.charge(ctx, drained.cycles);
-        drained_samples(&drained.batch)
+        drained.batch.total_samples()
     }
 
     /// Injected-fault counters, if a schedule is installed.
@@ -858,54 +842,6 @@ pub(crate) mod tests {
         let snap = t.snapshot();
         assert!(snap.counter(names::DAEMON_DEADLINE_MISSES) >= 2);
         assert!(snap.counter(names::GOVERNOR_ESCALATIONS) >= 1, "threshold of 2 crossed");
-    }
-
-    #[test]
-    fn capped_db_counts_evictions_through_the_drain_path() {
-        use viprof_telemetry::names;
-        let t = Telemetry::new();
-        let mut m = Machine::new(MachineConfig::default());
-        let (d, driver, db, _) = spawn_daemon(&mut m, &t, 64, CostModel::free(), 100, None);
-        *db.lock().unwrap_or_else(PoisonError::into_inner) = SampleAccumulator::new(Some(2));
-        m.add_service(Box::new(d));
-        for i in 0..5 {
-            let mut d = driver.lock().unwrap_or_else(PoisonError::into_inner);
-            d.buffer.push(bucket(i * 16)); // 5 distinct buckets
-        }
-        m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
-        assert_eq!(
-            db.lock().unwrap_or_else(PoisonError::into_inner).db().len(),
-            2,
-            "cap bounds distinct buckets"
-        );
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().evicted, 3);
-        assert_eq!(db.lock().unwrap_or_else(PoisonError::into_inner).db().total_samples(), 2);
-        let snap = t.snapshot();
-        assert_eq!(snap.counter(names::DB_EVICTED_SAMPLES), 3);
-    }
-
-    #[test]
-    fn capped_journal_replays_without_counting_refused_samples_twice() {
-        use sim_os::journal::scan;
-        let mut m = Machine::new(MachineConfig::default());
-        let journal = JournalWriter::create(&mut m.kernel.vfs, "/j");
-        let (d, driver, db, _) =
-            spawn_daemon(&mut m, &Telemetry::new(), 64, CostModel::free(), 100, Some(journal));
-        *db.lock().unwrap_or_else(PoisonError::into_inner) = SampleAccumulator::new(Some(3));
-        m.add_service(Box::new(d));
-        for i in 0..10 {
-            driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(i * 16));
-        }
-        m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
-        let held = db.lock().unwrap_or_else(PoisonError::into_inner).db().clone();
-        assert_eq!((held.total_samples(), held.evicted), (3, 7));
-        let mut replayed = SampleDb::new();
-        for rec in &scan(&m.kernel.vfs, "/j").unwrap().records {
-            let (_, body) = rec.sample_batch().unwrap().unwrap();
-            replayed.merge_from_bytes(body).unwrap();
-        }
-        assert_eq!(replayed, held, "the journal holds only admitted buckets");
-        assert_eq!(replayed.total_samples(), 3);
     }
 
     #[test]

@@ -60,7 +60,7 @@ const EVENTS: usize = HwEvent::ALL.len();
 /// the order of the sample file, so reading one is a linear decode and
 /// writing one sorts nothing; the resolution engine shards the vector
 /// into contiguous slices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleDb {
     /// Sorted by bucket, no bucket twice.
     buckets: Vec<(SampleBucket, u64)>,
@@ -68,26 +68,11 @@ pub struct SampleDb {
     totals: [u64; EVENTS],
     /// Samples lost to ring-buffer overflow (reported by the daemon).
     pub dropped: u64,
-    /// Samples refused by the admission cap: the database was at its
-    /// bucket limit and the sample would have created a new bucket.
-    /// Like `dropped`, these never enter `total_samples()` but are
-    /// carried through serialization so quality accounting sees them.
+    /// Samples an older session's admission cap refused, read from the
+    /// v2/v3 header word. Like `dropped`, these never enter
+    /// `total_samples()` but are carried through serialization and
+    /// merges so quality accounting sees them.
     pub evicted: u64,
-    /// Bounded-memory admission cap on distinct buckets (`None` =
-    /// unbounded). Configuration, not content: excluded from equality
-    /// and serialization.
-    cap: Option<usize>,
-}
-
-/// Equality is over sample *content* (buckets, drop and eviction
-/// counts), not configuration — a capped database equals its uncapped
-/// round-trip through the sample-file format.
-impl PartialEq for SampleDb {
-    fn eq(&self, other: &Self) -> bool {
-        self.buckets == other.buckets
-            && self.dropped == other.dropped
-            && self.evicted == other.evicted
-    }
 }
 
 impl SampleDb {
@@ -99,7 +84,7 @@ impl SampleDb {
     /// drained batch is built: the samples are quantized as
     /// [`add`](Self::add) quantizes them and sorted in place, then each
     /// run of equal buckets is counted once. The database is allocated
-    /// for its distinct buckets only and has no admission cap.
+    /// for its distinct buckets only.
     pub(crate) fn from_samples(samples: &mut [SampleBucket]) -> SampleDb {
         for sample in samples.iter_mut() {
             *sample = sample.quantize();
@@ -124,21 +109,6 @@ impl SampleDb {
         }
     }
 
-    /// Bound the database to at most `cap` distinct buckets. Samples
-    /// for existing buckets always accumulate; samples that would mint
-    /// a new bucket past the cap are counted in `evicted` instead.
-    pub fn set_admission_cap(&mut self, cap: Option<usize>) {
-        self.cap = cap;
-    }
-
-    pub fn admission_cap(&self) -> Option<usize> {
-        self.cap
-    }
-
-    fn at_cap(&self, held: usize) -> bool {
-        self.cap.is_some_and(|cap| held >= cap)
-    }
-
     /// Count `n` samples in `bucket`. Counts saturate at `u64::MAX`, so
     /// a hostile sample file can neither wrap them nor panic a reader.
     /// A new bucket is inserted in place, which moves every bucket
@@ -150,10 +120,6 @@ impl SampleDb {
             Ok(i) => {
                 let count = &mut self.buckets[i].1;
                 *count = count.saturating_add(n);
-            }
-            Err(_) if self.at_cap(self.buckets.len()) => {
-                self.evicted = self.evicted.saturating_add(n);
-                return;
             }
             Err(i) => self.buckets.insert(i, (bucket, n)),
         }
@@ -192,54 +158,22 @@ impl SampleDb {
         &self.buckets
     }
 
-    /// Merge `other` in one pass over both databases. Under an
-    /// admission cap, new buckets are admitted in bucket order.
+    /// Merge `other` in one pass over both databases.
     pub fn merge(&mut self, other: &SampleDb) {
-        let refused = self.merge_sorted(&other.buckets, |_| {});
+        self.merge_sorted(&other.buckets);
         self.dropped = self.dropped.saturating_add(other.dropped);
-        self.evicted = self
-            .evicted
-            .saturating_add(other.evicted)
-            .saturating_add(refused);
+        self.evicted = self.evicted.saturating_add(other.evicted);
     }
 
-    /// Merge a drained batch and trim it to what was admitted: buckets
-    /// the admission cap refused leave `batch`, and their samples move
-    /// to its `evicted` count, as they do to `self`'s. So the trimmed
-    /// batch, merged into an uncapped database, adds exactly what it
-    /// added here.
-    pub(crate) fn merge_admitted(&mut self, batch: &mut SampleDb) {
-        let mut refused_at = Vec::new();
-        let refused = self.merge_sorted(&batch.buckets, |i| refused_at.push(i));
-        batch.evicted = batch.evicted.saturating_add(refused);
-        self.dropped = self.dropped.saturating_add(batch.dropped);
-        self.evicted = self.evicted.saturating_add(batch.evicted);
-        if !refused_at.is_empty() {
-            let mut refused_at = refused_at.into_iter().peekable();
-            let mut at = 0;
-            batch.buckets.retain(|_| {
-                let keep = refused_at.next_if_eq(&at).is_none();
-                at += 1;
-                keep
-            });
-            batch.totals = totals_of(&batch.buckets);
-        }
-    }
-
-    /// Merge `run`, sorted and coalesced, in one pass. New buckets are
-    /// admitted in run order while the admission cap has room;
-    /// `refused` hears the index of each run entry it turns away.
-    /// Returns the samples refused; the caller counts them as evicted.
-    fn merge_sorted(&mut self, run: &[(SampleBucket, u64)], mut refused: impl FnMut(usize)) -> u64 {
+    /// Merge `run`, sorted and coalesced, in one pass.
+    fn merge_sorted(&mut self, run: &[(SampleBucket, u64)]) {
         if run.is_empty() {
-            return 0;
+            return;
         }
         let old = std::mem::take(&mut self.buckets);
         let mut merged = Vec::with_capacity(old.len() + run.len());
         let mut rest = old.as_slice();
-        let mut held = old.len();
-        let mut evicted = 0u64;
-        for (i, &(bucket, count)) in run.iter().enumerate() {
+        for &(bucket, count) in run {
             let below = count_below(rest, &bucket);
             merged.extend_from_slice(&rest[..below]);
             rest = &rest[below..];
@@ -248,21 +182,12 @@ impl SampleDb {
                     merged.push((b, c.saturating_add(count)));
                     rest = &rest[1..];
                 }
-                _ if self.at_cap(held) => {
-                    evicted = evicted.saturating_add(count);
-                    refused(i);
-                    continue;
-                }
-                _ => {
-                    merged.push((bucket, count));
-                    held += 1;
-                }
+                _ => merged.push((bucket, count)),
             }
             self.add_total(bucket.event, count);
         }
         merged.extend_from_slice(rest);
         self.buckets = merged;
-        evicted
     }
 
     // --- binary serialization (the "sample files" on the VFS) ---
@@ -328,25 +253,6 @@ impl SampleDb {
     pub fn header_from_bytes(data: &[u8]) -> Result<(u64, u64), String> {
         CheckedFile::check(data).map(|file| (file.dropped, file.evicted))
     }
-
-    /// Merge a serialized sample file into `self`, all or nothing: the
-    /// whole file is checked first, so on `Err` `self` is unchanged.
-    /// The result equals `self.merge(&SampleDb::from_bytes(data)?)`,
-    /// except that under an admission cap records are admitted in
-    /// file order (bucket order, for a file this crate wrote).
-    pub fn merge_from_bytes(&mut self, data: &[u8]) -> Result<(), String> {
-        let file = CheckedFile::check(data)?;
-        if self.cap.is_some() {
-            for (bucket, count) in file.records() {
-                self.add(bucket, count);
-            }
-        } else {
-            self.merge_sorted(&file.sorted_run(), |_| {});
-        }
-        self.dropped = self.dropped.saturating_add(file.dropped);
-        self.evicted = self.evicted.saturating_add(file.evicted);
-        Ok(())
-    }
 }
 
 /// Samples per event over `run`, saturating.
@@ -400,11 +306,6 @@ fn count_below(sorted: &[(SampleBucket, u64)], bucket: &SampleBucket) -> usize {
 /// database each time: on the stream_recover benchmark (a few thousand
 /// buckets, hundreds of drains, a 2-core host) it raised the session's
 /// median time by 20–23 % and the recovered report's by 35–37 %.
-///
-/// Under an admission cap nothing is staged: admission depends on the
-/// buckets the database already holds, so the daemon's capped drains
-/// go through `merge_admitted`, which merges at once.
-/// [`merge`](Self::merge) is for uncapped accumulators only.
 #[derive(Debug, Clone, Default)]
 pub struct SampleAccumulator {
     db: SampleDb,
@@ -415,20 +316,10 @@ pub struct SampleAccumulator {
 }
 
 impl SampleAccumulator {
-    pub fn new(cap: Option<usize>) -> SampleAccumulator {
-        let mut db = SampleDb::new();
-        db.set_admission_cap(cap);
-        SampleAccumulator {
-            db,
-            staged: Vec::new(),
-        }
-    }
-
-    /// Merge `batch` into an uncapped accumulator: in place for each
+    /// Merge `batch`: in place for each
     /// bucket the database holds, staged for the rest. The batch is in
     /// bucket order, so its buckets are searched in one forward sweep.
     pub fn merge(&mut self, batch: &SampleDb) {
-        debug_assert!(self.db.cap.is_none(), "a capped accumulator merges through merge_admitted");
         let db = &mut self.db;
         db.dropped = db.dropped.saturating_add(batch.dropped);
         db.evicted = db.evicted.saturating_add(batch.evicted);
@@ -450,15 +341,6 @@ impl SampleAccumulator {
         }
     }
 
-    /// [`SampleDb::merge_admitted`] into the accumulated database.
-    /// Uncapped, every bucket is admitted and `batch` stays as it is.
-    pub(crate) fn merge_admitted(&mut self, batch: &mut SampleDb) {
-        match self.db.cap {
-            Some(_) => self.db.merge_admitted(batch),
-            None => self.merge(batch),
-        }
-    }
-
     /// Sort and sum the staging run and merge it into the database.
     /// The run's allocation is freed with it: between compactions a
     /// session stages few buckets, and a kept allocation would hold
@@ -469,7 +351,7 @@ impl SampleAccumulator {
             return;
         }
         sort_and_sum(&mut staged);
-        self.db.merge_sorted(&staged, |_| {});
+        self.db.merge_sorted(&staged);
     }
 
     /// The accumulated database, compacted.
@@ -761,7 +643,7 @@ mod tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back.total(HwEvent::Cycles), u64::MAX);
         let mut sink = back.clone();
-        sink.merge_from_bytes(&bytes).unwrap();
+        sink.merge(&SampleDb::from_bytes(&bytes).unwrap());
         sink.merge(&back);
         assert_eq!(sink.buckets()[0].1, u64::MAX);
         assert_eq!(sink.dropped, u64::MAX);
@@ -769,34 +651,24 @@ mod tests {
     }
 
     #[test]
-    fn admission_cap_bounds_buckets_and_counts_evictions() {
-        let mut db = SampleDb::new();
-        db.set_admission_cap(Some(2));
-        db.add(img_bucket(0x00, HwEvent::Cycles), 1);
-        db.add(img_bucket(0x10, HwEvent::Cycles), 1);
-        db.add(img_bucket(0x20, HwEvent::Cycles), 5); // third bucket: refused
-        db.add(img_bucket(0x00, HwEvent::Cycles), 3); // existing: accumulates
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.evicted, 5);
-        assert_eq!(db.total_samples(), 5, "evicted samples never enter totals");
-        assert_eq!(db.total(HwEvent::Cycles), 5);
-    }
-
-    #[test]
     fn evictions_survive_serialization_and_merge() {
+        // An older session's admission cap wrote a nonzero `evicted`
+        // word; the reader keeps it through every path.
         let mut db = SampleDb::new();
-        db.set_admission_cap(Some(1));
         db.add(img_bucket(0x00, HwEvent::Cycles), 2);
-        db.add(img_bucket(0x10, HwEvent::Cycles), 3);
-        assert_eq!(db.evicted, 3);
+        db.evicted = 3;
         let back = SampleDb::from_bytes(&db.to_bytes()).unwrap();
-        assert_eq!(back, db, "content equality ignores the cap config");
+        assert_eq!(back, db);
         assert_eq!(back.evicted, 3);
-        assert_eq!(back.admission_cap(), None, "cap is config, not content");
+        assert_eq!(back.total_samples(), 2, "evicted samples never enter totals");
 
         let mut sink = SampleDb::new();
         sink.merge(&back);
         assert_eq!(sink.evicted, 3);
+        let mut acc = SampleAccumulator::default();
+        acc.merge(&back);
+        acc.merge(&back);
+        assert_eq!(acc.db().evicted, 6);
     }
 
     #[test]
@@ -814,62 +686,6 @@ mod tests {
         let back = SampleDb::from_bytes(&v1).unwrap();
         assert_eq!(back, db);
         assert_eq!(back.evicted, 0);
-    }
-
-    /// Ten distinct buckets, counts 1..=10, added highest first.
-    fn ten_buckets() -> SampleDb {
-        let mut batch = SampleDb::new();
-        for i in (0..10u64).rev() {
-            batch.add(img_bucket(i * 0x10, HwEvent::Cycles), i + 1);
-        }
-        batch
-    }
-
-    fn capped(cap: usize) -> SampleDb {
-        let mut db = SampleDb::new();
-        db.set_admission_cap(Some(cap));
-        db.add(img_bucket(0x50, HwEvent::Cycles), 100);
-        db
-    }
-
-    #[test]
-    fn capped_merge_admits_in_bucket_order_like_the_file_reader() {
-        let batch = ten_buckets();
-        let mut merged = capped(3);
-        merged.merge(&batch);
-        for _ in 0..20 {
-            let mut again = capped(3);
-            again.merge(&batch);
-            assert_eq!(again, merged, "identical inputs admit identical buckets");
-        }
-        let held: Vec<u64> = merged.iter().map(|(b, _)| b.addr).collect();
-        assert_eq!(held, [0x00, 0x10, 0x50], "the lowest new buckets, then the held one");
-        assert_eq!(merged.buckets()[2].1, 106, "a held bucket always accumulates");
-        assert_eq!(merged.evicted, 55 - 1 - 2 - 6);
-        let mut from_file = capped(3);
-        from_file.merge_from_bytes(&batch.to_bytes()).unwrap();
-        assert_eq!(from_file, merged, "merge ≡ merge_from_bytes under a cap");
-        assert_eq!(from_file.total_samples(), merged.total_samples());
-    }
-
-    #[test]
-    fn merge_admitted_trims_the_batch_to_what_replays() {
-        let mut db = capped(3);
-        let mut batch = ten_buckets();
-        batch.dropped = 4;
-        db.merge_admitted(&mut batch);
-        let held: Vec<u64> = batch.iter().map(|(b, _)| b.addr).collect();
-        assert_eq!(held, [0x00, 0x10, 0x50], "refused buckets leave the batch");
-        assert_eq!(batch.total_samples(), 1 + 2 + 6);
-        assert_eq!(batch.evicted, 55 - 1 - 2 - 6);
-        assert_eq!(db.evicted, batch.evicted);
-        // Replaying the trimmed batch over what the database held
-        // before it rebuilds the database, with nothing counted twice.
-        let mut replayed = SampleDb::new();
-        replayed.add(img_bucket(0x50, HwEvent::Cycles), 100);
-        replayed.merge(&batch);
-        assert_eq!(replayed, db);
-        assert_eq!(replayed.total_samples(), db.total_samples());
     }
 
     #[test]
@@ -920,18 +736,6 @@ mod tests {
         let db = acc.into_db();
         assert_eq!(db, want);
         assert_eq!(db.total_samples(), want.total_samples());
-    }
-
-    #[test]
-    fn capped_accumulator_merges_at_once() {
-        let mut acc = SampleAccumulator::new(Some(3));
-        acc.merge_admitted(&mut capped(3));
-        let mut batch = ten_buckets();
-        acc.merge_admitted(&mut batch);
-        let mut direct = capped(3);
-        direct.merge(&ten_buckets());
-        assert_eq!(acc.db(), &direct);
-        assert_eq!(batch.len(), 3);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl Oprofile {
         }
         machine.set_handler(driver.clone());
 
-        let db = Arc::new(Mutex::new(SampleAccumulator::new(config.db_bucket_cap)));
+        let db = Arc::new(Mutex::new(SampleAccumulator::default()));
         let active = Arc::new(AtomicBool::new(true));
         let journal = config.journal.then(|| {
             let mut writer = JournalWriter::create(&mut machine.kernel.vfs, SAMPLE_JOURNAL_PATH);
@@ -510,13 +510,12 @@ mod tests {
     fn governed_session_publishes_period_and_cap() {
         use crate::governor::GovernorConfig;
         let mut m = machine();
-        let config = OpConfig::time_at(90_000)
-            .with_governor(GovernorConfig::default())
-            .with_db_bucket_cap(64);
+        let config = OpConfig::time_at(90_000).with_governor(GovernorConfig::default());
+        let capacity = config.buffer_capacity as u64;
         let op = Oprofile::start(&mut m, config);
         let snap = op.telemetry().snapshot();
         assert_eq!(snap.gauge(names::GOVERNOR_PERIOD), 90_000);
-        assert_eq!(op.db.lock().unwrap_or_else(PoisonError::into_inner).db().admission_cap(), Some(64));
+        assert_eq!(snap.gauge(names::BUFFER_CAPACITY), capacity);
         op.stop(&mut m);
     }
 

@@ -41,12 +41,6 @@ impl MemAccess {
             kind: AccessKind::Write,
         }
     }
-    pub fn fetch(addr: Addr) -> Self {
-        MemAccess {
-            addr,
-            kind: AccessKind::Fetch,
-        }
-    }
 }
 
 /// Geometry of one cache level.
@@ -291,7 +285,10 @@ mod tests {
         assert!(!r.l1_miss);
         assert_eq!(r.penalty_cycles, 0);
         // Fetches go through L1I, separate from L1D.
-        let r = h.access(MemAccess::fetch(0x1000));
+        let r = h.access(MemAccess {
+            addr: 0x1000,
+            kind: AccessKind::Fetch,
+        });
         assert!(r.l1_miss, "L1I is cold even though L1D holds the line");
         assert!(!r.l2_miss, "L2 already holds the line");
         assert_eq!(r.penalty_cycles, 10);

@@ -70,10 +70,6 @@ pub struct Counter {
     spec: CounterSpec,
     /// Events remaining until the next overflow.
     remaining: u64,
-    /// Total events observed (including those during NMI handlers).
-    total: u64,
-    /// Total overflows (== samples requested) so far.
-    overflows: u64,
 }
 
 impl Counter {
@@ -81,8 +77,6 @@ impl Counter {
         Counter {
             remaining: spec.period,
             spec,
-            total: 0,
-            overflows: 0,
         }
     }
 
@@ -90,23 +84,9 @@ impl Counter {
         self.spec
     }
 
-    pub fn total_events(&self) -> u64 {
-        self.total
-    }
-
-    pub fn total_overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Events remaining until the next overflow fires.
-    pub fn until_overflow(&self) -> u64 {
-        self.remaining
-    }
-
     /// Deliver `n` events; returns the overflow positions within the
     /// batch (see [`Overflows`]).
     pub fn add(&mut self, n: u64) -> Overflows {
-        self.total += n;
         if n < self.remaining {
             self.remaining -= n;
             return Overflows::NONE;
@@ -116,7 +96,6 @@ impl Counter {
         let count = 1 + after_first / self.spec.period;
         let leftover = after_first % self.spec.period;
         self.remaining = self.spec.period - leftover;
-        self.overflows += count;
         Overflows {
             count,
             first,
@@ -256,8 +235,7 @@ mod tests {
     fn no_overflow_below_period() {
         let mut c = Counter::new(cyc(100));
         assert_eq!(c.add(99), Overflows::NONE);
-        assert_eq!(c.until_overflow(), 1);
-        assert_eq!(c.total_events(), 99);
+        assert_eq!(c.remaining, 1);
     }
 
     #[test]
@@ -266,7 +244,7 @@ mod tests {
         let o = c.add(100);
         assert_eq!(o.count, 1);
         assert_eq!(o.first, 100);
-        assert_eq!(c.until_overflow(), 100);
+        assert_eq!(c.remaining, 100);
     }
 
     #[test]
@@ -278,8 +256,7 @@ mod tests {
         assert_eq!(o.first, 70);
         assert_eq!(o.position(1), 170);
         // 250 - 70 = 180; 180 % 100 = 80 consumed after last overflow
-        assert_eq!(c.until_overflow(), 20);
-        assert_eq!(c.total_overflows(), 2);
+        assert_eq!(c.remaining, 20);
     }
 
     #[test]
@@ -293,11 +270,9 @@ mod tests {
     #[test]
     fn total_events_accumulate_across_batches() {
         let mut c = Counter::new(cyc(90_000));
-        for _ in 0..10 {
-            c.add(45_000);
-        }
-        assert_eq!(c.total_events(), 450_000);
-        assert_eq!(c.total_overflows(), 5);
+        let overflows: u64 = (0..10).map(|_| c.add(45_000).count).sum();
+        assert_eq!(overflows, 5, "450,000 events are five periods");
+        assert_eq!(c.remaining, 90_000);
     }
 
     #[test]
@@ -329,8 +304,7 @@ mod tests {
         let mut c = Counter::new(cyc(10));
         let lost = c.add_masked(35);
         assert_eq!(lost, 3);
-        assert_eq!(c.total_events(), 35);
-        assert_eq!(c.until_overflow(), 5);
+        assert_eq!(c.remaining, 5);
     }
 
     #[test]
@@ -338,19 +312,18 @@ mod tests {
         let mut c = Counter::new(cyc(100));
         c.add(30); // 70 remaining
         c.set_period(40); // shrink: countdown clamps to 40
-        assert_eq!(c.until_overflow(), 40);
+        assert_eq!(c.remaining, 40);
         assert_eq!(c.spec().period, 40);
-        assert_eq!(c.total_events(), 30, "totals survive reprogramming");
         let o = c.add(40);
         assert_eq!(o.count, 1);
         assert_eq!(o.period, 40);
         // Growing the period never lengthens an armed countdown.
         c.add(10); // 30 remaining of 40
         c.set_period(1_000);
-        assert_eq!(c.until_overflow(), 30);
+        assert_eq!(c.remaining, 30);
         let o = c.add(30);
         assert_eq!(o.count, 1);
-        assert_eq!(c.until_overflow(), 1_000, "reload uses the new period");
+        assert_eq!(c.remaining, 1_000, "reload uses the new period");
     }
 
     #[test]
@@ -376,6 +349,6 @@ mod tests {
         let mut bank = CounterBank::new();
         bank.program(cyc(10));
         assert!(bank.add_events(HwEvent::Cycles, 0).is_none());
-        assert_eq!(bank.counter(0).total_events(), 0);
+        assert_eq!(bank.counter(0).remaining, 10);
     }
 }

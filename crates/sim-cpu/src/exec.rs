@@ -361,8 +361,10 @@ mod tests {
         cpu.execute_block(&user_block(100), &mut h);
         assert_eq!(h.samples.len(), 1);
         assert_eq!(cpu.stats.samples_suppressed, 3);
-        // The counter still observed every cycle.
-        assert_eq!(cpu.bank.counter(0).total_events(), 450);
+        // The counter still observed every cycle: 450 events leave it
+        // 50 short of the next overflow.
+        assert!(cpu.bank.add_events(HwEvent::Cycles, 49).is_none());
+        assert!(cpu.bank.add_events(HwEvent::Cycles, 1).is_some());
     }
 
     #[test]

@@ -84,22 +84,6 @@ impl AosPolicy {
             _ => None,
         }
     }
-
-    /// Policy that never recompiles (baseline-only ablation).
-    pub fn baseline_only() -> Self {
-        AosPolicy {
-            opt1_threshold: u64::MAX,
-            opt2_threshold: u64::MAX,
-        }
-    }
-
-    /// Aggressive policy for tests that need recompilation quickly.
-    pub fn eager() -> Self {
-        AosPolicy {
-            opt1_threshold: 2,
-            opt2_threshold: 8,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +136,10 @@ mod tests {
 
     #[test]
     fn baseline_only_never_promotes() {
-        let p = AosPolicy::baseline_only();
+        let p = AosPolicy {
+            opt1_threshold: u64::MAX,
+            opt2_threshold: u64::MAX,
+        };
         let very_hot = HotnessCounters {
             invocations: u64::MAX / 2,
             backedges: 0,

@@ -428,15 +428,6 @@ impl Vm {
         self.methods[m.0 as usize].level
     }
 
-    /// Write statics (benchmark setup).
-    pub fn set_static(&mut self, slot: usize, v: Value) {
-        self.interp.statics[slot] = v;
-    }
-
-    pub fn get_static(&self, slot: usize) -> Value {
-        self.interp.statics[slot]
-    }
-
     /// Allocate a long-lived object graph (caches, tables, warehouse
     /// state) rooted in statics: ~4 KiB arrays that survive every
     /// collection, get copied by the first few GCs and then mature.
@@ -1280,7 +1271,10 @@ mod tests {
         let mut vm = boot_simple(
             &mut m,
             VmConfig {
-                aos: AosPolicy::eager(),
+                aos: AosPolicy {
+                    opt1_threshold: 2,
+                    opt2_threshold: 8,
+                },
                 ..VmConfig::default()
             },
         );
@@ -1479,7 +1473,7 @@ mod tests {
             let mut machine = Machine::new(sim_os::MachineConfig::default());
             machine
                 .cpu
-                .program_counter(sim_cpu::CounterSpec::new(sim_cpu::HwEvent::L1DMiss, 1_000));
+                .program_counter(sim_cpu::CounterSpec::new(sim_cpu::HwEvent::L1DMiss, 1));
             let mut vm = Vm::boot(
                 &mut machine,
                 build(),
@@ -1492,7 +1486,8 @@ mod tests {
                 Box::new(NullHooks),
             );
             vm.run(&mut machine);
-            machine.cpu.bank.counter(0).total_events()
+            // A period of 1 delivers one sample per miss.
+            machine.cpu.stats.samples_delivered
         };
 
         let detailed_misses = run(true);
@@ -1566,8 +1561,8 @@ mod tests {
             VmConfig::default(),
             Box::new(NullHooks),
         );
-        vm.set_static(2, Value::I64(99));
+        vm.interp.statics[2] = Value::I64(99);
         vm.run(&mut mach);
-        assert_eq!(vm.get_static(2), Value::I64(99));
+        assert_eq!(vm.interp.statics[2], Value::I64(99));
     }
 }

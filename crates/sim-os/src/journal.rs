@@ -420,11 +420,6 @@ impl JournalWriter {
         &self.path
     }
 
-    /// The sequence number the next appended record will carry.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Record appends/commits/repairs into `registry` from here on.
     pub fn set_telemetry(&mut self, registry: &Telemetry) {
         self.telemetry = Some(JournalTelemetry::attach(registry));

@@ -33,22 +33,6 @@ impl SplitMix64 {
         assert!(lo < hi, "empty range {lo}..{hi}");
         lo + self.next_u64() % (hi - lo)
     }
-
-    /// Approximately standard-normal deviate (sum of 12 uniforms − 6:
-    /// Irwin–Hall; adequate for the ±2 % noise model and fully
-    /// deterministic).
-    pub fn next_normal(&mut self) -> f64 {
-        let mut s = 0.0;
-        for _ in 0..12 {
-            s += self.next_f64();
-        }
-        s - 6.0
-    }
-
-    /// Derive an independent stream (for parallel benchmark runs).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -90,33 +74,34 @@ mod tests {
     }
 
     #[test]
-    fn normal_has_plausible_moments() {
+    fn f64_has_uniform_moments() {
         let mut r = SplitMix64::new(1234);
         let n = 100_000;
         let (mut sum, mut sum2) = (0.0, 0.0);
         for _ in 0..n {
-            let x = r.next_normal();
+            let x = r.next_f64();
             sum += x;
             sum2 += x * x;
         }
         let mean = sum / n as f64;
         let var = sum2 / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
+        assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
+        assert!((var - 1.0 / 12.0).abs() < 0.002, "var {var}");
     }
 
     #[test]
     fn fork_streams_are_independent_but_deterministic() {
+        // A stream seeded from a parent's draw, the way callers derive
+        // one per run.
+        let fork = |parent: &mut SplitMix64| -> Vec<u64> {
+            let mut f = SplitMix64::new(parent.next_u64());
+            (0..5).map(|_| f.next_u64()).collect()
+        };
         let mut a = SplitMix64::new(5);
-        let fork1: Vec<u64> = {
-            let mut f = a.fork();
-            (0..5).map(|_| f.next_u64()).collect()
-        };
-        let mut b = SplitMix64::new(5);
-        let fork2: Vec<u64> = {
-            let mut f = b.fork();
-            (0..5).map(|_| f.next_u64()).collect()
-        };
+        let fork1 = fork(&mut a);
+        let fork2 = fork(&mut SplitMix64::new(5));
         assert_eq!(fork1, fork2);
+        let parent: Vec<u64> = (0..5).map(|_| a.next_u64()).collect();
+        assert_ne!(fork1, parent, "the fork does not replay its parent");
     }
 }

@@ -104,14 +104,6 @@ pub const DEFAULT_HEALTH_RULES: &[HealthRule] = &[
         escalate_sustain: 3,
     },
     HealthRule {
-        id: names::HEALTH_DB_EVICTION,
-        series: names::DB_EVICTED_SAMPLES,
-        threshold: 1,
-        sustain: 1,
-        severity: Severity::Warning,
-        escalate_sustain: 3,
-    },
-    HealthRule {
         id: names::HEALTH_DEAD_GENERATION,
         series: names::DAEMON_DEAD_GEN_DROPPED,
         threshold: 1,

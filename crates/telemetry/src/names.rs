@@ -18,7 +18,6 @@ pub const DAEMON_STALLS: &str = "daemon.stalls";
 pub const DAEMON_BATCHES_JOURNALED: &str = "daemon.batches_journaled";
 pub const DAEMON_DEAD_GEN_DROPPED: &str = "daemon.dead_gen_dropped";
 pub const DAEMON_DEADLINE_MISSES: &str = "daemon.deadline_misses";
-pub const DB_EVICTED_SAMPLES: &str = "db.evicted_samples";
 pub const GOVERNOR_BACKOFFS: &str = "governor.backoffs";
 pub const GOVERNOR_ESCALATIONS: &str = "governor.escalations";
 pub const GOVERNOR_RECOVERIES: &str = "governor.recoveries";
@@ -62,7 +61,6 @@ pub const SATURATION_COUNTERS: &[&str] = &[
     BUFFER_DROPPED,
     CPU_SAMPLES_SUPPRESSED,
     DAEMON_DEAD_GEN_DROPPED,
-    DB_EVICTED_SAMPLES,
     TRACE_SPANS_DROPPED,
 ];
 
@@ -83,7 +81,6 @@ pub const TIMELINE_COUNTERS: &[&str] = &[
     DAEMON_DRAINS,
     DAEMON_STALLS,
     DAEMON_WAKEUPS,
-    DB_EVICTED_SAMPLES,
     GOVERNOR_BACKOFFS,
     GOVERNOR_ESCALATIONS,
     GOVERNOR_RECOVERIES,
@@ -146,7 +143,6 @@ pub const LINEAGE_QUARANTINED: &str = "lineage.quarantined";
 
 // ---- health rule ids (`SessionReport.health` findings) ----
 pub const HEALTH_BUFFER_OVERFLOW: &str = "health.buffer_overflow";
-pub const HEALTH_DB_EVICTION: &str = "health.db_eviction";
 pub const HEALTH_DEAD_GENERATION: &str = "health.dead_generation";
 pub const HEALTH_DEADLINE_MISS: &str = "health.deadline_miss";
 pub const HEALTH_GOVERNOR_BACKOFF: &str = "health.governor_backoff";
@@ -184,7 +180,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("counter", DAEMON_DRAINS),
     ("counter", DAEMON_STALLS),
     ("counter", DAEMON_WAKEUPS),
-    ("counter", DB_EVICTED_SAMPLES),
     ("counter", GOVERNOR_BACKOFFS),
     ("counter", GOVERNOR_ESCALATIONS),
     ("counter", GOVERNOR_RECOVERIES),
@@ -236,7 +231,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("lineage", LINEAGE_EVICTED),
     ("lineage", LINEAGE_QUARANTINED),
     ("health", HEALTH_BUFFER_OVERFLOW),
-    ("health", HEALTH_DB_EVICTION),
     ("health", HEALTH_DEAD_GENERATION),
     ("health", HEALTH_DEADLINE_MISS),
     ("health", HEALTH_GOVERNOR_BACKOFF),

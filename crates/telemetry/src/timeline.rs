@@ -484,13 +484,13 @@ mod tests {
     #[test]
     fn rates_and_top_movers() {
         let mut t = Timeline::with_capacity(8);
-        t.record(1_000, &[("buffer.dropped", 5), ("db.evicted_samples", 1)], &[]);
-        t.record(2_000, &[("buffer.dropped", 5), ("db.evicted_samples", 9)], &[]);
+        t.record(1_000, &[("buffer.dropped", 5), ("journal.repairs", 1)], &[]);
+        t.record(2_000, &[("buffer.dropped", 5), ("journal.repairs", 9)], &[]);
         let rates = t.rate_per_mcycle("buffer.dropped");
         assert_eq!(rates, vec![(1_000, 5_000), (2_000, 0)]);
         assert_eq!(
             t.top_movers(5),
-            vec![("db.evicted_samples".to_string(), 9), ("buffer.dropped".to_string(), 5)]
+            vec![("journal.repairs".to_string(), 9), ("buffer.dropped".to_string(), 5)]
         );
     }
 }

@@ -141,7 +141,10 @@ fn expression_semantics_match_oracle() {
                 &program,
                 input,
                 VmConfig {
-                    aos: AosPolicy::eager(),
+                    aos: AosPolicy {
+                        opt1_threshold: 2,
+                        opt2_threshold: 8,
+                    },
                     ..VmConfig::default()
                 },
                 20,

@@ -70,9 +70,11 @@ fn counter_overflow_count_is_partition_invariant() {
                 overflows += c.add(*n).count;
             }
             assert_eq!(overflows, total / period);
-            assert_eq!(c.total_events(), total);
-            // Remaining distance is consistent with the total.
-            assert_eq!(c.until_overflow(), period - total % period);
+            // Remaining distance is consistent with the total: the next
+            // overflow is the last of `period - total % period` events.
+            let remaining = period - total % period;
+            assert_eq!(c.add(remaining - 1).count, 0);
+            assert_eq!(c.add(1).count, 1);
         },
     );
 }

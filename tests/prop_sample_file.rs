@@ -1,24 +1,25 @@
 //! Differential test of the sample-file readers over damaged bytes.
 //!
-//! `SampleDb::from_bytes` is the reference. The two batch readers built
-//! on its checking pass — `header_from_bytes` (lineage) and
-//! `merge_from_bytes` (journal recovery) — must accept exactly the
-//! files it accepts, report the same header words, and merge to the
-//! same database; a rejected file must leave the merge target as it
-//! was. Inputs are real drained batch bodies, in all three format
-//! versions, damaged by the seeded mutator in `support`. They come from
-//! two journaled sessions with overflow that differ only in an
-//! admission cap. A capped journal keeps only the buckets the cap
-//! admitted, which in this configuration leaves its batches after the
-//! first with header words and no records; the uncapped twin's batches
-//! carry every drained bucket. Mutated bodies, merge targets and
-//! reorderings are drawn only from bodies that carry records, so every
-//! merge meets existing buckets; the header-only bodies are read by the
+//! `SampleDb::from_bytes` is the reference. The header reader
+//! `header_from_bytes` (lineage) must accept exactly the files it
+//! accepts and report the same header words. Journal recovery's reader
+//! decodes with `from_bytes` and merges into a `SampleAccumulator`; it
+//! must build the database `SampleDb::merge` builds, and a rejected
+//! file must leave the merge target as it was. Inputs are real drained
+//! batch bodies, in all three format versions, damaged by the seeded
+//! mutator in `support`. They come from one journaled, supervised
+//! session with ring overflow, so the `dropped` header words carry
+//! data. No writer sets the `evicted` word any more, but files from
+//! sessions that ran under an admission cap carry one, so a fixed
+//! subset of the v2/v3 bodies has a seeded nonzero `evicted` word
+//! stamped in. Mutated bodies, merge targets and reorderings are drawn
+//! only from bodies that carry records, so every merge meets existing
+//! buckets; bodies with header words and no records are read by the
 //! header and pristine-decode checks.
 //!
 //! The same bodies, with their records shuffled and repeated, check the
 //! linear decoder's fallback against a sort-and-sum written here, and
-//! the capped session checks that its journal replays to its database.
+//! the session checks that its journal replays to its database.
 
 mod support;
 
@@ -27,11 +28,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 use support::{check, Gen};
 use viprof_repro::oprofile::{
-    OpConfig, SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH,
+    OpConfig, SampleAccumulator, SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH,
 };
 use viprof_repro::sim_cpu::{HwEvent, Pid};
 use viprof_repro::sim_os::journal::scan;
-use viprof_repro::sim_os::ImageId;
+use viprof_repro::sim_os::{ImageId, SplitMix64};
 use viprof_repro::viprof::{recover_sample_db, FaultPlan};
 use viprof_repro::workloads::{calibrate, find_benchmark, programs, run_benchmark, ProfilerKind};
 
@@ -48,17 +49,17 @@ fn as_version(v3: &[u8], version: u32) -> Vec<u8> {
     out
 }
 
-/// What the two supervised, journaled sessions left behind.
+/// What the supervised, journaled session left behind.
 struct Session {
-    /// Every batch body either session journaled, the uncapped one's
-    /// first, each in v1, v2 and v3 form.
+    /// Every batch body the session journaled, each in v1, v2 and v3
+    /// form; every third batch carries a stamped `evicted` word.
     all_bodies: Vec<Vec<u8>>,
     /// The entries of `all_bodies` that carry at least one record, in
     /// the same order.
     bodies: Vec<Vec<u8>>,
-    /// The database the capped session stopped with.
+    /// The database the session stopped with.
     db: SampleDb,
-    /// The database the capped session's journal replays to.
+    /// The database the session's journal replays to.
     recovered: SampleDb,
 }
 
@@ -70,36 +71,34 @@ fn session() -> &'static Session {
         params.heap_mb = 2;
         let built = programs::build(&params);
         let plan = calibrate(&built, 0.02);
+        let config = OpConfig {
+            daemon_period_cycles: 300_000,
+            buffer_capacity: 64,
+            ..OpConfig::time_at(20_000)
+        };
+        let faults = FaultPlan::new(5).with_overflow_bursts(0.1, 3);
+        let kind = ProfilerKind::ViprofSupervised(config, faults);
+        let out = run_benchmark(&built, &plan, kind, 5, false);
+        let vfs = &out.machine.kernel.vfs;
+        let journal = scan(vfs, SAMPLE_JOURNAL_PATH).expect("journaling on");
+        let mut evicted = SplitMix64::new(48);
         let mut bodies = Vec::new();
-        let mut capped = None;
-        for db_bucket_cap in [None, Some(48)] {
-            let config = OpConfig {
-                daemon_period_cycles: 300_000,
-                buffer_capacity: 64,
-                db_bucket_cap,
-                ..OpConfig::time_at(20_000)
-            };
-            let faults = FaultPlan::new(5).with_overflow_bursts(0.1, 3);
-            let kind = ProfilerKind::ViprofSupervised(config, faults);
-            let out = run_benchmark(&built, &plan, kind, 5, false);
-            let vfs = &out.machine.kernel.vfs;
-            let journal = scan(vfs, SAMPLE_JOURNAL_PATH).expect("journaling on");
-            let before = bodies.len();
-            for rec in &journal.records {
-                let Some(batch) = rec.sample_batch() else { continue };
-                let (_, body) = batch.expect("traced header intact");
-                for version in 1..=3 {
-                    bodies.push(as_version(body, version));
-                }
+        for (i, rec) in journal.records.iter().enumerate() {
+            let Some(batch) = rec.sample_batch() else { continue };
+            let (_, body) = batch.expect("traced header intact");
+            let mut body = body.to_vec();
+            if i % 3 == 1 {
+                let word = 1 + evicted.next_u64() % 1_000;
+                body[16..24].copy_from_slice(&word.to_le_bytes());
             }
-            let batches = (bodies.len() - before) / 3;
-            assert!(batches >= 8, "too few journaled batches: {batches}");
-            if db_bucket_cap.is_some() {
-                let recovered = recover_sample_db(vfs).expect("journaling on").db;
-                capped = Some((out.db.expect("profiled run"), recovered));
+            for version in 1..=3 {
+                bodies.push(as_version(&body, version));
             }
         }
-        let (db, recovered) = capped.expect("the capped session ran");
+        let batches = bodies.len() / 3;
+        assert!(batches >= 8, "too few journaled batches: {batches}");
+        let db = out.db.expect("profiled run");
+        let recovered = recover_sample_db(vfs).expect("journaling on").db;
         let with_records: Vec<Vec<u8>> = bodies
             .chunks_exact(3)
             .filter(|triple| !SampleDb::from_bytes(&triple[2]).expect("pristine").is_empty())
@@ -115,7 +114,7 @@ fn session() -> &'static Session {
     })
 }
 
-/// Batch bodies journaled by the supervised sessions, each in v1, v2
+/// Batch bodies journaled by the supervised session, each in v1, v2
 /// and v3 form.
 fn all_bodies() -> &'static [Vec<u8>] {
     &session().all_bodies
@@ -135,24 +134,32 @@ fn assert_same_db(got: &SampleDb, want: &SampleDb, what: &str) {
     }
 }
 
-/// The three readers agree on `data`, merging into `target`. Returns
-/// whether the file was accepted.
+/// Journal recovery's reader: `data` decoded and merged into an
+/// accumulator that holds `target`, or skipped if it is rejected.
+fn recovered_merge(data: &[u8], target: &SampleDb) -> SampleDb {
+    let mut acc = SampleAccumulator::default();
+    acc.merge(target);
+    if let Ok(batch) = SampleDb::from_bytes(data) {
+        acc.merge(&batch);
+    }
+    acc.into_db()
+}
+
+/// The readers agree on `data`, merging into `target`. Returns whether
+/// the file was accepted.
 fn assert_readers_agree(data: &[u8], target: &SampleDb) -> bool {
     let reference = SampleDb::from_bytes(data);
     let header = SampleDb::header_from_bytes(data);
-    let mut merged = target.clone();
-    let merge = merged.merge_from_bytes(data);
+    let merged = recovered_merge(data, target);
     match &reference {
         Ok(db) => {
             assert_eq!(header, Ok((db.dropped, db.evicted)), "header reader");
-            assert_eq!(merge, Ok(()), "merge reader");
             let mut want = target.clone();
             want.merge(db);
             assert_same_db(&merged, &want, "merge reader");
         }
         Err(e) => {
             assert_eq!(header.as_ref(), Err(e), "header reader");
-            assert_eq!(merge.as_ref(), Err(e), "merge reader");
             assert_same_db(&merged, target, "a rejected merge must not touch the target");
         }
     }
@@ -161,8 +168,9 @@ fn assert_readers_agree(data: &[u8], target: &SampleDb) -> bool {
 
 #[test]
 fn real_bodies_have_nonzero_header_words() {
-    // The session is configured so the header words carry data: a
-    // differential test over all-zero headers would prove little.
+    // The session is configured so the `dropped` words carry data, and
+    // the corpus stamps `evicted` words: a differential test over
+    // all-zero headers would prove little.
     let headers: Vec<(u64, u64)> = all_bodies()
         .iter()
         .map(|b| SampleDb::header_from_bytes(b).expect("pristine bodies decode"))
@@ -247,17 +255,14 @@ fn every_rejection_path_is_shared() {
     for (what, data, want) in cases {
         assert_eq!(SampleDb::from_bytes(&data).err(), Some(want.clone()), "{what}");
         assert_eq!(SampleDb::header_from_bytes(&data), Err(want.clone()), "{what}");
-        let mut merged = target.clone();
-        assert_eq!(merged.merge_from_bytes(&data), Err(want), "{what}");
-        assert_same_db(&merged, &target, what);
+        assert_same_db(&recovered_merge(&data, &target), &target, what);
     }
 }
 
 #[test]
-fn capped_journal_replays_to_the_database() {
+fn journal_replays_to_the_database() {
     let s = session();
-    assert!(s.db.evicted > 0, "the cap refused samples");
-    assert_same_db(&s.recovered, &s.db, "journal replay under an admission cap");
+    assert_same_db(&s.recovered, &s.db, "journal replay");
 }
 
 /// Header and record sizes of the v3 layout.
@@ -375,45 +380,6 @@ fn shuffled_and_repeated_records_decode_as_sort_and_sum() {
             assert!(buckets.windows(2).all(|w| w[0] < w[1]), "sorted with no repeat");
             assert_eq!(sort_and_sum(&written), want);
             assert_same_db(&SampleDb::from_bytes(&bytes).unwrap(), &db, "round trip");
-        },
-    );
-}
-
-#[test]
-fn capped_merge_from_bytes_admits_in_file_order() {
-    check(
-        "capped_merge_from_bytes_admits_in_file_order",
-        256,
-        |g: &mut Gen| {
-            let (body, order) = draw_reordering(g);
-            (body, order, g.range(1usize..40))
-        },
-        |(body, order, cap)| {
-            let data = reordered(&bodies()[body], &order);
-            let records = records_of(&data);
-            let sums: BTreeMap<SampleBucket, u64> = sort_and_sum(&records).into_iter().collect();
-            let mut first_seen: Vec<SampleBucket> = Vec::new();
-            for record in &records {
-                let (bucket, _) = decode(record);
-                if !first_seen.contains(&bucket) {
-                    first_seen.push(bucket);
-                }
-            }
-            let admitted = &first_seen[..cap.min(first_seen.len())];
-            let (_, header_evicted) = SampleDb::header_from_bytes(&data).unwrap();
-            let refused = first_seen[admitted.len()..]
-                .iter()
-                .fold(0u64, |sum, b| sum.saturating_add(sums[b]));
-
-            let mut db = SampleDb::new();
-            db.set_admission_cap(Some(cap));
-            db.merge_from_bytes(&data).unwrap();
-            let mut want: Vec<(SampleBucket, u64)> =
-                admitted.iter().map(|b| (*b, sums[b])).collect();
-            want.sort();
-            let got: Vec<(SampleBucket, u64)> = db.iter().map(|(b, c)| (*b, *c)).collect();
-            assert_eq!(got, want, "the first {cap} buckets in file order");
-            assert_eq!(db.evicted, header_evicted.saturating_add(refused));
         },
     );
 }

@@ -317,7 +317,7 @@ fn findings_sort_by_severity_then_rule_id() {
         &[
             (names::GOVERNOR_BACKOFFS, 1),
             (names::BUFFER_DROPPED, 4),
-            (names::DB_EVICTED_SAMPLES, 2),
+            (names::DAEMON_DEADLINE_MISSES, 2),
         ],
         &[],
     );
@@ -326,7 +326,7 @@ fn findings_sort_by_severity_then_rule_id() {
         &[
             (names::GOVERNOR_BACKOFFS, 1),
             (names::BUFFER_DROPPED, 4),
-            (names::DB_EVICTED_SAMPLES, 2),
+            (names::DAEMON_DEADLINE_MISSES, 2),
             (names::GOVERNOR_ESCALATIONS, 1),
         ],
         &[],
@@ -342,7 +342,7 @@ fn findings_sort_by_severity_then_rule_id() {
         vec![
             (names::HEALTH_GOVERNOR_ESCALATION, Severity::Critical),
             (names::HEALTH_BUFFER_OVERFLOW, Severity::Warning),
-            (names::HEALTH_DB_EVICTION, Severity::Warning),
+            (names::HEALTH_DEADLINE_MISS, Severity::Warning),
             (names::HEALTH_GOVERNOR_BACKOFF, Severity::Info),
         ],
         "severity descending, ties broken by rule id"

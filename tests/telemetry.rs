@@ -10,7 +10,8 @@
 //! * **Schema** — the metric catalog matches the reviewed golden list
 //!   in `scripts/telemetry-schema.txt`, so instrumentation drift fails
 //!   review here and in `scripts/verify.sh`, every recorded name
-//!   has a reader, and every span name has a writer;
+//!   has a reader, every span name and lineage bucket has a writer,
+//!   every health id has a rule, and every `pub fn` has a caller;
 //! * **Flight recorder** — a long session keeps the events operators
 //!   read instead of evicting them.
 
@@ -19,7 +20,7 @@ use viprof_repro::oprofile::session::TELEMETRY_PATH;
 use viprof_repro::oprofile::{OpConfig, SampleDb, SampleOrigin};
 use viprof_repro::telemetry::{
     bucket_hi, bucket_lo, bucket_of, names, Telemetry, TelemetrySnapshot, BUCKETS,
-    DEFAULT_EVENT_CAPACITY,
+    DEFAULT_EVENT_CAPACITY, DEFAULT_HEALTH_RULES,
 };
 use viprof_repro::viprof::{ReportSpec, ShardPoison, Viprof};
 use viprof_repro::workloads::{
@@ -226,6 +227,26 @@ fn rust_sources(dir: &Path, out: &mut Vec<(String, String)>) {
     }
 }
 
+/// The program code of `sources`: each file outside every `tests/`
+/// directory, cut at its first `#[cfg(test)]`, with its path relative
+/// to `root`.
+fn program_code<'a>(root: &Path, sources: &'a [(String, String)]) -> Vec<(&'a Path, &'a str)> {
+    sources
+        .iter()
+        .filter_map(|(path, text)| {
+            let rel = Path::new(path).strip_prefix(root).expect("source under the root");
+            let test_dir = rel.components().any(|c| c.as_os_str() == "tests");
+            (!test_dir).then(|| (rel, text.split("#[cfg(test)]").next().unwrap_or_default()))
+        })
+        .collect()
+}
+
+/// The identifiers of `text`, in order.
+fn identifiers(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty())
+}
+
 /// Whether `text` contains `word` with no identifier character on
 /// either side.
 fn mentions_word(text: &str, word: &str) -> bool {
@@ -248,9 +269,12 @@ fn mentions_word(text: &str, word: &str) -> bool {
 /// name. So a span name is checked from the writer's side instead: its
 /// constant (or literal) must appear in the non-test part (before the
 /// first `#[cfg(test)]`) of some program source file besides
-/// `names.rs`, outside every `tests/` directory. Lineage buckets and
-/// health ids are read by construction (lineage table, health report)
-/// and are not checked here.
+/// `names.rs`, outside every `tests/` directory. A lineage bucket is
+/// read by the lineage table whatever its name, so it too is checked
+/// from the writer's side: some program code must `push(` a row under
+/// its constant. A health id must be the id of a rule in
+/// `DEFAULT_HEALTH_RULES`, and that rule must watch a cataloged counter
+/// or gauge.
 #[test]
 fn every_recorded_name_has_a_reader() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -267,25 +291,40 @@ fn every_recorded_name_has_a_reader() {
     let mut sources = Vec::new();
     rust_sources(root, &mut sources);
     sources.retain(|(path, _)| !Path::new(path).ends_with("crates/telemetry/src/names.rs"));
-    // The program code of each source: test directories dropped, and
-    // each file cut at its first `#[cfg(test)]`.
-    let program: Vec<&str> = sources
-        .iter()
-        .filter(|(path, _)| {
-            let rel = Path::new(path).strip_prefix(root).expect("source under the root");
-            !rel.components().any(|c| c.as_os_str() == "tests")
-        })
-        .map(|(_, text)| text.split("#[cfg(test)]").next().unwrap_or_default())
-        .collect();
+    let program: Vec<&str> = program_code(root, &sources).into_iter().map(|(_, text)| text).collect();
+    // `push(IDENT` with any whitespace between.
+    let pushes = |ident: &str| {
+        program
+            .iter()
+            .any(|text| text.split("push(").skip(1).any(|rest| identifiers(rest).next() == Some(ident)))
+    };
+    let series = |name: &str| {
+        names::ALL_METRICS.iter().any(|(k, n)| matches!(*k, "counter" | "gauge") && *n == name)
+    };
 
     let mut unread = Vec::new();
     let mut unwritten = Vec::new();
+    let mut unruled = Vec::new();
     for (kind, name) in names::ALL_METRICS {
         let literal = format!("\"{name}\"");
         if *kind == "span" {
             let ident = constant(name);
             if !program.iter().any(|text| mentions_word(text, &ident) || text.contains(&literal)) {
                 unwritten.push(format!("{kind} {name}"));
+            }
+            continue;
+        }
+        if *kind == "lineage" {
+            if !pushes(&constant(name)) {
+                unwritten.push(format!("{kind} {name}"));
+            }
+            continue;
+        }
+        if *kind == "health" {
+            match DEFAULT_HEALTH_RULES.iter().find(|rule| rule.id == *name) {
+                Some(rule) if series(rule.series) => {}
+                Some(rule) => unruled.push(format!("{name} watches uncataloged {}", rule.series)),
+                None => unruled.push(format!("{name} has no rule")),
             }
             continue;
         }
@@ -313,10 +352,118 @@ fn every_recorded_name_has_a_reader() {
     );
     assert!(
         unwritten.is_empty(),
-        "{} span name(s) are never recorded by program code — \
+        "{} span name(s) or lineage bucket(s) are never recorded by program code — \
          record them or delete them:\n{}",
         unwritten.len(),
         unwritten.join("\n")
+    );
+    assert!(
+        unruled.is_empty(),
+        "{} health id(s) lack a default rule over a cataloged series:\n{}",
+        unruled.len(),
+        unruled.join("\n")
+    );
+}
+
+/// Public functions that no program code calls, each with why it stays
+/// public. The `FaultPlan::with_*` builders and `set_poison` are the
+/// deliberate test API of fault injection; the rest are read by tests,
+/// some of them in another crate, and by nothing else.
+const UNREAD_PUB_FNS: &[(&str, &str)] = &[
+    ("distinct_ranges", "the driver's tests count the anon table's ranges through it"),
+    ("events_for", "its unit test pins the stats-mode event rates exactly"),
+    ("find_method", "its unit test looks a method up by name in a built program"),
+    ("gauge_series", "fault_matrix reads the governor's period track through it"),
+    ("has_symbols", "tests in three crates check stripped images through it"),
+    ("is_backedge", "the assembler's and bytecode's tests count backward branches"),
+    ("is_running", "the interpreter's tests step a frame stack until it empties"),
+    ("jump_if_zero", "the assembler's test builds a conditional loop with it"),
+    ("jvm98_members", "its unit test pins the seven JVM98 programs"),
+    ("live_object_count", "the VM's GC test checks survivors through it"),
+    ("primary_percent_sum", "its unit test checks report percentages sum to 100"),
+    ("proc_key", "prop_churn checks generation-tagged process identity through it"),
+    ("rate_per_mcycle", "its unit test pins the timeline's per-window rates"),
+    ("reserve_statics", "interpreter and VM tests give programs static slots with it"),
+    ("resolve_image_offset", "its unit test resolves file-backed addresses"),
+    ("resolve_offset", "its unit test resolves boot-image offsets to methods"),
+    ("seconds_to_cycles", "its unit test pins the clock's conversion"),
+    ("set_max", "its unit test pins the gauge's high-water mark"),
+    ("set_poison", "test API: resolution tests poison shards to reach quarantine"),
+    ("symbolize", "kernel and machine tests resolve PCs to symbols with it"),
+    ("total_bytes", "its unit test checks the VFS's byte accounting"),
+    ("total_invocations", "its unit test pins a work plan's invocation count"),
+    ("touches_heap", "its unit test pins which ops drive the memory model"),
+    ("unmap", "its unit test removes a mapping from an address space"),
+    ("with_daemon_stalls", "test API: fault-injection builder"),
+    ("with_garbled_lines", "test API: fault-injection builder"),
+    ("with_lost_maps", "test API: fault-injection builder"),
+    ("with_overflow_bursts", "test API: fault-injection builder"),
+    ("with_pid_reuse_collision", "test API: fault-injection builder"),
+    ("with_sample_corruption", "test API: fault-injection builder"),
+    ("with_torn_maps", "test API: fault-injection builder"),
+];
+
+/// A `pub fn` earns its place by being called. Its name must occur in
+/// the workspace's program code (see [`program_code`]; bins, examples
+/// and perfbench count) more often than `fn <name>` is defined there,
+/// or be on [`UNREAD_PUB_FNS`] with its reason. The names checked are
+/// those of the `pub fn`s in program code outside perfbench, which is
+/// its own workspace. An allowlisted name that gains a caller or loses
+/// its definition must leave the list.
+#[test]
+fn every_public_fn_has_a_reader() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(root, &mut sources);
+    let program = program_code(root, &sources);
+
+    let mut defined = std::collections::BTreeSet::new();
+    for (path, text) in &program {
+        if path.starts_with("perfbench") {
+            continue;
+        }
+        for line in text.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("pub fn ") {
+                defined.extend(identifiers(rest).next());
+            }
+        }
+    }
+    // Occurrences of each name, and how many of them follow `fn`.
+    let mut uses: std::collections::HashMap<&str, (usize, usize)> = Default::default();
+    for (_, text) in &program {
+        let mut after_fn = false;
+        for word in identifiers(text) {
+            let entry = uses.entry(word).or_default();
+            entry.0 += 1;
+            entry.1 += after_fn as usize;
+            after_fn = word == "fn";
+        }
+    }
+    let unread: Vec<&str> = defined
+        .iter()
+        .copied()
+        .filter(|name| uses.get(name).is_none_or(|(all, defs)| all <= defs))
+        .collect();
+
+    let listed: Vec<&str> = UNREAD_PUB_FNS.iter().map(|(name, _)| *name).collect();
+    let mut sorted = listed.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(listed, sorted, "UNREAD_PUB_FNS must be sorted, with no name twice");
+    let missing: Vec<&str> = unread.iter().copied().filter(|n| !listed.contains(n)).collect();
+    assert!(
+        missing.is_empty(),
+        "{} pub fn(s) have no caller in program code — call them, delete them, make \
+         them private, or list them in UNREAD_PUB_FNS with a reason:\n{}",
+        missing.len(),
+        missing.join("\n")
+    );
+    let stale: Vec<&str> = listed.iter().copied().filter(|n| !unread.contains(n)).collect();
+    assert!(
+        stale.is_empty(),
+        "UNREAD_PUB_FNS lists name(s) that now have a caller or no definition — \
+         remove them:\n{}",
+        stale.join("\n")
     );
 }
 
