@@ -59,12 +59,21 @@ pub enum ObjKind {
 }
 
 /// Object header + payload.
+///
+/// The payload is materialized at the object's first slot write: until
+/// then `slots` is empty and every one of the `len` slots reads
+/// `Value::I64(0)`. A never-written object (a retained cache array, say)
+/// so costs no host memory and no scan: the mark loops trace `slots`,
+/// which holds no reference until something is written. The simulated
+/// size, `byte_size`, always counts all `len` slots.
 #[derive(Debug, Clone)]
 pub struct HeapObject {
     pub addr: Addr,
     pub kind: ObjKind,
-    /// Data/array payload (empty for code bodies).
-    pub slots: Vec<Value>,
+    /// Materialized payload: empty, or exactly `len` slots.
+    slots: Vec<Value>,
+    /// Logical slot count (0 for code bodies).
+    len: usize,
     pub byte_size: u64,
     /// Collections survived (drives mature-space promotion).
     pub survivals: u32,
@@ -72,6 +81,30 @@ pub struct HeapObject {
     /// space" — the paper §4.3 notes that once the GC moves hot code
     /// there, "there is less need for any runtime work" by the agent).
     pub mature: bool,
+}
+
+impl HeapObject {
+    /// Number of slots (fields or array elements) the object has.
+    pub fn slot_count(&self) -> usize {
+        self.len
+    }
+
+    /// Read slot `i`; an unwritten slot reads `Value::I64(0)`. Panics
+    /// when `i` is not below [`slot_count`](Self::slot_count).
+    pub fn slot(&self, i: usize) -> Value {
+        assert!(i < self.len, "slot {i} out of bounds 0..{}", self.len);
+        self.slots.get(i).copied().unwrap_or_default()
+    }
+
+    /// Write slot `i`, materializing the payload on the first write.
+    /// Panics when `i` is not below [`slot_count`](Self::slot_count).
+    pub fn set_slot(&mut self, i: usize, v: Value) {
+        assert!(i < self.len, "slot {i} out of bounds 0..{}", self.len);
+        if self.slots.is_empty() {
+            self.slots = vec![Value::default(); self.len];
+        }
+        self.slots[i] = v;
+    }
 }
 
 /// One object relocation performed by a collection.
@@ -328,7 +361,8 @@ impl Heap {
         Ok(self.store(HeapObject {
             addr,
             kind,
-            slots: vec![Value::default(); slots],
+            slots: Vec::new(),
+            len: slots,
             byte_size: bytes,
             survivals: 0,
             mature: false,
@@ -473,6 +507,7 @@ impl Heap {
         let mut order: Vec<ObjRef> = Vec::new();
         while let Some(r) = worklist.pop() {
             order.push(r);
+            // Only a materialized payload can hold a reference.
             let obj = self.get(r);
             for slot in &obj.slots {
                 if let Some(child) = slot.as_ref() {
@@ -573,6 +608,7 @@ impl Heap {
             let obj = self.get(r);
             stats.live_objects += 1;
             stats.live_bytes += obj.byte_size;
+            // Only a materialized payload can hold a reference.
             for slot in &obj.slots {
                 if let Some(child) = slot.as_ref() {
                     if self.is_live(child) && !marked[child.0 as usize] {
@@ -659,7 +695,7 @@ mod tests {
         let mut h = heap();
         let child = h.alloc_data(ClassId(0), 0).unwrap();
         let parent = h.alloc_data(ClassId(0), 1).unwrap();
-        h.get_mut(parent).slots[0] = Value::Ref(Some(child));
+        h.get_mut(parent).set_slot(0, Value::Ref(Some(child)));
         let stats = h.collect(&[parent], &[], |_| {});
         assert_eq!(stats.live_objects, 2);
         assert!(h.is_live(child));
@@ -736,8 +772,8 @@ mod tests {
         let mut h = heap();
         let a = h.alloc_data(ClassId(0), 1).unwrap();
         let b = h.alloc_data(ClassId(0), 1).unwrap();
-        h.get_mut(a).slots[0] = Value::Ref(Some(b));
-        h.get_mut(b).slots[0] = Value::Ref(Some(a));
+        h.get_mut(a).set_slot(0, Value::Ref(Some(b)));
+        h.get_mut(b).set_slot(0, Value::Ref(Some(a)));
         let stats = h.collect(&[a], &[], |_| {});
         assert_eq!(stats.live_objects, 2);
     }
@@ -883,6 +919,83 @@ mod tests {
         }
         assert!(h.is_live(keep));
         assert!(h.available() > 0x1000, "space must be reclaimed each cycle");
+    }
+
+    #[test]
+    fn unwritten_slots_read_zero_across_collections_promotion_and_non_moving() {
+        let config = MatureConfig {
+            promote_after: 2,
+            fraction: 0.25,
+        };
+        for (mut h, promoted) in [
+            (heap(), 0),
+            (Heap::with_mature((0x6000_0000, 0x6001_0000), config), 2),
+            (Heap::non_moving((0x7000_0000, 0x7000_4000)), 0),
+        ] {
+            let arr = h.alloc_array(64).unwrap();
+            let obj = h.alloc_data(ClassId(0), 3).unwrap();
+            h.get_mut(obj).set_slot(1, Value::I64(7));
+            for _ in 0..4 {
+                h.collect(&[arr, obj], &[], |_| {});
+                let (a, o) = (h.get(arr), h.get(obj));
+                assert_eq!(a.slot_count(), 64);
+                assert!((0..64).all(|i| a.slot(i) == Value::I64(0)), "{:?}", h.mode());
+                let fields: Vec<Value> = (0..3).map(|i| o.slot(i)).collect();
+                assert_eq!(fields, [Value::I64(0), Value::I64(7), Value::I64(0)]);
+                assert_eq!(a.byte_size, align_up(HEADER_BYTES + 64 * SLOT_BYTES));
+            }
+            assert_eq!(h.promotions, promoted, "{:?}", h.mode());
+        }
+    }
+
+    #[test]
+    fn a_reference_written_into_a_retained_array_keeps_its_target_alive() {
+        let mut h = Heap::with_mature(
+            (0x6000_0000, 0x6001_0000),
+            MatureConfig {
+                promote_after: 1,
+                fraction: 0.25,
+            },
+        );
+        let retained = h.alloc_array(512).unwrap();
+        h.collect(&[retained], &[], |_| {});
+        assert!(h.get(retained).mature, "promoted with its payload still unwritten");
+        let target = h.alloc_data(ClassId(0), 1).unwrap();
+        h.get_mut(retained).set_slot(300, Value::Ref(Some(target)));
+        let stats = h.collect(&[retained], &[], |_| {});
+        assert!(h.is_live(target));
+        assert_eq!(stats.live_objects, 2);
+        assert_eq!(h.get(retained).slot(300), Value::Ref(Some(target)));
+        assert_eq!(h.get(retained).slot(299), Value::I64(0));
+        // Overwriting the only reference lets the target die.
+        h.get_mut(retained).set_slot(300, Value::I64(1));
+        h.collect(&[retained], &[], |_| {});
+        assert!(!h.is_live(target));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 4 out of bounds 0..4")]
+    fn slot_past_slot_count_panics() {
+        let mut h = heap();
+        let arr = h.alloc_array(4).unwrap();
+        h.get(arr).slot(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 4 out of bounds 0..4")]
+    fn set_slot_past_slot_count_panics() {
+        let mut h = heap();
+        let arr = h.alloc_array(4).unwrap();
+        h.get_mut(arr).set_slot(4, Value::I64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 1 out of bounds 0..1")]
+    fn slot_past_a_written_payload_panics() {
+        let mut h = heap();
+        let obj = h.alloc_data(ClassId(0), 1).unwrap();
+        h.get_mut(obj).set_slot(0, Value::I64(1));
+        h.get(obj).slot(1);
     }
 
     #[test]

@@ -288,28 +288,26 @@ impl Interp {
                 let r = pop!().as_ref().expect("GetField on non-reference");
                 let obj = heap.get(r);
                 heap_addr = Some(obj.addr + 16 + 8 * n as u64);
-                let v = obj.slots[n as usize];
-                frame.stack.push(v);
+                frame.stack.push(obj.slot(n as usize));
             }
             Op::PutField(n) => {
                 let v = pop!();
                 let r = pop!().as_ref().expect("PutField on non-reference");
                 let obj = heap.get_mut(r);
                 heap_addr = Some(obj.addr + 16 + 8 * n as u64);
-                obj.slots[n as usize] = v;
+                obj.set_slot(n as usize, v);
             }
             Op::ALoad => {
                 let idx = pop_i64!();
                 let r = pop!().as_ref().expect("ALoad on non-reference");
                 let obj = heap.get(r);
                 assert!(
-                    idx >= 0 && (idx as usize) < obj.slots.len(),
+                    idx >= 0 && (idx as usize) < obj.slot_count(),
                     "array index {idx} out of bounds 0..{}",
-                    obj.slots.len()
+                    obj.slot_count()
                 );
                 heap_addr = Some(obj.addr + 16 + 8 * idx as u64);
-                let v = obj.slots[idx as usize];
-                frame.stack.push(v);
+                frame.stack.push(obj.slot(idx as usize));
             }
             Op::AStore => {
                 let v = pop!();
@@ -317,18 +315,18 @@ impl Interp {
                 let r = pop!().as_ref().expect("AStore on non-reference");
                 let obj = heap.get_mut(r);
                 assert!(
-                    idx >= 0 && (idx as usize) < obj.slots.len(),
+                    idx >= 0 && (idx as usize) < obj.slot_count(),
                     "array index {idx} out of bounds 0..{}",
-                    obj.slots.len()
+                    obj.slot_count()
                 );
                 heap_addr = Some(obj.addr + 16 + 8 * idx as u64);
-                obj.slots[idx as usize] = v;
+                obj.set_slot(idx as usize, v);
             }
             Op::ArrayLen => {
                 let r = pop!().as_ref().expect("ArrayLen on non-reference");
                 let obj = heap.get(r);
                 heap_addr = Some(obj.addr);
-                frame.stack.push(Value::I64(obj.slots.len() as i64));
+                frame.stack.push(Value::I64(obj.slot_count() as i64));
             }
             Op::NativeCall(id) => {
                 let f = natives.get(id);

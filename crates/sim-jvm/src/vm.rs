@@ -31,7 +31,7 @@ use crate::natives::NativeRegistry;
 use sim_cpu::{Addr, BlockExec, CpuMode, FracAcc, MemAccess, MemActivity, Pid};
 use sim_os::loader::{ANON_HINT, BIN_HINT, LIB_HINT};
 use sim_os::{Image, Loader, Machine, Symbol};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Cycle/size model of the execution tiers and VM-internal activities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,7 +187,7 @@ pub struct VmStats {
 }
 
 /// Per-invocation behaviour summary for batched replay.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct InvocationSummary {
     ops: u64,
     backedges: u64,
@@ -195,9 +195,9 @@ struct InvocationSummary {
     heap_accesses: u64,
     allocations: u64,
     alloc_bytes: u64,
-    /// Aggregated native calls: id → (count, total user cycles,
-    /// total kernel cycles, total accesses).
-    natives: HashMap<NativeFnId, (u64, u64, u64, u64)>,
+    /// Aggregated native calls, in id order: id → (count, total user
+    /// cycles, total kernel cycles, total accesses).
+    natives: BTreeMap<NativeFnId, (u64, u64, u64, u64)>,
 }
 
 #[derive(Debug, Default)]
@@ -399,7 +399,7 @@ impl Vm {
         // Class loading: charged to the boot classloader.
         let load_cycles = vm.config.costs.classload_cycles_per_method
             * (vm.program.methods.len() as u64 + vm.program.classes.len() as u64);
-        vm.emit_internal(machine, &[(well_known::CLASSLOAD, 0.9), (well_known::MAIN_RUN, 0.1)], load_cycles, false);
+        vm.emit_internal(machine, &[(well_known::CLASSLOAD, 0.9), (well_known::MAIN_RUN, 0.1)], load_cycles);
         vm.stats.classloads = vm.program.methods.len() as u64;
         vm
     }
@@ -463,7 +463,7 @@ impl Vm {
             count += 1;
         }
         let cycles = count * self.config.costs.alloc_cycles * 8; // slow path
-        self.emit_internal(machine, &[(well_known::ALLOC_SLOWPATH, 1.0)], cycles, false);
+        self.emit_internal(machine, &[(well_known::ALLOC_SLOWPATH, 1.0)], cycles);
     }
 
     /// VM shutdown: final agent flush (writes the last partial map).
@@ -471,7 +471,7 @@ impl Vm {
         let epoch = self.heap.collections;
         let cycles = self.hooks.on_vm_exit(epoch, &mut machine.kernel.vfs);
         if cycles > 0 {
-            self.emit_internal(machine, &[(well_known::AGENT_MAPWRITE, 1.0)], cycles, false);
+            self.emit_internal(machine, &[(well_known::AGENT_MAPWRITE, 1.0)], cycles);
         }
     }
 
@@ -679,7 +679,7 @@ impl Vm {
         } else {
             OPT_COMPILE_PARTS
         };
-        self.emit_internal(machine, parts, cycles, false);
+        self.emit_internal(machine, parts, cycles);
 
         // VM Agent hook: log the fresh body (paper §3, VM Agent).
         let (addr, _) = self.heap.range_of(body);
@@ -699,7 +699,7 @@ impl Vm {
             } else {
                 well_known::OPT_COMPILE
             };
-            self.emit_internal(machine, &[(lead, 1.0)], hook_cycles, false);
+            self.emit_internal(machine, &[(lead, 1.0)], hook_cycles);
         }
     }
 
@@ -737,12 +737,12 @@ impl Vm {
         // library code (user) plus the actual file write (kernel) — the
         // profiler's own overhead is itself vertically profiled.
         if move_cycles > 0 {
-            self.emit_internal(machine, &[(well_known::GC_COLLECT, 1.0)], move_cycles, false);
+            self.emit_internal(machine, &[(well_known::GC_COLLECT, 1.0)], move_cycles);
         }
         if agent_cycles > 0 {
             let user = agent_cycles * 3 / 10;
             let kern = agent_cycles - user;
-            self.emit_internal(machine, &[(well_known::AGENT_MAPWRITE, 1.0)], user, false);
+            self.emit_internal(machine, &[(well_known::AGENT_MAPWRITE, 1.0)], user);
             let range = machine.kernel.kernel_symbol_range("sys_write");
             machine.exec(&BlockExec {
                 pid: self.pid,
@@ -782,7 +782,7 @@ impl Vm {
 
     /// Execute `count` calls of a native function with argument `arg0`.
     fn exec_native(&mut self, machine: &mut Machine, id: NativeFnId, arg0: i64, count: u64) {
-        let f = self.natives.get(id).clone();
+        let f = self.natives.get(id);
         let addrs = self.native_addrs[id.0 as usize];
         let (user, kernel) = f.cost(arg0);
         let accesses = f.accesses(arg0) * count;
@@ -894,13 +894,7 @@ impl Vm {
     }
 
     /// Emit VM-internal work spread over boot-image methods by weight.
-    fn emit_internal(
-        &mut self,
-        machine: &mut Machine,
-        parts: &[(&str, f64)],
-        cycles: u64,
-        _kernel: bool,
-    ) {
+    fn emit_internal(&mut self, machine: &mut Machine, parts: &[(&str, f64)], cycles: u64) {
         self.emit_internal_with_mem(machine, parts, cycles, 0, 0);
     }
 
@@ -972,9 +966,13 @@ impl Vm {
             remaining -= 1;
         }
 
+        // Out of the method's state while replaying; put back below.
+        let summary = self.methods[method.0 as usize]
+            .summary
+            .take()
+            .expect("summary just ensured");
         while remaining > 0 {
             let st = &self.methods[method.0 as usize];
-            let summary = st.summary.as_ref().expect("summary just ensured").clone();
             let tier = match st.body {
                 Some(_) => Tier::Jit(st.level),
                 None => Tier::Interp,
@@ -1057,13 +1055,8 @@ impl Vm {
 
             // Natives, aggregated. Call edges are reported in batch so
             // the cross-layer call graph sees replayed invocations too.
-            let native_list: Vec<(NativeFnId, (u64, u64, u64, u64))> = {
-                let mut v: Vec<_> = summary.natives.iter().map(|(k, v)| (*k, *v)).collect();
-                v.sort_by_key(|(id, _)| *id);
-                v
-            };
             let mut edge_cycles = 0u64;
-            for (id, (cnt, user, kern, accesses)) in native_list {
+            for (&id, &(cnt, user, kern, accesses)) in &summary.natives {
                 edge_cycles += self.hooks.on_call_batch(
                     Some(self.program.methods[method.0 as usize].name.as_str()),
                     self.natives.get(id).symbol.as_str(),
@@ -1113,6 +1106,7 @@ impl Vm {
 
             remaining -= chunk;
         }
+        self.methods[method.0 as usize].summary = Some(summary);
         last
     }
 
@@ -1126,7 +1120,7 @@ impl Vm {
         kernel_cycles: u64,
         accesses: u64,
     ) {
-        let f = self.natives.get(id).clone();
+        let f = self.natives.get(id);
         let addrs = self.native_addrs[id.0 as usize];
         self.stats.native_calls += count;
         let l1 = self.fa_native.0.take(f.mem.l1_miss_rate, accesses);

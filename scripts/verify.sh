@@ -88,6 +88,16 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> agent map smoke"
     cargo test -q --test prop_epoch_maps oracle
 
+    # Heap payload smoke: an object's payload exists only once a slot
+    # is written, so random allocate/write/read/collect histories on
+    # the copying, mature and non-moving heaps must read and trace
+    # exactly like an eager Vec model, and the golden sessions must stay
+    # byte-identical. Runs before the bench smoke so it is checked even
+    # while a bench gate fails.
+    echo "==> heap payload smoke"
+    cargo test -q --test prop_gc
+    cargo test -q --test golden_session
+
     # Overload-governor gate, smoke-sized: a ring small enough to force
     # overflow; the governed run must drop strictly fewer samples than
     # fixed-rate sampling and keep its drop fraction under 5%. Writes

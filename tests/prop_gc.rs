@@ -1,6 +1,7 @@
 //! Property tests of the garbage collector: data integrity across
-//! collections, address-space discipline, and copying/non-moving
-//! equivalence.
+//! collections, address-space discipline, copying/non-moving
+//! equivalence, and payloads materialized at first write against an
+//! eager model.
 
 mod support;
 
@@ -49,14 +50,14 @@ fn build_heap(specs: &[Spec], mode: GcMode) -> (Heap, Vec<ObjRef>, Vec<ObjRef>) 
     let mut roots = Vec::new();
     for s in specs {
         let r = heap.alloc_data(ClassId(0), 3).expect("fits");
-        heap.get_mut(r).slots[0] = Value::I64(s.payload);
+        heap.get_mut(r).set_slot(0, Value::I64(s.payload));
         if let Some(a) = s.link_a {
             let target: ObjRef = objs[a];
-            heap.get_mut(r).slots[1] = Value::Ref(Some(target));
+            heap.get_mut(r).set_slot(1, Value::Ref(Some(target)));
         }
         if let Some(b) = s.link_b {
             let target: ObjRef = objs[b];
-            heap.get_mut(r).slots[2] = Value::Ref(Some(target));
+            heap.get_mut(r).set_slot(2, Value::Ref(Some(target)));
         }
         if s.rooted {
             roots.push(r);
@@ -101,13 +102,13 @@ fn check_after_gcs(specs: &[Spec], mode: GcMode, gcs: usize) {
         );
         if live[i] {
             let obj = heap.get(objs[i]);
-            assert_eq!(obj.slots[0], Value::I64(s.payload), "payload of {i}");
+            assert_eq!(obj.slot(0), Value::I64(s.payload), "payload of {i}");
             // Links still point at the intended (live) targets.
             if let Some(a) = s.link_a {
-                assert_eq!(obj.slots[1], Value::Ref(Some(objs[a])));
+                assert_eq!(obj.slot(1), Value::Ref(Some(objs[a])));
             }
             if let Some(b) = s.link_b {
-                assert_eq!(obj.slots[2], Value::Ref(Some(objs[b])));
+                assert_eq!(obj.slot(2), Value::Ref(Some(objs[b])));
             }
         }
     }
@@ -187,4 +188,205 @@ fn both_collectors_agree_on_liveness() {
             }
         },
     );
+}
+
+/// One step of a random heap history. Object and slot choices are raw
+/// draws, taken modulo what exists when the step runs.
+#[derive(Debug, Clone)]
+enum Step {
+    AllocData { slots: usize, rooted: bool },
+    /// Mostly retained-cache-sized arrays that nothing ever writes.
+    AllocArray { len: usize, rooted: bool },
+    /// `fresh` aims the write at a never-written object when one exists.
+    WriteInt { obj: usize, slot: usize, value: i64, fresh: bool },
+    WriteRef { obj: usize, slot: usize, target: Option<usize>, fresh: bool },
+    Read { obj: usize, slot: usize },
+    Unroot { obj: usize },
+    Collect,
+}
+
+fn arb_history(g: &mut Gen) -> Vec<Step> {
+    g.vec(1..96, |g| {
+        let (obj, slot) = (g.range(0usize..1 << 16), g.range(0usize..1 << 16));
+        match g.range(0u32..16) {
+            0..=1 => Step::AllocData { slots: g.range(0usize..6), rooted: g.bool() },
+            2..=3 => {
+                let len = if g.bool() { 512 } else { g.range(0usize..80) };
+                Step::AllocArray { len, rooted: g.bool() }
+            }
+            4..=6 => Step::WriteInt { obj, slot, value: g.i64(), fresh: g.bool() },
+            7..=9 => {
+                let target = g.option(|g| g.range(0usize..1 << 16));
+                Step::WriteRef { obj, slot, target, fresh: g.bool() }
+            }
+            10..=12 => Step::Read { obj, slot },
+            13 => Step::Unroot { obj },
+            _ => Step::Collect,
+        }
+    })
+}
+
+/// A model slot: an integer, or a reference to a model object by index.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ModelValue {
+    Int(i64),
+    Ref(Option<usize>),
+}
+
+/// A model object: an eager payload, written or not.
+struct ModelObj {
+    handle: ObjRef,
+    slots: Vec<ModelValue>,
+    bytes: u64,
+    rooted: bool,
+    written: bool,
+}
+
+/// Run `history` on `heap` beside an eager `Vec` model: every
+/// read must equal the model's, and after every collection liveness
+/// must equal the model's reachability, with the live counts and bytes
+/// its sums.
+fn run_against_model(history: &[Step], mut heap: Heap) {
+    let mut model: Vec<Option<ModelObj>> = Vec::new();
+    let value_of = |model: &[Option<ModelObj>], v: ModelValue| match v {
+        ModelValue::Int(x) => Value::I64(x),
+        ModelValue::Ref(r) => Value::Ref(r.map(|i| model[i].as_ref().expect("live target").handle)),
+    };
+    for (at, step) in history.iter().enumerate() {
+        let live: Vec<usize> = (0..model.len()).filter(|i| model[*i].is_some()).collect();
+        // Pick a live object with at least one slot; with `fresh`, a
+        // never-written one first.
+        let pick = |model: &[Option<ModelObj>], obj: usize, fresh: bool| {
+            let with_slots = |i: &&usize| !model[**i].as_ref().unwrap().slots.is_empty();
+            let candidates: Vec<usize> = live.iter().filter(with_slots).copied().collect();
+            let unwritten: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|i| !model[*i].as_ref().unwrap().written)
+                .collect();
+            let pool = if fresh && !unwritten.is_empty() { unwritten } else { candidates };
+            (!pool.is_empty()).then(|| pool[obj % pool.len()])
+        };
+        match *step {
+            Step::AllocData { slots, rooted } | Step::AllocArray { len: slots, rooted } => {
+                let r = match step {
+                    Step::AllocData { .. } => heap.alloc_data(ClassId(0), slots),
+                    _ => heap.alloc_array(slots),
+                };
+                // A full heap refuses the allocation; the model skips it.
+                if let Ok(handle) = r {
+                    let obj = heap.get(handle);
+                    assert_eq!(obj.slot_count(), slots, "step {at}");
+                    assert_eq!(obj.byte_size, (16 + 8 * slots as u64).div_ceil(16) * 16);
+                    model.push(Some(ModelObj {
+                        handle,
+                        slots: vec![ModelValue::Int(0); slots],
+                        bytes: obj.byte_size,
+                        rooted,
+                        written: false,
+                    }));
+                }
+            }
+            Step::WriteInt { obj, slot, value, fresh } => {
+                if let Some(i) = pick(&model, obj, fresh) {
+                    let m = model[i].as_mut().unwrap();
+                    let s = slot % m.slots.len();
+                    m.slots[s] = ModelValue::Int(value);
+                    m.written = true;
+                    heap.get_mut(m.handle).set_slot(s, Value::I64(value));
+                }
+            }
+            Step::WriteRef { obj, slot, target, fresh } => {
+                if let Some(i) = pick(&model, obj, fresh) {
+                    let t = target.filter(|_| !live.is_empty()).map(|t| live[t % live.len()]);
+                    let v = ModelValue::Ref(t);
+                    let written = value_of(&model, v);
+                    let m = model[i].as_mut().unwrap();
+                    let s = slot % m.slots.len();
+                    m.slots[s] = v;
+                    m.written = true;
+                    heap.get_mut(m.handle).set_slot(s, written);
+                }
+            }
+            Step::Read { obj, slot } => {
+                if let Some(i) = pick(&model, obj, false) {
+                    let m = model[i].as_ref().unwrap();
+                    let s = slot % m.slots.len();
+                    let want = value_of(&model, m.slots[s]);
+                    assert_eq!(heap.get(m.handle).slot(s), want, "step {at}: read of slot {s}");
+                }
+            }
+            Step::Unroot { obj } => {
+                if !live.is_empty() {
+                    model[live[obj % live.len()]].as_mut().unwrap().rooted = false;
+                }
+            }
+            Step::Collect => {
+                // Model reachability from the rooted objects.
+                let mut reached = vec![false; model.len()];
+                let mut work: Vec<usize> =
+                    live.iter().copied().filter(|i| model[*i].as_ref().unwrap().rooted).collect();
+                while let Some(i) = work.pop() {
+                    if std::mem::replace(&mut reached[i], true) {
+                        continue;
+                    }
+                    for v in &model[i].as_ref().unwrap().slots {
+                        if let ModelValue::Ref(Some(t)) = v {
+                            work.push(*t);
+                        }
+                    }
+                }
+                let roots: Vec<ObjRef> = live
+                    .iter()
+                    .map(|i| model[*i].as_ref().unwrap())
+                    .filter(|m| m.rooted)
+                    .map(|m| m.handle)
+                    .collect();
+                let stats = heap.collect(&roots, &[], |_| {});
+                let (mut objects, mut bytes) = (0u64, 0u64);
+                for &i in &live {
+                    let m = model[i].as_ref().unwrap();
+                    assert_eq!(heap.is_live(m.handle), reached[i], "step {at}: liveness of object {i}");
+                    if reached[i] {
+                        objects += 1;
+                        bytes += m.bytes;
+                    } else {
+                        model[i] = None;
+                    }
+                }
+                assert_eq!(stats.live_objects, objects, "step {at}: live_objects");
+                assert_eq!(stats.live_bytes, bytes, "step {at}: live_bytes");
+                assert_eq!(stats.freed_objects, live.len() as u64 - objects, "step {at}");
+                // Every slot of every survivor still reads as the model's.
+                for m in model.iter().flatten() {
+                    let obj = heap.get(m.handle);
+                    for (s, v) in m.slots.iter().enumerate() {
+                        assert_eq!(obj.slot(s), value_of(&model, *v), "step {at}: slot {s}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn differential_heaps() -> [Heap; 3] {
+    let region = (0x6000_0000u64, 0x6000_0000 + 1024 * 1024);
+    let mature = MatureConfig {
+        promote_after: 2,
+        fraction: 0.25,
+    };
+    [
+        Heap::new(region),
+        Heap::with_mature(region, mature),
+        Heap::non_moving(region),
+    ]
+}
+
+#[test]
+fn lazy_payload_heaps_match_an_eager_model() {
+    check("lazy_payload_heaps_match_an_eager_model", 128, arb_history, |history| {
+        for heap in differential_heaps() {
+            run_against_model(&history, heap);
+        }
+    });
 }
