@@ -355,12 +355,6 @@ impl CodeMapSet {
         &self.symbols
     }
 
-    /// Give up the maps and keep only the symbol table, which later
-    /// files of the incarnation are parsed into.
-    pub(crate) fn into_symbols(self) -> Symbols {
-        self.symbols
-    }
-
     pub fn is_empty(&self) -> bool {
         self.maps.is_empty()
     }

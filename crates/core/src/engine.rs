@@ -32,7 +32,6 @@
 use crate::bootmap::BootMap;
 use crate::flatindex::FlatIndex;
 use crate::codemap::CodeMapSet;
-use crate::error::ViprofError;
 use crate::recover::RecoveryReport;
 use crate::resolve::{
     load_each, IncarnationSummary, ResolutionQuality, ResolveOptions, ViprofResolver,
@@ -258,7 +257,10 @@ pub struct ShardPoison {
     /// `false`: panic only inside parallel shard workers, so the
     /// engine's single-threaded fallback re-resolve succeeds and the
     /// report comes out identical to a clean run. `true`: the fallback
-    /// panics too and the shard's samples are quarantined.
+    /// panics too and the shard's samples are quarantined. A fatal
+    /// poison quarantines whole shards, every sample of each shard the
+    /// pid's buckets reach, so what it quarantines depends on the
+    /// thread count.
     pub fatal: bool,
 }
 
@@ -320,8 +322,8 @@ impl EngineTelemetry {
 }
 
 /// How many threads the host can run at once: the worker count of the
-/// public [`ResolutionEngine::build`].
-fn host_parallelism() -> usize {
+/// public [`ResolutionEngine::build`] and of the live cache's reloads.
+pub(crate) fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -440,21 +442,23 @@ impl ResolutionEngine {
     /// Load and flatten in one pass on at most `workers` threads, the
     /// calling one included: the job that reads an incarnation's maps
     /// flattens them and drops them before it takes the next, so a
-    /// worker holds one incarnation's maps at a time. The engine is the
-    /// one [`ViprofResolver::load_with`] and [`Self::build`] produce.
+    /// worker holds one incarnation's maps at a time. `bootmap` is the
+    /// caller's reading of `RVM.map`. The engine is the one
+    /// [`ViprofResolver::load_with`] and [`Self::build`] produce.
     pub(crate) fn load_on(
         kernel: &Kernel,
+        bootmap: &BootMap,
         options: ResolveOptions,
         workers: usize,
-    ) -> Result<(ResolutionEngine, RecoveryReport), ViprofError> {
-        let loaded = load_each(kernel, options, workers, |set| Flattened::of(&set))?;
+    ) -> (ResolutionEngine, RecoveryReport) {
+        let loaded = load_each(kernel, options, workers, |set| Flattened::of(&set));
         let engine = ResolutionEngine::assemble(
-            &loaded.bootmap,
+            bootmap,
             loaded.boot_image,
             loaded.failed_keys.len(),
             loaded.incarnations,
         );
-        Ok((engine, loaded.recovery))
+        (engine, loaded.recovery)
     }
 
     /// An engine from flattened incarnations and the boot map.
@@ -471,22 +475,17 @@ impl ResolutionEngine {
             engine.damage.skipped_map_files += flat.skipped_files;
             engine.damage.missing_epochs += flat.missing_epochs;
             engine.map_entries += flat.entries;
-            engine.insert_index(key, flat.index);
+            engine.flat.insert(key, flat.index);
         }
         engine.set_boot(bootmap, boot_image);
         engine
     }
 
-    /// (Re)flatten the boot-image map with the same candidate rule its
+    /// Flatten the boot-image map with the same candidate rule its
     /// `resolve` applies: last entry per distinct offset, coverage cut
-    /// at the next distinct offset. Replaces any previous boot state —
-    /// the live path calls this again when `RVM.map` (re)appears
-    /// mid-session.
-    pub(crate) fn set_boot(&mut self, bootmap: &BootMap, boot_image: Option<ImageId>) {
+    /// at the next distinct offset.
+    fn set_boot(&mut self, bootmap: &BootMap, boot_image: Option<ImageId>) {
         let methods = bootmap.methods();
-        self.boot_starts.clear();
-        self.boot_ends.clear();
-        self.boot_names.clear();
         self.boot_image = boot_image;
         let mut i = 0;
         while i < methods.len() {
@@ -507,29 +506,6 @@ impl ResolutionEngine {
             }
             i = j;
         }
-    }
-
-    /// Install (or replace) one incarnation's flattened index.
-    pub(crate) fn insert_index(&mut self, key: ProcKey, index: FlatIndex) {
-        self.flat.insert(key, index);
-    }
-
-    /// Remove one incarnation's index (the live path, when every map
-    /// file of the incarnation turns out unusable).
-    pub(crate) fn remove_index(&mut self, key: &ProcKey) {
-        self.flat.remove(key);
-    }
-
-    /// Mutable access to one incarnation's index, for in-place epoch
-    /// extension.
-    pub(crate) fn index_mut(&mut self, key: &ProcKey) -> Option<&mut FlatIndex> {
-        self.flat.get_mut(key)
-    }
-
-    /// Replace the load-time damage counters (the live path tracks them
-    /// incrementally and installs the totals before each snapshot).
-    pub(crate) fn set_damage(&mut self, damage: ResolutionQuality) {
-        self.damage = damage;
     }
 
     /// Install (or clear) the deterministic shard-poison injector.

@@ -33,7 +33,7 @@
 //! insertion order) counts. Equivalence against the legacy walk is
 //! property-tested in `tests/prop_resolve_flat.rs`.
 
-use crate::codemap::{CodeMapSet, EpochMap, Symbols};
+use crate::codemap::{CodeMapSet, EpochMap};
 use sim_cpu::Addr;
 use std::sync::Arc;
 
@@ -141,128 +141,6 @@ impl FlatIndex {
                 });
             }
             i = j;
-        }
-    }
-
-    /// Append one epoch map to an already-flattened chain *in place*,
-    /// re-sweeping only the address window the new map touches instead
-    /// of re-flattening the whole chain.
-    ///
-    /// `ordinal` is the map's position in the chain (the number of maps
-    /// already flattened), exactly as `build` would number it.
-    /// `symbols` is the table the map was parsed into, the one every
-    /// earlier map of this index was parsed into too (it only grows).
-    ///
-    /// Returns `false` — with the index untouched — when the append
-    /// cannot take the fast path: the new map's epoch precedes an
-    /// existing layer's, so its layers would not sort last and the
-    /// caller must rebuild from the full chain. On `true` the result is
-    /// identical (segments, layer order, merge decisions and symbols,
-    /// i.e. `==`) to `FlatIndex::build` over the extended chain.
-    pub fn extend(&mut self, map: &EpochMap, symbols: &Symbols, ordinal: u32) -> bool {
-        if self.layer_epochs.iter().any(|&e| e > map.epoch) {
-            return false;
-        }
-        self.syms
-            .extend_from_slice(&symbols.names()[self.syms.len()..]);
-        let mut spans: Vec<LayerSpan> = Vec::new();
-        Self::map_spans(map, ordinal, &mut spans);
-        if spans.is_empty() {
-            // Nothing covered (empty or all-zero-size map): the full
-            // rebuild would produce the same index we already hold.
-            return true;
-        }
-        let lo = spans.iter().map(|s| s.start).min().expect("non-empty");
-        let hi = spans.iter().map(|s| s.end).max().expect("non-empty");
-        // Existing segments overlapping [lo, hi): segments are disjoint
-        // and ascending, so both columns are sorted. Straddling
-        // segments are pulled into the window whole.
-        let first = self.ends.partition_point(|e| *e <= lo);
-        let last = self.starts.partition_point(|s| *s < hi);
-        // Decompose the window's segments back into spans. Each layer
-        // becomes one fragment span keyed by (epoch, position in its
-        // stack): positions preserve the stack's (epoch, ordinal)
-        // order, fragments from distinct segments never overlap, and
-        // every position is < `ordinal`, so the new map's layers still
-        // sort last among equal epochs — the sweep reproduces exactly
-        // what a full rebuild would.
-        for seg in first..last {
-            let lo_off = self.layer_off[seg] as usize;
-            let hi_off = self.layer_off[seg + 1] as usize;
-            for (pos, k) in (lo_off..hi_off).enumerate() {
-                spans.push(LayerSpan {
-                    start: self.starts[seg],
-                    end: self.ends[seg],
-                    epoch: self.layer_epochs[k],
-                    ordinal: pos as u32,
-                    sym: self.layer_syms[k],
-                });
-            }
-        }
-        let mini = Self::sweep(spans, Vec::new());
-        self.splice(first, last, mini);
-        true
-    }
-
-    /// Replace segments `[first, last)` with a re-swept window,
-    /// re-merging across both splice edges.
-    fn splice(&mut self, first: usize, last: usize, mini: FlatIndex) {
-        let lo_off = self.layer_off[first] as usize;
-        let hi_off = self.layer_off[last] as usize;
-        let mini_layers = mini.layer_epochs.len();
-        let mini_segs = mini.starts.len();
-        self.layer_epochs.splice(lo_off..hi_off, mini.layer_epochs);
-        self.layer_syms.splice(lo_off..hi_off, mini.layer_syms);
-        self.starts.splice(first..last, mini.starts);
-        self.ends.splice(first..last, mini.ends);
-        let mut layer_off =
-            Vec::with_capacity(self.layer_off.len() - (last - first) + mini_segs);
-        layer_off.extend_from_slice(&self.layer_off[..=first]);
-        layer_off.extend(mini.layer_off[1..].iter().map(|&o| o + lo_off as u32));
-        let shift = mini_layers as i64 - (hi_off - lo_off) as i64;
-        layer_off.extend(
-            self.layer_off[last + 1..]
-                .iter()
-                .map(|&o| (o as i64 + shift) as u32),
-        );
-        self.layer_off = layer_off;
-        // A rewritten window edge may now carry the same layer stack as
-        // its untouched neighbour; the full sweep would have merged
-        // them. Right edge first so the left merge can't shift it.
-        if mini_segs > 0 {
-            self.try_merge(first + mini_segs - 1);
-        }
-        if first > 0 {
-            self.try_merge(first - 1);
-        }
-    }
-
-    /// Merge segments `i` and `i + 1` when contiguous with identical
-    /// layer stacks — the same test `mergeable` applies during a
-    /// full sweep.
-    fn try_merge(&mut self, i: usize) {
-        if i + 1 >= self.starts.len() || self.ends[i] != self.starts[i + 1] {
-            return;
-        }
-        let (a_lo, a_hi) = (self.layer_off[i] as usize, self.layer_off[i + 1] as usize);
-        let b_hi = self.layer_off[i + 2] as usize;
-        let n = a_hi - a_lo;
-        if b_hi - a_hi != n
-            || !(0..n).all(|k| {
-                self.layer_epochs[a_lo + k] == self.layer_epochs[a_hi + k]
-                    && self.layer_syms[a_lo + k] == self.layer_syms[a_hi + k]
-            })
-        {
-            return;
-        }
-        self.ends[i] = self.ends[i + 1];
-        self.starts.remove(i + 1);
-        self.ends.remove(i + 1);
-        self.layer_epochs.drain(a_hi..b_hi);
-        self.layer_syms.drain(a_hi..b_hi);
-        self.layer_off.remove(i + 1);
-        for o in &mut self.layer_off[i + 1..] {
-            *o -= n as u32;
         }
     }
 
@@ -535,66 +413,5 @@ mod tests {
         let f = FlatIndex::build(&CodeMapSet::default());
         assert!(f.resolve_salvage(0x100, 0).is_none());
         assert_eq!(f.segments(), 0);
-    }
-
-    /// Grow a chain one epoch at a time through `extend` and check the
-    /// result is `==` (segments, layers and symbols) to a from-scratch
-    /// build at every step.
-    fn grow_and_check(maps: Vec<(u64, Vec<CodeMapEntry>)>) {
-        let whole = CodeMapSet::new(maps.clone());
-        let mut inc = FlatIndex::build(&CodeMapSet::default());
-        for (n, map) in whole.maps().iter().enumerate() {
-            assert!(
-                inc.extend(map, whole.symbols(), n as u32),
-                "in-order append must take the fast path (epoch {})",
-                map.epoch
-            );
-            let full = FlatIndex::build(&CodeMapSet::new(maps[..=n].to_vec()));
-            assert_eq!(inc, full, "diverged after appending epoch {}", map.epoch);
-        }
-    }
-
-    #[test]
-    fn extend_matches_rebuild_across_overlaps_gaps_and_merges() {
-        grow_and_check(vec![
-            (0, vec![e(0x100, 0x40, "A"), e(0x200, 0x40, "B")]),
-            // Overlaps A's tail and the gap after it.
-            (1, vec![e(0x120, 0x100, "C")]),
-            // Same epoch again (duplicate-epoch chain), shadowing quirk.
-            (1, vec![e(0x100, 0x100, "big"), e(0x180, 0x40, "small")]),
-            // Disjoint from everything (pure insertion, no overlap).
-            (2, vec![e(0x900, 0x40, "D")]),
-            // Adjacent same-signature coverage that must merge with D.
-            (3, vec![e(0x940, 0x40, "D")]),
-            // Zero-size and empty maps are no-ops.
-            (4, vec![e(0x500, 0, "ghost")]),
-            (5, vec![]),
-            // Re-covers the whole hull in one span.
-            (6, vec![e(0x80, 0xa00, "E")]),
-        ]);
-    }
-
-    #[test]
-    fn extend_refuses_out_of_order_epochs() {
-        let set = CodeMapSet::new(vec![
-            (5, vec![e(0x100, 0x40, "X")]),
-            (3, vec![e(0x100, 0x40, "Y")]),
-            (5, vec![e(0x100, 0x40, "Y")]),
-        ]);
-        // `new` interns in the order given, so the first map's table is
-        // a prefix of the whole set's.
-        let (early, y) = (&set.maps()[0], &set.maps()[2]);
-        let mut f = FlatIndex::build(&CodeMapSet::new(vec![(5, vec![e(0x100, 0x40, "X")])]));
-        let before = f.clone();
-        assert!(!f.extend(early, set.symbols(), 1));
-        assert_eq!(f, before, "refused extend must leave the index untouched");
-        // Equal epoch is fine: the new map's ordinal still sorts last.
-        assert!(f.extend(y, set.symbols(), 1));
-        let full = FlatIndex::build(&CodeMapSet::new(vec![
-            (5, vec![e(0x100, 0x40, "X")]),
-            (5, vec![e(0x100, 0x40, "Y")]),
-        ]));
-        assert_eq!(f, full);
-        assert_eq!(f.resolve(0x110, 5).map(|s| &**s), Some("Y"));
     }
 }

@@ -53,7 +53,8 @@ pub struct ResolutionQuality {
     pub cross_incarnation_blocked: u64,
     /// Samples that never reached the database (ring-buffer overflow).
     pub dropped: u64,
-    /// Samples the database's admission cap refused (bounded memory).
+    /// Samples an older session's admission cap refused, read from its
+    /// v2/v3 sample-file header (`SampleDb::evicted`).
     pub evicted: u64,
     /// Map lines quarantined during load.
     pub quarantined_lines: u64,
@@ -152,11 +153,12 @@ impl ResolveOptions {
     }
 }
 
-/// What one load pass produced: `RVM.map`, the boot image's id, what
-/// each loaded incarnation became in key order, the incarnations whose
-/// maps were present but unloadable, and what journal replay did.
+/// What one load pass produced: the boot image's id, what each loaded
+/// incarnation became in key order, the incarnations whose maps were
+/// present but unloadable, and what journal replay did. `RVM.map` is
+/// the caller's to read: the batch paths fail on one that does not
+/// parse, the live cache treats it as absent.
 pub(crate) struct Loaded<T> {
-    pub bootmap: BootMap,
     pub boot_image: Option<ImageId>,
     pub incarnations: Vec<(ProcKey, T)>,
     pub failed_keys: Vec<ProcKey>,
@@ -174,8 +176,7 @@ pub(crate) fn load_each<T: Send>(
     options: ResolveOptions,
     workers: usize,
     then: impl Fn(CodeMapSet) -> T + Sync,
-) -> Result<Loaded<T>, ViprofError> {
-    let bootmap = BootMap::load(&kernel.vfs)?;
+) -> Loaded<T> {
     let keys = discover_keys(kernel);
     let outcomes = per_incarnation(&keys, workers, |&key| {
         if options.recover {
@@ -186,7 +187,6 @@ pub(crate) fn load_each<T: Send>(
         CodeMapSet::load(&kernel.vfs, key).map(|set| (then(set), None))
     });
     let mut loaded = Loaded {
-        bootmap,
         boot_image: kernel.images.find_by_name(BOOT_IMAGE_NAME),
         incarnations: Vec::with_capacity(keys.len()),
         failed_keys: Vec::new(),
@@ -203,7 +203,7 @@ pub(crate) fn load_each<T: Send>(
             Err(_) => loaded.failed_keys.push(key),
         }
     }
-    Ok(loaded)
+    loaded
 }
 
 /// The loaded post-processing inputs: every incarnation's code maps,
@@ -239,10 +239,11 @@ impl ViprofResolver {
         kernel: &Kernel,
         options: ResolveOptions,
     ) -> Result<(ViprofResolver, RecoveryReport), ViprofError> {
-        let loaded = load_each(kernel, options, 1, |set| set)?;
+        let bootmap = BootMap::load(&kernel.vfs)?;
+        let loaded = load_each(kernel, options, 1, |set| set);
         Ok((
             ViprofResolver {
-                bootmap: loaded.bootmap,
+                bootmap,
                 codemaps: loaded.incarnations.into_iter().collect(),
                 boot_image: loaded.boot_image,
                 failed_keys: loaded.failed_keys,

@@ -2,6 +2,7 @@
 //! stop → report.
 
 use crate::agent::{MapFaultStats, MapFaults, VmAgent};
+use crate::bootmap::BootMap;
 use crate::callgraph::CallGraph;
 use crate::engine::ResolutionEngine;
 use crate::error::ViprofError;
@@ -349,11 +350,11 @@ impl Viprof {
     /// Resolve the daemon's database as it stands now (the copy
     /// [`Viprof::db_snapshot`] takes) into a full [`SessionReport`] —
     /// mid-run or after [`Viprof::stop`] — through the live index
-    /// cache, extended first by the maps written since the last
+    /// cache, reloaded first when map files appeared since the last
     /// snapshot. `None` unless the session was built with
-    /// [`SessionBuilder::live`]. Cost is proportional to the aggregate
-    /// (distinct buckets + rows), independent of how many samples
-    /// have arrived.
+    /// [`SessionBuilder::live`]. Without a reload, cost is proportional
+    /// to the aggregate (distinct buckets + rows), independent of how
+    /// many samples have arrived.
     pub fn live_snapshot(&self, kernel: &Kernel, spec: &ReportSpec) -> Option<SessionReport> {
         let live = self.live.as_ref()?;
         let db = self.db_snapshot();
@@ -378,8 +379,9 @@ impl Viprof {
         // runs.
         let telemetry = Telemetry::new();
         let workers = spec.threads.max(1);
-        let (mut engine, mut rec) =
-            ResolutionEngine::load_on(kernel, ResolveOptions { recover: spec.recover }, workers)?;
+        let bootmap = BootMap::load(&kernel.vfs)?;
+        let options = ResolveOptions { recover: spec.recover };
+        let (mut engine, mut rec) = ResolutionEngine::load_on(kernel, &bootmap, options, workers);
         telemetry
             .stage(names::STAGE_RESOLVE_LOAD)
             .record(engine.map_entries());
@@ -391,7 +393,7 @@ impl Viprof {
             // baseline engine records into its own registry: its pass
             // is scaffolding, not part of this report's accounting.
             let (degraded, _) =
-                ResolutionEngine::load_on(kernel, ResolveOptions::default(), workers)?;
+                ResolutionEngine::load_on(kernel, &bootmap, ResolveOptions::default(), workers);
             let baseline = degraded.quality(db, spec.threads);
             rec.samples_salvaged = report.quality.resolved.saturating_sub(baseline.resolved);
             report.recovery = Some(rec);
@@ -890,6 +892,8 @@ mod tests {
 
         vm.shutdown(&mut machine);
         let db = viprof.stop(&mut machine);
+        let rebuilds = || viprof.telemetry().snapshot().counter(names::LIVE_FULL_REBUILDS);
+        let rebuilds_at_stop = rebuilds();
 
         // After stop, the snapshot is bit-identical to the offline
         // report at every thread count.
@@ -905,14 +909,16 @@ mod tests {
             assert_eq!(snap.quality.accounted(), db.total_samples(), "threads={threads}");
         }
 
-        // The index cache left its telemetry trail.
+        // The index cache left its telemetry trail, and the snapshots
+        // after stop reused what stop loaded.
         let t = viprof.telemetry().snapshot();
-        assert!(t.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0);
+        assert!(rebuilds_at_stop > 0);
+        assert_eq!(rebuilds(), rebuilds_at_stop, "snapshots after stop do not reload");
         assert!(t.histogram(names::RESOLVE_SHARD_SAMPLES).is_some(), "snapshots resolved");
     }
 
     #[test]
-    fn mid_run_snapshots_extend_the_cache_in_place() {
+    fn mid_run_snapshots_reload_only_for_new_maps() {
         let mut machine = Machine::new(MachineConfig::default());
         let mut config = OpConfig::time_at(20_000);
         config.daemon_period_cycles = 2_000_000;
@@ -930,7 +936,7 @@ mod tests {
             Box::new(viprof.make_agent()),
         );
         let maps = |m: &Machine| m.kernel.vfs.list(crate::codemap::JIT_MAP_DIR).len();
-        let extends = || viprof.telemetry().snapshot().counter(names::LIVE_INCREMENTAL_EXTENDS);
+        let rebuilds = || viprof.telemetry().snapshot().counter(names::LIVE_FULL_REBUILDS);
         // Each snapshot is the batch report over the daemon's database
         // and the maps on disk at that moment.
         let snapshot_equals_batch = |machine: &Machine| {
@@ -947,20 +953,76 @@ mod tests {
         let maps_first = maps(&machine);
         assert!(maps_first > 0, "the first run wrote epoch maps");
         snapshot_equals_batch(&machine);
-        let extends_first = extends();
-        assert!(extends_first > 0);
+        assert_eq!(rebuilds(), 1, "the first snapshot loads the cache");
+        // No map written since: the cache is kept.
+        snapshot_equals_batch(&machine);
+        assert_eq!(rebuilds(), 1, "no new map file, no reload");
 
-        // More GCs, more epoch maps: the second snapshot extends the
-        // cached indexes by those alone.
+        // More GCs, more epoch maps: the next snapshot reloads once.
         vm.run(&mut machine);
         assert!(maps(&machine) > maps_first, "the second run wrote new epoch maps");
         snapshot_equals_batch(&machine);
-        assert!(extends() > extends_first, "the new maps were extended in place");
-        let t = viprof.telemetry().snapshot();
-        assert_eq!(t.counter(names::LIVE_FULL_REBUILDS), 0);
+        assert_eq!(rebuilds(), 2, "new map files reload the cache once");
 
         vm.shutdown(&mut machine);
         viprof.stop(&mut machine);
+    }
+
+    #[test]
+    fn live_snapshot_treats_an_unparseable_rvm_map_as_absent() {
+        use oprofile::SampleOrigin;
+        use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL, RVM_MAP_PATH};
+        let mut machine = Machine::new(MachineConfig::default());
+        let viprof = Viprof::builder()
+            .config(OpConfig::time_at(20_000))
+            .journal(true)
+            .live(LiveSpec::new())
+            .start(&mut machine);
+        let mut natives = NativeRegistry::new();
+        let program = bench_program(&mut natives);
+        let mut vm = Vm::boot(
+            &mut machine,
+            program,
+            natives,
+            vm_config(96 * 1024),
+            Box::new(viprof.make_agent()),
+        );
+        vm.run(&mut machine);
+        vm.shutdown(&mut machine);
+        let db = viprof.stop(&mut machine);
+        machine.kernel.vfs.write(RVM_MAP_PATH, vec![0xff, 0xfe, 0xfd]);
+
+        // The batch report refuses a boot map it cannot read...
+        let spec = ReportSpec::default();
+        match Viprof::make_report(&db, &machine.kernel, &spec) {
+            Err(ViprofError::Corrupt { path, .. }) => assert_eq!(path, RVM_MAP_PATH),
+            other => panic!("expected a corrupt RVM.map, got {other:?}"),
+        }
+        // ...while the live snapshot reads it as absent: every sample
+        // is accounted, and boot-image samples land in `(no symbols)`.
+        let snap = viprof.live_snapshot(&machine.kernel, &spec).expect("live session");
+        assert_eq!(snap.quality.accounted(), db.total_samples());
+        let boot = machine.kernel.images.find_by_name(BOOT_IMAGE_NAME).expect("boot image");
+        let boot_samples: Vec<u64> = snap
+            .lines
+            .events
+            .iter()
+            .map(|event| {
+                db.iter()
+                    .filter(|(b, _)| b.origin == SampleOrigin::Image(boot) && b.event == *event)
+                    .map(|(_, count)| *count)
+                    .sum()
+            })
+            .collect();
+        assert!(boot_samples[0] > 0, "the VM ran boot-image code");
+        let row = snap
+            .lines
+            .rows
+            .iter()
+            .find(|r| r.image == BOOT_IMAGE_NAME && r.symbol == "(no symbols)")
+            .expect("a (no symbols) row for the boot image");
+        assert_eq!(row.counts, boot_samples);
+        assert!(snap.lines.rows.iter().all(|r| r.image != RVM_MAP_IMAGE_LABEL));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Counters say *how much* each pipeline stage lost; spans say *where
 //! in the causal chain* it happened. Every batch boundary — an NMI
 //! sampling window, a ring-buffer drain, a journal append, a
-//! supervisor redrain, a live extend or rebuild, a resolve pass —
+//! supervisor redrain, a live cache reload, a resolve pass —
 //! opens a span that links to its parent, so a sample's whole vertical
 //! path (paper §1's "vertically integrated" claim, applied to the
 //! profiler itself) is reconstructible after the fact.
@@ -57,7 +57,7 @@ pub enum TraceLayer {
     Journal,
     /// A supervisor catch-up redrain after a restart.
     Redrain,
-    /// Live-engine index work (extend / rebuild).
+    /// Live-cache reloads.
     Live,
     /// Agent map writes.
     Agent,

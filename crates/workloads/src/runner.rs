@@ -452,7 +452,11 @@ mod tests {
         assert_eq!(live.incarnations, offline.incarnations);
         use viprof_telemetry::names;
         let t = out.telemetry.as_ref().unwrap();
-        assert!(t.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0, "the snapshot extended indexes");
+        assert_eq!(
+            t.counter(names::LIVE_FULL_REBUILDS),
+            1,
+            "stop loads the cache once; the snapshot after stop does not reload"
+        );
         assert_eq!(live.quality.accounted(), db.total_samples());
         // Non-live runs don't carry one.
         let plain = run_benchmark(&built, &plan, ProfilerKind::viprof_at(90_000), 1, false);

@@ -70,9 +70,9 @@ if [[ "${1:-}" != "--fast" ]]; then
     cargo test -q -p viprof poison
 
     # Live equivalence smoke: a live snapshot must equal the batch
-    # report (rows, quality, incarnations), epoch maps written since
-    # the previous snapshot must extend the cached index in place
-    # rather than rebuild it, and `viprof top`'s final JSON must equal
+    # report (rows, quality, incarnations), the cache must reload
+    # through the batch loader once when new map files appear and not
+    # at all otherwise, and `viprof top`'s final JSON must equal
     # `viprof report`'s. Runs before the bench smoke so it is checked
     # even while a bench gate fails.
     echo "==> live equivalence smoke"

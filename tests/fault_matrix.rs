@@ -688,9 +688,10 @@ fn governed_burst_sheds_strictly_fewer_samples() {
         lsnap.counter(names::GOVERNOR_BACKOFFS) >= 1,
         "the governor must still engage in a live session"
     );
-    assert!(
-        lsnap.counter(names::LIVE_INCREMENTAL_EXTENDS) >= 1,
-        "the snapshot extended indexes"
+    assert_eq!(
+        lsnap.counter(names::LIVE_FULL_REBUILDS),
+        1,
+        "stop loads the cache once; the snapshot after stop does not reload"
     );
     let live_snap = live.live.as_ref().expect("live run seals a snapshot");
     assert_eq!(live_snap.quality.accounted(), live.db.as_ref().unwrap().total_samples());
@@ -1053,9 +1054,16 @@ fn poisoned_shard_never_loses_the_session_report() {
             .is_empty(),
         "the quarantine leaves a flight-recorder trace"
     );
-    // Shards are contiguous slices of the sorted buckets, and the
-    // poisoned pid's buckets reach every slice of this database: the
-    // damage is identical at every thread count.
+    // Shards are contiguous slices of the sorted buckets, and a fatal
+    // poison quarantines every shard the poisoned pid's buckets reach.
+    // In this database they reach every slice, so the damage is
+    // identical at every thread count.
+    assert_eq!(
+        maimed.telemetry.counter(names::RESOLVE_SHARD_PANICS),
+        maimed.telemetry.gauge(names::RESOLVE_SHARDS),
+        "precondition: the poisoned pid's buckets must reach every one of the {SHARDS} \
+         shards, or the 1- and {SHARDS}-thread quarantines differ by design"
+    );
     let single = Viprof::make_report(db, kernel, &fatal_spec(1)).unwrap();
     assert_eq!(single.quality, maimed.quality);
     assert_eq!(single.lines, maimed.lines);

@@ -9,8 +9,8 @@
 //!   the line rules does (`trim`, `splitn(4, ' ')`, hex fields through
 //!   `from_str_radix`): the same addresses, sizes, tier labels,
 //!   signatures and quarantine count, and never panics;
-//! * the batch loader and the live engine's incremental reader tally a
-//!   damaged directory alike: the same quarantined lines, skipped
+//! * a batch report and live snapshots taken as the files appear tally
+//!   a damaged directory alike: the same quarantined lines, skipped
 //!   files and failed incarnations.
 
 mod support;

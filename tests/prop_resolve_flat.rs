@@ -175,7 +175,7 @@ fn engine_matches_the_reference_resolver_on_random_sessions() {
 /// of four pids compiles method `m` in epoch `m % 64`. Samples land at
 /// the last epoch (backward walks up to 63 maps deep), at epoch 0
 /// (forward salvage), at a random epoch, and in the gaps between
-/// method bodies (unresolved). One chain is also grown by `extend`.
+/// method bodies (unresolved).
 #[test]
 fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
     const EPOCHS: u64 = 64;
@@ -244,94 +244,4 @@ fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
         "the session must reach every classification: {q:?}"
     );
     assert_engine_matches_the_oracle(&k, &db);
-
-    // The live engine's fast path at the same depth: growing a chain
-    // one epoch at a time equals flattening it whole.
-    let whole = CodeMapSet::new(chain(0));
-    let mut grown = FlatIndex::build(&CodeMapSet::default());
-    for (ordinal, map) in whole.maps().iter().enumerate() {
-        assert!(
-            grown.extend(map, whole.symbols(), ordinal as u32),
-            "in-order append refused at {ordinal}"
-        );
-    }
-    assert_eq!(grown, FlatIndex::build(&CodeMapSet::new(chain(0))));
-}
-
-/// The live engine's maintenance invariant, isolated: growing an
-/// index epoch by epoch with `FlatIndex::extend` is `==` to
-/// `FlatIndex::build` over the whole chain — across random entry
-/// overlaps, duplicate start addresses, zero-sized bodies,
-/// duplicate epochs and empty maps — whenever the appends arrive
-/// in chain order (the fast path's contract). Any refusal must
-/// leave the index untouched.
-#[test]
-fn extend_by_epoch_equals_rebuild_from_scratch() {
-    check(
-        "extend_by_epoch_equals_rebuild_from_scratch",
-        256,
-        |g| (chain_strategy(g), queries_strategy(g)),
-        |(chain, queries)| {
-            // Chain order = ascending (epoch, position): exactly how
-            // `CodeMapSet::new` sorts and numbers the maps.
-            let mut chain = chain;
-            chain.sort_by_key(|(epoch, _)| *epoch);
-            let whole = CodeMapSet::new(chain.clone());
-
-            let mut grown = FlatIndex::build(&CodeMapSet::default());
-            for (ordinal, map) in whole.maps().iter().enumerate() {
-                let before = grown.clone();
-                let ok = grown.extend(map, whole.symbols(), ordinal as u32);
-                assert!(ok, "in-order append refused at ordinal {}", ordinal);
-                // Each prefix matches its own full rebuild, not just the
-                // final state — a mid-chain divergence that later appends
-                // happen to repair would still break live snapshots.
-                let rebuilt = FlatIndex::build(&CodeMapSet::new(chain[..=ordinal].to_vec()));
-                assert_eq!(
-                    &grown,
-                    &rebuilt,
-                    "extend diverged from rebuild after {} maps (was {:?})",
-                    ordinal + 1,
-                    before
-                );
-            }
-
-            // An out-of-order append (epoch strictly below an existing
-            // layer) must refuse and leave the index bit-identical.
-            if let Some(top) = chain.iter().map(|(epoch, _)| *epoch).max() {
-                if top > 0 {
-                    let mut probe = grown.clone();
-                    // Parsed after the chain, into the same table: the
-                    // last map of epoch `top - 1` once sorted.
-                    let mut with_stale = chain.clone();
-                    with_stale.push((
-                        top - 1,
-                        vec![CodeMapEntry {
-                            addr: 0x100,
-                            size: 0x40,
-                            level: "O1".to_string(),
-                            signature: SIGS[0].to_string(),
-                        }],
-                    ));
-                    let probe_set = CodeMapSet::new(with_stale);
-                    let stale = probe_set
-                        .maps()
-                        .iter()
-                        .rfind(|m| m.epoch == top - 1)
-                        .expect("the stale map");
-                    if !probe.extend(stale, probe_set.symbols(), chain.len() as u32) {
-                        assert_eq!(&probe, &grown, "refused extend mutated the index");
-                    }
-                }
-            }
-
-            // And the grown index still answers like the walk.
-            let set = whole;
-            for (pc, epoch) in queries {
-                let walk = set.resolve(pc, epoch);
-                let fast = grown.resolve(pc, epoch).map(|s| s.as_ref());
-                assert_eq!(walk, fast, "grown resolve(pc={:#x}, epoch={})", pc, epoch);
-            }
-        },
-    );
 }

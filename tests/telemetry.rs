@@ -485,7 +485,11 @@ fn long_live_session_keeps_its_flight_recorder_history() {
         drains > DEFAULT_EVENT_CAPACITY as u64,
         "the session must drain more often than the recorder has slots: {drains}"
     );
-    assert!(snap.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0, "the snapshot extended indexes");
+    assert_eq!(
+        snap.counter(names::LIVE_FULL_REBUILDS),
+        1,
+        "stop loads the cache once; the snapshot after stop does not reload"
+    );
     let live = out.live.as_ref().expect("live run carries a snapshot");
     assert_eq!(live.quality.accounted(), out.db.as_ref().unwrap().total_samples());
     assert_eq!(snap.events_dropped, 0, "the flight recorder evicted events");
