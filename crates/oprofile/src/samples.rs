@@ -192,8 +192,10 @@ impl SampleDb {
 
     // --- binary serialization (the "sample files" on the VFS) ---
 
+    /// The event's index in [`HwEvent::ALL`], which is its discriminant
+    /// (pinned by `event_codes_are_discriminants`).
     fn event_code(e: HwEvent) -> u8 {
-        HwEvent::ALL.iter().position(|x| *x == e).unwrap() as u8
+        e as u8
     }
 
     fn event_from(code: u8) -> Result<HwEvent, String> {
@@ -516,6 +518,16 @@ mod tests {
             event,
             addr: off,
             epoch: 0,
+        }
+    }
+
+    #[test]
+    fn event_codes_are_discriminants() {
+        // Sample files store `e as u8`; reordering the enum or `ALL`
+        // would silently relabel every stored sample.
+        for (i, &e) in HwEvent::ALL.iter().enumerate() {
+            assert_eq!(e as usize, i, "{e:?}");
+            assert_eq!(SampleDb::event_from(SampleDb::event_code(e)), Ok(e));
         }
     }
 

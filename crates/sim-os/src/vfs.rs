@@ -61,12 +61,15 @@ impl Vfs {
         self.files.insert(path.into(), data.into());
     }
 
-    /// Append to a file, creating it if absent.
+    /// Append to a file, creating it if absent. The path is copied into
+    /// a key only when the file is new.
     pub fn append(&mut self, path: &str, data: &[u8]) {
-        self.files
-            .entry(path.to_string())
-            .or_default()
-            .extend_from_slice(data);
+        match self.files.get_mut(path) {
+            Some(file) => file.extend_from_slice(data),
+            None => {
+                self.files.insert(path.to_string(), data.to_vec());
+            }
+        }
     }
 
     pub fn read(&self, path: &str) -> Option<&[u8]> {

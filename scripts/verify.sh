@@ -50,11 +50,14 @@ if [[ "${1:-}" != "--fast" ]]; then
     # drain counters, journal records and NMI-window spans agree with
     # the sample database, and a session's journal replays to its
     # database. The sample-file readers must agree on damaged,
-    # shuffled and repeated records. Runs before the bench smoke so it
-    # is checked even while a bench gate fails.
+    # shuffled and repeated records, and the journal CRC (carry-less
+    # fold where the CPU has it, tables elsewhere) must equal the
+    # byte-wise oracle. Runs before the bench smoke so it is checked
+    # even while a bench gate fails.
     echo "==> drain accounting smoke"
     cargo test -q -p oprofile drain
     cargo test -q --test prop_sample_file
+    cargo test -q -p sim-os crc32
 
     # Resolve equivalence smoke: the flattened, sharded engine must
     # match the per-bucket epoch walk on random sessions, keep its

@@ -589,8 +589,10 @@ impl Paired {
         }
         // The journal's records, as recovery would read them.
         if let Some(key) = self.oracle.key {
-            let records = |v: &Vfs| journal::scan(v, &journal_path(key)).map(|s| s.records);
-            assert_eq!(records(vfs), records(&self.oracle_vfs), "journal records");
+            let path = journal_path(key);
+            let agent = journal::scan(vfs, &path).map(|s| s.records);
+            let oracle = journal::scan(&self.oracle_vfs, &path).map(|s| s.records);
+            assert_eq!(agent, oracle, "journal records");
         }
         assert_eq!(self.agent.stats_handle().snapshot(), self.oracle.stats, "agent stats");
         assert_eq!(
