@@ -2,8 +2,8 @@
 //!
 //! Reads the Chrome-trace JSON a session exported alongside its
 //! samples (`/var/log/viprof/trace.json` inside the session
-//! directory) and renders the causal span tree: which NMI window fed
-//! which drain, which drain fed which journal batch, where the GC
+//! directory) and renders the causal span tree: each drain with its
+//! sampling window, losses and journal record, and where the GC
 //! pauses and agent map writes sat. `viprof report --lineage` prints
 //! the matching sample-lineage table.
 //!

@@ -753,8 +753,8 @@ impl ResolutionEngine {
         let (root, _) = store.begin(TraceLayer::Resolve, names::SPAN_RESOLVE, None, now);
         let mut lineage = LineageTable::default();
 
-        // Traced journal batches: `(seq, runtime span ctx, dropped,
-        // evicted)`. A scan yields each seq once, in order (a
+        // Traced journal batches: `(seq, ctx of the drain span that
+        // wrote the record, dropped, evicted)`. A scan yields each seq once, in order (a
         // supervisor restart never re-appends a seq), so no dedup is
         // needed here.
         let mut batches: Vec<(u64, TraceCtx, u64, u64)> = Vec::new();

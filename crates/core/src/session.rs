@@ -212,8 +212,8 @@ pub struct SessionReport {
     pub telemetry: TelemetrySnapshot,
     /// Causal attribution of every `quality` loss bucket: per bucket,
     /// the entry sum equals the quality count exactly — dropped and
-    /// evicted samples point back to the journal span that persisted
-    /// the losing drain, blocked samples to their incarnation, and
+    /// evicted samples point back to the drain span whose journal
+    /// record holds them, blocked samples to their incarnation, and
     /// quarantined samples to the shard pass.
     pub lineage: LineageTable,
     /// The resolve pass's own span tree (work-unit pseudo-time, so it

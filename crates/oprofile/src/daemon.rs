@@ -64,81 +64,31 @@ impl DaemonTelemetry {
         }
     }
 
-    /// Account one landed drain: batch shape, drain cycles, and — when
-    /// the ring overflowed since the previous drain — a coalesced
-    /// `buffer.overflow` event carrying the loss count. `dead` is the
-    /// portion of `batch.dropped` refused at admission because its
-    /// incarnation was reaped (not a ring overflow), reported under its
-    /// own counter/event.
-    fn note_drain(&self, batch: &SampleDb, cycles: u64, journaled: bool, dead: u64) {
-        let drained = batch.total_samples();
+    /// Account one landed drain in its one causal record: count it,
+    /// then close its span `span` at the virtual time the drain's
+    /// charged cycles end. The span carries the batch's full loss
+    /// accounting (`dropped`, of which `dead` were refused at admission
+    /// because their incarnation was reaped, not lost to ring
+    /// overflow), `window`, where the sampling window it drained began,
+    /// and `seq`, the journal record the batch committed under, if any.
+    /// Its `samples + dead` is the ring occupancy the drain found.
+    fn note_drain(&self, span: TraceCtx, now: u64, window: u64, d: &Drained, seq: Option<u64>) {
+        let samples = d.batch.total_samples();
         self.drains.inc();
-        self.batch_samples.record(drained);
-        self.drain_stage.record(cycles);
-        if journaled && !is_trivial(batch) {
+        self.batch_samples.record(samples);
+        self.drain_stage.record(d.cycles);
+        self.dead_gen_dropped.add(d.dead);
+        let mut fields = vec![
+            ("samples", samples),
+            ("dropped", d.batch.dropped),
+            ("dead", d.dead),
+            ("window", window),
+        ];
+        if let Some(seq) = seq {
             self.batches_journaled.inc();
+            fields.push(("seq", seq));
         }
-        let ring_dropped = batch.dropped - dead;
-        if ring_dropped > 0 {
-            self.registry.event(
-                names::EVENT_BUFFER_OVERFLOW,
-                "ring buffer overflowed since last drain",
-                &[("dropped", ring_dropped), ("drained", drained)],
-            );
-        }
-        if dead > 0 {
-            self.dead_gen_dropped.add(dead);
-            self.registry.event(
-                names::EVENT_DAEMON_DEAD_GEN_DROP,
-                "late samples for reaped incarnations dropped at drain",
-                &[("dropped", dead), ("drained", drained)],
-            );
-        }
-    }
-
-    /// Open the causal spans for one landed drain: the NMI sampling
-    /// window that just closed (retroactive — it began when the
-    /// previous drain ended) and the drain itself as its child.
-    /// `redrain` marks the supervisor's out-of-schedule catch-up.
-    /// Returns the drain span, the parent for the journal append and
-    /// everything downstream (lineage).
-    fn begin_drain_spans(
-        &self,
-        window_begin: u64,
-        now: u64,
-        occupancy: u64,
-        redrain: bool,
-    ) -> TraceCtx {
-        let root = self.registry.trace_root();
-        let window = self.registry.trace_begin_at(
-            window_begin.min(now),
-            TraceLayer::Nmi,
-            names::SPAN_NMI_WINDOW,
-            root,
-        );
-        self.registry
-            .trace_end_at(now, window, &[("occupancy", occupancy)]);
-        let (layer, name) = if redrain {
-            (TraceLayer::Redrain, names::SPAN_SUPERVISOR_REDRAIN)
-        } else {
-            (TraceLayer::Drain, names::SPAN_DAEMON_DRAIN)
-        };
-        self.registry.trace_begin_at(now, layer, name, Some(window))
-    }
-
-    /// Close a drain span opened by [`Self::begin_drain_spans`] at the
-    /// virtual time the drain's charged cycles end, carrying the
-    /// batch's full loss accounting.
-    fn end_drain_span(&self, drain: TraceCtx, end: u64, batch: &SampleDb, dead: u64) {
-        self.registry.trace_end_at(
-            end,
-            drain,
-            &[
-                ("samples", batch.total_samples()),
-                ("dropped", batch.dropped),
-                ("dead", dead),
-            ],
-        );
+        self.registry.trace_end_at(now + d.cycles, span, &fields);
     }
 }
 
@@ -159,7 +109,8 @@ pub(crate) struct Drained {
     /// Samples refused because their incarnation was reaped (part of
     /// `batch.dropped`).
     pub dead: u64,
-    /// Ring occupancy when the drain began.
+    /// Ring occupancy when the drain began: the batch's samples plus
+    /// `dead`.
     pub occupancy: u64,
     /// Ring capacity.
     pub capacity: usize,
@@ -177,9 +128,10 @@ pub(crate) struct Drain {
     /// `current.db` can be rebuilt by replay.
     journal: Option<JournalWriter>,
     t: DaemonTelemetry,
-    /// Virtual time the previous drain landed — the begin of the NMI
-    /// sampling window the next drain's span closes retroactively.
-    last_drain_end: u64,
+    /// Virtual time the previous drain began: where the sampling window
+    /// the next drain empties began, recorded as that drain span's
+    /// `window` field.
+    window: u64,
 }
 
 impl Drain {
@@ -196,19 +148,21 @@ impl Drain {
             cost,
             journal,
             t: DaemonTelemetry::attach(registry),
-            last_drain_end: 0,
+            window: 0,
         }
     }
 
     /// The one drain routine, shared by a daemon wakeup, the
     /// supervisor's catch-up (`redrain`) and the final flush at `stop`.
-    /// In order: reap dead incarnations, open the NMI-window and drain
-    /// spans, move the ring into the database, journal the batch,
-    /// account the drain and close its span, then
-    /// close the timeline window at the drain's end. `govern` runs just
-    /// before the window closes, so a period the daemon's governor
-    /// reprograms lands in the window that caused it. The caller
-    /// charges the returned cycles.
+    /// It writes two records per drain: the drain span (the causal
+    /// record, which the journal record points at) and the timeline
+    /// window (the counter record). In order: reap dead incarnations,
+    /// open the drain span under the session root, move the ring into
+    /// the database, journal the batch, account the drain and close its
+    /// span, then close the timeline window at the drain's end.
+    /// `govern` runs just before the window closes, so a period the
+    /// daemon's governor reprograms lands in the window that caused it.
+    /// The caller charges the returned cycles.
     pub(crate) fn run(
         &mut self,
         kernel: &mut Kernel,
@@ -216,23 +170,23 @@ impl Drain {
         redrain: bool,
         govern: impl FnOnce(&Drained, &DaemonTelemetry),
     ) -> Drained {
-        self.t.registry.set_now(now);
+        let t = &self.t.registry;
+        t.set_now(now);
         // Reap before draining: a registration whose process died in
         // this window must not admit the dead incarnation's samples.
         self.reap_dead(kernel);
-        let (occupancy, capacity) = {
-            let d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
-            (d.buffer.len() as u64, d.buffer.capacity())
+        let (layer, name) = if redrain {
+            (TraceLayer::Redrain, names::SPAN_SUPERVISOR_REDRAIN)
+        } else {
+            (TraceLayer::Drain, names::SPAN_DAEMON_DRAIN)
         };
-        let span = self.t.begin_drain_spans(self.last_drain_end, now, occupancy, redrain);
-        let (batch, cycles, dead) = self.drain_batch();
-        self.last_drain_end = now;
-        self.journal_batch(&mut kernel.vfs, &batch, span);
-        self.t.note_drain(&batch, cycles, self.journal.is_some(), dead);
-        self.t.end_drain_span(span, now + cycles, &batch, dead);
-        let drained = Drained { batch, cycles, dead, occupancy, capacity };
+        let span = t.trace_begin_at(now, layer, name, t.trace_root());
+        let drained = self.drain_batch();
+        let seq = self.journal_batch(&mut kernel.vfs, &drained.batch, span);
+        self.t.note_drain(span, now, self.window, &drained, seq);
+        self.window = now;
         govern(&drained, &self.t);
-        self.t.registry.sample_timeline_at(now + cycles);
+        self.t.registry.sample_timeline_at(now + drained.cycles);
         drained
     }
 
@@ -267,69 +221,49 @@ impl Drain {
     /// The drained vector is recycled back into the ring before the
     /// driver lock drops, so steady-state drains allocate no ring
     /// slots.
-    /// The third return value is the count of samples refused because
-    /// their `(pid, gen)` registration was reaped (the incarnation died
-    /// unclean). Those are folded into `batch.dropped` — alongside ring
-    /// overflow losses — so both the shared database and journal replay
-    /// account them as dropped, never as resolvable samples.
-    pub(crate) fn drain_batch(&self) -> (SampleDb, u64, u64) {
-        let (batch, n, probe, dead) = {
+    /// Samples refused because their `(pid, gen)` registration was
+    /// reaped (the incarnation died unclean) are counted as `dead` and
+    /// folded into `batch.dropped` — alongside ring overflow losses —
+    /// so both the shared database and journal replay account them as
+    /// dropped, never as resolvable samples.
+    fn drain_batch(&self) -> Drained {
+        let (batch, occupancy, capacity, probe, dead) = {
             let mut d = self.driver.lock().unwrap_or_else(PoisonError::into_inner);
             let (mut samples, dropped) = d.drain();
-            let n = samples.len() as u64;
+            let occupancy = samples.len() as u64;
             samples.retain(|s| match s.origin {
                 SampleOrigin::JitApp { pid, gen } => d.admit(pid, gen),
                 _ => true,
             });
-            let dead = n - samples.len() as u64;
+            let dead = occupancy - samples.len() as u64;
             let mut batch = SampleDb::from_samples(&mut samples);
             batch.dropped = dropped + dead;
             d.recycle(samples);
-            let probe = d.daemon_probe_cost();
-            (batch, n, probe, dead)
+            (batch, occupancy, d.buffer.capacity(), d.daemon_probe_cost(), dead)
         };
         self.db
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .merge(&batch);
-        (batch, self.cost.daemon_drain(n) + probe, dead)
+        let cycles = self.cost.daemon_drain(occupancy) + probe;
+        Drained { batch, cycles, dead, occupancy, capacity }
     }
 
-    /// Append one drained batch to the journal (if one is attached and
-    /// the batch carries anything worth replaying). Journal appends are
-    /// part of the drain's existing I/O budget — no extra cycles — so
-    /// journaled and unjournaled runs stay cycle-identical. Nothing is
-    /// journaled without a journal, or for a trivial batch.
-    ///
-    /// The append is wrapped in a `span.journal_batch` child of
-    /// `parent`, the record is written as [`KIND_SAMPLE_BATCH_TRACED`],
-    /// and that journal span's identity rides in the record header — so
-    /// an offline resolver can point at the exact batch where a sample
-    /// was dropped.
-    pub(crate) fn journal_batch(
-        &mut self,
-        vfs: &mut Vfs,
-        batch: &SampleDb,
-        parent: TraceCtx,
-    ) {
-        let Some(journal) = self.journal.as_mut() else {
-            return;
-        };
+    /// Append one drained batch to the journal as a
+    /// [`KIND_SAMPLE_BATCH_TRACED`] record whose header carries the
+    /// drain span `span`, so an offline resolver can point at the exact
+    /// drain where a sample was dropped. Returns the record's seq.
+    /// Nothing is journaled without a journal, or for a trivial batch.
+    /// Journal appends are part of the drain's existing I/O budget — no
+    /// extra cycles — so journaled and unjournaled runs stay
+    /// cycle-identical.
+    fn journal_batch(&mut self, vfs: &mut Vfs, batch: &SampleDb, span: TraceCtx) -> Option<u64> {
+        let journal = self.journal.as_mut()?;
         if is_trivial(batch) {
-            return;
+            return None;
         }
-        let t = &self.t.registry;
-        let span = t.trace_begin(TraceLayer::Journal, names::SPAN_JOURNAL_BATCH, Some(parent));
         let payload = encode_traced_payload(span, &batch.to_bytes());
-        let seq = journal.append(vfs, KIND_SAMPLE_BATCH_TRACED, &payload);
-        t.trace_end(
-            span,
-            &[
-                ("seq", seq),
-                ("samples", batch.total_samples()),
-                ("dropped", batch.dropped),
-            ],
-        );
+        Some(journal.append(vfs, KIND_SAMPLE_BATCH_TRACED, &payload))
     }
 }
 
@@ -708,7 +642,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn telemetry_records_drains_stalls_and_overflow_events() {
+    fn telemetry_records_drains_stalls_and_overflow() {
         use viprof_telemetry::names;
         let t = Telemetry::new();
         let mut m = Machine::new(MachineConfig::default());
@@ -729,12 +663,14 @@ pub(crate) mod tests {
         assert_eq!(snap.counter(names::DAEMON_STALLS), 2, "crash + 1 window down");
         assert_eq!(snap.counter(names::DAEMON_DRAINS), 1);
         assert_eq!(snap.events_of(names::EVENT_DAEMON_STALL).len(), 2);
-        let overflows = snap.events_of(names::EVENT_BUFFER_OVERFLOW);
-        assert_eq!(overflows.len(), 1, "overflow is coalesced at the drain");
-        assert!(overflows[0]
-            .fields
-            .iter()
-            .any(|(k, v)| k == "dropped" && *v == 7));
+        // The overflow is coalesced at the drain, on its one span and in
+        // its one timeline window.
+        let trace = t.trace_snapshot();
+        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(trace.spans[0].field("dropped"), Some(7));
+        assert_eq!(trace.spans[0].field("dead"), Some(0));
+        let timeline = t.timeline_snapshot();
+        assert_eq!(timeline.series(names::BUFFER_DROPPED), vec![(trace.spans[0].end, 7)]);
         let h = snap.histogram(names::DAEMON_BATCH_SAMPLES).unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 2, "the surviving two samples were drained");
@@ -745,34 +681,101 @@ pub(crate) mod tests {
     fn drains_emit_causal_spans_and_traced_journal_records() {
         use sim_os::journal::scan;
         let t = Telemetry::new();
+        let root = t.trace_begin(TraceLayer::Session, names::SPAN_SESSION, None);
         let mut m = Machine::new(MachineConfig::default());
         let journal = JournalWriter::create(&mut m.kernel.vfs, "/j");
         let (d, driver, _, _) =
             spawn_daemon(&mut m, &t, 64, CostModel::free(), 100, Some(journal));
         m.add_service(Box::new(d));
-        driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(0x10));
-        m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
+        for round in 0..2u64 {
+            driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(bucket(round * 16));
+            m.exec(&BlockExec::compute(Pid(1), CpuMode::User, (0, 0x100), 110));
+        }
 
-        // window → drain → journal, chained by parent links.
+        // One span per drain, under the session root; each names where
+        // its sampling window began (the previous drain's begin) and
+        // the journal record its batch committed under.
         let trace = t.trace_snapshot();
-        let window = trace.spans.iter().find(|s| s.layer == TraceLayer::Nmi).unwrap();
-        let drain = trace.spans.iter().find(|s| s.layer == TraceLayer::Drain).unwrap();
-        let jspan = trace.spans.iter().find(|s| s.layer == TraceLayer::Journal).unwrap();
-        assert_eq!(drain.parent, window.id);
-        assert_eq!(jspan.parent, drain.id);
-        assert_eq!(drain.field("samples"), Some(1));
-        assert!(window.end <= drain.begin, "window closes before the drain runs");
+        let drains: Vec<_> = trace.spans.iter().filter(|s| s.parent == root.span).collect();
+        assert_eq!(trace.spans.len(), 3, "the root and one span per drain");
+        assert_eq!(drains.len(), 2);
+        for (seq, drain) in drains.iter().enumerate() {
+            assert_eq!(drain.layer, TraceLayer::Drain);
+            assert_eq!(drain.field("samples"), Some(1));
+            assert_eq!(drain.field("seq"), Some(seq as u64));
+        }
+        assert_eq!(drains[0].field("window"), Some(0));
+        assert_eq!(drains[1].field("window"), Some(drains[0].begin));
 
-        // The persisted record carries the journal span's identity and
+        // Each persisted record carries its drain span's identity and
         // the untouched SampleDb body.
         let s = scan(&m.kernel.vfs, "/j").unwrap();
-        assert_eq!(s.records.len(), 1);
-        assert_eq!(s.records[0].kind, KIND_SAMPLE_BATCH_TRACED);
-        let (rec_ctx, body) = s.records[0].sample_batch().unwrap().unwrap();
-        let rec_ctx = rec_ctx.unwrap();
-        assert_eq!(rec_ctx.span, jspan.id);
-        assert_eq!(rec_ctx.trace, jspan.trace);
-        assert_eq!(SampleDb::from_bytes(body).unwrap().total_samples(), 1);
+        assert_eq!(s.records.len(), 2);
+        for (rec, drain) in s.records.iter().zip(&drains) {
+            assert_eq!(rec.kind, KIND_SAMPLE_BATCH_TRACED);
+            let (rec_ctx, body) = rec.sample_batch().unwrap().unwrap();
+            assert_eq!(rec_ctx, Some(TraceCtx { trace: drain.trace, span: drain.id }));
+            assert_eq!(SampleDb::from_bytes(body).unwrap().total_samples(), 1);
+        }
+    }
+
+    /// Admits JIT samples of generation 0 only: generation 1 is a
+    /// reaped incarnation.
+    struct DeadGenOne;
+
+    impl crate::anon::AnonExtension for DeadGenOne {
+        fn classify(
+            &mut self,
+            _pid: Pid,
+            _pc: Addr,
+            _vma: &sim_os::Vma,
+        ) -> Option<crate::anon::JitClaim> {
+            None
+        }
+        fn admit(&self, _pid: Pid, gen: u32) -> bool {
+            gen == 0
+        }
+    }
+
+    #[test]
+    fn drain_span_samples_plus_dead_is_the_ring_occupancy() {
+        // The drain span stores no occupancy: every sample the drain
+        // finds in the ring is either admitted or refused as dead, and
+        // ring overflow never reaches the ring. Checked over rings of
+        // every fill level, overflowing ones included, with live, dead
+        // and non-JIT samples mixed.
+        let capacity = 8;
+        for pushes in 0..20u64 {
+            let t = Telemetry::new();
+            let mut m = Machine::new(MachineConfig::default());
+            let driver = Arc::new(Mutex::new(Driver::with_extension(
+                CostModel::default(),
+                capacity,
+                Box::new(DeadGenOne),
+            )));
+            let db = Arc::new(Mutex::new(SampleAccumulator::default()));
+            let mut drain = Drain::new(driver.clone(), db, CostModel::default(), &t, None);
+            for i in 0..pushes {
+                let origin = match i % 3 {
+                    0 => SampleOrigin::Unknown,
+                    k => SampleOrigin::JitApp { pid: Pid(7), gen: k as u32 - 1 },
+                };
+                let mut b = bucket(i * 16);
+                b.origin = origin;
+                driver.lock().unwrap_or_else(PoisonError::into_inner).buffer.push(b);
+            }
+            let d = drain.run(&mut m.kernel, 1_000, false, |_, _| {});
+            let occupancy = pushes.min(capacity as u64);
+            let overflow = pushes - occupancy;
+            assert_eq!(d.occupancy, occupancy);
+            assert_eq!(d.batch.total_samples() + d.dead, occupancy, "{pushes} pushes");
+            assert_eq!(d.dead, (0..occupancy).filter(|i| i % 3 == 2).count() as u64);
+            let trace = t.trace_snapshot();
+            let span = &trace.spans[0];
+            let field = |k| span.field(k).unwrap();
+            assert_eq!(field("samples") + field("dead"), occupancy, "{pushes} pushes");
+            assert_eq!(field("dropped"), overflow + field("dead"));
+        }
     }
 
     #[test]

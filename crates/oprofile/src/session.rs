@@ -382,7 +382,7 @@ mod tests {
             // carries a trace header.
             assert_eq!(rec.kind, sim_os::journal::KIND_SAMPLE_BATCH_TRACED);
             let (ctx, body) = rec.sample_batch().unwrap().unwrap();
-            assert_ne!(ctx.unwrap().span, 0, "journal span identity persisted");
+            assert_ne!(ctx.unwrap().span, 0, "drain span identity persisted");
             replayed.merge(&SampleDb::from_bytes(body).unwrap());
         }
         assert_eq!(replayed, db);
@@ -416,7 +416,7 @@ mod tests {
             trace.spans.iter().filter(|s| s.name == names::SPAN_DAEMON_DRAIN).collect();
         assert_eq!(drains.len(), 2, "one timer drain and the final flush");
         for drain in drains {
-            assert_eq!(name_of(drain.parent), Some(names::SPAN_NMI_WINDOW), "drain at {}", drain.begin);
+            assert_eq!(name_of(drain.parent), Some(names::SPAN_SESSION), "drain at {}", drain.begin);
         }
     }
 

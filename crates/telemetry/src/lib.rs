@@ -216,9 +216,9 @@ impl Telemetry {
     /// Sample the timeline at the current virtual time: read the
     /// tracked series ([`names::TIMELINE_COUNTERS`] /
     /// [`names::TIMELINE_GAUGES`]) and append one window of deltas.
-    /// The daemon calls this after every drain window; `stop()` takes
-    /// a final sample before exporting. Like flight-recorder events,
-    /// only call from deterministic contexts.
+    /// The drain routine calls this once per drain, the final flush at
+    /// `stop()` included. Like flight-recorder events, only call from
+    /// deterministic contexts.
     pub fn sample_timeline(&self) {
         self.sample_timeline_at(self.now());
     }

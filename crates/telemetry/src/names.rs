@@ -127,9 +127,7 @@ pub const STAGE_RESOLVE_LOAD: &str = "stage.resolve_load";
 // ---- trace spans (the causal tree `viprof trace` renders) ----
 pub const SPAN_AGENT_MAP_WRITE: &str = "span.agent_map_write";
 pub const SPAN_DAEMON_DRAIN: &str = "span.daemon_drain";
-pub const SPAN_JOURNAL_BATCH: &str = "span.journal_batch";
 pub const SPAN_LIVE_REBUILD: &str = "span.live_rebuild";
-pub const SPAN_NMI_WINDOW: &str = "span.nmi_window";
 pub const SPAN_RESOLVE: &str = "span.resolve";
 pub const SPAN_RESOLVE_INCARNATION: &str = "span.resolve_incarnation";
 pub const SPAN_RESOLVE_INGEST: &str = "span.resolve_ingest";
@@ -155,8 +153,6 @@ pub const HEALTH_SPANS_DROPPED: &str = "health.spans_dropped";
 pub const HEALTH_SUPERVISOR_RESTART: &str = "health.supervisor_restart";
 
 // ---- flight-recorder event kinds ----
-pub const EVENT_BUFFER_OVERFLOW: &str = "buffer.overflow";
-pub const EVENT_DAEMON_DEAD_GEN_DROP: &str = "daemon.dead_gen_drop";
 pub const EVENT_DAEMON_STALL: &str = "daemon.stall";
 pub const EVENT_GOVERNOR_RATE_CHANGE: &str = "governor.rate_change";
 pub const EVENT_RESOLVE_SHARD_QUARANTINE: &str = "resolve.shard_quarantine";
@@ -217,9 +213,7 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("stage", STAGE_RESOLVE_LOAD),
     ("span", SPAN_AGENT_MAP_WRITE),
     ("span", SPAN_DAEMON_DRAIN),
-    ("span", SPAN_JOURNAL_BATCH),
     ("span", SPAN_LIVE_REBUILD),
-    ("span", SPAN_NMI_WINDOW),
     ("span", SPAN_RESOLVE),
     ("span", SPAN_RESOLVE_INCARNATION),
     ("span", SPAN_RESOLVE_INGEST),
@@ -239,8 +233,6 @@ pub const ALL_METRICS: &[(&str, &str)] = &[
     ("health", HEALTH_JOURNAL_REPAIR),
     ("health", HEALTH_SPANS_DROPPED),
     ("health", HEALTH_SUPERVISOR_RESTART),
-    ("event", EVENT_BUFFER_OVERFLOW),
-    ("event", EVENT_DAEMON_DEAD_GEN_DROP),
     ("event", EVENT_DAEMON_STALL),
     ("event", EVENT_GOVERNOR_RATE_CHANGE),
     ("event", EVENT_REGISTRY_REAP),

@@ -76,7 +76,7 @@ impl TimelineWindow {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     capacity: usize,
-    /// Sim-clock origin (the session's epoch for rate math).
+    /// Sim-clock origin the windows count from (0 for a session).
     origin: u64,
     /// Raw samples recorded (merges and coalescing never lose any).
     samples: u64,
@@ -225,21 +225,6 @@ impl Timeline {
             .collect()
     }
 
-    /// Per-window rate for `name` in events per million cycles:
-    /// `(end cycles, delta * 1e6 / window length)`. The first window's
-    /// length is measured from the timeline origin.
-    pub fn rate_per_mcycle(&self, name: &str) -> Vec<(u64, u64)> {
-        let mut prev = self.origin;
-        self.windows
-            .iter()
-            .map(|w| {
-                let dt = w.cycles.saturating_sub(prev).max(1);
-                prev = w.cycles;
-                (w.cycles, w.delta(name).saturating_mul(1_000_000) / dt)
-            })
-            .collect()
-    }
-
     /// The `k` series with the largest cumulative movement, `(name,
     /// total delta)` sorted by total descending then name — "what
     /// changed most over this session".
@@ -314,8 +299,8 @@ impl Timeline {
             for (name, d) in get(w, "counters")?.as_obj("counters")? {
                 let d = d.as_num(name)?;
                 counters.push((name.clone(), d));
-                let prev = t.total(name);
-                set_total(&mut t.totals, name, prev + d);
+                let total = t.total(name).checked_add(d).ok_or("counter total overflows")?;
+                set_total(&mut t.totals, name, total);
             }
             let mut gauges = Vec::new();
             for (name, g) in get(w, "gauges")?.as_obj("gauges")? {
@@ -482,12 +467,10 @@ mod tests {
     }
 
     #[test]
-    fn rates_and_top_movers() {
+    fn top_movers_rank_by_total_delta() {
         let mut t = Timeline::with_capacity(8);
         t.record(1_000, &[("buffer.dropped", 5), ("journal.repairs", 1)], &[]);
         t.record(2_000, &[("buffer.dropped", 5), ("journal.repairs", 9)], &[]);
-        let rates = t.rate_per_mcycle("buffer.dropped");
-        assert_eq!(rates, vec![(1_000, 5_000), (2_000, 0)]);
         assert_eq!(
             t.top_movers(5),
             vec![("journal.repairs".to_string(), 9), ("buffer.dropped".to_string(), 5)]

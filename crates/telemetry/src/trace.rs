@@ -2,9 +2,9 @@
 //! recorder and the report.
 //!
 //! Counters say *how much* each pipeline stage lost; spans say *where
-//! in the causal chain* it happened. Every batch boundary — an NMI
-//! sampling window, a ring-buffer drain, a journal append, a
-//! supervisor redrain, a live cache reload, a resolve pass —
+//! in the causal chain* it happened. Every batch boundary — a
+//! ring-buffer drain (which its journal record names), a supervisor
+//! redrain, a live cache reload, a resolve pass —
 //! opens a span that links to its parent, so a sample's whole vertical
 //! path (paper §1's "vertically integrated" claim, applied to the
 //! profiler itself) is reconstructible after the fact.
@@ -49,11 +49,15 @@ pub struct TraceCtx {
 pub enum TraceLayer {
     /// Session install → stop (the root).
     Session,
-    /// One NMI sampling window (between two drains).
+    /// One NMI sampling window (between two drains). Nothing opens
+    /// these any more — the drain span's `window` field holds the
+    /// window's begin — but older exports carry them.
     Nmi,
     /// One daemon ring-buffer drain.
     Drain,
-    /// One journal batch append.
+    /// One journal batch append. Nothing opens these any more — the
+    /// journal record names its drain span — but older exports carry
+    /// them, and lineage rows read from the journal use this layer.
     Journal,
     /// A supervisor catch-up redrain after a restart.
     Redrain,
@@ -368,6 +372,9 @@ impl TraceSnapshot {
                 }
             }
             let begin = get(e, "ts")?.as_num("ts")?;
+            let end = begin
+                .checked_add(get(e, "dur")?.as_num("dur")?)
+                .ok_or("span ends past the clock's range")?;
             snap.spans.push(SpanRecord {
                 id: get(args, "id")?.as_num("id")?,
                 parent: get(args, "parent")?.as_num("parent")?,
@@ -375,7 +382,7 @@ impl TraceSnapshot {
                 layer,
                 name: get(e, "name")?.as_str("name")?.to_string(),
                 begin,
-                end: begin + get(e, "dur")?.as_num("dur")?,
+                end,
                 fields,
             });
         }

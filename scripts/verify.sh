@@ -47,9 +47,8 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     # Drain accounting smoke: every drain (timer, supervisor catch-up,
     # the final flush at stop) runs the daemon's one drain routine, so
-    # drain counters, journal records and NMI-window spans agree with
-    # the sample database, and a session's journal replays to its
-    # database. The sample-file readers must agree on damaged,
+    # drain counters, journal records and drain spans agree with the
+    # sample database, and a session's journal replays to its database. The sample-file readers must agree on damaged,
     # shuffled and repeated records, and the journal CRC (carry-less
     # fold where the CPU has it, tables elsewhere) must equal the
     # byte-wise oracle. Runs before the bench smoke so it is checked
@@ -110,11 +109,17 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     # Trace/lineage smoke: the engine tests that assert lineage totals
     # reconcile with quality, attribute losses to journaled batches,
-    # and stay thread-invariant — plus the span-tree/round-trip
-    # property tests. Named so tracing regressions fail loudly even when
-    # someone filters the main test run.
+    # and stay thread-invariant; the one-record-per-drain checks (one
+    # drain span and one timeline window per drain, each journal record
+    # naming its drain span) on both golden sessions and a supervisor
+    # restart; the mutated trace and timeline exports; plus the
+    # span-tree/round-trip property tests. Named so tracing regressions
+    # fail loudly even when someone filters the main test run.
     echo "==> trace lineage smoke"
     cargo test -q -p viprof lineage
+    cargo test -q --test golden_session one_record_per_drain
+    cargo test -q --test fault_matrix one_record_per_drain
+    cargo test -q --test prop_export_bytes
     echo "==> trace property tests"
     cargo test -q --test prop_trace
 

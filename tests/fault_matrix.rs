@@ -14,6 +14,9 @@
 //! samples than the degraded baseline, and strictly more where the
 //! journal holds what the disk lost.
 
+mod support;
+
+use support::drains::{assert_one_record_per_drain, drain_spans, field};
 use viprof_repro::oprofile::session::TIMELINE_PATH;
 use viprof_repro::oprofile::{GovernorConfig, OpConfig, ReportOptions, SampleOrigin};
 use viprof_repro::telemetry::{names, HealthReport, Timeline};
@@ -230,18 +233,19 @@ fn daemon_crash_overflows_the_buffer_visibly() {
     let db = out.db.as_ref().unwrap();
     assert!(db.dropped > 0, "8-slot buffer must overflow while down");
     assert!(db.total_samples() > 0, "the restarted daemon drains again");
-    // The flight recorder explains the outage without the fault report:
-    // overflow events carry per-drain drop counts that reconcile with
-    // the database exactly.
+    // The trace explains the outage without the fault report: drain
+    // spans carry per-drain overflow counts that reconcile with the
+    // database exactly.
     let snap = out.telemetry.as_ref().expect("profiled run records telemetry");
-    let overflows = snap.events_of(names::EVENT_BUFFER_OVERFLOW);
-    assert!(!overflows.is_empty(), "the overflow left no trace");
-    let dropped_in_events: u64 = overflows
+    let trace = out.trace.as_ref().expect("profiled run records a trace");
+    let overflows: Vec<u64> = drain_spans(trace)
         .iter()
-        .filter_map(|e| e.fields.iter().find(|(k, _)| k == "dropped"))
-        .map(|(_, v)| *v)
-        .sum();
-    assert_eq!(dropped_in_events, db.dropped, "every drop traces to an overflow event");
+        .map(|s| field(s, "dropped") - field(s, "dead"))
+        .filter(|&n| n > 0)
+        .collect();
+    assert!(!overflows.is_empty(), "the overflow left no trace");
+    let dropped_in_spans: u64 = overflows.iter().sum();
+    assert_eq!(dropped_in_spans, db.dropped, "every drop traces to a drain span");
     assert_eq!(snap.counter(names::BUFFER_DROPPED), db.dropped);
     quality_of(&out);
 }
@@ -876,13 +880,54 @@ fn killed_vm_in_flight_samples_drop_not_unresolved() {
         "no ring overflow here: every drop is a dead-generation drop"
     );
     assert!(!snap.events_of(names::EVENT_REGISTRY_REAP).is_empty());
-    assert!(!snap.events_of(names::EVENT_DAEMON_DEAD_GEN_DROP).is_empty());
+    let trace = viprof.telemetry().trace_snapshot();
+    let dead: Vec<u64> =
+        drain_spans(&trace).iter().map(|s| field(s, "dead")).filter(|&n| n > 0).collect();
+    assert!(!dead.is_empty(), "the dead-generation drops left no trace");
+    assert_eq!(dead.iter().sum::<u64>(), db.dropped, "every drop traces to a drain span");
+    assert_eq!(assert_one_record_per_drain(&machine.kernel.vfs), (db.dropped, db.dropped, 0));
 
     // Post-processing stays fully accounted: the drops are visible in
     // the quality report, not smeared into unresolved.
     let rep = Viprof::make_report(&db, &machine.kernel, &ReportSpec::default()).unwrap();
     assert_eq!(rep.quality.accounted(), db.total_samples());
     assert_eq!(rep.quality.dropped, db.dropped);
+}
+
+/// The churn chaos plan: VM restarts, forced pid reuse, overflow
+/// bursts and a daemon crash mid-run.
+fn churn_chaos() -> FaultPlan {
+    FaultPlan::new(77)
+        .with_vm_restarts(2)
+        .with_pid_reuse_collision()
+        .with_overflow_bursts(0.05, 2)
+        .with_daemon_crash(2, 4)
+}
+
+/// A ring small enough for [`churn_chaos`] to overflow.
+fn churn_config() -> OpConfig {
+    OpConfig {
+        buffer_capacity: 16,
+        daemon_period_cycles: 300_000,
+        ..OpConfig::time_at(PERIOD)
+    }
+}
+
+#[test]
+fn supervisor_restart_writes_one_record_per_drain() {
+    // The churn chaos, journaled and supervised: overflow bursts and
+    // supervisor redrains land on drain spans, one per drain, each in
+    // step with its timeline window and its journal record. (The
+    // killed-VM scenario runs the same check over dead-generation
+    // drops.)
+    let (built, plan) = small_workload();
+    let kind = ProfilerKind::ViprofSupervised(churn_config(), churn_chaos());
+    let out = run_benchmark(&built, &plan, kind, 11, false);
+    let (dropped, dead, redrains) = assert_one_record_per_drain(&out.machine.kernel.vfs);
+    let db = out.db.as_ref().unwrap();
+    assert_eq!(dropped, db.dropped, "the drain spans carry every drop");
+    assert!(dropped > dead, "the scenario overflows the ring");
+    assert!(redrains >= 1, "the scenario restarts the daemon");
 }
 
 #[test]
@@ -894,23 +939,11 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
     // and 100% accounting with the isolation invariant visible in the
     // per-incarnation breakdown.
     let (built, plan) = small_workload();
-    let chaos = || {
-        FaultPlan::new(77)
-            .with_vm_restarts(2)
-            .with_pid_reuse_collision()
-            .with_overflow_bursts(0.05, 2)
-            .with_daemon_crash(2, 4)
-    };
-    let config = || OpConfig {
-        buffer_capacity: 16,
-        daemon_period_cycles: 300_000,
-        ..OpConfig::time_at(PERIOD)
-    };
     let run = || {
         run_benchmark(
             &built,
             &plan,
-            ProfilerKind::ViprofSupervised(config(), chaos()),
+            ProfilerKind::ViprofSupervised(churn_config(), churn_chaos()),
             11,
             false,
         )
@@ -958,10 +991,10 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
         &built,
         &plan,
         ProfilerKind::ViprofLive(
-            config()
+            churn_config()
                 .with_journal()
-                .with_supervisor(chaos().supervisor_config()),
-            Some(chaos()),
+                .with_supervisor(churn_chaos().supervisor_config()),
+            Some(churn_chaos()),
         ),
         11,
         false,
@@ -996,7 +1029,7 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
 
     // A different seed draws a different churn schedule.
     let other = FaultPlan::new(78).with_vm_restarts(2).churn_schedule(plan.slices as u64);
-    let ours = chaos().churn_schedule(plan.slices as u64);
+    let ours = churn_chaos().churn_schedule(plan.slices as u64);
     assert!(ours.is_some() && other.is_some());
 }
 

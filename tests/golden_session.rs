@@ -18,7 +18,10 @@
 //! and the `cp` command that refreshes the goldens, so the change that
 //! moves them lands as a reviewed diff of real artifacts.
 
+mod support;
+
 use std::path::{Path, PathBuf};
+use support::drains::assert_one_record_per_drain;
 use viprof_repro::oprofile::{OpConfig, ReportOptions, TELEMETRY_PATH, TIMELINE_PATH, TRACE_PATH};
 use viprof_repro::sim_cpu::CostModel;
 use viprof_repro::telemetry::json::ToJson;
@@ -159,6 +162,14 @@ fn jbb_live_session_matches_its_golden_export() {
         "jbb_live must fire {}",
         names::HEALTH_SUPERVISOR_RESTART
     );
+}
+
+#[test]
+fn golden_sessions_write_one_record_per_drain() {
+    let (_, _, redrains) = assert_one_record_per_drain(&ps(CostModel::default()).machine.kernel.vfs);
+    assert_eq!(redrains, 0, "ps runs unsupervised");
+    let (_, _, redrains) = assert_one_record_per_drain(&jbb_live().machine.kernel.vfs);
+    assert_eq!(redrains, 1, "jbb_live's supervisor restarts the daemon once");
 }
 
 #[test]

@@ -10,8 +10,13 @@
 //! [`Gen::mutate`] is a seeded byte mutator for adversarial-input
 //! properties: it damages a valid encoding the way media rot, torn
 //! writes and hostile files do.
+//!
+//! [`drains`] holds the one-record-per-drain checks the golden
+//! sessions and the fault matrix run over a finished session.
 
 #![allow(dead_code)]
+
+pub mod drains;
 
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};

@@ -382,7 +382,6 @@ const UNREAD_PUB_FNS: &[(&str, &str)] = &[
     ("live_object_count", "the VM's GC test checks survivors through it"),
     ("primary_percent_sum", "its unit test checks report percentages sum to 100"),
     ("proc_key", "prop_churn checks generation-tagged process identity through it"),
-    ("rate_per_mcycle", "its unit test pins the timeline's per-window rates"),
     ("reserve_statics", "interpreter and VM tests give programs static slots with it"),
     ("resolve_image_offset", "its unit test resolves file-backed addresses"),
     ("resolve_offset", "its unit test resolves boot-image offsets to methods"),
