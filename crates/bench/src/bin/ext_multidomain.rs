@@ -24,9 +24,8 @@ use sim_cpu::HwEvent;
 use sim_jvm::Vm;
 use sim_os::{Machine, MachineConfig};
 use std::sync::PoisonError;
-use viprof::resolve::{ResolveOptions, ViprofResolver};
 use viprof::xen::{domain_breakdown, domain_jit_profile, DomainTable, Hypervisor, XenScheduler};
-use viprof::{ReportSpec, ResolutionEngine, Viprof};
+use viprof::{ReportSpec, Viprof};
 use viprof_bench::{write_artifact, HarnessOpts};
 use viprof_telemetry::impl_to_json;
 use viprof_telemetry::json::{Json, ToJson};
@@ -153,12 +152,10 @@ fn main() {
     }
 
     // ---- per-domain method resolution (vertical, per stack) ----
-    let resolver = ViprofResolver::load_with(&machine.kernel, ResolveOptions::default())
-        .expect("resolver")
-        .0;
-    let engine = ResolutionEngine::build(&resolver);
     let kernel = &machine.kernel;
-    let profile = |dom| domain_jit_profile(&db, kernel, &engine, &domains, dom, HwEvent::Cycles);
+    let profile = |dom| {
+        domain_jit_profile(&db, kernel, &domains, dom, HwEvent::Cycles).expect("domain report")
+    };
     let dom1_top = profile(dom1);
     let dom2_top = profile(dom2);
     println!("\nTop methods in domU-ps:");

@@ -363,35 +363,12 @@ impl CodeMapSet {
     /// then walk backwards until the first map containing the address.
     /// Returns the occupant's signature.
     pub fn resolve(&self, pc: Addr, epoch: u64) -> Option<&str> {
-        self.walk_back(pc, epoch)
-            .map(|e| self.symbols.name(e.signature))
-    }
-
-    fn walk_back(&self, pc: Addr, epoch: u64) -> Option<&MapEntry> {
         let start = self.maps.partition_point(|m| m.epoch <= epoch);
         self.maps[..start]
             .iter()
             .rev()
             .find_map(|m| m.resolve(pc))
-    }
-
-    /// Salvage resolution for damaged chains: the paper's backward walk
-    /// first; on a miss, search *forward* through later epochs. A
-    /// forward hit is second-class — the body provably occupied the
-    /// address at some *later* time, so the attribution may be stale —
-    /// but it recovers samples whose own epoch's map was lost, or whose
-    /// epoch tag was skewed backwards by a lagging driver-side counter.
-    /// Returns the signature and whether it came from the stale
-    /// (forward) path.
-    pub fn resolve_salvage(&self, pc: Addr, epoch: u64) -> Option<(&str, bool)> {
-        let hit = match self.walk_back(pc, epoch) {
-            Some(e) => (e, false),
-            None => {
-                let start = self.maps.partition_point(|m| m.epoch <= epoch);
-                (self.maps[start..].iter().find_map(|m| m.resolve(pc))?, true)
-            }
-        };
-        Some((self.symbols.name(hit.0.signature), hit.1))
+            .map(|e| self.symbols.name(e.signature))
     }
 
     /// Epochs absent from the chain. The agent writes one map per epoch
@@ -560,25 +537,6 @@ mod tests {
         vfs.write(map_path(pid, 0), vec![0xff, 0xfe]);
         let err = CodeMapSet::load(&vfs, pid).unwrap_err();
         assert_eq!(err, ViprofError::NoUsableMaps { pid });
-    }
-
-    #[test]
-    fn salvage_searches_forward_after_backward_misses() {
-        // Epoch 1's map was lost; method X only appears in epoch 3's
-        // map. A sample tagged epoch 1 misses backwards but salvages
-        // forwards — flagged stale.
-        let set = CodeMapSet::new(vec![
-            (0, vec![e(0x900, 0x40, "old")]),
-            (3, vec![e(0x100, 0x40, "X")]),
-        ]);
-        assert!(set.resolve(0x110, 1).is_none());
-        let (hit, stale) = set.resolve_salvage(0x110, 1).unwrap();
-        assert_eq!((hit, stale), ("X", true));
-        // A backward hit is never marked stale.
-        let (hit, stale) = set.resolve_salvage(0x910, 2).unwrap();
-        assert_eq!((hit, stale), ("old", false));
-        // Nothing anywhere: still a miss.
-        assert!(set.resolve_salvage(0x500, 1).is_none());
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!
 //! The engine produces **bit-identical** reports and quality totals
 //! regardless of thread count, and identical to the per-bucket epoch
-//! walk in [`crate::report`] — the test oracle, enforced by
-//! `tests/prop_resolve_flat.rs` and the fault-matrix suite.
+//! walk in `tests/support/oracle.rs` — the test oracle, enforced by
+//! `tests/resolve_oracle.rs`, `tests/prop_resolve_flat.rs` and the
+//! fault-matrix suite.
 
 use crate::bootmap::BootMap;
 use crate::flatindex::FlatIndex;
@@ -213,7 +214,7 @@ struct ShardIncarnation<'a> {
 impl<'a> ShardIncarnation<'a> {
     /// Class and JIT symbol of one of this incarnation's buckets, from
     /// a single index lookup. Must stay in lockstep with the oracle's
-    /// per-bucket match ([`crate::report::quality`]).
+    /// per-bucket match (`quality` in `tests/support/oracle.rs`).
     fn classify(&self, bucket: &SampleBucket) -> (Class, Option<&'a str>) {
         match self.index {
             Some(f) => match f.resolve_salvage(bucket.addr, bucket.epoch) {
@@ -599,8 +600,8 @@ impl ResolutionEngine {
     }
 
     /// Label one bucket as `(image, symbol)` columns — content-identical
-    /// to the oracle's [`crate::report::label`], and to the row the
-    /// sharded pass files the bucket under.
+    /// to the oracle's `label` (`tests/support/oracle.rs`), and to the
+    /// row the sharded pass files the bucket under.
     pub fn label(&self, bucket: &SampleBucket, kernel: &Kernel) -> (String, String) {
         self.row_of(bucket, kernel).to_strings(kernel)
     }
@@ -1029,9 +1030,7 @@ fn add_counts<K>(entry: Entry<'_, K, Vec<u64>>, counts: Vec<u64>) {
 mod tests {
     use super::*;
     use crate::codemap::{map_path, render_map, CodeMapEntry};
-    use crate::report::{self as oracle, viprof_report};
     use crate::resolve::ResolveOptions;
-    use sim_jvm::bootimage::RVM_MAP_PATH;
     use sim_jvm::BootImage;
     use sim_os::journal::KIND_SAMPLE_BATCH_TRACED;
 
@@ -1086,100 +1085,6 @@ mod tests {
         db.add(bucket(SampleOrigin::Unknown, 0x0, 0), 2);
         db.dropped = 7;
         db
-    }
-
-    #[test]
-    fn labels_match_the_reference_resolver_on_every_origin() {
-        let (mut k, pid) = setup();
-        // A boot method and a JIT body that run past the top of the
-        // address space: both parsers accept them, and a lookup at
-        // `u64::MAX - 1` or `u64::MAX` must neither overflow nor split
-        // the two resolvers.
-        let top = u64::MAX - 0x10;
-        let mut rvm_map = k.vfs.read(RVM_MAP_PATH).unwrap().to_vec();
-        rvm_map.extend_from_slice(format!("{top:x} 100 VM.Top.edge\n").as_bytes());
-        k.vfs.write(RVM_MAP_PATH, rvm_map);
-        let top_pid = k.spawn("jikesrvm");
-        k.vfs.write(
-            map_path(top_pid, 0),
-            render_map(&[CodeMapEntry {
-                addr: top,
-                size: 0x100,
-                level: "O2".into(),
-                signature: "app.Top.edge".into(),
-            }])
-            .into_bytes(),
-        );
-        let boot_id = k.images.find_by_name(BOOT_IMAGE_NAME).unwrap();
-        let mut db = mixed_db(&k, pid);
-        for addr in [u64::MAX - 1, u64::MAX] {
-            db.add(bucket(SampleOrigin::Image(boot_id), addr, 0), 1);
-            db.add(bucket(SampleOrigin::JitApp { pid: top_pid, gen: 0 }, addr, 0), 1);
-        }
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        for (b, _) in db.iter() {
-            assert_eq!(
-                engine.label(b, &k),
-                oracle::label(&resolver, b, &k),
-                "label diverged on {b:?}"
-            );
-        }
-        let top_label = |origin, addr| {
-            let (img, sym) = engine.label(&bucket(origin, addr, 0), &k);
-            format!("{img} {sym}")
-        };
-        let jit = SampleOrigin::JitApp { pid: top_pid, gen: 0 };
-        assert_eq!(top_label(jit, u64::MAX - 1), "JIT.App app.Top.edge");
-        assert_eq!(top_label(jit, u64::MAX), "JIT.App (unresolved jit)");
-        let boot = SampleOrigin::Image(boot_id);
-        assert_eq!(top_label(boot, u64::MAX - 1), "RVM.map VM.Top.edge");
-        assert_eq!(top_label(boot, u64::MAX), "RVM.code.image (no symbols)");
-    }
-
-    #[test]
-    fn quality_matches_the_reference_resolver() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let want = oracle::quality(&resolver, &db);
-        assert_eq!(engine.quality(&db, 1), want);
-        assert_eq!(engine.quality(&db, 4), want);
-        assert_eq!(want.accounted(), db.total_samples());
-    }
-
-    #[test]
-    fn sharded_report_is_bit_identical_to_walk_and_thread_count_invariant() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let options = ReportOptions::default();
-        let legacy = viprof_report(&db, &k, &resolver, &options);
-        let legacy_q = oracle::quality(&resolver, &db);
-        for threads in [0, 1, 2, 3, 8] {
-            let (report, q, _) = engine.resolve_rows(&db, &k, &options, threads);
-            assert_eq!(report, legacy, "threads={threads}");
-            assert_eq!(q, legacy_q, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn row_filters_apply_identically() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let options = ReportOptions {
-            min_primary_percent: 10.0,
-            max_rows: Some(2),
-            ..ReportOptions::default()
-        };
-        let legacy = viprof_report(&db, &k, &resolver, &options);
-        let (report, _, _) = engine.resolve_rows(&db, &k, &options, 4);
-        assert_eq!(report, legacy);
-        assert!(report.rows.len() <= 2);
     }
 
     #[test]
@@ -1304,44 +1209,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_samples_agree_with_the_reference_and_stay_accounted() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let want = oracle::quality(&resolver, &db);
-        assert_eq!(want.cross_incarnation_blocked, 2);
-        for threads in [1, 4] {
-            let q = engine.quality(&db, threads);
-            assert_eq!(q, want, "threads={threads}");
-            assert_eq!(q.accounted(), db.total_samples());
-        }
-        // The blocked bucket's label never borrows the other
-        // incarnation's symbols.
-        let blocked = bucket(SampleOrigin::JitApp { pid, gen: 7 }, 0x6400_0080, 2);
-        let (img, sym) = engine.label(&blocked, &k);
-        assert_eq!(
-            (img.as_str(), sym.as_str()),
-            ("JIT.App", "(unresolved jit)")
-        );
-    }
-
-    #[test]
-    fn evictions_flow_from_db_into_quality() {
-        let (k, pid) = setup();
-        let mut db = mixed_db(&k, pid);
-        db.evicted = 9;
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let q = engine.quality(&db, 2);
-        assert_eq!(q.evicted, 9);
-        assert_eq!(q, oracle::quality(&resolver, &db), "legacy walk agrees");
-        // Evicted samples sit outside accounted(): they never reached
-        // the database, like drops.
-        assert_eq!(q.accounted(), db.total_samples());
-    }
-
-    #[test]
     fn an_old_capped_file_still_accounts_its_evictions() {
         // A v2 sample file from a session that ran under an admission
         // cap: its `evicted` header word is all that is left of the
@@ -1379,23 +1246,6 @@ mod tests {
                 assert!(ran.iter().all(|r| r.1 == here), "workers={workers} left the caller");
             }
         }
-    }
-
-    #[test]
-    fn empty_db_reports_empty_with_damage_counters_intact() {
-        let (mut k, pid) = setup();
-        // One garbled line so the damage counters are non-zero.
-        k.vfs.write(
-            map_path(pid, 1),
-            b"!! garbage\n0000000065100000 00000040 base app.Ok.fine\n".to_vec(),
-        );
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let db = SampleDb::new();
-        let (report, q, _) = engine.resolve_rows(&db, &k, &ReportOptions::default(), 4);
-        assert!(report.rows.is_empty());
-        assert_eq!(q, oracle::quality(&resolver, &db));
-        assert_eq!(q.quarantined_lines, 1);
     }
 
     #[test]

@@ -235,11 +235,11 @@ impl FlatIndex {
         }
     }
 
-    /// Backward walk plus forward salvage, mirroring
-    /// [`CodeMapSet::resolve_salvage`]: a backward hit is
-    /// `(sym, false)`; when every covering layer is *later* than the
-    /// sample's epoch the earliest one is returned as `(sym, true)`
-    /// (stale attribution); an uncovered pc is `None`.
+    /// Backward walk plus forward salvage, mirroring the chained
+    /// walk's salvage in the test oracle (`tests/support/oracle.rs`):
+    /// a backward hit is `(sym, false)`; when every covering layer is
+    /// *later* than the sample's epoch the earliest one is returned as
+    /// `(sym, true)` (stale attribution); an uncovered pc is `None`.
     pub fn resolve_salvage(&self, pc: Addr, epoch: u64) -> Option<(&Arc<str>, bool)> {
         self.lookup(pc, epoch)
     }

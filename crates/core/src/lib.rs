@@ -16,7 +16,7 @@
 //!   compile/recompile path log fresh code bodies; the GC move hook only
 //!   *flags* moved bodies; just before each collection the agent writes
 //!   a partial code map for the ending epoch (§3.1).
-//! * **Post-processing** ([`resolve`], [`bootmap`], [`report`]) —
+//! * **Post-processing** ([`resolve`], [`bootmap`], [`engine`]) —
 //!   samples are resolved against their epoch's code map, walking
 //!   backwards through earlier maps until the most recent occupant of
 //!   that address is found; boot-image samples are resolved through the
@@ -25,9 +25,10 @@
 //! [`resolve`] only loads the maps. The one production resolution path
 //! flattens each pid's epoch chain into a [`flatindex::FlatIndex`] (one
 //! binary search per sample instead of a per-epoch walk) and resolves
-//! the sample database across hash shards on scoped threads
-//! ([`engine::ResolutionEngine`]) — with results bit-identical to the
-//! per-bucket walk that [`report`] keeps as the test oracle.
+//! contiguous shards of the sample database's sorted buckets on scoped
+//! threads ([`engine::ResolutionEngine`]) — with results bit-identical
+//! to the per-bucket walk kept as the test oracle in
+//! `tests/support/oracle.rs`.
 //!
 //! [`session::Viprof`] wires everything together; [`callgraph`] adds the
 //! cross-layer call-sequence profiles §4.2 mentions; [`xen`] implements
@@ -46,7 +47,6 @@ pub mod flatindex;
 pub mod live;
 pub mod recover;
 pub mod registry;
-pub mod report;
 pub mod resolve;
 pub mod runtime;
 pub mod session;
@@ -63,7 +63,6 @@ pub use flatindex::FlatIndex;
 pub use live::{LiveEngine, LiveSpec};
 pub use recover::{recover_codemaps, recover_sample_db, PidRecovery, RecoveredDb, RecoveryReport};
 pub use registry::{JitRegistry, RegisterOutcome, SharedRegistry};
-pub use report::viprof_report;
 pub use resolve::{IncarnationSummary, ResolutionQuality, ResolveOptions, ViprofResolver};
 pub use runtime::ViprofExtension;
 pub use session::{

@@ -8,7 +8,7 @@
 //! [`crate::engine::ResolutionEngine::build`] flattens what it loaded,
 //! and the engine is the only production resolver. The per-bucket
 //! epoch walk over a loaded resolver is kept as the test oracle in
-//! [`crate::report`].
+//! `tests/support/oracle.rs`.
 //!
 //! Loading is *lossy by design* under damage: a pid whose maps are
 //! unusable is skipped, bad map lines are quarantined, lost epochs are

@@ -12,11 +12,13 @@
 //! domain — on top of which the normal VIProf resolution still applies
 //! inside each guest, giving method-level attribution per stack.
 
-use crate::engine::ResolutionEngine;
+use crate::error::ViprofError;
+use crate::session::{ReportSpec, Viprof};
 use oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use sim_cpu::{Addr, BlockExec, CpuMode, HwEvent, MemActivity, Pid};
 use sim_os::loader::BIN_HINT;
 use sim_os::{Image, Kernel, Loader, MachineCtx, MachineService, Symbol};
+use std::collections::HashMap;
 
 /// A guest domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -213,34 +215,32 @@ fn bucket_pid(bucket: &SampleBucket) -> Option<Pid> {
     }
 }
 
-/// Per-domain *method-level* profile: the VIProf resolution applied to
-/// one domain's JIT samples (the "vertically integrated, per stack"
-/// view of §5).
+/// Per-domain *method-level* profile (the "vertically integrated, per
+/// stack" view of §5): `domain`'s own samples of `event`, the buckets
+/// of the pids the table assigns it, resolved by
+/// [`Viprof::make_report`] and folded by symbol, largest first.
 pub fn domain_jit_profile(
     db: &SampleDb,
     kernel: &Kernel,
-    engine: &ResolutionEngine,
     table: &DomainTable,
     domain: DomainId,
     event: HwEvent,
-) -> Vec<(String, u64)> {
-    let mut counts: std::collections::HashMap<String, u64> = Default::default();
+) -> Result<Vec<(String, u64)>, ViprofError> {
+    let mut own = SampleDb::new();
     for (bucket, count) in db.iter() {
-        if bucket.event != event {
-            continue;
+        let in_domain = bucket_pid(bucket).is_some_and(|p| table.domain_of(p) == domain);
+        if bucket.event == event && in_domain {
+            own.add(*bucket, *count);
         }
-        let Some(pid) = bucket_pid(bucket) else {
-            continue;
-        };
-        if table.domain_of(pid) != domain {
-            continue;
-        }
-        let (_, symbol) = engine.label(bucket, kernel);
-        *counts.entry(symbol).or_insert(0) += count;
+    }
+    let report = Viprof::make_report(&own, kernel, &ReportSpec::default())?.lines;
+    let mut counts: HashMap<String, u64> = HashMap::new();
+    for row in report.rows {
+        *counts.entry(row.symbol).or_insert(0) += row.counts[0];
     }
     let mut rows: Vec<(String, u64)> = counts.into_iter().collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    rows
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -296,8 +296,10 @@ mod tests {
         let mut k = Kernel::new();
         let hv = Hypervisor::install(&mut k);
         let (s, _) = hv.range("schedule_vcpu");
-        let (img, sym) = k.symbolize(hv.pid, s, CpuMode::User).unwrap();
-        assert_eq!((img.as_str(), sym.as_str()), ("xen-syms", "schedule_vcpu"));
+        let (image, offset) = k.resolve_pc(hv.pid, s, CpuMode::User).image.unwrap();
+        let img = k.images.get(image);
+        let sym = img.resolve(offset).unwrap();
+        assert_eq!((img.name.as_str(), sym.name.as_str()), ("xen-syms", "schedule_vcpu"));
     }
 
     #[test]
@@ -322,7 +324,6 @@ mod tests {
     #[test]
     fn jit_profile_keeps_each_domain_to_its_own_methods() {
         use crate::codemap::{map_path, render_map, CodeMapEntry};
-        use crate::resolve::{ResolveOptions, ViprofResolver};
         let mut k = Kernel::new();
         let vm_a = k.spawn("jikesrvm-a");
         let vm_b = k.spawn("jikesrvm-b");
@@ -355,9 +356,7 @@ mod tests {
             },
             7,
         );
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let profile = |dom| domain_jit_profile(&db, &k, &engine, &t, dom, HwEvent::Cycles);
+        let profile = |dom| domain_jit_profile(&db, &k, &t, dom, HwEvent::Cycles).unwrap();
         assert_eq!(
             profile(dom_a),
             vec![

@@ -81,10 +81,6 @@ impl AnonTable {
         self.ranges.insert((pid, vma.start, vma.end))
     }
 
-    pub fn distinct_ranges(&self) -> usize {
-        self.ranges.len()
-    }
-
     pub fn ranges(&self) -> impl Iterator<Item = &(Pid, Addr, Addr)> {
         self.ranges.iter()
     }
@@ -111,7 +107,7 @@ mod tests {
         assert!(!t.note(Pid(1), &a));
         assert!(t.note(Pid(1), &b));
         assert!(t.note(Pid(2), &a), "per-pid ranges are distinct");
-        assert_eq!(t.distinct_ranges(), 3);
+        assert_eq!(t.ranges().count(), 3);
         assert_eq!(t.samples, 4);
     }
 }

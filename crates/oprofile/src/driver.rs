@@ -250,7 +250,7 @@ mod tests {
         let cost = d.handle_overflow(&k, &ctx(0x6100_0000, pid, CpuMode::User));
         assert_eq!(cost, CostModel::default().nmi_anon());
         assert_eq!(d.stats.anon, 1);
-        assert_eq!(d.anon_table.distinct_ranges(), 1);
+        assert_eq!(d.anon_table.ranges().count(), 1);
         let (samples, _) = d.drain();
         match samples[0].origin {
             SampleOrigin::Anon { start, end, .. } => {

@@ -131,11 +131,6 @@ impl Report {
             .iter()
             .find(|r| r.image == image && r.symbol == symbol)
     }
-
-    /// Sum of primary-event percentages (≤ 100 modulo rounding).
-    pub fn primary_percent_sum(&self) -> f64 {
-        self.rows.iter().map(|r| r.percents[0]).sum()
-    }
 }
 
 /// Stock OProfile labelling of one bucket: (image name, symbol name).
@@ -416,7 +411,8 @@ mod tests {
             ),
         ]);
         let r = opreport(&db, &k, &ReportOptions::default());
-        assert!((r.primary_percent_sum() - 100.0).abs() < 1e-6);
+        let primary: f64 = r.rows.iter().map(|row| row.percents[0]).sum();
+        assert!((primary - 100.0).abs() < 1e-6);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Clock {
     pub fn seconds(&self) -> f64 {
         self.cycles as f64 / self.freq_hz as f64
     }
-
-    /// Convert a number of seconds to cycles at this clock's frequency.
-    pub fn seconds_to_cycles(&self, secs: f64) -> u64 {
-        (secs * self.freq_hz as f64).round() as u64
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +70,6 @@ mod tests {
         let mut c = Clock::new(1_000_000);
         c.advance(2_500_000);
         assert!((c.seconds() - 2.5).abs() < 1e-12);
-        assert_eq!(c.seconds_to_cycles(2.5), 2_500_000);
     }
 
     #[test]

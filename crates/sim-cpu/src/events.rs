@@ -84,54 +84,6 @@ impl FracAcc {
     }
 }
 
-/// A bundle of accumulators for deriving all statistical events of a
-/// code region from its rates.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RateAccs {
-    pub instructions: FracAcc,
-    pub l1d: FracAcc,
-    pub l2: FracAcc,
-    pub branches: FracAcc,
-}
-
-/// Architectural rates of a region of code, per cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventRates {
-    /// Instructions per cycle.
-    pub ipc: f64,
-    /// L1D misses per cycle.
-    pub l1d_miss_per_cycle: f64,
-    /// L2 misses per cycle.
-    pub l2_miss_per_cycle: f64,
-    /// Branches per cycle.
-    pub branches_per_cycle: f64,
-}
-
-impl Default for EventRates {
-    fn default() -> Self {
-        EventRates {
-            ipc: 1.0,
-            l1d_miss_per_cycle: 0.0,
-            l2_miss_per_cycle: 0.0,
-            branches_per_cycle: 0.1,
-        }
-    }
-}
-
-impl EventRates {
-    /// Derive exact event counts for a stretch of `cycles` cycles,
-    /// carrying fractions in `accs`.
-    pub fn events_for(&self, cycles: u64, accs: &mut RateAccs) -> BlockEvents {
-        BlockEvents {
-            cycles,
-            instructions: accs.instructions.take(self.ipc, cycles),
-            l1d_misses: accs.l1d.take(self.l1d_miss_per_cycle, cycles),
-            l2_misses: accs.l2.take(self.l2_miss_per_cycle, cycles),
-            branches: accs.branches.take(self.branches_per_cycle, cycles),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,21 +130,13 @@ mod tests {
 
     #[test]
     fn rates_produce_expected_magnitudes() {
-        let rates = EventRates {
-            ipc: 1.5,
-            l1d_miss_per_cycle: 0.01,
-            l2_miss_per_cycle: 0.001,
-            branches_per_cycle: 0.2,
-        };
-        let mut accs = RateAccs::default();
-        let ev = rates.events_for(1_000_000, &mut accs);
-        // Fixed-point rate conversion is exact to ±1 (see FracAcc docs).
+        // Per-cycle rates over a million cycles, each through its own
+        // accumulator. Fixed-point rate conversion is exact to ±1.
         let close = |got: u64, want: u64| (got as i64 - want as i64).abs() <= 1;
-        assert_eq!(ev.cycles, 1_000_000);
-        assert!(close(ev.instructions, 1_500_000), "{}", ev.instructions);
-        assert!(close(ev.l1d_misses, 10_000), "{}", ev.l1d_misses);
-        assert!(close(ev.l2_misses, 1_000), "{}", ev.l2_misses);
-        assert!(close(ev.branches, 200_000), "{}", ev.branches);
+        for (rate, want) in [(1.5, 1_500_000), (0.01, 10_000), (0.001, 1_000), (0.2, 200_000)] {
+            let got = FracAcc::new().take(rate, 1_000_000);
+            assert!(close(got, want), "rate {rate}: {got}");
+        }
     }
 
     #[test]

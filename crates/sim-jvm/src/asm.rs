@@ -12,7 +12,6 @@ use std::collections::HashMap;
 enum Item {
     Op(Op),
     Jump(String),
-    JumpIfZero(String),
     JumpIfNonZero(String),
 }
 
@@ -74,11 +73,6 @@ impl MethodAsm {
         self
     }
 
-    pub fn jump_if_zero(&mut self, label: &str) -> &mut Self {
-        self.items.push(Item::JumpIfZero(label.to_string()));
-        self
-    }
-
     pub fn jump_if_nonzero(&mut self, label: &str) -> &mut Self {
         self.items.push(Item::JumpIfNonZero(label.to_string()));
         self
@@ -123,7 +117,6 @@ impl MethodAsm {
             let op = match item {
                 Item::Op(o) => *o,
                 Item::Jump(l) => Op::Jump(resolve(pc, l)?),
-                Item::JumpIfZero(l) => Op::JumpIfZero(resolve(pc, l)?),
                 Item::JumpIfNonZero(l) => Op::JumpIfNonZero(resolve(pc, l)?),
             };
             code.push(op);
@@ -141,15 +134,15 @@ mod tests {
     fn forward_and_backward_labels_resolve() {
         let mut a = MethodAsm::new();
         a.label("start")
-            .op(Op::Const(0))
-            .jump_if_zero("end")
+            .op(Op::Const(1))
+            .jump_if_nonzero("end")
             .jump("start")
             .label("end")
             .op(Op::Const(7))
             .op(Op::Ret);
         let code = a.assemble().unwrap();
-        // pc1 JumpIfZero → "end" at index 3: offset = 3 - 2 = 1
-        assert_eq!(code[1], Op::JumpIfZero(1));
+        // pc1 JumpIfNonZero → "end" at index 3: offset = 3 - 2 = 1
+        assert_eq!(code[1], Op::JumpIfNonZero(1));
         // pc2 Jump → "start" at 0: offset = 0 - 3 = -3
         assert_eq!(code[2], Op::Jump(-3));
     }

@@ -169,13 +169,6 @@ impl BootImage {
             .unwrap_or_else(|| panic!("unknown boot method {name}"));
         (base + m.offset, base + m.offset + m.size)
     }
-
-    /// Resolve an offset within the boot image to a method.
-    pub fn resolve_offset(&self, offset: u64) -> Option<&BootMethod> {
-        self.methods
-            .iter()
-            .find(|m| offset >= m.offset && offset < m.offset + m.size)
-    }
 }
 
 /// Parse a rendered `RVM.map` back into boot methods (used by VIProf's
@@ -243,7 +236,7 @@ mod tests {
         // The OS-visible image has no symbols (OProfile's blind spot).
         let img = k.images.get(b.image_id().unwrap());
         assert_eq!(img.name, BOOT_IMAGE_NAME);
-        assert!(!img.has_symbols());
+        assert!(img.symbols().is_empty());
         // The map file exists and parses.
         let raw = k.vfs.read(RVM_MAP_PATH).unwrap();
         let parsed = parse_map(std::str::from_utf8(raw).unwrap()).unwrap();
@@ -257,9 +250,13 @@ mod tests {
     #[test]
     fn resolve_offset_finds_covering_method() {
         let b = BootImage::jikes_standard();
-        let m = b.resolve_offset(0x4000 + 1).unwrap();
-        assert_eq!(m.name, well_known::BASELINE_COMPILE);
-        assert!(b.resolve_offset(b.total_size()).is_none());
+        let covering = |offset: u64| {
+            b.methods()
+                .iter()
+                .find(|m| offset >= m.offset && offset < m.offset + m.size)
+        };
+        assert_eq!(covering(0x4000 + 1).unwrap().name, well_known::BASELINE_COMPILE);
+        assert!(covering(b.total_size()).is_none());
     }
 
     #[test]

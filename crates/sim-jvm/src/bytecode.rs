@@ -92,30 +92,6 @@ impl Op {
             Op::GetField(_) | Op::PutField(_) | Op::ALoad | Op::AStore | Op::ArrayLen => 10,
         }
     }
-
-    /// Whether this op is a backward branch *given its offset* — the
-    /// events the adaptive optimization system counts.
-    pub fn is_backedge(self) -> bool {
-        matches!(
-            self,
-            Op::Jump(o) | Op::JumpIfZero(o) | Op::JumpIfNonZero(o) if o < 0
-        )
-    }
-
-    /// Whether this op reads or writes the heap (drives the memory
-    /// activity model).
-    pub fn touches_heap(self) -> bool {
-        matches!(
-            self,
-            Op::GetField(_)
-                | Op::PutField(_)
-                | Op::ALoad
-                | Op::AStore
-                | Op::ArrayLen
-                | Op::New(_)
-                | Op::NewArray
-        )
-    }
 }
 
 /// Static verification failure.
@@ -295,6 +271,18 @@ pub fn verify_structure(code: &[Op]) -> Result<(), VerifyError> {
 }
 
 #[cfg(test)]
+impl Op {
+    /// Whether this op is a backward branch *given its offset* — the
+    /// events the adaptive optimization system counts.
+    pub(crate) fn is_backedge(self) -> bool {
+        matches!(
+            self,
+            Op::Jump(o) | Op::JumpIfZero(o) | Op::JumpIfNonZero(o) if o < 0
+        )
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -304,14 +292,6 @@ mod tests {
         assert!(Op::JumpIfNonZero(-1).is_backedge());
         assert!(!Op::Jump(2).is_backedge());
         assert!(!Op::Add.is_backedge());
-    }
-
-    #[test]
-    fn heap_ops_flagged() {
-        assert!(Op::GetField(0).touches_heap());
-        assert!(Op::NewArray.touches_heap());
-        assert!(!Op::Add.touches_heap());
-        assert!(!Op::Call(MethodId(0)).touches_heap());
     }
 
     #[test]

@@ -75,13 +75,6 @@ impl ProgramDef {
     pub fn class(&self, id: ClassId) -> &ClassDecl {
         &self.classes[id.0 as usize]
     }
-
-    pub fn find_method(&self, name: &str) -> Option<MethodId> {
-        self.methods
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| MethodId(i as u32))
-    }
 }
 
 /// Builder with validation.
@@ -164,10 +157,6 @@ impl ProgramBuilder {
         self.entry = Some(m);
     }
 
-    pub fn reserve_statics(&mut self, slots: u16) {
-        self.static_slots = self.static_slots.max(slots);
-    }
-
     /// Validate and produce the program. Method bodies are verified
     /// with the *real* callee arities (`Call` targets from this
     /// program; `NativeCall` arities default to 0 — use
@@ -233,6 +222,13 @@ impl ProgramBuilder {
 }
 
 #[cfg(test)]
+impl ProgramBuilder {
+    pub(crate) fn reserve_statics(&mut self, slots: u16) {
+        self.static_slots = self.static_slots.max(slots);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -249,7 +245,8 @@ mod tests {
         b.set_entry(main);
         let p = b.build().unwrap();
         assert_eq!(p.methods.len(), 2);
-        assert_eq!(p.find_method("Main.helper"), Some(helper));
+        let by_name = p.methods.iter().position(|m| m.name == "Main.helper");
+        assert_eq!(by_name, Some(helper.0 as usize));
         assert_eq!(p.class(c).field_count, 2);
     }
 

@@ -475,10 +475,6 @@ impl Heap {
         (o.addr, o.addr + o.byte_size)
     }
 
-    pub fn live_object_count(&self) -> u64 {
-        self.objects.iter().filter(|o| o.is_some()).count() as u64
-    }
-
     /// Collect: trace from `roots` (plus `live_code`, which the VM
     /// declares live regardless of data reachability), copy live
     /// objects to the other semispace, free the rest, and report every
@@ -648,6 +644,13 @@ impl Heap {
         }
         self.collections += 1;
         stats
+    }
+}
+
+#[cfg(test)]
+impl Heap {
+    pub(crate) fn live_object_count(&self) -> u64 {
+        self.objects.iter().filter(|o| o.is_some()).count() as u64
     }
 }
 

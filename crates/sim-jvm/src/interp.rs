@@ -105,10 +105,6 @@ impl Interp {
         self.frames.push(Frame::new(method, decl.nlocals, args));
     }
 
-    pub fn is_running(&self) -> bool {
-        !self.frames.is_empty()
-    }
-
     /// Result of the outermost frame once finished.
     pub fn result(&self) -> Option<Value> {
         self.finished
@@ -642,7 +638,7 @@ mod tests {
         let mut heap = small_heap();
         let natives = NativeRegistry::new();
         let mut backedges = 0;
-        while interp.is_running() {
+        while !interp.frames.is_empty() {
             let info = interp.step(&p, &mut heap, &natives).unwrap();
             if info.event == StepEvent::Backedge {
                 backedges += 1;

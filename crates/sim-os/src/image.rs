@@ -107,10 +107,6 @@ impl Image {
         &self.symbols
     }
 
-    pub fn has_symbols(&self) -> bool {
-        !self.symbols.is_empty()
-    }
-
     /// Binary-search the symbol covering `offset`.
     pub fn resolve(&self, offset: u64) -> Option<&Symbol> {
         let pos = self.symbols.partition_point(|s| s.offset <= offset);
@@ -276,7 +272,7 @@ mod tests {
     #[test]
     fn no_symbols_image_reports_none() {
         let img = Image::new("libxul.so.0d", 0x100000);
-        assert!(!img.has_symbols());
+        assert!(img.symbols().is_empty());
         assert!(img.resolve(0x500).is_none());
     }
 

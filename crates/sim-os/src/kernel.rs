@@ -5,7 +5,7 @@ use crate::image::{Image, ImageId, ImageTable, Symbol};
 use crate::process::Process;
 use crate::vfs::Vfs;
 use crate::vma::{Vma, VmaBacking};
-use sim_cpu::{Addr, CpuMode, Pid, ProcKey};
+use sim_cpu::{Addr, CpuMode, Pid};
 use std::collections::BTreeMap;
 
 /// Base virtual address of kernel text. Matches the default NMI vector
@@ -140,11 +140,6 @@ impl Kernel {
         self.generations.get(&pid.0).copied().unwrap_or(0)
     }
 
-    /// The generation-tagged identity of a live process.
-    pub fn proc_key(&self, pid: Pid) -> Option<ProcKey> {
-        self.process(pid).map(Process::key)
-    }
-
     /// Insert a fully-formed process (session import); future `spawn`s
     /// won't collide with its PID, and its generation is recorded so a
     /// later reuse of the PID bumps past it.
@@ -201,21 +196,22 @@ impl Kernel {
             vma: Some(*vma),
         }
     }
-
-    /// Resolve all the way to a symbol name (convenience for reports
-    /// and tests).
-    pub fn symbolize(&self, pid: Pid, pc: Addr, mode: CpuMode) -> Option<(String, String)> {
-        let r = self.resolve_pc(pid, pc, mode);
-        let (image_id, offset) = r.image?;
-        let img = self.images.get(image_id);
-        let sym = img.resolve(offset)?;
-        Some((img.name.clone(), sym.name.clone()))
-    }
 }
 
 impl Default for Kernel {
     fn default() -> Self {
         Kernel::new()
+    }
+}
+
+#[cfg(test)]
+impl Kernel {
+    /// Resolve a PC all the way to `(image, symbol)` names.
+    pub(crate) fn symbolize(&self, pid: Pid, pc: Addr, mode: CpuMode) -> Option<(String, String)> {
+        let (image_id, offset) = self.resolve_pc(pid, pc, mode).image?;
+        let img = self.images.get(image_id);
+        let sym = img.resolve(offset)?;
+        Some((img.name.clone(), sym.name.clone()))
     }
 }
 
@@ -246,7 +242,7 @@ mod tests {
         let c = k.spawn("c");
         assert_eq!(c, b);
         assert_eq!(k.process(c).unwrap().gen, 1);
-        assert_eq!(k.proc_key(c), Some(sim_cpu::ProcKey::new(b, 1)));
+        assert_eq!(k.process(c).map(Process::key), Some(sim_cpu::ProcKey::new(b, 1)));
         let d = k.spawn("d");
         assert_eq!(d, a);
         assert_eq!(k.generation(d), 1);

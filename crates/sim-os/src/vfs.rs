@@ -153,11 +153,6 @@ impl Vfs {
         self.files.is_empty()
     }
 
-    /// Total bytes stored (for overhead accounting / tests).
-    pub fn total_bytes(&self) -> usize {
-        self.files.values().map(|v| v.len()).sum()
-    }
-
     /// Export every file to a real directory (simulated path separators
     /// become host separators). Lets post-processing tools run outside
     /// the simulation, like `opreport` runs after `opcontrol --stop`.
@@ -323,7 +318,7 @@ mod tests {
         let mut v = Vfs::new();
         v.write("/a", b"12345".to_vec());
         v.write("/b", b"678".to_vec());
-        assert_eq!(v.total_bytes(), 8);
+        assert_eq!(v.files.values().map(Vec::len).sum::<usize>(), 8);
         assert_eq!(v.remove("/a"), Some(b"12345".to_vec()));
         assert_eq!(v.len(), 1);
         assert!(!v.exists("/a"));

@@ -117,12 +117,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Remove the mapping starting exactly at `start`; returns it.
-    pub fn unmap(&mut self, start: Addr) -> Option<Vma> {
-        let pos = self.vmas.iter().position(|v| v.start == start)?;
-        Some(self.vmas.remove(pos))
-    }
-
     /// Binary-search the VMA containing `addr`.
     pub fn lookup(&self, addr: Addr) -> Option<&Vma> {
         let pos = self.vmas.partition_point(|v| v.start <= addr);
@@ -131,17 +125,6 @@ impl AddressSpace {
         }
         let cand = &self.vmas[pos - 1];
         cand.contains(addr).then_some(cand)
-    }
-
-    /// Resolve `addr` to (image, file offset) if it is file-backed.
-    pub fn resolve_image_offset(&self, addr: Addr) -> Option<(ImageId, u64)> {
-        let vma = self.lookup(addr)?;
-        match vma.backing {
-            VmaBacking::Image { image, file_offset } => {
-                Some((image, addr - vma.start + file_offset))
-            }
-            VmaBacking::Anon => None,
-        }
     }
 
     pub fn vmas(&self) -> &[Vma] {
@@ -273,20 +256,16 @@ mod tests {
 
     #[test]
     fn resolve_image_offset_applies_file_offset() {
-        let mut a = AddressSpace::new();
-        a.map(Vma::image(0x4000, 0x5000, ImageId(3), 0x200)).unwrap();
-        assert_eq!(a.resolve_image_offset(0x4010), Some((ImageId(3), 0x210)));
-        a.map(Vma::anon(0x6000, 0x7000)).unwrap();
-        assert_eq!(a.resolve_image_offset(0x6010), None);
-    }
-
-    #[test]
-    fn unmap_removes_exact_start() {
-        let mut a = AddressSpace::new();
-        a.map(Vma::anon(0x1000, 0x2000)).unwrap();
-        assert!(a.unmap(0x1001).is_none());
-        assert!(a.unmap(0x1000).is_some());
-        assert!(a.lookup(0x1800).is_none());
+        // The kernel resolves a user PC through the process's mapping,
+        // adding the mapping's file offset.
+        let mut k = crate::Kernel::new();
+        let pid = k.spawn("app");
+        let space = &mut k.process_mut(pid).unwrap().space;
+        space.map(Vma::image(0x4000, 0x5000, ImageId(3), 0x200)).unwrap();
+        space.map(Vma::anon(0x6000, 0x7000)).unwrap();
+        let image_of = |pc| k.resolve_pc(pid, pc, sim_cpu::CpuMode::User).image;
+        assert_eq!(image_of(0x4010), Some((ImageId(3), 0x210)));
+        assert_eq!(image_of(0x6010), None);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Raise the gauge to `v` if it is below it (high-water marks).
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
@@ -197,10 +192,9 @@ mod tests {
 
         let g = Gauge::new();
         g.set(7);
-        g.set_max(3);
         assert_eq!(g.get(), 7);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
+        g.set(3);
+        assert_eq!(g.get(), 3);
     }
 
     /// Exhaustive boundary check: for every bucket, its lowest and

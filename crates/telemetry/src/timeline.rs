@@ -217,14 +217,6 @@ impl Timeline {
             .collect()
     }
 
-    /// Per-window gauge track for `name`: `(end cycles, value)`.
-    pub fn gauge_series(&self, name: &str) -> Vec<(u64, u64)> {
-        self.windows
-            .iter()
-            .map(|w| (w.cycles, w.gauge(name)))
-            .collect()
-    }
-
     /// The `k` series with the largest cumulative movement, `(name,
     /// total delta)` sorted by total descending then name — "what
     /// changed most over this session".
@@ -408,7 +400,7 @@ mod tests {
         assert_eq!(t.samples(), 4);
         // Gauge tracks are absolute, not deltas.
         assert_eq!(
-            t.gauge_series("governor.period"),
+            t.windows().iter().map(|w| (w.cycles, w.gauge("governor.period"))).collect::<Vec<_>>(),
             vec![(100, 15_000), (200, 15_000), (300, 60_000), (400, 60_000)]
         );
     }

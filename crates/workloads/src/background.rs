@@ -224,7 +224,7 @@ mod tests {
         BackgroundLoad::install(&mut m.kernel, BackgroundConfig::default());
         assert!(m.kernel.images.find_by_name("libfb.so").is_some());
         let xul = m.kernel.images.find_by_name("libxul.so.0d").unwrap();
-        assert!(!m.kernel.images.get(xul).has_symbols());
+        assert!(m.kernel.images.get(xul).symbols().is_empty());
     }
 
     #[test]

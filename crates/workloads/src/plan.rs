@@ -38,10 +38,6 @@ impl WorkPlan {
             per
         }
     }
-
-    pub fn total_invocations(&self) -> u64 {
-        self.invocations.iter().sum()
-    }
 }
 
 fn fresh_machine() -> Machine {
@@ -155,7 +151,7 @@ mod tests {
             let sum: u64 = (0..8).map(|s| plan.slice_share(w, s)).sum();
             assert_eq!(sum, plan.invocations[w]);
         }
-        assert_eq!(plan.total_invocations(), 107);
+        assert_eq!(plan.invocations.iter().sum::<u64>(), 107);
     }
 
     #[test]

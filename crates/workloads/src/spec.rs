@@ -256,15 +256,6 @@ pub const FIGURE2_ORDER: &[&str] = &[
     "pseudojbb", "JVM98", "antlr", "bloat", "fop", "hsqldb", "pmd", "xalan", "ps",
 ];
 
-/// Names of the seven JVM98 programs.
-pub fn jvm98_members() -> Vec<&'static str> {
-    catalog()
-        .iter()
-        .filter(|b| b.suite == Suite::Jvm98)
-        .map(|b| b.name)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +266,7 @@ mod tests {
         for required in ["pseudojbb", "antlr", "bloat", "fop", "hsqldb", "pmd", "xalan", "ps"] {
             assert!(names.contains(&required), "missing {required}");
         }
-        assert_eq!(jvm98_members().len(), 7);
+        assert_eq!(catalog().iter().filter(|b| b.suite == Suite::Jvm98).count(), 7);
     }
 
     #[test]

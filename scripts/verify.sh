@@ -9,6 +9,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# `cargo test -q <args>`, failing when it ran no test: a smoke step
+# whose filter matches nothing would otherwise pass while checking
+# nothing.
+smoke_test() {
+    local out ran
+    out="$(cargo test -q "$@" 2>&1)" || { printf '%s\n' "$out"; return 1; }
+    printf '%s\n' "$out"
+    ran="$(printf '%s\n' "$out" | awk '/^test result:/ { n += $4 } END { print n + 0 }')"
+    if [[ "$ran" -eq 0 ]]; then
+        echo "==> cargo test -q $* ran no test"
+        return 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -51,61 +65,50 @@ if [[ "${1:-}" != "--fast" ]]; then
     # sample database, and a session's journal replays to its database. The sample-file readers must agree on damaged,
     # shuffled and repeated records, and the journal CRC (carry-less
     # fold where the CPU has it, tables elsewhere) must equal the
-    # byte-wise oracle. Runs before the bench smoke so it is checked
-    # even while a bench gate fails.
+    # byte-wise oracle.
     echo "==> drain accounting smoke"
-    cargo test -q -p oprofile drain
-    cargo test -q --test prop_sample_file
-    cargo test -q -p sim-os crc32
+    smoke_test -p oprofile drain
+    smoke_test --test prop_sample_file
+    smoke_test -p sim-os crc32
 
     # Resolve equivalence smoke: the flattened, sharded engine must
-    # match the per-bucket epoch walk on random sessions, keep its
-    # shard sizes a function of bucket content, and keep the
-    # per-incarnation breakdown whole when a poisoned shard is
-    # quarantined; damaged map text must parse like the plain line
-    # rules and tally alike in the batch and live readers. Runs before
-    # the bench smoke so it is checked even while a bench gate fails.
+    # match the per-bucket epoch walk (tests/support/oracle.rs) on
+    # hand-built and random sessions, keep its shard sizes a function
+    # of bucket content, and keep the per-incarnation breakdown whole
+    # when a poisoned shard is quarantined; damaged map text must parse
+    # like the plain line rules and tally alike in the batch and live
+    # readers.
     echo "==> resolve equivalence smoke"
-    cargo test -q --test prop_resolve_flat
-    cargo test -q --test prop_map_text
-    cargo test -q --test telemetry resolve
-    cargo test -q -p viprof poison
+    smoke_test --test resolve_oracle
+    smoke_test --test prop_resolve_flat
+    smoke_test --test prop_map_text
+    smoke_test --test telemetry resolve
+    smoke_test -p viprof poison
 
     # Live equivalence smoke: a live snapshot must equal the batch
     # report (rows, quality, incarnations), the cache must reload
     # through the batch loader once when new map files appear and not
     # at all otherwise, and `viprof top`'s final JSON must equal
-    # `viprof report`'s. Runs before the bench smoke so it is checked
-    # even while a bench gate fails.
+    # `viprof report`'s.
     echo "==> live equivalence smoke"
-    cargo test -q -p viprof live
-    cargo test -q -p viprof --test cli_json top
+    smoke_test -p viprof live
+    smoke_test -p viprof --test cli_json top
 
     # Agent map smoke: the VM agent's epoch maps, journal records,
     # hook charges and counters must equal a plain BTreeMap-and-format!
     # writer's, byte for byte, on crowded hook histories and real heap
     # histories under both move protocols and injected map faults.
-    # Runs before the bench smoke so it is checked even while a bench
-    # gate fails.
     echo "==> agent map smoke"
-    cargo test -q --test prop_epoch_maps oracle
+    smoke_test --test prop_epoch_maps oracle
 
     # Heap payload smoke: an object's payload exists only once a slot
     # is written, so random allocate/write/read/collect histories on
     # the copying, mature and non-moving heaps must read and trace
     # exactly like an eager Vec model, and the golden sessions must stay
-    # byte-identical. Runs before the bench smoke so it is checked even
-    # while a bench gate fails.
+    # byte-identical.
     echo "==> heap payload smoke"
-    cargo test -q --test prop_gc
-    cargo test -q --test golden_session
-
-    # Overload-governor gate, smoke-sized: a ring small enough to force
-    # overflow; the governed run must drop strictly fewer samples than
-    # fixed-rate sampling and keep its drop fraction under 5%. Writes
-    # results/BENCH_overload.json.
-    echo "==> bench_overload --smoke"
-    cargo run --release -p viprof-bench --bin bench_overload -- --smoke
+    smoke_test --test prop_gc
+    smoke_test --test golden_session
 
     # Trace/lineage smoke: the engine tests that assert lineage totals
     # reconcile with quality, attribute losses to journaled batches,
@@ -116,32 +119,33 @@ if [[ "${1:-}" != "--fast" ]]; then
     # span-tree/round-trip property tests. Named so tracing regressions
     # fail loudly even when someone filters the main test run.
     echo "==> trace lineage smoke"
-    cargo test -q -p viprof lineage
-    cargo test -q --test golden_session one_record_per_drain
-    cargo test -q --test fault_matrix one_record_per_drain
-    cargo test -q --test prop_export_bytes
+    smoke_test -p viprof lineage
+    smoke_test --test golden_session one_record_per_drain
+    smoke_test --test fault_matrix one_record_per_drain
+    smoke_test --test prop_export_bytes
     echo "==> trace property tests"
-    cargo test -q --test prop_trace
+    smoke_test --test prop_trace
 
     # Process-churn smoke: VM restarts, LIFO pid reuse and dead-
-    # generation drops under injected faults must stay fully accounted
-    # and replay bit-identically, and the 256-case isolation property test
+    # generation drops must stay fully accounted and replay from the
+    # journal bit-identically, and the 256-case isolation property test
     # must hold (no sample ever resolves across an incarnation
     # boundary). Named here so churn regressions fail loudly even when
     # someone filters the main test run.
     echo "==> churn smoke"
-    cargo test -q --test fault_matrix churn
+    smoke_test --test fault_matrix churn
+    smoke_test --test fault_matrix killed_vm
     echo "==> churn isolation property tests"
-    cargo test -q --test prop_churn
+    smoke_test --test prop_churn
 
     # Timeline/health smoke: the telescoping/monotonicity/fixed-point
     # property tests plus the health-rule unit suite, and the governed-burst
     # timeline scenario in the fault matrix. Named so temporal-layer
     # regressions fail loudly even when someone filters the main run.
     echo "==> timeline property tests"
-    cargo test -q --test prop_timeline
+    smoke_test --test prop_timeline
     echo "==> governed-burst timeline smoke"
-    cargo test -q --test fault_matrix timeline
+    smoke_test --test fault_matrix timeline
 
     # Telemetry-schema drift gate: the metric catalog must match the
     # reviewed golden list, so additions/removals fail until the golden
@@ -163,6 +167,14 @@ if [[ "${1:-}" != "--fast" ]]; then
         | sed -E 's/^[[:space:]]+//' \
         | diff -u scripts/api-surface.txt - \
         || { echo "==> public API surface drifted from scripts/api-surface.txt"; exit 1; }
+
+    # Overload-governor gate, smoke-sized: a ring small enough to force
+    # overflow; the governed run must drop strictly fewer samples than
+    # fixed-rate sampling and keep its drop fraction under 5%. Writes
+    # results/BENCH_overload.json. Runs last, so every step above is
+    # checked even while this gate fails.
+    echo "==> bench_overload --smoke"
+    cargo run --release -p viprof-bench --bin bench_overload -- --smoke
 fi
 
 echo "==> verify OK"

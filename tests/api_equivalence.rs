@@ -8,12 +8,14 @@
 //! This file compiles with `-D deprecated` in `scripts/verify.sh`: it
 //! is the proof that the supported surface needs no removed shim.
 
+mod support;
+
+use support::oracle;
 use viprof_repro::oprofile::{OpConfig, ReportOptions, SampleDb, SupervisorConfig};
 use viprof_repro::sim_os::{Machine, MachineConfig};
-use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
-    viprof_report, FaultPlan, LiveSpec, ReportSpec, ResolutionEngine, Viprof, ViprofResolver,
+    FaultPlan, LiveSpec, ReportSpec, ResolutionEngine, Viprof, ViprofResolver,
 };
 use viprof_repro::workloads::runner::execute_plan;
 use viprof_repro::workloads::{calibrate, find_benchmark, programs, BuiltWorkload, WorkPlan};
@@ -117,7 +119,7 @@ fn make_report_equals_engine_resolve() {
     let (resolver, rec) = ViprofResolver::load_with(kernel, ResolveOptions::default()).unwrap();
     assert_eq!(rec, Default::default(), "plain load reports no recovery");
     assert_eq!(
-        viprof_report(&db, kernel, &resolver, &options),
+        oracle::viprof_report(&db, kernel, &resolver, &options),
         unified.lines,
         "legacy walk agrees with the unified pass"
     );
@@ -166,8 +168,8 @@ fn recovered_spec_equals_recovered_load() {
     let mut aligned = recovery;
     aligned.samples_salvaged = unified_rec.samples_salvaged;
     assert_eq!(aligned, unified_rec);
-    assert_eq!(viprof_report(&db, kernel, &resolver, &options), unified.lines);
-    assert_eq!(oracle::quality(&resolver, &db), unified.quality);
+    assert_eq!(oracle::viprof_report(&db, kernel, &resolver, &options), unified.lines);
+    assert_eq!(oracle::quality(&resolver, kernel, &db), unified.quality);
     // And the engine built from the recovered resolver agrees.
     assert_eq!(
         ResolutionEngine::build(&resolver).quality(&db, 4),

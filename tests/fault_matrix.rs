@@ -17,14 +17,15 @@
 mod support;
 
 use support::drains::{assert_one_record_per_drain, drain_spans, field};
+use support::oracle;
 use viprof_repro::oprofile::session::TIMELINE_PATH;
-use viprof_repro::oprofile::{GovernorConfig, OpConfig, ReportOptions, SampleOrigin};
+use viprof_repro::oprofile::{GovernorConfig, OpConfig, ReportOptions, SampleDb, SampleOrigin};
+use viprof_repro::sim_os::{Machine, MachineConfig};
 use viprof_repro::telemetry::{names, HealthReport, Timeline};
 use viprof_repro::viprof::codemap::JIT_MAP_DIR;
-use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
-    recover_sample_db, viprof_report, FaultPlan, RecoveryReport, ReportSpec, ResolutionEngine,
+    recover_sample_db, FaultPlan, RecoveryReport, ReportSpec, ResolutionEngine,
     ResolutionQuality, ShardPoison, Viprof, ViprofResolver,
 };
 use viprof_repro::workloads::{
@@ -60,8 +61,8 @@ fn quality_of(out: &RunOutcome) -> ResolutionQuality {
     // Reference: the legacy per-bucket epoch walk.
     let (resolver, _) = ViprofResolver::load_with(kernel, ResolveOptions::default())
         .expect("degraded sessions still report");
-    let walk_report = viprof_report(db, kernel, &resolver, &options);
-    let walk_q = oracle::quality(&resolver, db);
+    let walk_report = oracle::viprof_report(db, kernel, &resolver, &options);
+    let walk_q = oracle::quality(&resolver, kernel, db);
     // Production: flattened index, single-threaded and sharded.
     let single = Viprof::make_report(db, kernel, &ReportSpec::default())
         .expect("degraded sessions still report");
@@ -114,8 +115,8 @@ fn recovery_of(out: &RunOutcome) -> (ResolutionQuality, RecoveryReport) {
     let options = ReportOptions::default();
     let (resolver, _) = ViprofResolver::load_with(kernel, ResolveOptions::recovered())
         .expect("recovery still reports");
-    let walk_report = viprof_report(db, kernel, &resolver, &options);
-    let walk_q = oracle::quality(&resolver, db);
+    let walk_report = oracle::viprof_report(db, kernel, &resolver, &options);
+    let walk_q = oracle::quality(&resolver, kernel, db);
     let single =
         Viprof::make_report(db, kernel, &ReportSpec::recovered()).expect("recovery still reports");
     let sharded = Viprof::make_report(db, kernel, &ReportSpec::recovered().threads(SHARDS))
@@ -762,7 +763,11 @@ fn governed_burst_timeline_shows_the_ramp_and_health_flags_it() {
     // The backoff ramp: the per-window period gauge starts at the base
     // rate, rises above it under pressure, and recovers (some later
     // window runs at a lower period than the peak).
-    let series = timeline.gauge_series(names::GOVERNOR_PERIOD);
+    let series: Vec<(u64, u64)> = timeline
+        .windows()
+        .iter()
+        .map(|w| (w.cycles, w.gauge(names::GOVERNOR_PERIOD)))
+        .collect();
     assert!(series.len() >= 3, "enough windows to see a trajectory");
     let (peak_at, peak) = series
         .iter()
@@ -824,15 +829,12 @@ fn governed_burst_timeline_shows_the_ramp_and_health_flags_it() {
 
 // ---- process churn: restarts, pid reuse, generation isolation -------
 
-#[test]
-fn killed_vm_in_flight_samples_drop_not_unresolved() {
-    // Regression (the latent drain-after-exit bug): a VM dies with
-    // samples still in the ring. The stop-time drain must reap the dead
-    // registration first and account those samples as *dropped* — they
-    // must never surface as unresolved rows, and never resolve against
-    // a successor's maps.
+/// Boot a VM under a fresh session, run it, and kill it with samples
+/// still in the ring: no final map flush, no unregistration, pid
+/// freed. The daemon period is far beyond the run, so nothing drains
+/// until `stop`, which returns the database.
+fn kill_vm_in_flight(journal: bool) -> (Viprof, Machine, SampleDb) {
     use viprof_repro::sim_jvm::{Vm, VmConfig};
-    use viprof_repro::sim_os::{Machine, MachineConfig};
 
     let mut params = find_benchmark("fop").expect("benchmark exists");
     params.support_methods = 40;
@@ -840,12 +842,11 @@ fn killed_vm_in_flight_samples_drop_not_unresolved() {
     let built = programs::build(&params);
 
     let mut machine = Machine::new(MachineConfig::default());
-    // Daemon period far beyond the run: nothing drains until stop().
     let config = OpConfig {
         daemon_period_cycles: u64::MAX / 4,
         ..OpConfig::time_at(PERIOD)
     };
-    let viprof = Viprof::builder().config(config).start(&mut machine);
+    let viprof = Viprof::builder().config(config).journal(journal).start(&mut machine);
     let mut vm = Vm::boot(
         &mut machine,
         built.program.clone(),
@@ -858,9 +859,19 @@ fn killed_vm_in_flight_samples_drop_not_unresolved() {
     );
     vm.call(&mut machine, built.startup, &[]);
     vm.run_batched(&mut machine, built.workers[0], &[], 40);
-    // Crash: no final map flush, no unregistration, pid freed.
     vm.kill(&mut machine);
     let db = viprof.stop(&mut machine);
+    (viprof, machine, db)
+}
+
+#[test]
+fn killed_vm_in_flight_samples_drop_not_unresolved() {
+    // Regression (the latent drain-after-exit bug): a VM dies with
+    // samples still in the ring. The stop-time drain must reap the dead
+    // registration first and account those samples as *dropped* — they
+    // must never surface as unresolved rows, and never resolve against
+    // a successor's maps.
+    let (viprof, machine, db) = kill_vm_in_flight(false);
 
     assert!(db.dropped > 0, "in-flight samples of the dead VM must drop");
     let jit_left: u64 = db
@@ -891,6 +902,24 @@ fn killed_vm_in_flight_samples_drop_not_unresolved() {
     // the quality report, not smeared into unresolved.
     let rep = Viprof::make_report(&db, &machine.kernel, &ReportSpec::default()).unwrap();
     assert_eq!(rep.quality.accounted(), db.total_samples());
+    assert_eq!(rep.quality.dropped, db.dropped);
+}
+
+#[test]
+fn killed_vm_dead_generation_drops_replay_from_the_journal() {
+    // The killed-VM scenario, journaled: the stop-time drain's
+    // dead-generation drops are written to the sample journal with its
+    // batch, so a database rebuilt by replay carries the same drops
+    // and its report still accounts for every sample.
+    let (viprof, machine, db) = kill_vm_in_flight(true);
+
+    let trace = viprof.telemetry().trace_snapshot();
+    let dead: u64 = drain_spans(&trace).iter().map(|s| field(s, "dead")).sum();
+    assert!(dead > 0, "the scenario drops samples of a dead generation");
+    let replayed = recover_sample_db(&machine.kernel.vfs).expect("journaling on");
+    assert_eq!(replayed.db.dropped, db.dropped, "replay carries the live database's drops");
+    let rep = Viprof::make_report(&replayed.db, &machine.kernel, &ReportSpec::default()).unwrap();
+    assert_eq!(rep.quality.accounted(), replayed.db.total_samples());
     assert_eq!(rep.quality.dropped, db.dropped);
 }
 
@@ -974,8 +1003,10 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
     assert_eq!(sample_sum, jit_total, "incarnation rows partition the JIT samples");
 
     // Recovery leg: the same three-way identity holds through journal
-    // replay, and the batch journal reproduces the db drops included —
-    // dead-generation drops are journaled like any other.
+    // replay, and the batch journal reproduces the db, overflow drops
+    // included. This schedule drops no sample of a dead generation;
+    // `killed_vm_dead_generation_drops_replay_from_the_journal` replays
+    // those.
     let (rq, _) = recovery_of(&a);
     assert!(rq.resolved >= q.resolved, "recovery is monotone");
     let replayed = recover_sample_db(&a.machine.kernel.vfs).expect("journaling on");

@@ -17,12 +17,11 @@
 
 mod support;
 
-use support::{check, Gen};
+use support::{check, oracle, Gen};
 use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::{HwEvent, Pid, ProcKey};
 use viprof_repro::sim_os::Kernel;
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry};
-use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{ReportSpec, ResolutionEngine, ViprofResolver};
 
@@ -65,7 +64,7 @@ fn run_schedule(ops: &[Option<usize>]) -> Vec<(u32, u32)> {
                 assert_eq!(pid.0, want_pid, "LIFO reuse order");
                 assert_eq!(k.generation(pid), want_gen, "generation bump");
                 assert_eq!(
-                    k.proc_key(pid),
+                    k.process(pid).map(|p| p.key()),
                     Some(ProcKey::new(pid, want_gen)),
                     "live key matches the allocator's answer"
                 );
@@ -186,7 +185,7 @@ fn samples_only_resolve_against_their_own_incarnation() {
                 let own = resolver.codemaps(ProcKey::new(pid, gen));
                 let (_, sym) = oracle::label(&resolver, bucket, &k);
                 match own {
-                    Some(set) => match set.resolve_salvage(bucket.addr, bucket.epoch) {
+                    Some(set) => match oracle::resolve_salvage(set, bucket.addr, bucket.epoch) {
                         Some((signature, stale)) => {
                             assert_eq!(sym, signature, "label came from own maps");
                             if stale {
@@ -215,7 +214,7 @@ fn samples_only_resolve_against_their_own_incarnation() {
             }
 
             // Whole-run quality matches the oracle and accounts for 100 %.
-            let q = oracle::quality(&resolver, &db);
+            let q = oracle::quality(&resolver, &k, &db);
             assert_eq!(q.resolved, want_resolved);
             assert_eq!(q.stale_epoch, want_stale);
             assert_eq!(q.unresolved, want_unresolved);

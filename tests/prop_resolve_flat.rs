@@ -10,16 +10,13 @@
 mod support;
 
 use std::collections::BTreeMap;
-use support::{check, Gen};
+use support::{check, oracle, Gen};
 use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::HwEvent;
 use viprof_repro::sim_os::{Kernel, SplitMix64};
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet};
-use viprof_repro::viprof::report as oracle;
 use viprof_repro::viprof::resolve::ResolveOptions;
-use viprof_repro::viprof::{
-    viprof_report, FlatIndex, ReportSpec, ResolutionEngine, ViprofResolver,
-};
+use viprof_repro::viprof::{FlatIndex, ReportSpec, ResolutionEngine, ViprofResolver};
 
 const SIGS: [&str; 5] = [
     "app.A.run",
@@ -72,7 +69,7 @@ fn flattened_index_matches_the_epoch_walk() {
                 let fast = flat.resolve(pc, epoch).map(|s| s.as_ref());
                 assert_eq!(walk, fast, "resolve(pc={:#x}, epoch={})", pc, epoch);
                 // Walk + forward salvage, with the stale flag.
-                let walk = set.resolve_salvage(pc, epoch);
+                let walk = oracle::resolve_salvage(&set, pc, epoch);
                 let fast = flat
                     .resolve_salvage(pc, epoch)
                     .map(|(s, stale)| (s.as_ref(), stale));
@@ -100,8 +97,8 @@ fn assert_engine_matches_the_oracle(k: &Kernel, db: &SampleDb) {
     }
     // Whole-session parity, across shard counts.
     let options = Default::default();
-    let walk_report = viprof_report(db, k, &resolver, &options);
-    let walk_q = oracle::quality(&resolver, db);
+    let walk_report = oracle::viprof_report(db, k, &resolver, &options);
+    let walk_q = oracle::quality(&resolver, k, db);
     assert_eq!(walk_q.accounted(), db.total_samples());
     for threads in [1usize, 3, 7] {
         let spec = ReportSpec::default().threads(threads);
@@ -238,7 +235,7 @@ fn engine_matches_the_reference_resolver_on_a_64_epoch_chain() {
         );
     }
     let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-    let q = oracle::quality(&resolver, &db);
+    let q = oracle::quality(&resolver, &k, &db);
     assert!(
         q.resolved > 0 && q.stale_epoch > 0 && q.unresolved > 0,
         "the session must reach every classification: {q:?}"

@@ -13,10 +13,14 @@
 //!
 //! [`drains`] holds the one-record-per-drain checks the golden
 //! sessions and the fault matrix run over a finished session.
+//!
+//! [`oracle`] holds the per-bucket epoch walk that production
+//! resolution is checked against.
 
 #![allow(dead_code)]
 
 pub mod drains;
+pub mod oracle;
 
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};

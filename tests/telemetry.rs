@@ -366,33 +366,12 @@ fn every_recorded_name_has_a_reader() {
 }
 
 /// Public functions that no program code calls, each with why it stays
-/// public. The `FaultPlan::with_*` builders and `set_poison` are the
-/// deliberate test API of fault injection; the rest are read by tests,
-/// some of them in another crate, and by nothing else.
+/// public. Only deliberate test API may stay: the `FaultPlan::with_*`
+/// builders and `set_poison`, which reach fault injection from tests in
+/// other crates. Every reason starts with `test API:`; a function only
+/// tests read is deleted, or kept to its crate's tests.
 const UNREAD_PUB_FNS: &[(&str, &str)] = &[
-    ("distinct_ranges", "the driver's tests count the anon table's ranges through it"),
-    ("events_for", "its unit test pins the stats-mode event rates exactly"),
-    ("find_method", "its unit test looks a method up by name in a built program"),
-    ("gauge_series", "fault_matrix reads the governor's period track through it"),
-    ("has_symbols", "tests in three crates check stripped images through it"),
-    ("is_backedge", "the assembler's and bytecode's tests count backward branches"),
-    ("is_running", "the interpreter's tests step a frame stack until it empties"),
-    ("jump_if_zero", "the assembler's test builds a conditional loop with it"),
-    ("jvm98_members", "its unit test pins the seven JVM98 programs"),
-    ("live_object_count", "the VM's GC test checks survivors through it"),
-    ("primary_percent_sum", "its unit test checks report percentages sum to 100"),
-    ("proc_key", "prop_churn checks generation-tagged process identity through it"),
-    ("reserve_statics", "interpreter and VM tests give programs static slots with it"),
-    ("resolve_image_offset", "its unit test resolves file-backed addresses"),
-    ("resolve_offset", "its unit test resolves boot-image offsets to methods"),
-    ("seconds_to_cycles", "its unit test pins the clock's conversion"),
-    ("set_max", "its unit test pins the gauge's high-water mark"),
     ("set_poison", "test API: resolution tests poison shards to reach quarantine"),
-    ("symbolize", "kernel and machine tests resolve PCs to symbols with it"),
-    ("total_bytes", "its unit test checks the VFS's byte accounting"),
-    ("total_invocations", "its unit test pins a work plan's invocation count"),
-    ("touches_heap", "its unit test pins which ops drive the memory model"),
-    ("unmap", "its unit test removes a mapping from an address space"),
     ("with_daemon_stalls", "test API: fault-injection builder"),
     ("with_garbled_lines", "test API: fault-injection builder"),
     ("with_lost_maps", "test API: fault-injection builder"),
@@ -405,7 +384,7 @@ const UNREAD_PUB_FNS: &[(&str, &str)] = &[
 /// A `pub fn` earns its place by being called. Its name must occur in
 /// the workspace's program code (see [`program_code`]; bins, examples
 /// and perfbench count) more often than `fn <name>` is defined there,
-/// or be on [`UNREAD_PUB_FNS`] with its reason. The names checked are
+/// or be on [`UNREAD_PUB_FNS`] as test API. The names checked are
 /// those of the `pub fn`s in program code outside perfbench, which is
 /// its own workspace. An allowlisted name that gains a caller or loses
 /// its definition must leave the list.
@@ -449,6 +428,17 @@ fn every_public_fn_has_a_reader() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(listed, sorted, "UNREAD_PUB_FNS must be sorted, with no name twice");
+    let not_test_api: Vec<&str> = UNREAD_PUB_FNS
+        .iter()
+        .filter(|(_, reason)| !reason.starts_with("test API:"))
+        .map(|(name, _)| *name)
+        .collect();
+    assert!(
+        not_test_api.is_empty(),
+        "UNREAD_PUB_FNS may hold only test API (a reason starting `test API:`) — \
+         delete these or keep them to their crate's tests:\n{}",
+        not_test_api.join("\n")
+    );
     let missing: Vec<&str> = unread.iter().copied().filter(|n| !listed.contains(n)).collect();
     assert!(
         missing.is_empty(),
